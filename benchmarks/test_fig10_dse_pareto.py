@@ -10,6 +10,7 @@ Canny-m the all-DPLC design is far off the frontier.
 from __future__ import annotations
 
 from repro.algorithms import build_algorithm
+from repro.api import CompileTarget
 from repro.dse.pareto import pareto_front
 from repro.dse.sweep import sweep_memory_configurations
 
@@ -20,7 +21,7 @@ def run_dse():
     outcomes = {}
     for algorithm in ("canny-m", "denoise-m"):
         points = sweep_memory_configurations(
-            build_algorithm(algorithm), image_width=W, image_height=H
+            CompileTarget(build_algorithm(algorithm), image_width=W, image_height=H),
         )
         front = pareto_front(points, lambda p: (p.area_mm2, p.power_mw))
         outcomes[algorithm] = (points, front)

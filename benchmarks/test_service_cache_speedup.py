@@ -56,13 +56,14 @@ def test_engine_sweep_matches_serial_and_reuses_baseline(benchmark):
         for algorithm in ("denoise-m", "canny-m"):
             start = time.perf_counter()
             serial = sweep_memory_configurations(
-                build_algorithm(algorithm), image_width=W, image_height=H
+                CompileTarget(build_algorithm(algorithm), image_width=W, image_height=H),
             )
             serial_s = time.perf_counter() - start
             engine = CompileEngine(workers=4)
             start = time.perf_counter()
             parallel = sweep_memory_configurations(
-                build_algorithm(algorithm), image_width=W, image_height=H, engine=engine
+                CompileTarget(build_algorithm(algorithm), image_width=W, image_height=H),
+                engine=engine,
             )
             engine_s = time.perf_counter() - start
             engine.shutdown()

@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
-"""Solver racing and warm starts: the solve-acceleration layer end to end.
+"""Warm starts: the solve-acceleration layer end to end.
 
-Three acts, using the paper's canny-m pipeline:
+Two acts, using the paper's canny-m pipeline:
 
-1. **Race** — schedule 1080p cold with ``backend="race"``: the pure-Python
-   branch-and-bound and SciPy's HiGHS solve the same model concurrently and
-   the first finisher wins (without SciPy the race degrades to the Python
-   backend alone).  The ``ilp`` trace span records who won and by how much.
-2. **Warm start** — re-schedule with a hint from a 480p solve of the same
-   pipeline: the neighbor's solution transfers across resolutions and is
-   certified optimal by the longest-walk bound, skipping the ILP entirely.
-3. **Engine wiring** — the same thing happens automatically through a
+1. **Warm start** — schedule 1080p cold, then re-schedule with a hint from a
+   480p solve of the same pipeline: the neighbor's solution transfers across
+   resolutions and is certified optimal by the longest-walk bound, skipping
+   the ILP entirely.
+2. **Engine wiring** — the same thing happens automatically through a
    :class:`CompileEngine`: compiling 480p warms the cache, the 1080p compile
    misses exactly but warm-starts from the cached neighbor, and the
    ``neighbor_*`` / ``ilp_warm_*`` counters surface it.
 
-Run:  python examples/solver_racing.py
+Run:  python examples/warm_starts.py
 """
 
 from __future__ import annotations
@@ -24,10 +21,8 @@ from repro.algorithms import build_algorithm
 from repro.api import CompileTarget
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
 from repro.core.warmstart import hint_from_schedule
-from repro.ilp.solver import available_backends
 from repro.memory.spec import asic_dual_port
 from repro.service import CompileEngine
-from repro.trace import collect_spans, flatten_spans
 
 W_SMALL, H_SMALL = 480, 320
 W_LARGE, H_LARGE = 1920, 1080
@@ -36,25 +31,8 @@ W_LARGE, H_LARGE = 1920, 1080
 def main() -> None:
     dag = build_algorithm("canny-m")
     spec = asic_dual_port()
-    print(f"backends available: {', '.join(available_backends())}")
 
-    # -- Act 1: race the backends on a cold 1080p solve ----------------------
-    race_options = SchedulerOptions(backend="race")
-    trace = collect_spans()
-    with trace:
-        raced = schedule_pipeline(dag, W_LARGE, H_LARGE, spec, race_options)
-    ilp_spans = [s for s in flatten_spans(trace.spans) if s.name == "ilp"]
-    for span in ilp_spans:
-        winner = span.attrs.get("race_winner", "n/a")
-        margin = span.attrs.get("race_margin_seconds")
-        print(
-            f"race: winner={winner}"
-            + (f", margin {margin * 1000:.1f} ms" if margin is not None else "")
-            + f", objective {raced.solver_stats['objective']:.0f}"
-        )
-    assert raced.solver_stats["backend"].startswith(("race", "python"))
-
-    # -- Act 2: warm-start the same solve from a 480p neighbor ---------------
+    # -- Act 1: warm-start a 1080p solve from a 480p neighbor ---------------
     options = SchedulerOptions()
     small = schedule_pipeline(dag, W_SMALL, H_SMALL, spec, options)
     cold = schedule_pipeline(dag, W_LARGE, H_LARGE, spec, options)
@@ -69,7 +47,7 @@ def main() -> None:
     assert warm.solver_stats["warm_start"] == "certificate"
     assert warm.start_cycles == cold.start_cycles, "warm must not change the answer"
 
-    # -- Act 3: the engine does this by itself through its cache -------------
+    # -- Act 2: the engine does this by itself through its cache -------------
     engine = CompileEngine()
     engine.compile(CompileTarget(dag, image_width=W_SMALL, image_height=H_SMALL))
     compiled = engine.compile(
@@ -84,7 +62,7 @@ def main() -> None:
     assert compiled.schedule.solver_stats.get("warm_start") == "certificate"
     assert stats.neighbor_hits >= 1
     assert compiled.schedule.start_cycles == cold.start_cycles
-    print("OK: raced, warm-started, and engine-cached solves all agree")
+    print("OK: warm-started and engine-cached solves agree with the cold solve")
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ from repro.service import (
     EXECUTOR_NAMES,
     CompileCache,
     CompileEngine,
-    CompileRequest,
     CompileResult,
     DiskCacheStore,
     ExecutorBackend,
@@ -72,7 +71,6 @@ __all__ = [
     "spartan7_fpga",
     "CompileCache",
     "CompileEngine",
-    "CompileRequest",
     "CompileResult",
     "DiskCacheStore",
     "EXECUTOR_NAMES",

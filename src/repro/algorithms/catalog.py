@@ -90,17 +90,13 @@ def register_algorithm(
     builder: Callable[[], PipelineDAG],
     *,
     replace: bool = False,
-    overwrite: bool | None = None,
 ) -> AlgorithmInfo:
     """Install a custom pipeline into the catalog.
 
     The builder is invoked once to validate the DAG and derive the stage
     counts recorded in the :class:`AlgorithmInfo` row.  Registering a name
-    that already exists raises :class:`ReproError` unless ``replace=True``
-    (``overwrite`` is accepted as a legacy alias).
+    that already exists raises :class:`ReproError` unless ``replace=True``.
     """
-    if overwrite is not None:
-        replace = overwrite
     if not replace and name in _CATALOG:
         raise ReproError(
             f"Algorithm {name!r} is already registered; pass replace=True to replace it"

@@ -36,7 +36,7 @@ import hashlib
 import json
 from dataclasses import asdict
 
-from repro.api.target import IMAGEN_GENERATOR, CompileTarget
+from repro.api.target import CompileTarget, require_target
 from repro.core.scheduler import SchedulerOptions
 from repro.ir.dag import PipelineDAG
 from repro.memory.spec import MemorySpec
@@ -77,44 +77,20 @@ def dag_fingerprint(dag: PipelineDAG) -> str:
     return _digest({"version": FINGERPRINT_VERSION, "dag": dag.canonical_form()})
 
 
-def compile_fingerprint(
-    target: CompileTarget | PipelineDAG,
-    image_width: int | None = None,
-    image_height: int | None = None,
-    memory_spec: MemorySpec | None = None,
-    options: SchedulerOptions | None = None,
-    *,
-    generator: str = IMAGEN_GENERATOR,
-) -> str:
-    """Stable hash of one complete compile target.
-
-    The preferred form is ``compile_fingerprint(target)`` with a
-    :class:`CompileTarget`; the loose positional form
-    ``(dag, width, height, spec, options)`` is kept for callers that predate
-    the unified request object.
-    """
-    if isinstance(target, CompileTarget):
-        dag = target.dag
-        image_width, image_height = target.image_width, target.image_height
-        memory_spec, options, generator = target.memory_spec, target.options, target.generator
-    else:
-        dag = target
-        if image_width is None or image_height is None or memory_spec is None or options is None:
-            raise TypeError(
-                "compile_fingerprint needs a CompileTarget or explicit "
-                "(dag, image_width, image_height, memory_spec, options)"
-            )
+def compile_fingerprint(target: CompileTarget) -> str:
+    """Stable hash of one complete :class:`CompileTarget`."""
+    target = require_target(target)
     payload = {
         "version": FINGERPRINT_VERSION,
-        "dag": dag.canonical_form(),
-        "resolution": [image_width, image_height],
-        "memory_spec": normalize_memory_spec(memory_spec),
+        "dag": target.dag.canonical_form(),
+        "resolution": [target.image_width, target.image_height],
+        "memory_spec": normalize_memory_spec(target.memory_spec),
     }
-    if generator == IMAGEN_GENERATOR:
-        payload["options"] = normalize_options(options)
+    if target.is_imagen:
+        payload["options"] = normalize_options(target.options)
     else:
         # Baseline generators ignore scheduler options: fingerprinting the
         # generator name alone keeps their designs cacheable across requests
         # that differ only in optimizer knobs.
-        payload["generator"] = generator
+        payload["generator"] = target.generator
     return _digest(payload)

@@ -29,11 +29,19 @@ from dataclasses import replace as dc_replace
 from typing import Any
 
 from repro.core.scheduler import SchedulerOptions
+from repro.ilp.solver import check_backend
 from repro.ir.dag import PipelineDAG
 from repro.memory.spec import MemorySpec, asic_dual_port
 
 #: Generator name of the ImaGen ILP optimizer (the library's own compiler).
 IMAGEN_GENERATOR = "imagen"
+
+
+def require_target(value: Any) -> "CompileTarget":
+    """Return ``value`` if it is a :class:`CompileTarget`; raise ``TypeError`` otherwise."""
+    if isinstance(value, CompileTarget):
+        return value
+    raise TypeError(f"Expected a CompileTarget, got {type(value).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +72,9 @@ class CompileTarget:
         ASIC SRAM macros (:func:`repro.memory.spec.asic_dual_port`).
     options:
         Scheduler knobs; ``None`` resolves to default
-        :class:`SchedulerOptions`.  The target stores a private copy.
+        :class:`SchedulerOptions`.  The target stores a private copy.  An
+        ImaGen target whose ``backend`` is unknown (directly or through
+        ``REPRO_ILP_BACKEND``) raises :class:`repro.errors.SolverError`.
     generator:
         ``"imagen"`` (default) runs the ILP optimizer; a baseline name
         (``"darkroom"``, ``"soda"``, ``"fixynn"``) runs that comparison
@@ -96,43 +106,12 @@ class CompileTarget:
         options = dc_replace(
             options, per_stage_coalescing=dict(options.per_stage_coalescing)
         )
+        if self.generator == IMAGEN_GENERATOR:
+            # Reject an unknown ILP backend here, not at solve time: cache
+            # hits and warm-certified compiles never reach the solver.
+            check_backend(options.backend)
         object.__setattr__(self, "options", options)
         object.__setattr__(self, "metadata", dict(self.metadata))
-
-    @classmethod
-    def from_kwargs(
-        cls,
-        dag: PipelineDAG,
-        *,
-        image_width: int,
-        image_height: int,
-        memory_spec: MemorySpec | None = None,
-        options: SchedulerOptions | None = None,
-        coalescing: bool = False,
-        generator: str = IMAGEN_GENERATOR,
-        label: str = "",
-        metadata: dict[str, Any] | None = None,
-    ) -> "CompileTarget":
-        """Build a target from the historical loose-kwarg vocabulary.
-
-        The single conversion point behind every deprecated entry point
-        (``compile_pipeline(dag, ...)``, ``engine.compile(dag, ...)``,
-        ``CompileRequest.to_target``): the ``coalescing`` convenience flag is
-        folded onto a copy of the options.
-        """
-        options = options or SchedulerOptions()
-        if coalescing and not options.coalescing:
-            options = dc_replace(options, coalescing=True)
-        return cls(
-            dag=dag,
-            image_width=image_width,
-            image_height=image_height,
-            memory_spec=memory_spec,
-            options=options,
-            generator=generator,
-            label=label,
-            metadata=metadata or {},
-        )
 
     # ------------------------------------------------------------ derivations
     def with_options(self, **changes: Any) -> "CompileTarget":

@@ -77,70 +77,25 @@ def baseline_generator(name: str) -> BaselineGenerator:
     return generators[name]()
 
 
-def generate_baseline(
-    target: "CompileTarget | str",
-    dag: PipelineDAG | None = None,
-    image_width: int | None = None,
-    image_height: int | None = None,
-    memory_spec: MemorySpec | None = None,
-    *,
-    cache=None,
-):
+def generate_baseline(target: "CompileTarget", *, cache=None):
     """Compile a baseline design point (Darkroom / SODA / FixyNN).
 
-    The primary form takes a :class:`repro.api.CompileTarget` whose
-    ``generator`` names a baseline, routes it through
-    :func:`repro.core.compile_pipeline` — and therefore through the same
-    content-addressed ``cache`` as every other design — and returns a
-    :class:`repro.core.compiler.CompiledAccelerator`::
+    Takes a :class:`repro.api.CompileTarget` whose ``generator`` names a
+    baseline, routes it through :func:`repro.core.compile_pipeline` — and
+    therefore through the same content-addressed ``cache`` as every other
+    design — and returns a :class:`repro.core.compiler.CompiledAccelerator`::
 
         target = CompileTarget(dag, image_width=480, image_height=320,
                                generator="darkroom")
         acc = generate_baseline(target)           # CompiledAccelerator
         schedule = acc.schedule
-
-    The historical positional form ``generate_baseline(name, dag, width,
-    height, spec)`` still works and still returns a raw
-    :class:`PipelineSchedule`, but emits a :class:`DeprecationWarning`.
     """
-    import warnings
-
-    from repro.api.target import CompileTarget
+    from repro.api.target import require_target
     from repro.core.compiler import compile_pipeline
 
-    if isinstance(target, CompileTarget):
-        if target.generator not in BASELINE_NAMES:
-            raise BaselineError(
-                f"generate_baseline needs a baseline target; got generator="
-                f"{target.generator!r} (expected one of {BASELINE_NAMES})"
-            )
-        return compile_pipeline(target, cache=cache)
-
-    warnings.warn(
-        "generate_baseline(name, dag, width, height, ...) is deprecated; build "
-        "a repro.api.CompileTarget with generator=name and call "
-        "generate_baseline(target) (returns a CompiledAccelerator)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if dag is None or image_width is None or image_height is None:
-        raise TypeError("generate_baseline requires dag, image_width and image_height")
-    baseline_generator(target)  # validate the name before building a target
-    if memory_spec is None:
-        # The positional form predates CompileTarget's dual-port default and
-        # let each generator pick its own preferred memory (SODA: FIFOs,
-        # FixyNN: single-port).  Keep that exact behaviour behind the shim; a
-        # CompileTarget's spec, by contrast, is always explicit and adapted
-        # by the generator.
-        from repro.memory.spec import asic_fifo, asic_single_port
-
-        defaults = {"soda": asic_fifo, "fixynn": asic_single_port}
-        memory_spec = defaults.get(target, lambda: None)()
-    legacy_target = CompileTarget(
-        dag=dag,
-        image_width=image_width,
-        image_height=image_height,
-        memory_spec=memory_spec,
-        generator=target,
-    )
-    return compile_pipeline(legacy_target, cache=cache).schedule
+    if require_target(target).generator not in BASELINE_NAMES:
+        raise BaselineError(
+            f"generate_baseline needs a baseline target; got generator="
+            f"{target.generator!r} (expected one of {BASELINE_NAMES})"
+        )
+    return compile_pipeline(target, cache=cache)

@@ -9,15 +9,10 @@ runs the ILP optimizer (with the optional line-coalescing fallback), any
 baseline name (``"darkroom"``, ``"soda"``, ``"fixynn"``) runs that comparison
 generator through the same cache, so baseline designs are content-addressed
 and reusable exactly like optimized ones.
-
-The historical loose-kwarg form ``compile_pipeline(dag, image_width=...,
-...)`` still works but emits a :class:`DeprecationWarning`; it builds a
-``CompileTarget`` internally and forwards.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from typing import Any
@@ -27,7 +22,6 @@ from typing import TYPE_CHECKING
 from repro.core.schedule import PipelineSchedule
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
 from repro.ir.dag import PipelineDAG
-from repro.memory.spec import MemorySpec
 from repro.trace import trace_span
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -212,74 +206,17 @@ def compile_target(target: CompileTarget, *, cache: Any | None = None) -> Compil
     ``schedule_sources`` consulted and the matching ``schedule_fingerprints``
     so callers can correlate results with cache entries.
     """
+    from repro.api.target import require_target
+
+    target = require_target(target)
     if target.is_imagen:
         return _compile_imagen(target, cache)
     return _compile_baseline(target, cache)
 
 
-def compile_pipeline(
-    pipeline: CompileTarget | PipelineDAG,
-    *,
-    image_width: int | None = None,
-    image_height: int | None = None,
-    memory_spec: MemorySpec | None = None,
-    coalescing: bool = False,
-    options: SchedulerOptions | None = None,
-    cache: Any | None = None,
-) -> CompiledAccelerator:
-    """Compile a pipeline into a line-buffered accelerator design.
-
-    The primary form takes a :class:`repro.api.CompileTarget`::
-
-        target = CompileTarget(dag, image_width=480, image_height=320)
-        acc = compile_pipeline(target)
-        lc = compile_pipeline(target.with_options(coalescing=True))
-
-    Parameters
-    ----------
-    pipeline:
-        A :class:`CompileTarget` (preferred).  Passing a raw
-        :class:`PipelineDAG` with the loose ``image_width=...`` keyword form
-        is deprecated: it builds a target internally and emits a
-        :class:`DeprecationWarning`.
-    cache:
-        Optional :class:`repro.service.cache.CompileCache`.  Every generator
-        run — including both solves of the auto-coalescing fallback — is
-        first looked up by content fingerprint and recorded on a miss, so
-        repeated requests never re-run a generator.  The sources consulted
-        and their fingerprints are recorded in the returned accelerator's
-        ``metadata["schedule_sources"]`` / ``metadata["schedule_fingerprints"]``.
-    """
-    from repro.api.target import CompileTarget
-
-    if isinstance(pipeline, CompileTarget):
-        if (
-            image_width is not None
-            or image_height is not None
-            or memory_spec is not None
-            or options is not None
-            or coalescing
-        ):
-            raise TypeError(
-                "compile_pipeline(target) takes no compile kwargs; derive the "
-                "target instead (target.with_options(...), .with_resolution(...))"
-            )
-        return compile_target(pipeline, cache=cache)
-
-    warnings.warn(
-        "compile_pipeline(dag, image_width=..., ...) is deprecated; build a "
-        "repro.api.CompileTarget and call compile_pipeline(target)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if image_width is None or image_height is None:
-        raise TypeError("compile_pipeline requires image_width and image_height")
-    target = CompileTarget.from_kwargs(
-        pipeline,
-        image_width=image_width,
-        image_height=image_height,
-        memory_spec=memory_spec,
-        options=options,
-        coalescing=coalescing,
-    )
-    return compile_target(target, cache=cache)
+#: The library's public name for :func:`compile_target`::
+#:
+#:     target = CompileTarget(dag, image_width=480, image_height=320)
+#:     acc = compile_pipeline(target)
+#:     lc = compile_pipeline(target.with_options(coalescing=True))
+compile_pipeline = compile_target

@@ -92,8 +92,8 @@ class SchedulerOptions:
         ``"bigm"`` (indicator variables, one solve) or ``"enumerate"``
         (Cartesian product of sub-problems, the paper's formulation).
     backend:
-        ILP backend passed to :func:`repro.ilp.solver.solve` (``"race"``
-        races the Python and HiGHS backends).
+        ILP backend passed to :func:`repro.ilp.solver.solve` (``"auto"``,
+        ``"python"`` or ``"highs"``).
     max_subproblems:
         Safety valve for the enumeration strategy.
     """

@@ -16,12 +16,11 @@ The sweep is expressed in the unified request API: from one base
 ``base.with_options(...)`` target, so every design point carries the base
 target's memory spec and scheduler knobs.  The baseline compile that
 discovers the configurable buffers doubles as the all-DP design point, so it
-is never solved twice.  Passing an ``engine`` (or ``parallel=N`` /
-``executor="process"``) routes every configuration through a
-:class:`repro.service.engine.CompileEngine`: designs compile concurrently on
-the engine's executor backend, failures are captured per point instead of
-aborting the sweep, and the all-DP configuration is served from the cache
-entry the baseline compile warmed.
+is never solved twice.  Passing an ``engine`` routes every configuration
+through a :class:`repro.service.engine.CompileEngine`: designs compile
+concurrently on the engine's executor backend, failures are captured per
+point instead of aborting the sweep, and the all-DP configuration is served
+from the cache entry the baseline compile warmed.
 
 Serial sweeps (no engine) default to **compound** scheduling: the pending
 variants' ILPs are folded into one block-diagonal model, warm-started from
@@ -36,13 +35,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.api.target import CompileTarget
+from repro.api.target import CompileTarget, require_target
 from repro.core.compiler import CompiledAccelerator, compile_target
 from repro.errors import ReproError
 from repro.estimate.report import AcceleratorReport, accelerator_report
 from repro.estimate.sram_model import SramTechModel
-from repro.ir.dag import PipelineDAG
-from repro.memory.spec import MemorySpec
 
 
 @dataclass
@@ -116,17 +113,12 @@ def _design_label(configuration: dict[str, str]) -> str:
 
 
 def sweep_memory_configurations(
-    pipeline: CompileTarget | PipelineDAG,
+    base: CompileTarget,
     *,
-    image_width: int | None = None,
-    image_height: int | None = None,
-    memory_spec: MemorySpec | None = None,
     tech: SramTechModel | None = None,
     max_designs: int = 1024,
     sizing: str = "custom",
     engine=None,
-    parallel: int | None = None,
-    executor: str | None = None,
     compound: bool | None = None,
 ) -> list[DesignPoint]:
     """Compile every DP/DPLC combination and return the evaluated design points.
@@ -137,11 +129,9 @@ def sweep_memory_configurations(
 
     Parameters
     ----------
-    pipeline:
-        The base design point: a :class:`repro.api.CompileTarget` (preferred;
-        its memory spec and scheduler options seed every derived
-        configuration) or a raw :class:`PipelineDAG` together with
-        ``image_width``/``image_height``/``memory_spec`` keywords.
+    base:
+        The base design point, a :class:`repro.api.CompileTarget`; its memory
+        spec and scheduler options seed every derived configuration.
     engine:
         Optional :class:`repro.service.engine.CompileEngine`.  All ``2^k``
         configurations are submitted as one batch: compiles fan out over the
@@ -149,17 +139,11 @@ def sweep_memory_configurations(
         whatever the engine was built with), repeated design points are
         served from its cache, and a design point that fails to compile is
         skipped (the sweep only raises when *every* point fails).  Results
-        are identical to the serial path, in the same order.
-    parallel:
-        Convenience: ``parallel=N`` builds a throwaway engine with ``N``
-        workers for this sweep (ignored when ``engine`` is given).
-    executor:
-        Convenience: backend name for the throwaway engine
-        (``"inline"``/``"thread"``/``"process"``; default: the
-        ``REPRO_EXECUTOR`` environment variable or ``thread``).  Use
-        ``executor="process"`` to keep the ``2^k`` fan-out parallel when the
-        HiGHS backend is unavailable and thread workers would serialize on
-        the GIL.  Ignored when ``engine`` is given.
+        are identical to the serial path, in the same order.  Build it with
+        ``CompileEngine(workers=N, executor=...)`` to pick the fan-out width
+        and backend (``executor="process"`` keeps the ``2^k`` fan-out
+        parallel when the HiGHS backend is unavailable and thread workers
+        would serialize on the GIL).
     compound:
         Solve the ``2^k`` variants as one compound model
         (:func:`repro.core.scheduler.schedule_compound`): the baseline's
@@ -174,78 +158,50 @@ def sweep_memory_configurations(
         off for non-big-M scheduler strategies, which the compound solver
         does not cover.
     """
-    if isinstance(pipeline, CompileTarget):
-        if image_width is not None or image_height is not None or memory_spec is not None:
-            raise TypeError(
-                "sweep_memory_configurations(target) takes no resolution/spec "
-                "kwargs; derive the target instead"
-            )
-        base = pipeline
-    else:
-        if image_width is None or image_height is None:
-            raise TypeError(
-                "sweep_memory_configurations requires image_width and image_height"
-            )
-        base = CompileTarget(
-            dag=pipeline,
-            image_width=image_width,
-            image_height=image_height,
-            memory_spec=memory_spec,
-        )
-    if not base.is_imagen:
+    if not require_target(base).is_imagen:
         raise ReproError(
             f"The DP/DPLC sweep only applies to the ImaGen optimizer; got "
             f"generator={base.generator!r}"
         )
 
-    own_engine = False
-    if engine is None and (parallel or executor):
-        from repro.service.engine import CompileEngine
+    baseline, configurable = _configurable_buffers(base, engine)
+    num_designs = 2 ** len(configurable)
+    if num_designs > max_designs:
+        raise ReproError(
+            f"Sweep would produce {num_designs} designs for {len(configurable)} configurable "
+            f"buffers (limit {max_designs})"
+        )
 
-        engine = CompileEngine(workers=parallel, executor=executor)
-        own_engine = True
-    try:
-        baseline, configurable = _configurable_buffers(base, engine)
-        num_designs = 2 ** len(configurable)
-        if num_designs > max_designs:
-            raise ReproError(
-                f"Sweep would produce {num_designs} designs for {len(configurable)} configurable "
-                f"buffers (limit {max_designs})"
-            )
+    configurations = [
+        dict(zip(configurable, choices))
+        for choices in itertools.product(("DP", "DPLC"), repeat=len(configurable))
+    ]
+    use_compound = compound if compound is not None else engine is None
+    if base.options.disjunction_strategy != "bigm":
+        use_compound = False
+    if use_compound:
+        compiled = _compile_compound(
+            base, configurations, baseline,
+            cache=getattr(engine, "cache", None),
+        )
+    elif engine is not None:
+        compiled = _compile_with_engine(base, configurations, engine)
+    else:
+        compiled = _compile_serially(base, configurations, baseline)
 
-        configurations = [
-            dict(zip(configurable, choices))
-            for choices in itertools.product(("DP", "DPLC"), repeat=len(configurable))
-        ]
-        use_compound = compound if compound is not None else engine is None
-        if base.options.disjunction_strategy != "bigm":
-            use_compound = False
-        if use_compound:
-            compiled = _compile_compound(
-                base, configurations, baseline,
-                cache=getattr(engine, "cache", None),
+    points: list[DesignPoint] = []
+    for configuration, accelerator, metadata in compiled:
+        report = accelerator_report(accelerator.schedule, tech, sizing=sizing)
+        points.append(
+            DesignPoint(
+                configuration=configuration,
+                accelerator=accelerator,
+                report=report,
+                label=_design_label(configuration),
+                metadata=metadata,
             )
-        elif engine is not None:
-            compiled = _compile_with_engine(base, configurations, engine)
-        else:
-            compiled = _compile_serially(base, configurations, baseline)
-
-        points: list[DesignPoint] = []
-        for configuration, accelerator, metadata in compiled:
-            report = accelerator_report(accelerator.schedule, tech, sizing=sizing)
-            points.append(
-                DesignPoint(
-                    configuration=configuration,
-                    accelerator=accelerator,
-                    report=report,
-                    label=_design_label(configuration),
-                    metadata=metadata,
-                )
-            )
-        return points
-    finally:
-        if own_engine:
-            engine.shutdown()
+        )
+    return points
 
 
 def _compile_serially(

@@ -52,10 +52,6 @@ class SolverError(ILPError):
     """A backend failed for a reason other than infeasibility/unboundedness."""
 
 
-class SolverCancelled(SolverError):
-    """A solve was cancelled cooperatively (e.g. it lost a backend race)."""
-
-
 class SchedulingError(ReproError):
     """The accelerator scheduler could not produce a legal pipeline schedule."""
 

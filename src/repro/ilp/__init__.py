@@ -11,8 +11,7 @@ scratch:
   the simplex solver (pure Python backend).
 * :mod:`repro.ilp.highs` — a backend that maps the model onto
   ``scipy.optimize.milp`` (HiGHS).
-* :mod:`repro.ilp.solver` — the facade used by the rest of the library,
-  including the backend race (:func:`repro.ilp.solver.solve_racing`).
+* :mod:`repro.ilp.solver` — the facade used by the rest of the library.
 * :mod:`repro.ilp.compound` — block-diagonal compound models: merge N
   independent models, solve once, split the results (the DSE sweep path).
 
@@ -21,7 +20,7 @@ Both backends are exact; tests cross-check them against each other.
 
 from repro.ilp.expr import Variable, LinExpr
 from repro.ilp.model import Model, Constraint, SolveResult, SolveStatus, WarmStart
-from repro.ilp.solver import solve, solve_racing, available_backends, resolve_backend
+from repro.ilp.solver import solve, available_backends, resolve_backend
 
 __all__ = [
     "Variable",
@@ -32,7 +31,6 @@ __all__ = [
     "SolveStatus",
     "WarmStart",
     "solve",
-    "solve_racing",
     "available_backends",
     "resolve_backend",
 ]

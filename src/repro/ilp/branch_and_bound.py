@@ -10,19 +10,13 @@ textbook best-first branch-and-bound:
    ``x <= floor(v)`` / ``x >= ceil(v)`` bounds;
 4. prune nodes whose relaxation bound cannot beat the incumbent.
 
-Two extensions support the solve-acceleration layer:
-
-* **Warm starts** — a feasible :class:`~repro.ilp.model.WarmStart` installs
-  its objective as the incumbent bound before the first LP solve.  The search
-  then only looks for *strictly better* solutions (for integral objectives
-  the cutoff is a full unit below the incumbent, which is what makes the
-  pruning bite); if none exists, the warm incumbent is returned as the proven
-  optimum.  Among multiple optima the incumbent is therefore preferred — a
-  deterministic, documented tie-break.
-* **Cancellation** — an optional :class:`threading.Event` is checked between
-  nodes so a racing supervisor (:func:`repro.ilp.solver.solve_racing`) can
-  stop a losing search; cancellation raises
-  :class:`~repro.errors.SolverCancelled`.
+**Warm starts** support the solve-acceleration layer: a feasible
+:class:`~repro.ilp.model.WarmStart` installs its objective as the incumbent
+bound before the first LP solve.  The search then only looks for *strictly
+better* solutions (for integral objectives the cutoff is a full unit below the
+incumbent, which is what makes the pruning bite); if none exists, the warm
+incumbent is returned as the proven optimum.  Among multiple optima the
+incumbent is therefore preferred — a deterministic, documented tie-break.
 """
 
 from __future__ import annotations
@@ -30,12 +24,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import SolverCancelled, SolverError
+from repro.errors import SolverError
 from repro.ilp.model import Model, SolveResult, SolveStatus, WarmStart
 from repro.ilp.simplex import solve_lp
 from repro.trace import span_attr
@@ -128,7 +121,6 @@ def solve_branch_and_bound(
     time_limit: float | None = None,
     *,
     warm_start: WarmStart | None = None,
-    cancel: threading.Event | None = None,
 ) -> SolveResult:
     """Solve ``model`` exactly with branch and bound over the simplex engine."""
     import time
@@ -171,8 +163,6 @@ def solve_branch_and_bound(
     while heap:
         if time_limit is not None and time.monotonic() - start > time_limit:
             raise SolverError("Branch-and-bound time limit exceeded")
-        if cancel is not None and cancel.is_set():
-            raise SolverCancelled(f"Branch-and-bound on {model.name!r} was cancelled")
         node = heapq.heappop(heap)
         if node.bound >= best_objective - 1e-9:
             pruned += 1

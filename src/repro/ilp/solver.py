@@ -4,31 +4,15 @@
 
 * ``"highs"`` — SciPy's HiGHS MILP solver (fast, default when available);
 * ``"python"`` — the pure-Python branch-and-bound over the simplex engine;
-* ``"race"`` — run both concurrently and take the first finisher
-  (:func:`solve_racing`); degrades to ``"python"`` when SciPy is absent;
 * ``"auto"`` — the ``REPRO_ILP_BACKEND`` environment variable when set,
   otherwise HiGHS when importable, otherwise the Python backend.
-
-Racing semantics
-----------------
-Both backends are exact, so the first finisher's result *is* the answer —
-including INFEASIBLE/UNBOUNDED outcomes.  HiGHS runs a C solve that releases
-the GIL; the Python branch-and-bound checks a cancellation event between
-nodes, so the loser concedes almost immediately once a winner is declared.
-The enclosing ``ilp`` trace span records ``race_winner`` and, when the loser
-had already conceded by the time the result was assembled,
-``race_margin_seconds`` (how much longer the loser ran before giving up).
-A warm start is handed to the Python contestant only; HiGHS solves cold —
-exactness is unaffected either way.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
 
-from repro.errors import InfeasibleError, SolverCancelled, SolverError, UnboundedError
+from repro.errors import InfeasibleError, SolverError, UnboundedError
 from repro.ilp import highs
 from repro.ilp.branch_and_bound import solve_branch_and_bound
 from repro.ilp.model import Model, SolveResult, SolveStatus, WarmStart
@@ -39,7 +23,7 @@ from repro.trace import span_attr, trace_span
 #: the SciPy-free path) without threading an option through every caller.
 BACKEND_ENV_VAR = "REPRO_ILP_BACKEND"
 
-_KNOWN_BACKENDS = ("auto", "python", "highs", "race")
+_KNOWN_BACKENDS = ("auto", "python", "highs")
 
 
 def available_backends() -> list[str]:
@@ -47,12 +31,20 @@ def available_backends() -> list[str]:
     backends = ["python"]
     if highs.is_available():
         backends.insert(0, "highs")
-        backends.append("race")
     return backends
 
 
-def resolve_backend(backend: str = "auto") -> str:
-    """Resolve ``"auto"`` (env var, then availability) to a concrete backend."""
+def check_backend(backend: str) -> str:
+    """Apply the ``REPRO_ILP_BACKEND`` override to ``"auto"``, without probing
+    for HiGHS.
+
+    Raises :class:`SolverError` for a name outside ``_KNOWN_BACKENDS``, whether
+    passed directly or through the environment variable.
+    """
+    if backend not in _KNOWN_BACKENDS:
+        raise SolverError(
+            f"Unknown ILP backend {backend!r}; expected one of {_KNOWN_BACKENDS}"
+        )
     if backend == "auto":
         env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
         if env:
@@ -61,6 +53,12 @@ def resolve_backend(backend: str = "auto") -> str:
                     f"{BACKEND_ENV_VAR}={env!r} is not one of {_KNOWN_BACKENDS}"
                 )
             backend = env
+    return backend
+
+
+def resolve_backend(backend: str = "auto") -> str:
+    """Resolve ``"auto"`` (env var, then availability) to a concrete backend."""
+    backend = check_backend(backend)
     if backend == "auto":
         backend = "highs" if highs.is_available() else "python"
     return backend
@@ -77,20 +75,16 @@ def solve(
 
     With ``raise_on_failure=True``, infeasible/unbounded outcomes raise
     :class:`InfeasibleError` / :class:`UnboundedError` instead of being
-    returned as statuses.  ``warm_start`` seeds the Python branch-and-bound
-    (directly or as the racing contestant); the HiGHS backend ignores it.
+    returned as statuses.  ``warm_start`` seeds the Python branch-and-bound;
+    the HiGHS backend ignores it.
     """
     backend = resolve_backend(backend)
 
     with trace_span("ilp", backend=backend):
-        if backend == "race":
-            result = _solve_race(model, warm_start=warm_start)
-        elif backend == "highs":
+        if backend == "highs":
             result = highs.solve_highs(model)
-        elif backend == "python":
-            result = solve_branch_and_bound(model, warm_start=warm_start)
         else:
-            raise SolverError(f"Unknown ILP backend {backend!r}")
+            result = solve_branch_and_bound(model, warm_start=warm_start)
         span_attr(
             status=result.status.value,
             lp_iterations=result.iterations,
@@ -108,91 +102,3 @@ def solve(
             raise SolverError(f"Backend {backend!r} failed on model {model.name!r}: {result.message}")
     return result
 
-
-def solve_racing(
-    model: Model,
-    *,
-    warm_start: WarmStart | None = None,
-    raise_on_failure: bool = False,
-) -> SolveResult:
-    """Race the Python and HiGHS backends; equivalent to ``backend="race"``."""
-    return solve(model, "race", warm_start=warm_start, raise_on_failure=raise_on_failure)
-
-
-def _solve_race(model: Model, warm_start: WarmStart | None = None) -> SolveResult:
-    if not highs.is_available():
-        # Clean degradation (the racing API stays callable without SciPy):
-        # a single-contestant race is just the Python solve.
-        result = solve_branch_and_bound(model, warm_start=warm_start)
-        span_attr(race_winner="python", race_contestants=1)
-        return result
-
-    cancel = threading.Event()
-    lock = threading.Lock()
-    done = threading.Event()
-    results: dict[str, SolveResult] = {}
-    errors: dict[str, Exception] = {}
-    seconds: dict[str, float] = {}
-    winner_box: dict[str, str] = {}
-
-    def contend(name, runner):
-        begun = time.perf_counter()
-        try:
-            result = runner()
-        except SolverCancelled:
-            with lock:
-                seconds[name] = time.perf_counter() - begun
-            return
-        except Exception as exc:  # backend failure: let the other contestant win
-            with lock:
-                seconds[name] = time.perf_counter() - begun
-                errors[name] = exc
-                if len(errors) == 2:
-                    done.set()
-            return
-        with lock:
-            seconds[name] = time.perf_counter() - begun
-            results[name] = result
-            if "winner" not in winner_box:
-                winner_box["winner"] = name
-                cancel.set()
-            done.set()
-
-    python_thread = threading.Thread(
-        target=contend,
-        args=("python", lambda: solve_branch_and_bound(model, warm_start=warm_start, cancel=cancel)),
-        name="ilp-race-python",
-        daemon=True,
-    )
-    highs_thread = threading.Thread(
-        target=contend,
-        args=("highs", lambda: highs.solve_highs(model)),
-        name="ilp-race-highs",
-        daemon=True,
-    )
-    python_thread.start()
-    highs_thread.start()
-    done.wait()
-
-    winner = winner_box.get("winner")
-    if winner is None:
-        failures = "; ".join(f"{name}: {exc}" for name, exc in sorted(errors.items()))
-        raise SolverError(f"All racing backends failed on {model.name!r} ({failures})")
-    if winner == "highs":
-        # The Python loser concedes at its next node check; join it briefly so
-        # the margin (time-to-concede) is usually observable.  The HiGHS C
-        # call cannot be interrupted, so when Python wins the daemon thread is
-        # left to finish on its own.
-        python_thread.join(timeout=1.0)
-
-    with lock:
-        result = results[winner]
-        loser = "python" if winner == "highs" else "highs"
-        margin = seconds[loser] - seconds[winner] if loser in seconds else None
-        winner_seconds = seconds[winner]
-
-    result.backend = f"race:{winner}"
-    span_attr(race_winner=winner, race_winner_seconds=round(winner_seconds, 6))
-    if margin is not None:
-        span_attr(race_margin_seconds=round(margin, 6))
-    return result

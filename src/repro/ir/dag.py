@@ -269,7 +269,7 @@ class PipelineDAG:
         canonical form regardless of the order in which stages and edges were
         added or the pipeline's display :attr:`name`.  This is the basis of
         the content-addressed compile cache
-        (:mod:`repro.service.fingerprint`).
+        (:mod:`repro.api.fingerprint`).
 
         Free-form :attr:`Stage.metadata` annotations are deliberately
         excluded: they do not influence scheduling, simulation or RTL

@@ -274,7 +274,7 @@ def _resolve_origin(dag: PipelineDAG, name: str, seen: set[str] | None = None) -
         if edges:
             return _resolve_origin(dag, edges[0].producer, seen)
         return name
-    if isinstance(expr, ast.StageRef) and expr.dx == 0 and expr.dy == 0:
+    if isinstance(expr, ast.StageRef) and expr.dx == 0 and expr.dy == 0 and expr.dt == 0:
         return _resolve_origin(dag, expr.stage, seen)
     return name
 
@@ -406,9 +406,7 @@ class _FrameContext:
             if not in_edges:
                 raise SimulationError(f"Stage {name!r} has no expression and no inputs")
             return self.edge_tap(name, in_edges[0], 0, 0)
-        if isinstance(expr, ast.StageRef) and expr.dx == 0 and expr.dy == 0:
-            # The functional replay copies the producer frame here (even for
-            # dt != 0); the hardware relays tap (0, 0) of the window.
+        if isinstance(expr, ast.StageRef) and expr.dx == 0 and expr.dy == 0 and expr.dt == 0:
             edge = _resolve_edge(dag, name, expr.stage)
             if edge is None:
                 return self.images[expr.stage].copy()
@@ -555,6 +553,7 @@ def simulate_design_loop(
                         isinstance(expr, ast.StageRef)
                         and expr.dx == 0
                         and expr.dy == 0
+                        and expr.dt == 0
                     ):
                         edge = _resolve_edge(dag, name, expr.stage)
                         if edge is None:

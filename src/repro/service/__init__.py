@@ -10,8 +10,7 @@ unified :class:`repro.api.CompileTarget` request object:
 * :mod:`repro.service.cache` — two-tier (LRU + sharded disk) schedule cache
   with optional size/age GC for shared volumes;
 * :mod:`repro.service.jobs` — typed result/batch records, job execution
-  (including the process-pool wire-payload task) and the legacy
-  :class:`CompileRequest`, kept as a deprecated shim;
+  (including the process-pool wire-payload task);
 * :mod:`repro.service.executor` — pluggable execution backends
   (``inline``/``thread``/``process`` plus the autoscaling
   ``thread:auto``/``process:auto``), selected via
@@ -43,8 +42,7 @@ unified :class:`repro.api.CompileTarget` request object:
 * :mod:`repro.service.http` — the stdlib HTTP/JSON serving front
   (``python -m repro.service.http``) plus the :class:`ServiceClient` helper.
 
-Fingerprinting lives in :mod:`repro.api.fingerprint`;
-``repro.service.fingerprint`` re-exports it for compatibility.
+Fingerprinting lives in :mod:`repro.api.fingerprint`.
 
 The prose documentation lives in ``docs/``: ``docs/architecture.md`` (layer
 map), ``docs/serving.md`` (HTTP API + admission semantics),
@@ -122,7 +120,6 @@ from repro.service.http import (
 )
 from repro.service.jobs import (
     BatchResult,
-    CompileRequest,
     CompileResult,
     CompileStatus,
 )
@@ -175,7 +172,6 @@ __all__ = [
     "CacheStats",
     "CompileCache",
     "CompileEngine",
-    "CompileRequest",
     "CompileResult",
     "CompileServiceServer",
     "CompileStatus",

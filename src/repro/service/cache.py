@@ -25,11 +25,10 @@ round-tripped schedule produces bit-identical area and power reports.
 
 The disk store shards entries into two-hex-char fingerprint-prefix
 subdirectories (``ab/abcd....json``) so large shared cache volumes never hit
-flat-directory limits; entries written by pre-sharding versions of the
-library are still found at their legacy flat paths.  Shared volumes can be
-bounded with ``DiskCacheStore(max_bytes=..., max_age_seconds=...)``:
-least-recently-used entries (by file mtime — loads refresh it) are evicted
-whenever a save would exceed the bound.
+flat-directory limits.  Shared volumes can be bounded with
+``DiskCacheStore(max_bytes=..., max_age_seconds=...)``: least-recently-used
+entries (by file mtime — loads refresh it) are evicted whenever a save would
+exceed the bound.
 """
 
 from __future__ import annotations
@@ -184,8 +183,7 @@ class DiskCacheStore:
 
     Entries live under two-hex-char fingerprint-prefix subdirectories
     (``<dir>/ab/abcd....json``) so shared cache volumes with many thousands of
-    entries never stress flat-directory lookups.  Entries written by older
-    library versions at the flat ``<dir>/abcd....json`` path are still read.
+    entries never stress flat-directory lookups.
 
     Writes go through a temp file + rename so concurrent readers never see a
     half-written entry; unreadable or stale entries degrade to cache misses.
@@ -233,32 +231,24 @@ class DiskCacheStore:
     def path_for(self, fingerprint: str) -> Path:
         return self.directory / fingerprint[:2] / f"{fingerprint}.json"
 
-    def legacy_path_for(self, fingerprint: str) -> Path:
-        """Flat pre-sharding location, still consulted on reads."""
-        return self.directory / f"{fingerprint}.json"
-
     def load(self, fingerprint: str) -> dict | None:
+        path = self.path_for(fingerprint)
         with trace_span("disk_read"):
-            for path in (self.path_for(fingerprint), self.legacy_path_for(fingerprint)):
+            try:
+                with path.open("r", encoding="utf-8") as handle:
+                    payload = json.load(handle)
+            except (OSError, ValueError):
+                span_attr(hit=False)
+                return None
+            if self.bounded:
+                # Refresh the mtime so the LRU-by-mtime GC sees hot entries
+                # as recently used, not as old as their write time.
                 try:
-                    with path.open("r", encoding="utf-8") as handle:
-                        payload = json.load(handle)
-                except FileNotFoundError:
-                    continue
-                except (OSError, ValueError):
-                    span_attr(hit=False)
-                    return None
-                if self.bounded:
-                    # Refresh the mtime so the LRU-by-mtime GC sees hot entries
-                    # as recently used, not as old as their write time.
-                    try:
-                        os.utime(path)
-                    except OSError:
-                        pass  # a concurrent eviction won the race; the read stands
-                span_attr(hit=True)
-                return payload
-            span_attr(hit=False)
-            return None
+                    os.utime(path)
+                except OSError:
+                    pass  # a concurrent eviction won the race; the read stands
+            span_attr(hit=True)
+            return payload
 
     def save(self, fingerprint: str, payload: dict) -> bool:
         """Persist one entry; returns ``False`` when the write failed.
@@ -287,12 +277,6 @@ class DiskCacheStore:
                     tmp.unlink(missing_ok=True)
                 span_attr(ok=False)
                 return False
-            try:
-                # The sharded entry now shadows any pre-sharding flat twin; drop
-                # the flat file so __len__/clear see one entry per fingerprint.
-                self.legacy_path_for(fingerprint).unlink(missing_ok=True)
-            except OSError:
-                pass  # the write itself succeeded; a stale twin is harmless
             if self.bounded:
                 self._maybe_collect_garbage()
             span_attr(ok=True)
@@ -329,9 +313,7 @@ class DiskCacheStore:
         concurrently by every process sharing the volume.
         """
         entries = []
-        for path in list(self.directory.glob("??/*.json")) + list(
-            self.directory.glob("*.json")
-        ):
+        for path in self._entry_paths():
             try:
                 stat = path.stat()
             except OSError:
@@ -367,7 +349,7 @@ class DiskCacheStore:
         )
 
     def total_bytes(self) -> int:
-        """Current total size of all entries (sharded + legacy flat)."""
+        """Current total size of all entries."""
         total = 0
         for path in self._entry_paths():
             try:
@@ -376,24 +358,15 @@ class DiskCacheStore:
                 continue
         return total
 
-    def _entry_paths(self):
-        """One path per fingerprint (a sharded entry shadows its flat twin)."""
-        sharded = set()
-        for path in self.directory.glob("??/*.json"):
-            sharded.add(path.stem)
-            yield path
-        for path in self.directory.glob("*.json"):  # legacy flat entries
-            if path.stem not in sharded:
-                yield path
+    def _entry_paths(self) -> list[Path]:
+        return list(self.directory.glob("??/*.json"))
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._entry_paths())
+        return len(self._entry_paths())
 
     def clear(self) -> None:
-        # Raw globs, not the deduplicated view: a fingerprint present at both
-        # the sharded and the legacy flat path must lose both files.  Stray
-        # temp files from writers that died mid-save are swept up too.
-        for pattern in ("*.json", "??/*.json", "??/*.tmp"):
+        # Stray temp files from writers that died mid-save are swept up too.
+        for pattern in ("??/*.json", "??/*.tmp"):
             for path in list(self.directory.glob(pattern)):
                 path.unlink(missing_ok=True)
 

@@ -71,9 +71,6 @@ manager::
 Results are identical to the synchronous paths for the same targets, and the
 cache, dedup and metrics machinery is shared — an async client and a sync
 batch racing on the same design point still trigger exactly one solve.
-
-Legacy :class:`CompileRequest` objects are still accepted everywhere a target
-is (converted via ``request.to_target()`` with a :class:`DeprecationWarning`).
 """
 
 from __future__ import annotations
@@ -82,12 +79,11 @@ import asyncio
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import CancelledError, Future
 from dataclasses import replace
 from typing import Callable, Iterable, Sequence
 
-from repro.api.target import CompileTarget
+from repro.api.target import CompileTarget, require_target
 from repro.core.compiler import CompiledAccelerator, compile_pipeline
 from repro.service.admission import (
     AdmissionQueue,
@@ -95,9 +91,6 @@ from repro.service.admission import (
     default_max_pending,
     validate_max_pending,
 )
-from repro.core.scheduler import SchedulerOptions
-from repro.ir.dag import PipelineDAG
-from repro.memory.spec import MemorySpec
 from repro.service.cache import CompileCache, DiskCacheStore
 from repro.service.events import emit_event
 from repro.service.executor import (
@@ -110,7 +103,6 @@ from repro.service.executor import (
 from repro.service.jobs import (
     SOURCE_DEDUPLICATED,
     BatchResult,
-    CompileRequest,
     CompileResult,
     derive_source,
     rejected_result,
@@ -286,75 +278,16 @@ class CompileEngine:
             self._admission.cancel_pending()
         self._executor.shutdown(wait, cancel_pending=cancel_pending)
 
-    # -------------------------------------------------------- normalization
-    @staticmethod
-    def _as_target(item: CompileTarget | CompileRequest) -> CompileTarget:
-        if isinstance(item, CompileTarget):
-            return item
-        if isinstance(item, CompileRequest):
-            warnings.warn(
-                "Submitting CompileRequest objects is deprecated; build a "
-                "repro.api.CompileTarget instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return item.to_target()
-        raise TypeError(f"Expected CompileTarget or CompileRequest, got {type(item).__name__}")
-
     # ------------------------------------------------------------ single job
-    def compile(
-        self,
-        pipeline: CompileTarget | PipelineDAG,
-        *,
-        image_width: int | None = None,
-        image_height: int | None = None,
-        memory_spec: MemorySpec | None = None,
-        coalescing: bool = False,
-        options: SchedulerOptions | None = None,
-        label: str = "",
-    ) -> CompiledAccelerator:
+    def compile(self, target: CompileTarget) -> CompiledAccelerator:
         """Compile one target through the cache and return the accelerator.
 
-        ``engine.compile(target)`` is shorthand for
-        ``engine.submit(target).unwrap()``.  The loose kwarg form
-        ``engine.compile(dag, image_width=..., ...)`` is deprecated; it builds
-        a target internally and emits a :class:`DeprecationWarning`.
+        Shorthand for ``engine.submit(target).unwrap()``.
         """
-        if isinstance(pipeline, CompileTarget):
-            if (
-                image_width is not None
-                or image_height is not None
-                or memory_spec is not None
-                or options is not None
-                or coalescing
-                or label
-            ):
-                raise TypeError(
-                    "engine.compile(target) takes no compile kwargs; derive the "
-                    "target instead (target.with_options(...), .with_label(...))"
-                )
-            return self.submit(pipeline).unwrap()
-        warnings.warn(
-            "engine.compile(dag, image_width=..., ...) is deprecated; build a "
-            "repro.api.CompileTarget and call engine.compile(target)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if image_width is None or image_height is None:
-            raise TypeError("engine.compile requires image_width and image_height")
-        target = CompileTarget.from_kwargs(
-            pipeline,
-            image_width=image_width,
-            image_height=image_height,
-            memory_spec=memory_spec,
-            options=options,
-            coalescing=coalescing,
-            label=label,
-        )
         return self.submit(target).unwrap()
 
     def submit(
-        self, target: CompileTarget | CompileRequest, *, client: str = ""
+        self, target: CompileTarget, *, client: str = ""
     ) -> CompileResult:
         """Run one target synchronously, via the cache.
 
@@ -377,7 +310,7 @@ class CompileEngine:
         :class:`repro.service.admission.QueueFullError` (or blocks, per the
         ``overflow`` policy) while cache-answerable submits stay inline.
         """
-        target = self._as_target(target)
+        target = require_target(target)
         fingerprint = target.fingerprint
         gated = self._executor.remote or self._admission is not None
         if gated and not self._answerable_inline(target, fingerprint):
@@ -411,7 +344,7 @@ class CompileEngine:
         return self._collect(target, future=None, outcome=result, owner=True)
 
     async def submit_async(
-        self, target: CompileTarget | CompileRequest, *, client: str = ""
+        self, target: CompileTarget, *, client: str = ""
     ) -> CompileResult:
         """Await one target on the worker pool without blocking the event loop.
 
@@ -421,7 +354,7 @@ class CompileEngine:
         costs nothing extra — and a saturated engine sheds or blocks exactly
         as it would for a synchronous submitter.
         """
-        target = self._as_target(target)
+        target = require_target(target)
         future, owner = await self._enqueue_off_loop(
             lambda: self._enqueue(target, target.fingerprint, {}, client=client)
         )
@@ -445,7 +378,7 @@ class CompileEngine:
     # ----------------------------------------------------------------- batch
     def submit_batch(
         self,
-        requests: Sequence[CompileTarget | CompileRequest] | Iterable[CompileTarget | CompileRequest],
+        requests: Iterable[CompileTarget],
         *,
         client: str = "",
     ) -> BatchResult:
@@ -460,7 +393,7 @@ class CompileEngine:
         same way: error results with ``source="rejected"``, never a raised
         batch.
         """
-        targets = [self._as_target(request) for request in requests]
+        targets = [require_target(request) for request in requests]
         started = time.perf_counter()
         slots = self._enqueue_all(targets, client=client)
         results = []
@@ -485,7 +418,7 @@ class CompileEngine:
 
     async def submit_batch_async(
         self,
-        requests: Sequence[CompileTarget | CompileRequest] | Iterable[CompileTarget | CompileRequest],
+        requests: Iterable[CompileTarget],
         *,
         client: str = "",
     ) -> BatchResult:
@@ -498,7 +431,7 @@ class CompileEngine:
         while the batch is queued, the await raises
         :class:`asyncio.CancelledError`.
         """
-        targets = [self._as_target(request) for request in requests]
+        targets = [require_target(request) for request in requests]
         started = time.perf_counter()
         slots = await self._enqueue_off_loop(
             lambda: self._enqueue_all(targets, client=client)

@@ -43,11 +43,10 @@ allocation, RTL generation) recorded while that job ran — see
 
 Access logs default to the stdlib's plain lines; ``--access-log json``
 switches to one JSON object per request (identity, method, path, status,
-seconds, fingerprint) for log pipelines, and ``--access-log none`` (or the
-legacy ``--quiet``) silences them.  ``--event-log json`` additionally
-streams the service's *internal* events — autoscaler grow/shrink, queue
-sheds, disk-cache GC — as JSON lines on the same stream
-(:mod:`repro.service.events`).
+seconds, fingerprint) for log pipelines, and ``--access-log none`` silences
+them.  ``--event-log json`` additionally streams the service's *internal*
+events — autoscaler grow/shrink, queue sheds, disk-cache GC — as JSON lines on
+the same stream (:mod:`repro.service.events`).
 
 Admission control
 -----------------
@@ -485,9 +484,8 @@ class CompileServiceServer(ThreadingHTTPServer):
     queue, verdicts persisted to the engine's disk-cache volume if any).
 
     ``access_log`` selects the per-request log style: ``"plain"`` (the
-    stdlib's lines), ``"json"`` (one object per request) or ``"none"``.
-    The legacy ``verbose`` flag maps to ``"plain"``/``"none"`` and loses to
-    an explicit ``access_log``.
+    stdlib's lines), ``"json"`` (one object per request) or ``"none"``
+    (the default).
     """
 
     daemon_threads = True
@@ -497,16 +495,13 @@ class CompileServiceServer(ThreadingHTTPServer):
         address: tuple[str, int],
         engine: CompileEngine,
         *,
-        verbose: bool = False,
-        access_log: str | None = None,
+        access_log: str = "none",
         authenticator: TokenAuthenticator | None = None,
         rate_limiter: RateLimiter | None = None,
         verify_engine: VerifyEngine | None = None,
     ) -> None:
         self.engine = engine
         self.verify_engine = verify_engine if verify_engine is not None else VerifyEngine(engine)
-        if access_log is None:
-            access_log = "plain" if verbose else "none"
         if access_log not in ACCESS_LOG_MODES:
             raise ValueError(
                 f"access_log must be one of {ACCESS_LOG_MODES}, got {access_log!r}"
@@ -516,11 +511,6 @@ class CompileServiceServer(ThreadingHTTPServer):
         self.rate_limiter = rate_limiter
         self._serve_thread: threading.Thread | None = None
         super().__init__(address, CompileServiceHandler)
-
-    @property
-    def verbose(self) -> bool:
-        """Back-compat view of ``access_log`` (True when plain logging)."""
-        return self.access_log == "plain"
 
     @property
     def port(self) -> int:
@@ -541,8 +531,7 @@ def start_server(
     *,
     host: str = DEFAULT_HOST,
     port: int = 0,
-    verbose: bool = False,
-    access_log: str | None = None,
+    access_log: str = "none",
     authenticator: TokenAuthenticator | None = None,
     rate_limiter: RateLimiter | None = None,
     verify_engine: VerifyEngine | None = None,
@@ -559,7 +548,6 @@ def start_server(
     server = CompileServiceServer(
         (host, port),
         engine,
-        verbose=verbose,
         access_log=access_log,
         authenticator=authenticator,
         rate_limiter=rate_limiter,
@@ -788,11 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sheds, cache GC) as JSON lines on stderr "
         "(default: REPRO_EVENT_LOG or none)",
     )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress per-request access logs (same as --access-log none)",
-    )
     return parser
 
 
@@ -845,7 +828,7 @@ def main(argv=None) -> None:
     server = CompileServiceServer(
         (args.host, args.port),
         engine,
-        access_log="none" if args.quiet else args.access_log,
+        access_log=args.access_log,
         authenticator=authenticator,
         rate_limiter=rate_limiter,
     )

@@ -16,26 +16,17 @@ payloads* (:mod:`repro.service.wire`), never pickled closures, so the
 ``process`` executor backend ships plain dictionaries across the boundary and
 stays immune to unpicklable DAG callbacks, monkeypatched modules, or
 library-version skew in what a worker returns.
-
-:class:`CompileRequest` is the legacy request record from before the unified
-target API.  Submitting one still works — the engine converts it via
-:meth:`CompileRequest.to_target` and emits a :class:`DeprecationWarning` — and
-``CompileResult.request`` reconstructs one for callers that still read it.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass
 
 from repro.api.target import CompileTarget
 from repro.core.compiler import CompiledAccelerator, compile_pipeline
-from repro.core.scheduler import SchedulerOptions
 from repro.errors import ReproError
-from repro.ir.dag import PipelineDAG
-from repro.memory.spec import MemorySpec, asic_dual_port
 from repro.service.cache import CacheStats, CompileCache, DiskCacheStore
 from repro.trace import Span, collect_spans, default_tracing
 
@@ -72,55 +63,6 @@ def rejected_result(target: CompileTarget, reason: str) -> CompileResult:
 
 
 @dataclass
-class CompileRequest:
-    """Legacy compilation job record (pre-:class:`CompileTarget`).
-
-    ``memory_spec`` and ``options`` may be left ``None``; :meth:`to_target`
-    fills in the library defaults (dual-port ASIC SRAM, default options) and
-    applies the ``coalescing`` convenience flag onto a private copy of the
-    options, so callers' objects are never mutated.
-    """
-
-    dag: PipelineDAG
-    image_width: int
-    image_height: int
-    memory_spec: MemorySpec | None = None
-    options: SchedulerOptions | None = None
-    coalescing: bool = False
-    label: str = ""
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    def to_target(self) -> CompileTarget:
-        """The equivalent :class:`CompileTarget`, with defaults resolved."""
-        return CompileTarget.from_kwargs(
-            self.dag,
-            image_width=self.image_width,
-            image_height=self.image_height,
-            memory_spec=self.memory_spec,
-            options=self.options,
-            coalescing=self.coalescing,
-            label=self.label,
-            metadata=dict(self.metadata),
-        )
-
-    def resolved(self) -> "CompileRequest":
-        """A copy with defaults applied and options isolated from the caller."""
-        options = self.options or SchedulerOptions()
-        options = replace(
-            options, per_stage_coalescing=dict(options.per_stage_coalescing)
-        )
-        if self.coalescing:
-            options.coalescing = True
-        return replace(
-            self,
-            memory_spec=self.memory_spec or asic_dual_port(),
-            options=options,
-            coalescing=False,
-            metadata=dict(self.metadata),
-        )
-
-
-@dataclass
 class CompileResult:
     """Outcome of one compile job, successful or not."""
 
@@ -133,29 +75,6 @@ class CompileResult:
     #: Stage spans (:class:`repro.trace.Span`) recorded while the job ran;
     #: empty when tracing is disabled or the job never ran (rejected).
     spans: tuple[Span, ...] = ()
-
-    @property
-    def request(self) -> CompileRequest:
-        """The legacy request record equivalent to :attr:`target`.
-
-        Only defined for optimizer targets: :class:`CompileRequest` predates
-        generators and cannot express a baseline, so converting one would
-        silently turn a Darkroom/SODA/FixyNN result into an ImaGen request.
-        """
-        if not self.target.is_imagen:
-            raise ValueError(
-                f"CompileResult.request cannot represent a {self.target.generator!r} "
-                "target (CompileRequest has no generator); use result.target"
-            )
-        return CompileRequest(
-            dag=self.target.dag,
-            image_width=self.target.image_width,
-            image_height=self.target.image_height,
-            memory_spec=self.target.memory_spec,
-            options=self.target.options,
-            label=self.target.label,
-            metadata=dict(self.target.metadata),
-        )
 
     @property
     def status(self) -> CompileStatus:

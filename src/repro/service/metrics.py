@@ -137,14 +137,11 @@ class EngineMetrics:
     total_seconds: float = 0.0
     # ILP solver effectiveness, aggregated from ``ilp``/``ilp_compound`` span
     # attrs by observe_spans: how many solves ran, how many were avoided
-    # outright by a warm-start certificate, how many were seeded, how the
-    # backend races went, and how much the branch-and-bound pruned.
+    # outright by a warm-start certificate, how many were seeded, and how
+    # much the branch-and-bound pruned.
     ilp_solves: int = 0
     ilp_warm_certificates: int = 0
     ilp_warm_seeded: int = 0
-    ilp_races: int = 0
-    ilp_race_wins_python: int = 0
-    ilp_race_wins_highs: int = 0
     ilp_pruned_nodes: int = 0
     ilp_compound_solves: int = 0
     ilp_compound_blocks: int = 0
@@ -184,7 +181,7 @@ class EngineMetrics:
         own name, so nested stages (``ilp`` inside ``solve``) each get their
         own histogram.  Unknown stage names create histograms on demand.
         ``ilp``/``ilp_compound`` spans additionally feed the solver counters
-        (warm-start certificates and seeds, race outcomes, pruned nodes).
+        (warm-start certificates and seeds, pruned nodes).
         """
         if not spans:
             return
@@ -215,13 +212,6 @@ class EngineMetrics:
             self.ilp_pruned_nodes += int(attrs.get("bnb_pruned", 0) or 0)
         except (TypeError, ValueError):
             pass
-        winner = attrs.get("race_winner")
-        if winner is not None:
-            self.ilp_races += 1
-            if winner == "python":
-                self.ilp_race_wins_python += 1
-            elif winner == "highs":
-                self.ilp_race_wins_highs += 1
 
     def stage_histograms(self) -> dict[str, dict]:
         """Snapshot of every stage histogram (cumulative-bucket form)."""
@@ -295,9 +285,6 @@ class EngineMetrics:
                 "ilp_solves": self.ilp_solves,
                 "ilp_warm_certificates": self.ilp_warm_certificates,
                 "ilp_warm_seeded": self.ilp_warm_seeded,
-                "ilp_races": self.ilp_races,
-                "ilp_race_wins_python": self.ilp_race_wins_python,
-                "ilp_race_wins_highs": self.ilp_race_wins_highs,
                 "ilp_pruned_nodes": self.ilp_pruned_nodes,
                 "ilp_compound_solves": self.ilp_compound_solves,
                 "ilp_compound_blocks": self.ilp_compound_blocks,

@@ -151,9 +151,6 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("ilp_solves", "counter", "", "ILP backend invocations observed in request spans (warm-start certificates included as zero-cost solves).", prometheus="repro_ilp_solves_total"),
     MetricSpec("ilp_warm_certificates", "counter", "", "Solves short-circuited by a warm-start transfer certified optimal (no model built).", prometheus="repro_ilp_warm_certificates_total"),
     MetricSpec("ilp_warm_seeded", "counter", "", "Solves whose branch-and-bound was seeded with a warm-start incumbent (seeded or returned as incumbent).", prometheus="repro_ilp_warm_seeded_total"),
-    MetricSpec("ilp_races", "counter", "", "Solves run as a backend race (python vs HiGHS, first finisher wins).", prometheus="repro_ilp_races_total"),
-    MetricSpec("ilp_race_wins_python", "counter", "", "Backend races won by the pure-Python branch-and-bound.", prometheus="repro_ilp_race_wins_python_total"),
-    MetricSpec("ilp_race_wins_highs", "counter", "", "Backend races won by the HiGHS backend.", prometheus="repro_ilp_race_wins_highs_total"),
     MetricSpec("ilp_pruned_nodes", "counter", "", "Branch-and-bound nodes pruned by bound across observed solves.", prometheus="repro_ilp_pruned_nodes_total"),
     MetricSpec("ilp_compound_solves", "counter", "", "Compound (block-diagonal) model solves, each covering many design variants.", prometheus="repro_ilp_compound_solves_total"),
     MetricSpec("ilp_compound_blocks", "counter", "", "Blocks solved inside compound models (variants not already certified).", prometheus="repro_ilp_compound_blocks_total"),

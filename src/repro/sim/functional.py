@@ -129,7 +129,12 @@ def run_functional(
             images[name] = images[producers[0]].copy()
             continue
         expression = stage.expression
-        if isinstance(expression, StageRef) and expression.dx == 0 and expression.dy == 0:
+        if (
+            isinstance(expression, StageRef)
+            and expression.dx == 0
+            and expression.dy == 0
+            and expression.dt == 0
+        ):
             images[name] = images[expression.stage].copy()
             continue
         # Evaluate against every image computed so far (not just direct

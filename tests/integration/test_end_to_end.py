@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ALGORITHM_NAMES, build_algorithm
+from repro.api import CompileTarget
 from repro.baselines import generate_baseline
 from repro.core.compiler import compile_pipeline
 from repro.core.scheduler import SchedulerOptions
@@ -26,7 +27,7 @@ output sharp = im(x,y) clamp(K0(x,y) + (K0(x,y) - blur_h(x,y)) * 2, 0, 255) end
 class TestTextualDslFlow:
     def test_parse_compile_simulate(self):
         dag = parse_pipeline(UNSHARP_DSL, name="unsharp-dsl")
-        accelerator = compile_pipeline(dag, image_width=W, image_height=H)
+        accelerator = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H))
         report = simulate_schedule(accelerator.schedule)
         assert report.ok
         assert report.steady_state_throughput == pytest.approx(1.0, abs=0.05)
@@ -40,7 +41,7 @@ class TestTextualDslFlow:
 
     def test_verilog_from_dsl_lints(self):
         dag = parse_pipeline(UNSHARP_DSL, name="unsharp-dsl")
-        accelerator = compile_pipeline(dag, image_width=W, image_height=H)
+        accelerator = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H))
         assert lint_verilog(accelerator.generate_verilog()).ok
 
 
@@ -48,7 +49,7 @@ class TestAllAlgorithmsAllGenerators:
     @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
     def test_imagen_schedules_are_legal(self, algorithm):
         dag = build_algorithm(algorithm)
-        schedule = compile_pipeline(dag, image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H)).schedule
         report = simulate_schedule(schedule)
         assert report.ok, report.violations
 
@@ -56,7 +57,7 @@ class TestAllAlgorithmsAllGenerators:
     def test_coalesced_schedules_are_legal(self, algorithm):
         dag = build_algorithm(algorithm)
         schedule = compile_pipeline(
-            dag, image_width=W, image_height=H, coalescing=True
+            CompileTarget(dag, image_width=W, image_height=H).with_options(coalescing=True),
         ).schedule
         report = simulate_schedule(schedule)
         assert report.ok, report.violations
@@ -65,7 +66,9 @@ class TestAllAlgorithmsAllGenerators:
     @pytest.mark.parametrize("baseline", ["fixynn", "darkroom"])
     def test_baseline_schedules_are_legal(self, algorithm, baseline):
         dag = build_algorithm(algorithm)
-        schedule = generate_baseline(baseline, dag, W, H)
+        schedule = generate_baseline(
+            CompileTarget(dag, image_width=W, image_height=H, generator=baseline),
+        ).schedule
         report = simulate_schedule(schedule)
         assert report.ok, report.violations
 
@@ -82,15 +85,14 @@ class TestAllAlgorithmsAllGenerators:
 
     @pytest.mark.parametrize("algorithm", ["harris-m", "canny-m", "xcorr-m"])
     def test_paper_orderings_hold(self, algorithm):
-        dag = build_algorithm(algorithm)
-        reports = {
-            "ours": accelerator_report(compile_pipeline(dag, image_width=W, image_height=H).schedule),
-            "ours+lc": accelerator_report(
-                compile_pipeline(dag, image_width=W, image_height=H, coalescing=True).schedule
-            ),
-            "fixynn": accelerator_report(generate_baseline("fixynn", dag, W, H)),
-            "darkroom": accelerator_report(generate_baseline("darkroom", dag, W, H)),
+        target = CompileTarget(build_algorithm(algorithm), image_width=W, image_height=H)
+        designs = {
+            "ours": compile_pipeline(target),
+            "ours+lc": compile_pipeline(target.with_options(coalescing=True)),
+            "fixynn": generate_baseline(target.with_generator("fixynn")),
+            "darkroom": generate_baseline(target.with_generator("darkroom")),
         }
+        reports = {name: accelerator_report(acc.schedule) for name, acc in designs.items()}
         assert reports["ours"].sram_kbytes <= reports["darkroom"].sram_kbytes
         assert reports["ours"].sram_kbytes < reports["fixynn"].sram_kbytes
         assert reports["ours+lc"].sram_kbytes <= reports["ours"].sram_kbytes
@@ -101,10 +103,14 @@ class TestIlpBackendsAgree:
     def test_backends_reach_same_objective(self):
         dag = build_algorithm("unsharp-m")
         highs = compile_pipeline(
-            dag, image_width=W, image_height=H, options=SchedulerOptions(backend="highs")
+            CompileTarget(
+                dag, image_width=W, image_height=H, options=SchedulerOptions(backend="highs")
+            ),
         )
         python = compile_pipeline(
-            dag, image_width=W, image_height=H, options=SchedulerOptions(backend="python")
+            CompileTarget(
+                dag, image_width=W, image_height=H, options=SchedulerOptions(backend="python")
+            ),
         )
         assert highs.schedule.solver_stats["objective"] == pytest.approx(
             python.schedule.solver_stats["objective"]
@@ -116,6 +122,6 @@ class TestRtlForAlgorithms:
     @pytest.mark.parametrize("algorithm", ["unsharp-m", "harris-s", "denoise-m"])
     def test_generated_verilog_lints(self, algorithm):
         dag = build_algorithm(algorithm)
-        accelerator = compile_pipeline(dag, image_width=W, image_height=H)
+        accelerator = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H))
         report = lint_verilog(accelerator.generate_verilog())
         assert report.ok, report.errors

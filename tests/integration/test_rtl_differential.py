@@ -16,6 +16,10 @@ report zero violations.  On top of the cross-model checks, the generated
 source bytes and the RTL output digests are pinned in
 ``tests/data/rtl_digests.json`` (alongside ``regression_2d_pins.json``) so
 codegen drift is caught byte-level even when the three models drift together.
+
+Agreement alone can certify a shared wrong answer, so bare temporal delays
+(``out = src.prev(n)``, which no catalog stage exercises) are additionally
+checked against hand-computed frames in each model separately.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ import pytest
 from repro import compile_pipeline
 from repro.algorithms import ALGORITHM_NAMES, build_algorithm
 from repro.api import CompileTarget
+from repro.dsl import PipelineBuilder
 from repro.rtl import elaborate_design, generate_verilog, measure_performance, rtl_replay
-from repro.sim.batch import replay_frames
+from repro.rtl.sim import simulate_design_loop
+from repro.sim.batch import golden_frames, replay_frames
 from repro.sim.cycle import simulate_schedule
 
 PINS_PATH = Path(__file__).parent.parent / "data" / "rtl_digests.json"
@@ -130,3 +136,55 @@ def test_rtl_digests_pinned(name, generator):
         f"{name}/{generator}: RTL output digest moved"
     )
     assert result.cycles_per_frame == entry[f"cycles_per_frame:{generator}"]
+
+
+def _bare_delay(frames_back: int):
+    builder = PipelineBuilder(f"bare-delay-{frames_back}")
+    src = builder.input("src")
+    builder.output("out", src.prev(frames_back))
+    return builder.build()
+
+
+@lru_cache(maxsize=None)
+def _bare_delay_schedule(frames_back: int, generator: str, width: int, height: int):
+    return compile_pipeline(
+        CompileTarget(
+            _bare_delay(frames_back),
+            image_width=width,
+            image_height=height,
+            generator=generator,
+        )
+    ).schedule
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+@pytest.mark.parametrize("frames_back", [1, 2])
+def test_bare_temporal_delay_matches_hand_computed_frames(frames_back, generator):
+    """``out = src.prev(n)`` emits frame ``max(0, f - n)`` of ``src`` in every model."""
+    width, height, frames = 16, 6, 4
+    schedule = _bare_delay_schedule(frames_back, generator, width, height)
+    src = golden_frames(schedule.dag, width, height, frames=frames, seed=3)["src"]
+    expected = np.stack([src[max(0, f - frames_back)] for f in range(frames)])
+
+    replay = replay_frames(schedule.dag, width, height, frames=frames, seed=3)
+    assert np.array_equal(replay.outputs["out"], expected)
+    rtl = rtl_replay(schedule, frames=frames, seed=3)
+    assert np.array_equal(rtl.outputs["out"], expected)
+    design = elaborate_design(generate_verilog(schedule), schedule.dag)
+    loop = simulate_design_loop(design, schedule, {"src": src})
+    assert np.array_equal(loop.outputs["out"], expected)
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+@pytest.mark.parametrize("frames_back", [1, 2])
+def test_bare_temporal_delay_is_legal_and_within_bound(frames_back, generator):
+    """A bare delay gets a frame buffer ``frames_back`` frames deep, the event
+    walk finds no violation, and the RTL keeps the schedule's cycle bound."""
+    width, height = 16, 6
+    schedule = _bare_delay_schedule(frames_back, generator, width, height)
+    (buffer,) = schedule.frame_buffers.values()
+    assert buffer.depth == frames_back
+    report = simulate_schedule(schedule)
+    assert report.ok, report.violations[:3]
+    rtl = rtl_replay(schedule, frames=frames_back + 2, seed=3)
+    assert rtl.cycles_per_frame <= schedule.end_to_end_latency_cycles

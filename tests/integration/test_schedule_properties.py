@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms import ALGORITHM_NAMES, build_algorithm, build_synthetic_pipeline
+from repro.api import CompileTarget
 from repro.baselines import generate_baseline
 from repro.core.compiler import compile_pipeline
 from repro.core.constraints import data_dependency_constraints
@@ -16,21 +17,21 @@ class TestScheduleInvariants:
     @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
     def test_data_dependencies_satisfied(self, algorithm):
         dag = build_algorithm(algorithm)
-        schedule = compile_pipeline(dag, image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H)).schedule
         for dep in data_dependency_constraints(dag, W):
             assert schedule.delay(dep.producer, dep.consumer) >= dep.min_delay
 
     @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
     def test_input_stages_start_at_zero(self, algorithm):
         dag = build_algorithm(algorithm)
-        schedule = compile_pipeline(dag, image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H)).schedule
         for stage in dag.input_stages():
             assert schedule.start(stage.name) == 0
 
     @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
     def test_every_producer_has_a_buffer_record(self, algorithm):
         dag = build_algorithm(algorithm)
-        schedule = compile_pipeline(dag, image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H)).schedule
         for producer in dag.stage_names():
             if dag.consumers_of(producer):
                 assert producer in schedule.line_buffers
@@ -41,8 +42,10 @@ class TestScheduleInvariants:
     def test_latency_close_to_baselines(self, algorithm):
         """Sec. 8.1: the memory savings come with essentially no latency cost."""
         dag = build_algorithm(algorithm)
-        ours = compile_pipeline(dag, image_width=480, image_height=320).schedule
-        darkroom = generate_baseline("darkroom", dag, 480, 320)
+        ours = compile_pipeline(CompileTarget(dag, image_width=480, image_height=320)).schedule
+        darkroom = generate_baseline(
+            CompileTarget(dag, image_width=480, image_height=320, generator="darkroom"),
+        ).schedule
         ratio = ours.end_to_end_latency_cycles / darkroom.end_to_end_latency_cycles
         # ImaGen is never slower than Darkroom and stays within a few percent.
         assert ratio <= 1.001
@@ -54,14 +57,16 @@ class TestScheduleInvariants:
         for algorithm in ALGORITHM_NAMES:
             dag = build_algorithm(algorithm)
             ours_total += compile_pipeline(
-                dag, image_width=W, image_height=H
+                CompileTarget(dag, image_width=W, image_height=H),
             ).schedule.total_allocated_bits
-            darkroom_total += generate_baseline("darkroom", dag, W, H).total_allocated_bits
+            darkroom_total += generate_baseline(
+                CompileTarget(dag, image_width=W, image_height=H, generator="darkroom"),
+            ).schedule.total_allocated_bits
         assert ours_total < darkroom_total
 
     def test_objective_matches_sum_of_max_delays(self):
         dag = build_algorithm("unsharp-m")
-        schedule = compile_pipeline(dag, image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H)).schedule
         objective = schedule.solver_stats["objective"]
         total = sum(
             schedule.max_delay(p) for p in dag.stage_names() if dag.consumers_of(p)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from hypothesis import Phase, given, settings, strategies as st
 
+from repro.api import CompileTarget
 from repro.core.compiler import compile_pipeline
 from repro.core.constraints import data_dependency_constraints
 from repro.dsl.builder import PipelineBuilder, window_sum
@@ -63,7 +64,7 @@ class TestRandomPipelines:
               phases=(Phase.explicit, Phase.generate))
     @given(random_pipeline())
     def test_dual_port_schedules_are_legal(self, dag):
-        schedule = compile_pipeline(dag, image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H)).schedule
         for dep in data_dependency_constraints(dag, W):
             assert schedule.delay(dep.producer, dep.consumer) >= dep.min_delay
         report = simulate_schedule(schedule)
@@ -74,7 +75,7 @@ class TestRandomPipelines:
     @given(random_pipeline())
     def test_single_port_schedules_are_legal(self, dag):
         schedule = compile_pipeline(
-            dag, image_width=W, image_height=H, memory_spec=asic_single_port()
+            CompileTarget(dag, image_width=W, image_height=H, memory_spec=asic_single_port()),
         ).schedule
         report = simulate_schedule(schedule)
         assert report.ok, report.violations
@@ -83,9 +84,11 @@ class TestRandomPipelines:
               phases=(Phase.explicit, Phase.generate))
     @given(random_pipeline())
     def test_coalesced_schedules_are_legal_and_never_larger(self, dag):
-        plain = compile_pipeline(dag, image_width=W, image_height=H).schedule
+        plain = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H)).schedule
         coalesced = compile_pipeline(
-            dag, image_width=W, image_height=H, memory_spec=asic_dual_port(), coalescing=True
+            CompileTarget(
+                dag, image_width=W, image_height=H, memory_spec=asic_dual_port()
+            ).with_options(coalescing=True),
         ).schedule
         assert coalesced.total_allocated_bits <= plain.total_allocated_bits
         report = simulate_schedule(coalesced)
@@ -95,6 +98,6 @@ class TestRandomPipelines:
               phases=(Phase.explicit, Phase.generate))
     @given(random_pipeline())
     def test_throughput_is_one_pixel_per_cycle(self, dag):
-        schedule = compile_pipeline(dag, image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H)).schedule
         report = simulate_schedule(schedule)
         assert report.steady_state_throughput > 0.9

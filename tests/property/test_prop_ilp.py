@@ -16,7 +16,7 @@ from repro.ilp import highs
 from repro.ilp.expr import LinExpr
 from repro.ilp.model import Model, SolveStatus
 from repro.ilp.simplex import solve_lp
-from repro.ilp.solver import solve
+from repro.ilp.solver import available_backends, solve
 
 
 def _as_linexpr(value, fallback_variable):
@@ -112,50 +112,19 @@ class TestSimplexProperties:
             assert ours.objective == pytest.approx(reference.fun, abs=1e-6)
 
 
-class TestRacingParity:
-    """The race returns the first finisher's result — which must therefore
-    agree with a deterministic solo solve on any model, in status and (when
-    optimal) objective value.  Warm starts must never change the answer."""
+class TestWarmStartParity:
+    """Warm starts must never change the answer."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(random_bounded_ilp())
-    def test_race_matches_python_solo(self, model):
-        from repro.ilp.solver import solve_racing
-
-        solo = solve(model, backend="python")
-        raced = solve_racing(model)
-        assert raced.status == solo.status
-        if solo.status is SolveStatus.OPTIMAL:
-            assert raced.objective == pytest.approx(solo.objective, abs=1e-6)
-            assert model.is_feasible(raced.values)
-
-    @settings(max_examples=30, deadline=None)
-    @given(random_bounded_ilp())
-    def test_race_with_warm_start_matches_cold(self, model):
-        from repro.ilp.model import WarmStart
-        from repro.ilp.solver import solve_racing
-
-        cold = solve(model, backend="python")
-        warm_start = None
-        if cold.status is SolveStatus.OPTIMAL:
-            # Seed the race with the known optimum — the strongest hint — and
-            # demand the raced answer is unchanged.
-            warm_start = WarmStart(
-                values={var: value for var, value in cold.values.items()},
-                objective=cold.objective,
-            )
-        raced = solve_racing(model, warm_start=warm_start)
-        assert raced.status == cold.status
-        if cold.status is SolveStatus.OPTIMAL:
-            assert raced.objective == pytest.approx(cold.objective, abs=1e-6)
-
+    @pytest.mark.parametrize("reference", available_backends())
     @settings(max_examples=20, deadline=None)
     @given(random_bounded_ilp())
-    def test_warm_seeded_python_matches_cold(self, model):
+    def test_warm_seeded_python_matches_cold(self, reference, model):
+        """Branch-and-bound seeded with an optimum (its own, or HiGHS's when
+        installed) returns that optimum's objective."""
         from repro.ilp.branch_and_bound import solve_branch_and_bound
         from repro.ilp.model import WarmStart
 
-        cold = solve_branch_and_bound(model)
+        cold = solve(model, backend=reference)
         if cold.status is not SolveStatus.OPTIMAL:
             return
         warm = solve_branch_and_bound(
@@ -166,48 +135,3 @@ class TestRacingParity:
         assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
         assert model.is_feasible(warm.values)
         assert warm.warm_start in ("incumbent", "seeded")
-
-    def test_race_agrees_on_unbounded(self):
-        from repro.ilp.solver import solve_racing
-
-        model = Model(sense="max")
-        x = model.add_integer_var("x", lb=0)
-        model.set_objective(x + 0)
-        assert solve_racing(model).status is SolveStatus.UNBOUNDED
-
-    def test_race_agrees_on_infeasible(self):
-        from repro.ilp.solver import solve_racing
-
-        model = Model("no")
-        x = model.add_integer_var("x", lb=0, ub=2)
-        model.add_constraint(x >= 4)
-        assert solve_racing(model).status is SolveStatus.INFEASIBLE
-
-    def test_mid_race_cancellation_is_silent(self):
-        """A pre-cancelled python contestant concedes; the race still answers."""
-        import threading
-
-        from repro.errors import SolverCancelled
-        from repro.ilp import highs
-        from repro.ilp.branch_and_bound import solve_branch_and_bound
-        from repro.ilp.solver import solve_racing
-
-        model = Model("cancel-me")
-        x = model.add_integer_var("x", lb=0, ub=9)
-        y = model.add_integer_var("y", lb=0, ub=9)
-        model.add_constraint(x + y >= 7)
-        model.set_objective(2 * x + 3 * y)
-
-        # Direct cancellation surfaces as SolverCancelled...
-        cancel = threading.Event()
-        cancel.set()
-        with pytest.raises(SolverCancelled):
-            solve_branch_and_bound(model, cancel=cancel)
-
-        # ...but inside a race the loser's concession is swallowed and the
-        # winner's result is returned intact.
-        result = solve_racing(model)
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(14.0)
-        if highs.is_available():
-            assert result.backend in ("race:python", "race:highs")

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import CompileTarget
 from repro.core.compiler import compile_pipeline
 from repro.dsl.builder import PipelineBuilder, window_sum
 from repro.memory.spec import asic_dual_port, asic_single_port
@@ -51,7 +52,7 @@ def perturbed_schedule(draw):
     dag = random_chain_dag(num_stages, stencils, fan_in)
     spec = draw(st.sampled_from([asic_dual_port(), asic_single_port()]))
     schedule = compile_pipeline(
-        dag, image_width=W, image_height=H, memory_spec=spec
+        CompileTarget(dag, image_width=W, image_height=H, memory_spec=spec),
     ).schedule
     # Perturbations biased toward "too early" (negative), which is where the
     # interesting R1/R3 violations live; 0 keeps some legal schedules in play.

@@ -102,16 +102,6 @@ class TestRegistration:
         finally:
             unregister_algorithm("custom-ovw")
 
-    def test_overwrite_still_accepted_as_alias(self):
-        from tests.conftest import build_chain, build_two_consumer
-
-        register_algorithm("custom-ovw2", "first", build_chain)
-        try:
-            register_algorithm("custom-ovw2", "second", build_two_consumer, overwrite=True)
-            assert algorithm_info("custom-ovw2").description == "second"
-        finally:
-            unregister_algorithm("custom-ovw2")
-
     def test_registration_does_not_change_table3(self):
         from tests.conftest import build_chain
 

@@ -10,8 +10,6 @@ from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain, build_paper_exa
 
 W, H = TEST_WIDTH, TEST_HEIGHT
 
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
-
 
 def _target(**kwargs) -> CompileTarget:
     kwargs.setdefault("dag", build_paper_example())
@@ -95,9 +93,8 @@ class TestFingerprint:
     def test_matches_module_function(self):
         target = _target()
         assert target.fingerprint == compile_fingerprint(target)
-        assert target.fingerprint == compile_fingerprint(
-            target.dag, W, H, target.memory_spec, target.options
-        )
+        with pytest.raises(TypeError, match="Expected a CompileTarget"):
+            compile_fingerprint(target.dag)
 
     def test_generator_aware(self):
         base = _target()

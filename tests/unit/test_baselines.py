@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import CompileTarget
 from repro.baselines import generate_baseline
 from repro.baselines.base import BASELINE_NAMES, BaselineGenerator
 from repro.baselines.darkroom import DarkroomGenerator, linearize_dag
@@ -23,15 +24,10 @@ W, H = TEST_WIDTH, TEST_HEIGHT
 
 class TestDispatch:
     def test_known_names(self):
+        target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         for name in BASELINE_NAMES:
-            schedule = generate_baseline(name, build_chain(3), W, H)
-            assert schedule.generator == name
-
-    def test_positional_form_keeps_per_generator_spec_defaults(self):
-        """No-spec legacy calls keep each generator's historical default."""
-        assert generate_baseline("soda", build_chain(3), W, H).memory_spec.name == "asic-fifo"
-        assert generate_baseline("fixynn", build_chain(3), W, H).memory_spec.name == "asic-sp"
-        assert generate_baseline("darkroom", build_chain(3), W, H).memory_spec.name == "asic-dp"
+            accelerator = generate_baseline(target.with_generator(name))
+            assert accelerator.schedule.generator == name
 
     def test_spec_adaptation_is_idempotent(self):
         """A spec already in the generator's form is used as-is, not renamed."""
@@ -46,8 +42,40 @@ class TestDispatch:
         assert adapted.memory_spec.name == "asic-dp-fifo"
 
     def test_unknown_name(self):
+        target = CompileTarget(build_chain(3), image_width=W, image_height=H, generator="halide")
         with pytest.raises(BaselineError):
-            generate_baseline("halide", build_chain(3), W, H)
+            generate_baseline(target)
+
+    def test_imagen_target_rejected(self):
+        target = CompileTarget(build_chain(3), image_width=W, image_height=H)
+        with pytest.raises(BaselineError):
+            generate_baseline(target)
+
+    @pytest.mark.parametrize(
+        "name,spec_name",
+        [("darkroom", "asic-dp"), ("soda", "asic-dp-fifo"), ("fixynn", "asic-dp-sp")],
+    )
+    def test_target_default_spec_is_adapted_dual_port(self, name, spec_name):
+        """A target without a spec resolves to dual-port SRAM, which each
+        generator adapts to its own buffer form."""
+        target = CompileTarget(build_chain(3), image_width=W, image_height=H, generator=name)
+        assert generate_baseline(target).schedule.memory_spec.name == spec_name
+
+    def test_generate_baseline_is_compile_pipeline_on_baseline_targets(self):
+        from repro.core.compiler import CompiledAccelerator, compile_pipeline
+
+        target = CompileTarget(
+            build_chain(3), image_width=W, image_height=H, generator="darkroom"
+        )
+        via_baseline = generate_baseline(target)
+        via_compile = compile_pipeline(target)
+        assert isinstance(via_baseline, CompiledAccelerator)
+        assert via_baseline.schedule.generator == "darkroom"
+        assert via_baseline.schedule.start_cycles == via_compile.schedule.start_cycles
+        assert (
+            via_baseline.schedule.total_allocated_bits
+            == via_compile.schedule.total_allocated_bits
+        )
 
     def test_asap_schedule_helper(self):
         starts = BaselineGenerator.asap_schedule(build_chain(3), W)

@@ -196,36 +196,7 @@ class TestBoundedStoreUnderConcurrency:
         assert store.save(FINGERPRINT, {"writer": 0})
 
 
-class TestLegacyFlatTwins:
-    """Regression: a fingerprint at both the flat and sharded path counted twice."""
-
-    def _seed_twins(self, store: DiskCacheStore) -> None:
-        store.save(FINGERPRINT, {"tier": "sharded"})
-        store.legacy_path_for(FINGERPRINT).write_text(
-            json.dumps({"tier": "flat"}), encoding="utf-8"
-        )
-
-    def test_len_counts_each_fingerprint_once(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
-        self._seed_twins(store)
-        assert len(store) == 1
-
-    def test_clear_removes_both_twins(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
-        self._seed_twins(store)
-        store.clear()
-        assert list(tmp_path.rglob("*.json")) == []
-        assert len(store) == 0
-
-    def test_save_unlinks_the_legacy_entry_it_shadows(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
-        legacy = store.legacy_path_for(FINGERPRINT)
-        legacy.write_text(json.dumps({"tier": "flat"}), encoding="utf-8")
-        assert store.save(FINGERPRINT, {"tier": "sharded"})
-        assert not legacy.exists()
-        assert store.load(FINGERPRINT) == {"tier": "sharded"}
-        assert len(store) == 1
-
+class TestClear:
     def test_clear_sweeps_stale_temp_files(self, tmp_path):
         store = DiskCacheStore(tmp_path)
         store.save(FINGERPRINT, {"tier": "sharded"})
@@ -235,3 +206,36 @@ class TestLegacyFlatTwins:
         )
         store.clear()
         assert list(tmp_path.rglob("*")) == [store.path_for(FINGERPRINT).parent]
+
+
+class TestEntryAccounting:
+    """Only sharded ``<dir>/<2 hex>/<fingerprint>.json`` entries belong to the store."""
+
+    def test_len_counts_each_fingerprint_once(self, tmp_path):
+        store = DiskCacheStore(tmp_path)
+        store.save(FINGERPRINT, {"writer": 0})
+        store.save(FINGERPRINT, {"writer": 1})
+        assert len(store) == 1
+        assert store.total_bytes() == store.path_for(FINGERPRINT).stat().st_size
+        assert store.load(FINGERPRINT) == {"writer": 1}
+
+    def test_flat_files_are_neither_read_counted_nor_cleared(self, tmp_path):
+        store = DiskCacheStore(tmp_path)
+        flat = tmp_path / f"{FINGERPRINT}.json"
+        flat.write_text(json.dumps({"tier": "flat"}), encoding="utf-8")
+        assert store.load(FINGERPRINT) is None
+        assert len(store) == 0 and store.total_bytes() == 0
+        store.save(FINGERPRINT, {"tier": "sharded"})
+        assert store.load(FINGERPRINT) == {"tier": "sharded"}
+        store.clear()
+        assert len(store) == 0
+        assert flat.exists()
+
+    def test_gc_budget_ignores_flat_files(self, tmp_path):
+        store = DiskCacheStore(tmp_path, max_bytes=3_000)
+        flat = tmp_path / f"{FINGERPRINT}.json"
+        flat.write_text(json.dumps({"blob": "x" * 10_000}), encoding="utf-8")
+        assert store.save("aa" + "0" * 62, {"blob": "x" * 1_000})
+        # The oversized flat file neither counts against the bound nor is evicted.
+        assert store.load("aa" + "0" * 62) is not None
+        assert flat.exists()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms import build_algorithm
+from repro.api import CompileTarget
 from repro.dse.pareto import pareto_front
 from repro.dse.sweep import sweep_memory_configurations
 from repro.errors import ReproError
@@ -35,46 +36,49 @@ class TestParetoFront:
 class TestSweep:
     def test_sweep_size_is_power_of_two(self):
         points = sweep_memory_configurations(
-            build_chain(3, stencil=3), image_width=W, image_height=H
+            CompileTarget(build_chain(3, stencil=3), image_width=W, image_height=H),
         )
         assert len(points) in (2, 4, 8, 16)
 
     def test_all_dp_point_present(self):
         points = sweep_memory_configurations(
-            build_chain(3, stencil=3), image_width=W, image_height=H
+            CompileTarget(build_chain(3, stencil=3), image_width=W, image_height=H),
         )
         labels = {p.label for p in points}
         assert "all-DP" in labels
 
     def test_dplc_reduces_blocks(self):
         points = sweep_memory_configurations(
-            build_chain(2, stencil=5), image_width=W, image_height=H
+            CompileTarget(build_chain(2, stencil=5), image_width=W, image_height=H),
         )
         by_dplc = {p.coalesced_stages: p for p in points}
         assert by_dplc[1].accelerator.schedule.total_blocks < by_dplc[0].accelerator.schedule.total_blocks
 
     def test_single_port_spec_yields_single_design(self):
         points = sweep_memory_configurations(
-            build_chain(3), image_width=W, image_height=H, memory_spec=asic_single_port()
+            CompileTarget(
+                build_chain(3), image_width=W, image_height=H, memory_spec=asic_single_port()
+            ),
         )
         assert len(points) == 1
 
     def test_max_designs_guard(self):
         with pytest.raises(ReproError):
             sweep_memory_configurations(
-                build_algorithm("canny-m"), image_width=W, image_height=H, max_designs=2
+                CompileTarget(build_algorithm("canny-m"), image_width=W, image_height=H),
+                max_designs=2,
             )
 
     def test_pareto_front_of_sweep_nonempty(self):
         points = sweep_memory_configurations(
-            build_algorithm("denoise-m"), image_width=W, image_height=H
+            CompileTarget(build_algorithm("denoise-m"), image_width=W, image_height=H),
         )
         front = pareto_front(points, lambda p: (p.area_mm2, p.power_mw))
         assert 1 <= len(front) <= len(points)
 
     def test_design_point_metrics_positive(self):
         points = sweep_memory_configurations(
-            build_chain(3, stencil=3), image_width=W, image_height=H
+            CompileTarget(build_chain(3, stencil=3), image_width=W, image_height=H),
         )
         for point in points:
             assert point.area_mm2 > 0

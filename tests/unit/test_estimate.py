@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import CompileTarget
 from repro.baselines import generate_baseline
 from repro.core.compiler import compile_pipeline
 from repro.estimate.area import area_report
@@ -82,7 +83,9 @@ class TestAccessRates:
 
 class TestReports:
     def test_power_report_structure(self):
-        schedule = compile_pipeline(build_paper_example(), image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(
+            CompileTarget(build_paper_example(), image_width=W, image_height=H),
+        ).schedule
         report = power_report(schedule)
         assert report.memory_mw > 0
         assert report.pe_mw > 0
@@ -90,7 +93,9 @@ class TestReports:
         assert set(report.buffers) <= set(schedule.line_buffers)
 
     def test_area_report_structure(self):
-        schedule = compile_pipeline(build_paper_example(), image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(
+            CompileTarget(build_paper_example(), image_width=W, image_height=H),
+        ).schedule
         report = area_report(schedule)
         assert report.memory_mm2 > 0
         assert 0 < report.memory_fraction < 1
@@ -98,28 +103,38 @@ class TestReports:
 
     def test_memory_dominates_area(self):
         # The paper reports SRAM is ~80-93% of accelerator area.
-        schedule = compile_pipeline(build_chain(5), image_width=480, image_height=320).schedule
+        schedule = compile_pipeline(
+            CompileTarget(build_chain(5), image_width=480, image_height=320),
+        ).schedule
         report = area_report(schedule)
         assert report.memory_fraction > 0.6
 
     def test_custom_sizing_reduces_area_and_raises_access_energy(self):
         schedule = compile_pipeline(
-            build_chain(3, stencil=5), image_width=W, image_height=H, coalescing=True
+            CompileTarget(
+                build_chain(3, stencil=5), image_width=W, image_height=H
+            ).with_options(coalescing=True),
         ).schedule
         fixed = accelerator_report(schedule, sizing="fixed")
         custom = accelerator_report(schedule, sizing="custom")
         assert custom.memory_area_mm2 < fixed.memory_area_mm2
 
     def test_accelerator_report_row(self):
-        schedule = compile_pipeline(build_chain(3), image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(
+            CompileTarget(build_chain(3), image_width=W, image_height=H),
+        ).schedule
         row = accelerator_report(schedule).row()
         assert row["generator"] == "imagen"
         assert row["sram_blocks"] == schedule.total_blocks
 
     def test_single_port_cheaper_per_access_but_not_overall(self):
         dag = build_chain(4)
-        ours = accelerator_report(compile_pipeline(dag, image_width=W, image_height=H).schedule)
-        fixynn = accelerator_report(generate_baseline("fixynn", dag, W, H))
+        ours = accelerator_report(compile_pipeline(
+            CompileTarget(dag, image_width=W, image_height=H),
+        ).schedule)
+        fixynn = accelerator_report(generate_baseline(
+            CompileTarget(dag, image_width=W, image_height=H, generator="fixynn"),
+        ).schedule)
         assert fixynn.sram_blocks > ours.sram_blocks
         assert fixynn.memory_power_mw > ours.memory_power_mw
 
@@ -127,7 +142,9 @@ class TestReports:
 class TestFpga:
     def test_bram_usage_counts_blocks(self):
         schedule = compile_pipeline(
-            build_chain(3), image_width=W, image_height=H, memory_spec=spartan7_bram()
+            CompileTarget(
+                build_chain(3), image_width=W, image_height=H, memory_spec=spartan7_bram()
+            ),
         ).schedule
         report = fpga_report(schedule)
         assert report.brams_used == schedule.total_blocks
@@ -136,14 +153,21 @@ class TestFpga:
 
     def test_power_includes_static_floor(self):
         schedule = compile_pipeline(
-            build_chain(3), image_width=W, image_height=H, memory_spec=spartan7_bram()
+            CompileTarget(
+                build_chain(3), image_width=W, image_height=H, memory_spec=spartan7_bram()
+            ),
         ).schedule
         report = fpga_report(schedule)
         assert report.total_mw > report.fpga.static_power_mw
 
     def test_require_fit_raises_when_over_budget(self):
         schedule = compile_pipeline(
-            build_chain(6, stencil=5), image_width=W, image_height=H, memory_spec=spartan7_bram()
+            CompileTarget(
+                build_chain(6, stencil=5),
+                image_width=W,
+                image_height=H,
+                memory_spec=spartan7_bram(),
+            ),
         ).schedule
         tiny_fpga = FpgaSpec(bram=spartan7_bram(), total_blocks=2)
         with pytest.raises(MemoryConfigError):
@@ -151,7 +175,11 @@ class TestFpga:
 
     def test_multi_algorithm_fit(self):
         schedules = [
-            compile_pipeline(build_chain(3), image_width=W, image_height=H, memory_spec=spartan7_bram()).schedule
+            compile_pipeline(
+                CompileTarget(
+                    build_chain(3), image_width=W, image_height=H, memory_spec=spartan7_bram()
+                ),
+            ).schedule
             for _ in range(2)
         ]
         reports = [fpga_report(s) for s in schedules]

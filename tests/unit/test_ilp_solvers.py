@@ -191,16 +191,22 @@ class TestWarmStarts:
         assert result.objective == pytest.approx(14.0)
         assert result.warm_start == "seeded"
 
-    def test_infeasible_hint_is_rejected(self):
+    @pytest.mark.parametrize(
+        "backend, outcome",
+        [("python", "rejected"), ("highs", "none")],  # HiGHS ignores seeds
+    )
+    def test_infeasible_hint_is_rejected(self, backend, outcome):
         from repro.ilp.model import WarmStart
 
+        if backend not in available_backends():
+            pytest.skip("SciPy HiGHS not available")
         model, _ = knapsack_model()
-        result = solve_branch_and_bound(
-            model, warm_start=WarmStart(values={"a": 1.0, "b": 1.0, "c": 1.0})
+        result = solve(
+            model, backend=backend, warm_start=WarmStart(values={"a": 1.0, "b": 1.0, "c": 1.0})
         )
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(14.0)
-        assert result.warm_start == "rejected"
+        assert result.warm_start == outcome
 
     def test_incomplete_hint_is_rejected(self):
         from repro.ilp.model import WarmStart
@@ -216,19 +222,6 @@ class TestWarmStarts:
         assert result.nodes >= 1
         assert result.pruned >= 0
         assert result.warm_start == "none"
-
-
-class TestCancellation:
-    def test_preset_cancel_event_aborts_before_first_node(self):
-        import threading
-
-        from repro.errors import SolverCancelled
-
-        model, _ = scheduling_like_model()
-        cancel = threading.Event()
-        cancel.set()
-        with pytest.raises(SolverCancelled):
-            solve_branch_and_bound(model, cancel=cancel)
 
 
 class TestBackendResolution:
@@ -251,42 +244,31 @@ class TestBackendResolution:
         with pytest.raises(SolverError):
             resolve_backend("auto")
 
-    def test_race_listed_only_with_highs(self):
-        backends = available_backends()
-        assert ("race" in backends) == is_available()
+    def test_race_backend_is_unknown(self, monkeypatch):
+        """``race`` fails when the target is built, so neither a cache hit
+        nor a warm-certified neighbour solve can let it through."""
+        from repro.api import CompileTarget
+        from repro.core.scheduler import SchedulerOptions
+        from repro.ilp.solver import BACKEND_ENV_VAR
+        from repro.service import CompileEngine
 
+        from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain
 
-class TestRacing:
-    def test_race_solves_correctly(self):
-        from repro.ilp.solver import solve_racing
-
-        model, _ = knapsack_model()
-        result = solve_racing(model)
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(14.0)
-        if is_available():
-            assert result.backend.startswith("race:")
-        else:
-            assert result.backend == "python"  # single-contestant degradation
-
-    def test_race_agrees_on_infeasible(self):
-        from repro.ilp.solver import solve_racing
-
-        model = Model()
-        x = model.add_integer_var("x", lb=0, ub=3)
-        model.add_constraint(x >= 5)
-        assert solve_racing(model).status is SolveStatus.INFEASIBLE
-
-    def test_race_with_warm_start(self):
-        from repro.ilp.model import WarmStart
-        from repro.ilp.solver import solve_racing
-
-        model, _ = knapsack_model()
-        result = solve_racing(
-            model, warm_start=WarmStart(values={"a": 1.0, "b": 0.0, "c": 1.0})
-        )
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(14.0)
+        known = "'auto', 'python', 'highs'"
+        target = CompileTarget(build_chain(3), image_width=TEST_WIDTH, image_height=TEST_HEIGHT)
+        with pytest.raises(SolverError, match=known):
+            CompileTarget(
+                target.dag,
+                image_width=TEST_WIDTH,
+                image_height=TEST_HEIGHT,
+                options=SchedulerOptions(backend="race"),
+            )
+        with CompileEngine(workers=1, executor="inline") as engine:
+            assert engine.submit(target).ok  # cached, and a neighbour hint
+            monkeypatch.setenv(BACKEND_ENV_VAR, "race")
+            for width in (TEST_WIDTH, TEST_WIDTH + 2):  # cache hit, warm-certified
+                with pytest.raises(SolverError, match=known):
+                    engine.submit(target.with_resolution(width, TEST_HEIGHT))
 
 
 class TestCompound:

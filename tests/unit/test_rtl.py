@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import CompileTarget
 from repro.core.compiler import compile_pipeline
 from repro.dsl import ast
 from repro.errors import RTLError
@@ -59,7 +60,9 @@ class TestExpressionTranslation:
 class TestGeneratedDesign:
     @pytest.fixture(scope="class")
     def design(self):
-        accelerator = compile_pipeline(build_paper_example(), image_width=W, image_height=H)
+        accelerator = compile_pipeline(
+            CompileTarget(build_paper_example(), image_width=W, image_height=H),
+        )
         return generate_design(accelerator.schedule)
 
     def test_module_inventory(self, design):
@@ -74,7 +77,9 @@ class TestGeneratedDesign:
             assert f"stage_{stage}" in design.module_names
 
     def test_schedule_constants_embedded(self, design):
-        accelerator = compile_pipeline(build_paper_example(), image_width=W, image_height=H)
+        accelerator = compile_pipeline(
+            CompileTarget(build_paper_example(), image_width=W, image_height=H),
+        )
         for start in accelerator.schedule.start_cycles.values():
             assert f"32'd{start}" in design.source
 
@@ -86,7 +91,9 @@ class TestGeneratedDesign:
         assert report.ok, report.errors
 
     def test_chain_design_lints(self):
-        accelerator = compile_pipeline(build_chain(4), image_width=W, image_height=H)
+        accelerator = compile_pipeline(
+            CompileTarget(build_chain(4), image_width=W, image_height=H),
+        )
         report = lint_verilog(accelerator.generate_verilog())
         assert report.ok, report.errors
 

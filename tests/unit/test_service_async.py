@@ -16,8 +16,6 @@ from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain, build_paper_exa
 
 W, H = TEST_WIDTH, TEST_HEIGHT
 
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
-
 
 def _target(dag=None, **kwargs) -> CompileTarget:
     return CompileTarget(dag or build_paper_example(), image_width=W, image_height=H, **kwargs)

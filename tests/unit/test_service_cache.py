@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import CompileTarget
 from repro.core.compiler import compile_pipeline
 from repro.core.scheduler import SchedulerOptions
 from repro.memory.spec import asic_dual_port
@@ -19,7 +20,9 @@ SPEC = asic_dual_port()
 
 
 def _compile(dag, cache=None, **kwargs):
-    return compile_pipeline(dag, image_width=W, image_height=H, cache=cache, **kwargs)
+    return compile_pipeline(
+        CompileTarget(dag, image_width=W, image_height=H, **kwargs), cache=cache
+    )
 
 
 class TestMemoryTier:
@@ -204,40 +207,18 @@ class TestShardedStore:
         assert entry.parent.name == entry.stem[:2]
         assert len(entry.parent.name) == 2
 
-    def test_legacy_flat_entries_are_read_transparently(self, tmp_path):
+    def test_flat_entries_are_ignored(self, tmp_path):
+        """Entries at the unsharded ``<dir>/<fingerprint>.json`` path re-solve."""
         store = DiskCacheStore(tmp_path)
         dag = build_chain(3)
         _compile(dag, CompileCache(store=store))
-        # Demote the sharded entry to the pre-sharding flat layout.
         (entry,) = list(store.directory.rglob("*.json"))
-        flat = store.directory / entry.name
-        entry.replace(flat)
+        entry.replace(store.directory / entry.name)
         entry.parent.rmdir()
-        assert len(store) == 1  # flat entries still counted
-        cold = CompileCache(store=store)
-        _compile(dag, cold)
-        assert cold.stats.disk_hits == 1 and cold.stats.misses == 0
-
-    def test_sharded_entry_wins_over_stale_flat_twin(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
-        dag = build_chain(3)
-        _compile(dag, CompileCache(store=store))
-        (entry,) = list(store.directory.rglob("*.json"))
-        # A corrupt leftover at the legacy path must not shadow the shard.
-        (store.directory / entry.name).write_text("{not json", encoding="utf-8")
-        cold = CompileCache(store=store)
-        _compile(dag, cold)
-        assert cold.stats.disk_hits == 1
-
-    def test_clear_removes_flat_and_sharded_entries(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
-        cache = CompileCache(store=store)
-        _compile(build_chain(2), cache)
-        (entry,) = list(store.directory.rglob("*.json"))
-        (store.directory / ("0" * 64 + ".json")).write_text("{}", encoding="utf-8")
-        assert len(store) == 2
-        store.clear()
         assert len(store) == 0
+        cold = CompileCache(store=store)
+        _compile(dag, cold)
+        assert cold.stats.disk_hits == 0 and cold.stats.misses == 1
 
 
 class TestBaselineCaching:
@@ -248,7 +229,6 @@ class TestBaselineCaching:
         chains, DFF pixels, adapted specs) because the ImaGen allocator
         cannot re-derive them from the solver decisions.
         """
-        from repro.api import CompileTarget
         from repro.estimate.report import accelerator_report
 
         store = DiskCacheStore(tmp_path)
@@ -274,8 +254,6 @@ class TestBaselineCaching:
 
     @pytest.mark.parametrize("generator", ["darkroom", "soda", "fixynn"])
     def test_every_baseline_generator_round_trips(self, tmp_path, generator):
-        from repro.api import CompileTarget
-
         target = CompileTarget(
             build_paper_example(), image_width=W, image_height=H, generator=generator
         )
@@ -289,8 +267,6 @@ class TestBaselineCaching:
         assert cold.schedule.start_cycles == warm.schedule.start_cycles
 
     def test_baseline_and_imagen_fingerprints_do_not_collide(self):
-        from repro.api import CompileTarget
-
         cache = CompileCache()
         dag = build_paper_example()
         ours = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H), cache=cache)

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.algorithms import build_algorithm
+from repro.api import CompileTarget
 from repro.core.compiler import compile_pipeline
 from repro.core.scheduler import SchedulerOptions
 from repro.dse.sweep import sweep_memory_configurations
@@ -13,7 +14,6 @@ from repro.errors import ReproError
 from repro.service import (
     CompileCache,
     CompileEngine,
-    CompileRequest,
     CompileStatus,
 )
 
@@ -37,15 +37,54 @@ def engine():
 class TestSingleRequests:
     def test_compile_matches_direct_compile_pipeline(self, engine):
         dag = build_paper_example()
-        via_engine = engine.compile(dag, image_width=W, image_height=H)
-        direct = compile_pipeline(dag, image_width=W, image_height=H)
+        via_engine = engine.compile(CompileTarget(dag, image_width=W, image_height=H))
+        direct = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H))
         assert via_engine.schedule.start_cycles == direct.schedule.start_cycles
         assert via_engine.schedule.total_allocated_bits == direct.schedule.total_allocated_bits
 
+    def test_compile_is_submit_unwrap(self, engine):
+        target = CompileTarget(build_chain(3), image_width=W, image_height=H)
+        assert engine.compile(target).schedule is engine.submit(target).accelerator.schedule
+
+    def test_non_target_input_is_a_type_error(self, engine):
+        with pytest.raises(TypeError, match="CompileTarget"):
+            engine.submit(build_chain(3))
+        with pytest.raises(TypeError, match="CompileTarget"):
+            engine.submit_batch([build_chain(3)])
+
+    def test_async_non_target_input_is_a_type_error(self, engine):
+        import asyncio
+
+        with pytest.raises(TypeError, match="CompileTarget"):
+            asyncio.run(engine.submit_async(build_chain(3)))
+        with pytest.raises(TypeError, match="CompileTarget"):
+            asyncio.run(engine.submit_batch_async([build_chain(3)]))
+
+    def test_compile_takes_only_a_target(self, engine):
+        target = CompileTarget(build_chain(3), image_width=W, image_height=H)
+        with pytest.raises(TypeError, match="CompileTarget"):
+            engine.compile(build_chain(3))
+        with pytest.raises(TypeError):
+            engine.compile(target, coalescing=True)
+        with pytest.raises(TypeError):
+            engine.compile(target, label="tagged")
+
+    def test_target_metadata_rides_the_result(self, engine):
+        result = engine.submit(
+            CompileTarget(
+                build_chain(3), image_width=W, image_height=H, metadata={"sweep_id": 7}
+            )
+        )
+        assert result.ok
+        assert result.target.metadata == {"sweep_id": 7}
+        assert not hasattr(result, "request")
+
     def test_second_compile_is_a_cache_hit(self, engine):
         dag = build_paper_example()
-        first = engine.compile(dag, image_width=W, image_height=H)
-        second = engine.compile(build_paper_example(), image_width=W, image_height=H)
+        first = engine.compile(CompileTarget(dag, image_width=W, image_height=H))
+        second = engine.compile(
+            CompileTarget(build_paper_example(), image_width=W, image_height=H),
+        )
         assert engine.cache.stats.hits == 1
         assert engine.cache.stats.misses == 1
         assert second.schedule is first.schedule
@@ -53,7 +92,7 @@ class TestSingleRequests:
 
     def test_submit_reports_latency_and_source(self, engine):
         result = engine.submit(
-            CompileRequest(dag=build_chain(3), image_width=W, image_height=H, label="chain")
+            CompileTarget(build_chain(3), image_width=W, image_height=H, label="chain")
         )
         assert result.ok
         assert result.status is CompileStatus.OK
@@ -61,14 +100,14 @@ class TestSingleRequests:
         assert result.seconds > 0
         assert result.fingerprint
         repeat = engine.submit(
-            CompileRequest(dag=build_chain(3), image_width=W, image_height=H)
+            CompileTarget(build_chain(3), image_width=W, image_height=H)
         )
         assert repeat.source == "memory"
         assert repeat.from_cache
 
     def test_error_captured_not_raised(self, engine):
         result = engine.submit(
-            CompileRequest(dag=build_chain(3), image_width=1, image_height=H)
+            CompileTarget(build_chain(3), image_width=1, image_height=H)
         )
         assert not result.ok
         assert result.status is CompileStatus.ERROR
@@ -80,24 +119,32 @@ class TestSingleRequests:
     def test_caller_options_not_mutated(self, engine):
         options = SchedulerOptions()
         engine.compile(
-            build_chain(3), image_width=W, image_height=H, options=options, coalescing=True
+            CompileTarget(
+                build_chain(3), image_width=W, image_height=H, options=options
+            ).with_options(coalescing=True),
         )
         assert options.coalescing is False
 
     def test_compile_pipeline_does_not_mutate_caller_options(self):
         options = SchedulerOptions()
         compile_pipeline(
-            build_chain(3), image_width=W, image_height=H, options=options, coalescing=True
+            CompileTarget(
+                build_chain(3), image_width=W, image_height=H, options=options
+            ).with_options(coalescing=True),
         )
         assert options.coalescing is False
 
     def test_coalescing_fallback_reuses_plain_solve(self, engine):
         dag = build_paper_example()
-        engine.compile(dag, image_width=W, image_height=H)
+        engine.compile(CompileTarget(dag, image_width=W, image_height=H))
         assert engine.cache.stats.misses == 1
         # The auto-policy +LC compile solves the coalesced ILP but takes the
         # non-coalesced solve straight from the cache.
-        engine.compile(build_paper_example(), image_width=W, image_height=H, coalescing=True)
+        engine.compile(
+            CompileTarget(
+                build_paper_example(), image_width=W, image_height=H
+            ).with_options(coalescing=True),
+        )
         assert engine.cache.stats.hits == 1
         assert engine.cache.stats.misses == 2
 
@@ -105,12 +152,12 @@ class TestSingleRequests:
 class TestBatches:
     def test_batch_preserves_order_and_dedupes(self, engine):
         requests = [
-            CompileRequest(dag=build_chain(3), image_width=W, image_height=H, label="a"),
-            CompileRequest(dag=build_chain(4), image_width=W, image_height=H, label="b"),
-            CompileRequest(dag=build_chain(3), image_width=W, image_height=H, label="c"),
+            CompileTarget(build_chain(3), image_width=W, image_height=H, label="a"),
+            CompileTarget(build_chain(4), image_width=W, image_height=H, label="b"),
+            CompileTarget(build_chain(3), image_width=W, image_height=H, label="c"),
         ]
         batch = engine.submit_batch(requests)
-        assert [r.request.label for r in batch.results] == ["a", "b", "c"]
+        assert [r.target.label for r in batch.results] == ["a", "b", "c"]
         assert all(r.ok for r in batch.results)
         sources = [r.source for r in batch.results]
         assert sources.count("deduplicated") == 1
@@ -122,22 +169,22 @@ class TestBatches:
 
     def test_one_bad_design_point_does_not_kill_the_batch(self, engine):
         requests = [
-            CompileRequest(dag=build_chain(3), image_width=W, image_height=H, label="good"),
-            CompileRequest(dag=build_chain(3), image_width=1, image_height=H, label="bad"),
-            CompileRequest(dag=build_chain(4), image_width=W, image_height=H, label="good2"),
+            CompileTarget(build_chain(3), image_width=W, image_height=H, label="good"),
+            CompileTarget(build_chain(3), image_width=1, image_height=H, label="bad"),
+            CompileTarget(build_chain(4), image_width=W, image_height=H, label="good2"),
         ]
         batch = engine.submit_batch(requests)
         assert len(batch.ok_results) == 2
         assert len(batch.failures) == 1
-        assert batch.failures[0].request.label == "bad"
+        assert batch.failures[0].target.label == "bad"
         with pytest.raises(ReproError, match="1/3"):
             batch.raise_on_error()
 
     def test_accelerators_helper_skips_failures(self, engine):
         batch = engine.submit_batch(
             [
-                CompileRequest(dag=build_chain(3), image_width=W, image_height=H),
-                CompileRequest(dag=build_chain(3), image_width=1, image_height=H),
+                CompileTarget(build_chain(3), image_width=W, image_height=H),
+                CompileTarget(build_chain(3), image_width=1, image_height=H),
             ]
         )
         assert len(batch.accelerators) == 1
@@ -148,9 +195,9 @@ class TestRepeatedCompilePipeline:
         """Acceptance: a repeated compile_pipeline call is served from cache."""
         cache = CompileCache()
         dag = build_paper_example()
-        first = compile_pipeline(dag, image_width=W, image_height=H, cache=cache)
+        first = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H), cache=cache)
         hits_before = cache.stats.hits
-        second = compile_pipeline(dag, image_width=W, image_height=H, cache=cache)
+        second = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H), cache=cache)
         assert cache.stats.hits == hits_before + 1
         assert cache.stats.misses == 1  # only the first call solved the ILP
         assert second.schedule is first.schedule
@@ -160,10 +207,11 @@ class TestRepeatedCompilePipeline:
 class TestSweepIntegration:
     def test_parallel_sweep_equals_serial_sweep(self, engine):
         serial = sweep_memory_configurations(
-            build_algorithm("unsharp-m"), image_width=W, image_height=H
+            CompileTarget(build_algorithm("unsharp-m"), image_width=W, image_height=H),
         )
         parallel = sweep_memory_configurations(
-            build_algorithm("unsharp-m"), image_width=W, image_height=H, engine=engine
+            CompileTarget(build_algorithm("unsharp-m"), image_width=W, image_height=H),
+            engine=engine,
         )
         assert [p.label for p in serial] == [p.label for p in parallel]
         assert [p.area_mm2 for p in serial] == [p.area_mm2 for p in parallel]
@@ -172,18 +220,10 @@ class TestSweepIntegration:
         # The all-DP design point was served from the baseline's cache entry.
         assert engine.cache.stats.hits >= 1
 
-    def test_parallel_convenience_flag(self):
-        points = sweep_memory_configurations(
-            build_chain(3), image_width=W, image_height=H, parallel=2
-        )
-        serial = sweep_memory_configurations(build_chain(3), image_width=W, image_height=H)
-        assert [p.label for p in points] == [p.label for p in serial]
-        assert [p.area_mm2 for p in points] == [p.area_mm2 for p in serial]
-
     def test_serial_sweep_reuses_baseline_compile(self):
         """The all-DP point is the baseline accelerator, not a recompile."""
         points = sweep_memory_configurations(
-            build_chain(3, stencil=3), image_width=W, image_height=H
+            CompileTarget(build_chain(3, stencil=3), image_width=W, image_height=H),
         )
         all_dp = next(p for p in points if p.label == "all-DP")
         # Baseline compiles with default options (auto policy), the sweep's
@@ -192,27 +232,20 @@ class TestSweepIntegration:
 
     def test_warm_engine_resweep_is_all_hits(self, engine):
         dag = build_algorithm("unsharp-m")
-        sweep_memory_configurations(dag, image_width=W, image_height=H, engine=engine)
+        sweep_memory_configurations(
+            CompileTarget(dag, image_width=W, image_height=H),
+            engine=engine,
+        )
         misses_before = engine.cache.stats.misses
-        again = sweep_memory_configurations(dag, image_width=W, image_height=H, engine=engine)
+        again = sweep_memory_configurations(
+            CompileTarget(dag, image_width=W, image_height=H),
+            engine=engine,
+        )
         assert engine.cache.stats.misses == misses_before  # zero new ILP solves
         assert all(p.area_mm2 > 0 for p in again)
 
-    def test_sweep_accepts_base_target(self, engine):
-        from repro.api import CompileTarget
-
-        target = CompileTarget(build_algorithm("unsharp-m"), image_width=W, image_height=H)
-        via_target = sweep_memory_configurations(target, engine=engine)
-        via_kwargs = sweep_memory_configurations(
-            build_algorithm("unsharp-m"), image_width=W, image_height=H
-        )
-        assert [p.label for p in via_target] == [p.label for p in via_kwargs]
-        assert [p.area_mm2 for p in via_target] == [p.area_mm2 for p in via_kwargs]
-
     def test_coalesced_base_target_does_not_leak_into_all_dp_point(self):
         """The baseline/all-DP compile must ignore the base's coalescing flag."""
-        from repro.api import CompileTarget
-
         plain = CompileTarget(build_algorithm("unsharp-m"), image_width=W, image_height=H)
         coalesced = plain.with_options(coalescing=True)
         from_plain = sweep_memory_configurations(plain)
@@ -275,8 +308,6 @@ class TestInlineSubmitDedup:
 
     def test_sync_submit_joins_inflight_batch_solve(self, engine, gated_solver):
         """Acceptance: mixed submit paths record exactly one ``compiled``."""
-        from repro.api import CompileTarget
-
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         results = self._race(
             engine,
@@ -295,8 +326,6 @@ class TestInlineSubmitDedup:
 
     def test_batch_joins_inflight_inline_submit(self, engine, gated_solver):
         """The reverse race: an inline submit owns the solve, a batch joins it."""
-        from repro.api import CompileTarget
-
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         results = self._race(
             engine,
@@ -310,8 +339,6 @@ class TestInlineSubmitDedup:
         assert results["second"].results[0].source == "deduplicated"
 
     def test_concurrent_inline_submits_share_one_solve(self, engine, gated_solver):
-        from repro.api import CompileTarget
-
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         results = self._race(
             engine,
@@ -332,8 +359,6 @@ class TestInlineSubmitDedup:
         from e.g. a timed-out asyncio wrapper is a no-op instead of flipping
         the future into a state where the owner's set_result() raises.
         """
-        from repro.api import CompileTarget
-
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         results = {}
         owner = threading.Thread(target=lambda: results.update(r=engine.submit(target)))
@@ -348,8 +373,6 @@ class TestInlineSubmitDedup:
 
     def test_sequential_submits_do_not_dedup(self, engine):
         """No in-flight twin: the second submit is a plain cache hit."""
-        from repro.api import CompileTarget
-
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         assert engine.submit(target).source == "solver"
         assert engine.submit(target).source == "memory"
@@ -362,8 +385,6 @@ class TestBaselineRequests:
 
     def test_repeated_baseline_served_from_cache(self, engine):
         """Acceptance: a repeated generate_baseline design point is a cache hit."""
-        from repro.api import CompileTarget
-
         target = CompileTarget(
             build_paper_example(), image_width=W, image_height=H, generator="darkroom"
         )
@@ -378,8 +399,6 @@ class TestBaselineRequests:
         assert second.accelerator.schedule.generator == "darkroom"
 
     def test_mixed_generator_batch(self, engine):
-        from repro.api import CompileTarget
-
         base = CompileTarget(build_paper_example(), image_width=W, image_height=H)
         batch = engine.submit_batch(
             [base, base.with_generator("fixynn"), base.with_generator("soda")]
@@ -392,25 +411,11 @@ class TestBaselineRequests:
         assert len({r.fingerprint for r in batch.results}) == 3
 
     def test_unknown_generator_is_captured_as_error(self, engine):
-        from repro.api import CompileTarget
-
         result = engine.submit(
             CompileTarget(build_chain(3), image_width=W, image_height=H, generator="halide")
         )
         assert not result.ok
         assert "BaselineError" in result.error
-
-    def test_baseline_result_refuses_lossy_legacy_request_view(self, engine):
-        from repro.api import CompileTarget
-
-        result = engine.submit(
-            CompileTarget(build_chain(3), image_width=W, image_height=H, generator="soda")
-        )
-        assert result.ok
-        # CompileRequest cannot express a generator: converting would silently
-        # re-describe the design as an ImaGen compile, so it must refuse.
-        with pytest.raises(ValueError, match="soda"):
-            result.request
 
 
 class TestWorkerSizing:

@@ -128,7 +128,7 @@ class TestEngineEventWiring:
 
         store = DiskCacheStore(tmp_path, max_bytes=1)  # everything is over budget
         schedule = compile_pipeline(
-            build_chain(2), image_width=W, image_height=H
+            CompileTarget(build_chain(2), image_width=W, image_height=H),
         ).schedule
         store.save("fp-old", serialize_schedule(schedule))
         store.save("fp-new", serialize_schedule(schedule))

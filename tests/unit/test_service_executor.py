@@ -330,24 +330,22 @@ class TestSpeculativePrewarm:
 
 
 class TestSweepExecutorWiring:
-    def test_sweep_executor_flag_matches_serial(self):
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_engine_sweep_matches_serial(self, executor):
         from repro.dse.sweep import sweep_memory_configurations
 
-        serial = sweep_memory_configurations(
-            build_paper_example(), image_width=W, image_height=H
-        )
-        inline = sweep_memory_configurations(
-            build_paper_example(), image_width=W, image_height=H, executor="inline"
-        )
-        assert [p.label for p in inline] == [p.label for p in serial]
-        assert [p.area_mm2 for p in inline] == [p.area_mm2 for p in serial]
-        assert [p.power_mw for p in inline] == [p.power_mw for p in serial]
+        serial = sweep_memory_configurations(_target(build_paper_example()))
+        with CompileEngine(workers=2, executor=executor) as engine:
+            fanned = sweep_memory_configurations(
+                _target(build_paper_example()), engine=engine
+            )
+        assert [p.label for p in fanned] == [p.label for p in serial]
+        assert [p.area_mm2 for p in fanned] == [p.area_mm2 for p in serial]
+        assert [p.power_mw for p in fanned] == [p.power_mw for p in serial]
 
     def test_sweep_uses_the_engines_backend(self):
         engine = CompileEngine(workers=2, executor="inline")
         from repro.dse.sweep import sweep_memory_configurations
 
-        points = sweep_memory_configurations(
-            build_paper_example(), image_width=W, image_height=H, engine=engine
-        )
+        points = sweep_memory_configurations(_target(build_paper_example()), engine=engine)
         assert points and all(p.area_mm2 > 0 for p in points)

@@ -1,15 +1,16 @@
 """Unit tests for content-addressed compile fingerprints."""
 
+from repro.api import CompileTarget
+from repro.api.fingerprint import (
+    compile_fingerprint,
+    dag_fingerprint,
+    normalize_options,
+)
 from repro.core.scheduler import SchedulerOptions
 from repro.dsl.builder import PipelineBuilder, window_sum
 from repro.ir.dag import PipelineDAG, Stage
 from repro.ir.stencil import StencilWindow
 from repro.memory.spec import asic_dual_port, asic_single_port
-from repro.service.fingerprint import (
-    compile_fingerprint,
-    dag_fingerprint,
-    normalize_options,
-)
 
 from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_paper_example
 
@@ -18,7 +19,7 @@ W, H = TEST_WIDTH, TEST_HEIGHT
 
 def _fp(dag, *, width=W, height=H, spec=None, options=None):
     return compile_fingerprint(
-        dag, width, height, spec or asic_dual_port(), options or SchedulerOptions()
+        CompileTarget(dag, image_width=width, image_height=height, memory_spec=spec, options=options)
     )
 
 

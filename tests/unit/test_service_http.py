@@ -281,6 +281,53 @@ class TestOperationalEndpoints:
         assert "error" in body
 
 
+class TestAccessLog:
+    """One spelling per log style: ``access_log=`` / ``--access-log``."""
+
+    def _serve_one_health_check(self, **server_kwargs):
+        engine = CompileEngine(workers=1, executor="inline")
+        server = start_server(engine, **server_kwargs)
+        try:
+            assert ServiceClient(port=server.port).health() == {"status": "ok"}
+        finally:
+            server.stop()
+            engine.shutdown()
+        return server
+
+    def test_library_server_logs_nothing_by_default(self, capfd):
+        server = self._serve_one_health_check()
+        assert server.access_log == "none"
+        assert capfd.readouterr().err == ""
+
+    def test_json_access_log_writes_one_record_per_request(self, capfd):
+        self._serve_one_health_check(access_log="json")
+        lines = capfd.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert (record["method"], record["path"], record["status"]) == (
+            "GET", "/healthz", 200,
+        )
+
+    def test_unknown_mode_rejected(self):
+        from repro.service.http import CompileServiceServer
+
+        engine = CompileEngine(workers=1, executor="inline")
+        with pytest.raises(ValueError, match="access_log"):
+            CompileServiceServer(("127.0.0.1", 0), engine, access_log="verbose")
+        engine.shutdown()
+
+    def test_cli_takes_access_log_modes_only(self, capsys):
+        from repro.service.http import ACCESS_LOG_MODES, build_parser
+
+        parser = build_parser()
+        assert parser.parse_args([]).access_log == "plain"
+        for mode in ACCESS_LOG_MODES:
+            assert parser.parse_args(["--access-log", mode]).access_log == mode
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--access-log", "verbose"])
+        assert "invalid choice" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Admission control over HTTP: auth, rate limits, queue-full semantics
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import CompileTarget
 from repro.core.compiler import compile_pipeline
 from repro.core.schedule import PipelineSchedule
 from repro.errors import SimulationError
@@ -16,7 +17,7 @@ W, H = TEST_WIDTH, TEST_HEIGHT
 
 
 def legal_chain_schedule():
-    return compile_pipeline(build_chain(3), image_width=W, image_height=H).schedule
+    return compile_pipeline(CompileTarget(build_chain(3), image_width=W, image_height=H)).schedule
 
 
 def broken_schedule():
@@ -69,7 +70,9 @@ class TestLegalSchedules:
             assert stats.peak_block_accesses <= schedule.memory_spec.ports
 
     def test_multi_consumer_schedule_is_legal(self):
-        schedule = compile_pipeline(build_paper_example(), image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(
+            CompileTarget(build_paper_example(), image_width=W, image_height=H),
+        ).schedule
         report = simulate_schedule(schedule)
         assert report.ok
 
@@ -94,7 +97,7 @@ class TestViolationDetection:
 
     def test_early_consumer_start_detected(self):
         dag = build_paper_example()
-        good = compile_pipeline(dag, image_width=W, image_height=H).schedule
+        good = compile_pipeline(CompileTarget(dag, image_width=W, image_height=H)).schedule
         # Sabotage: start K2 as soon as its K0 window allows, ignoring its
         # dependency on K1 entirely.
         bad_starts = dict(good.start_cycles)

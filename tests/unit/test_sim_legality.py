@@ -9,6 +9,7 @@ hand-broken ones, and on the whole algorithm catalog.
 import pytest
 
 from repro.algorithms import ALGORITHM_NAMES, build_algorithm
+from repro.api import CompileTarget
 from repro.core.compiler import compile_pipeline
 from repro.core.schedule import PipelineSchedule
 from repro.memory.allocator import allocate_line_buffer
@@ -50,7 +51,9 @@ def broken_schedule():
 
 class TestLegalSchedules:
     def test_compiled_chain_is_legal(self):
-        schedule = compile_pipeline(build_chain(3), image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(
+            CompileTarget(build_chain(3), image_width=W, image_height=H),
+        ).schedule
         report = check_schedule_legality(schedule)
         assert report.ok
         assert not report.violations
@@ -58,16 +61,15 @@ class TestLegalSchedules:
 
     def test_paper_example_is_legal(self):
         schedule = compile_pipeline(
-            build_paper_example(), image_width=W, image_height=H
+            CompileTarget(build_paper_example(), image_width=W, image_height=H),
         ).schedule
         assert check_schedule_legality(schedule).ok
 
     def test_single_port_spec_is_legal(self):
         schedule = compile_pipeline(
-            build_chain(3),
-            image_width=W,
-            image_height=H,
-            memory_spec=asic_single_port(),
+            CompileTarget(
+                build_chain(3), image_width=W, image_height=H, memory_spec=asic_single_port()
+            ),
         ).schedule
         assert check_schedule_legality(schedule).ok
 
@@ -98,7 +100,7 @@ class TestCatalogAgreement:
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_catalog_algorithm_agrees_with_event_walk(self, name):
         schedule = compile_pipeline(
-            build_algorithm(name), image_width=W, image_height=H
+            CompileTarget(build_algorithm(name), image_width=W, image_height=H),
         ).schedule
         report = check_schedule_legality(schedule, max_rows=H)
         assert report.keys() == event_walk_keys(schedule, H)
@@ -108,7 +110,7 @@ class TestCatalogAgreement:
     def test_catalog_uses_reserved_table_at_full_resolution(self, name):
         """The fast path must actually engage for real design points."""
         schedule = compile_pipeline(
-            build_algorithm(name), image_width=W, image_height=H
+            CompileTarget(build_algorithm(name), image_width=W, image_height=H),
         ).schedule
         report = check_schedule_legality(schedule)
         assert report.method == "reserved-table"
@@ -118,7 +120,9 @@ class TestCatalogAgreement:
 class TestFallback:
     def test_short_frames_fall_back_to_event_walk(self):
         """Frames shorter than a full-activity window get the exact walker."""
-        schedule = compile_pipeline(build_chain(3), image_width=W, image_height=H).schedule
+        schedule = compile_pipeline(
+            CompileTarget(build_chain(3), image_width=W, image_height=H),
+        ).schedule
         report = check_schedule_legality(schedule, max_rows=2)
         assert report.method == "event-walk"
         assert report.keys() == event_walk_keys(schedule, 2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.algorithms import TEMPORAL_ALGORITHM_NAMES, build_algorithm
@@ -146,3 +147,45 @@ class TestTemporalVerifyService:
         )
         assert mismatched.passed is False
         assert mismatched.golden["expected_match"] is False
+
+
+class TestBareDelayVerify:
+    """``out = src.prev(1)`` passes every verify check, pinned to hand-computed frames."""
+
+    @pytest.mark.parametrize("generator", GENERATORS)
+    def test_every_check_passes(self, generator):
+        from repro.dsl import PipelineBuilder
+        from repro.sim.batch import golden_frames, output_digest
+
+        builder = PipelineBuilder("bare-delay-1")
+        builder.output("out", builder.input("src").prev(1))
+        target = CompileTarget(
+            dag=builder.build(),
+            image_width=TEST_WIDTH,
+            image_height=TEST_HEIGHT,
+            generator=generator,
+        )
+        frames = 3
+        src = golden_frames(target.dag, TEST_WIDTH, TEST_HEIGHT, frames=frames)["src"]
+        delayed = np.stack([src[max(0, f - 1)] for f in range(frames)])
+
+        engine = CompileEngine(executor="inline", cache_dir=None)
+        verify_engine = VerifyEngine(engine, executor="inline", max_pending=None)
+        try:
+            golden = verify_engine.submit(
+                VerifyRequest(
+                    target=target,
+                    check="both",
+                    frames=frames,
+                    expected_digest=output_digest({"out": delayed}),
+                )
+            )
+            assert golden.passed, golden.error
+            assert golden.golden["expected_match"] is True
+            for check in ("rtl", "perf"):
+                result = verify_engine.submit(
+                    VerifyRequest(target=target, check=check, frames=frames)
+                )
+                assert result.passed, (check, result.error)
+        finally:
+            engine.shutdown()

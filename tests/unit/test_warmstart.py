@@ -301,8 +301,7 @@ class TestIlpMetrics:
             }),
             Span.from_payload({
                 "name": "ilp", "start": 0.0, "seconds": 0.01,
-                "attrs": {"warm_start": "incumbent", "bnb_pruned": 4,
-                          "race_winner": "python"},
+                "attrs": {"warm_start": "incumbent", "bnb_pruned": 4},
             }),
             Span.from_payload({
                 "name": "ilp_compound", "start": 0.0, "seconds": 0.1,
@@ -314,9 +313,6 @@ class TestIlpMetrics:
         assert summary["ilp_solves"] == 2
         assert summary["ilp_warm_certificates"] == 1
         assert summary["ilp_warm_seeded"] == 1
-        assert summary["ilp_races"] == 1
-        assert summary["ilp_race_wins_python"] == 1
-        assert summary["ilp_race_wins_highs"] == 0
         assert summary["ilp_pruned_nodes"] == 4
         assert summary["ilp_compound_solves"] == 1
         assert summary["ilp_compound_blocks"] == 8
