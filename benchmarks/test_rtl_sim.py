@@ -1,7 +1,7 @@
-"""RTL-simulation smoke benchmark: row vectorization and verdict caching.
+"""RTL-simulation smoke benchmark: frame vectorization and verdict caching.
 
 Quantifies the two performance claims behind the RTL tier of the verify
-service: streaming frames through the elaborated design with whole-row
+service: streaming frames through the elaborated design with whole-frame
 NumPy evaluation must beat the per-pixel reference interpreter
 (`simulate_design_loop`, the differential oracle) by a healthy margin, and
 a warm `rtl` verify — a verdict-cache lookup — must be far cheaper than the
@@ -20,7 +20,7 @@ from repro.service import CompileEngine, VerifyEngine, VerifyRequest
 from repro.sim.batch import golden_frames
 
 #: Small frames: the per-pixel oracle pays Python dispatch per pixel x stage,
-#: the vectorized simulator per row x stage — the gap is the whole point.
+#: the vectorized simulator per frame x stage — the gap is the whole point.
 W, H = 32, 24
 
 
@@ -31,7 +31,7 @@ def _timed(fn) -> float:
 
 
 def test_vectorized_rtl_sim_is_3x_faster_than_pixel_loop(benchmark):
-    """Acceptance: row-vectorized RTL sim >= 3x the per-pixel reference loop."""
+    """Acceptance: frame-vectorized RTL sim >= 3x the per-pixel reference loop."""
     target = CompileTarget(
         build_algorithm("canny-m"), image_width=W, image_height=H
     )

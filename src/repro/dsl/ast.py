@@ -19,7 +19,7 @@ arrays (:func:`evaluate`), and Verilog expression generation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -256,7 +256,10 @@ def _shifted(image: np.ndarray, dx: int, dy: int, dt: int = 0) -> np.ndarray:
     offset shifts the third-from-last axis (the frame/time axis) with the
     same clamping convention: before the first frame, the sequence is padded
     by repeating frame 0 (the temporal analogue of edge-clamped borders).
+    A zero offset is a plain copy: no gather.
     """
+    if dx == 0 and dy == 0 and dt == 0:
+        return image.copy()
     height, width = image.shape[-2], image.shape[-1]
     ys = np.clip(np.arange(height) + dy, 0, height - 1)
     xs = np.clip(np.arange(width) + dx, 0, width - 1)
@@ -282,27 +285,41 @@ def evaluate(expr: Expr, images: Mapping[str, np.ndarray]) -> np.ndarray:
     axes are ``(height, width)``.  Border handling is edge clamping, matching
     the padding assumption of the paper's formulation (Sec. 5, footnote 2).
     """
+
+    def fetch(ref: StageRef) -> np.ndarray:
+        if ref.stage not in images:
+            raise DSLSemanticError(f"No image supplied for producer {ref.stage!r}")
+        image = np.asarray(images[ref.stage], dtype=np.float64)
+        return _shifted(image, ref.dx, ref.dy, ref.dt)
+
+    return _evaluate(expr, fetch, next((img.shape for img in images.values()), None))
+
+
+def _evaluate(
+    expr: Expr, fetch: Callable[[StageRef], np.ndarray], shape: tuple[int, ...] | None
+) -> np.ndarray:
+    """The one recursive evaluator: the golden replay and the RTL sim share it.
+
+    ``fetch(ref)`` serves every producer read — direct edge-clamped images in
+    :func:`evaluate`, line- and frame-buffer taps in :mod:`repro.rtl.sim` —
+    and constants fill ``shape`` (``()`` for a single pixel).  Operators
+    apply in tree order, so two callers whose reads agree agree bit-exactly.
+    """
     if isinstance(expr, Const):
-        shapes = {img.shape for img in images.values()}
-        if not shapes:
+        if shape is None:
             raise DSLSemanticError("Cannot evaluate a constant expression without images")
-        shape = next(iter(shapes))
         return np.full(shape, expr.value, dtype=np.float64)
     if isinstance(expr, StageRef):
-        if expr.stage not in images:
-            raise DSLSemanticError(f"No image supplied for producer {expr.stage!r}")
-        return _shifted(
-            np.asarray(images[expr.stage], dtype=np.float64), expr.dx, expr.dy, expr.dt
-        )
+        return fetch(expr)
     if isinstance(expr, UnaryOp):
-        value = evaluate(expr.operand, images)
+        value = _evaluate(expr.operand, fetch, shape)
         return np.abs(value) if expr.op == "abs" else -value
     if isinstance(expr, BinOp):
-        left = evaluate(expr.left, images)
-        right = evaluate(expr.right, images)
+        left = _evaluate(expr.left, fetch, shape)
+        right = _evaluate(expr.right, fetch, shape)
         return _apply_binop(expr.op, left, right)
     if isinstance(expr, Call):
-        args = [evaluate(arg, images) for arg in expr.args]
+        args = [_evaluate(arg, fetch, shape) for arg in expr.args]
         return _apply_call(expr.fn, args)
     raise DSLSemanticError(f"Cannot evaluate expression node {expr!r}")
 

@@ -68,18 +68,6 @@ class SimulationError(ReproError):
     """The cycle-level or functional simulator detected an illegal condition."""
 
 
-class ContentionError(SimulationError):
-    """A memory block received more accesses in one cycle than it has ports (R3)."""
-
-
-class CausalityError(SimulationError):
-    """A consumer read a pixel before its producer wrote it (R1)."""
-
-
-class EvictionError(SimulationError):
-    """A pixel still needed by a consumer was overwritten in a line buffer (R2)."""
-
-
 class RTLError(ReproError):
     """Verilog generation or structural linting failed."""
 

@@ -10,11 +10,12 @@ This module closes the verification gap between "the schedule is legal" and
 timing model (reusing :mod:`repro.rtl.lint`'s structural pass, then parsing
 the numeric constants the generator printed — start cycles, image width,
 line-buffer slot counts, the output mux) and **simulates** it two-state and
-cycle-driven, whole rows at a time with NumPy.
+cycle-driven, whole frames at a time with NumPy.
 
 The simulation is faithful to the storage and timing of the design, not to
-its fixed-point bit patterns: arithmetic evaluates the stage DSL expressions
-in float64 (exactly as :func:`repro.sim.functional.run_functional` does), but
+its fixed-point bit patterns: it shares the replay's evaluator and stage
+walker (:func:`repro.sim.functional.run_functional`), so arithmetic is the
+stage DSL expressions in float64, not the emitted Q24.8 datapath, but
 every producer reference is served **through the elaborated line buffer** —
 read-first SRAM semantics, ``lines``-slot rotation, activation offsets from
 the parsed start cycles.  A pixel that the hardware would read before its
@@ -23,7 +24,9 @@ violation), comes back as the two-state ``X -> 0.0`` — so any illegal or
 tampered schedule diverges from the functional replay instead of silently
 passing.  When the schedule is legal, the resident row is provably the
 requested row and the simulation is bit-exact with
-:func:`repro.sim.batch.replay_frames`.
+:func:`repro.sim.batch.replay_frames`.  "Bit-exact" therefore pins storage
+and timing under the DSL's float64 arithmetic; it says nothing about the
+fixed-point arithmetic the emitted Verilog computes.
 
 The residency model, per consumer read of producer ``P`` at stencil offset
 ``(dx, dy)`` over an edge with window top ``min_dy``:
@@ -55,16 +58,17 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.dsl import ast
 from repro.errors import SimulationError
 from repro.ir.dag import PipelineDAG
-from repro.ir.traversal import topological_order
 from repro.rtl.expressions import sanitize
 from repro.rtl.lint import lint_verilog
 from repro.sim.batch import golden_frames, output_digest
+from repro.sim.functional import _walk_stages
 from repro.trace import span_attr, trace_span
 
 __all__ = [
@@ -205,11 +209,9 @@ class RTLSimResult:
 # The cycle-driven core
 # --------------------------------------------------------------------------
 def _line_buffer_tap(
-    design: ElaboratedDesign,
     producer_image: np.ndarray,
     *,
-    start_producer: int,
-    start_consumer: int,
+    delta: int,
     lines: int,
     min_dy: int,
     dx: int,
@@ -219,7 +221,8 @@ def _line_buffer_tap(
     """One whole-frame read of a producer through its elaborated line buffer.
 
     Vectorized over the full (H, W) output plane; implements the residency
-    model from the module docstring.  Values whose slot is still
+    model from the module docstring, with ``delta = S_C - S_P`` the
+    consumer's start-cycle lead over the producer.  Values whose slot is still
     uninitialised at read time come back as 0.0 (two-state ``X``).
 
     ``fifo`` switches to SODA's semantics: each consumer's split chain is a
@@ -235,7 +238,6 @@ def _line_buffer_tap(
     raster = np.clip(ys + min_dy, 0, height - 1)
     wanted = np.clip(ys + dy, 0, height - 1)
     cols = np.clip(xs + dx, 0, width - 1)
-    delta = start_consumer - start_producer
 
     if fifo:
         # Push of row ``wanted`` passed this column at S_P + wanted*W; the
@@ -259,172 +261,162 @@ def _line_buffer_tap(
     return out
 
 
-def _resolve_origin(dag: PipelineDAG, name: str, seen: set[str] | None = None) -> str:
-    """Follow relay/identity/virtual chains back to the originating stage."""
-    seen = seen or set()
-    if name in seen:
-        return name
-    seen.add(name)
-    stage = dag.stage(name)
-    if stage.virtual_of is not None:
-        return _resolve_origin(dag, stage.virtual_of, seen)
-    expr = stage.expression
-    if expr is None:
-        edges = dag.in_edges(name)
-        if edges:
-            return _resolve_origin(dag, edges[0].producer, seen)
-        return name
-    if isinstance(expr, ast.StageRef) and expr.dx == 0 and expr.dy == 0 and expr.dt == 0:
-        return _resolve_origin(dag, expr.stage, seen)
-    return name
+def _carries(dag: PipelineDAG, name: str, producer: str) -> bool:
+    """Whether stage ``name`` delivers the pixels of stage ``producer``.
+
+    It does when it is ``producer`` or reaches it through Darkroom relays
+    and other identity stages (``p(0, 0)``, or no expression) and through
+    coalescing virtual readers, which stand for their physical stage.  A
+    name seen twice ends the walk: a wire-decoded DAG may carry any
+    ``virtual_of`` link.
+    """
+    seen: set[str] = set()
+    while name != producer:
+        if name in seen:
+            return False
+        seen.add(name)
+        stage = dag.stage(name)
+        expr = stage.expression
+        if stage.virtual_of is not None:
+            name = stage.virtual_of
+        elif expr is None and dag.in_edges(name):
+            name = dag.in_edges(name)[0].producer
+        elif isinstance(expr, ast.StageRef) and (expr.dx, expr.dy, expr.dt) == (0, 0, 0):
+            name = expr.stage
+        else:
+            return False
+    return True
 
 
-def _resolve_edge(dag: PipelineDAG, consumer: str, producer: str):
-    """The in-edge of ``consumer`` carrying data that originates at ``producer``.
+def _routed_edge(dag: PipelineDAG, consumer: str, producer: str):
+    """The in-edge of ``consumer`` that carries the pixels it reads of ``producer``.
 
     Direct edges win; otherwise rewrites (Darkroom relays, coalescing virtual
-    stages) leave the expression referencing the origin while the data routes
-    through an intermediate — follow each in-edge's origin chain.
+    stages) leave the expression naming ``producer`` while the data routes
+    through intermediates, so each in-edge's chain is walked back until it
+    reaches ``producer``.  ``None`` when no in-edge carries it.
     """
     edges = dag.in_edges(consumer)
     for edge in edges:
         if edge.producer == producer:
             return edge
     for edge in edges:
-        if _resolve_origin(dag, edge.producer, set()) == producer:
+        if _carries(dag, edge.producer, producer):
             return edge
     return None
 
 
-class _FrameContext:
-    """Per-frame evaluation state: this frame's images plus the history."""
+class _Frame:
+    """One frame streaming through the design, and the reads it serves.
 
-    def __init__(
-        self,
-        design: ElaboratedDesign,
-        schedule,
-        frame_index: int,
-        history: dict[str, list[np.ndarray]],
-    ) -> None:
+    ``images`` fills with this frame's stages as the walker computes them;
+    ``history`` holds every stage's images of the earlier frames.
+    :meth:`plane` serves whole-frame reads to :func:`simulate_design`,
+    :meth:`pixel` single pixels to the :func:`simulate_design_loop` oracle.
+    """
+
+    def __init__(self, design: ElaboratedDesign, schedule, index: int, history, images):
         self.design = design
         self.schedule = schedule
         self.dag: PipelineDAG = schedule.dag
-        self.frame = frame_index
-        self.history = history
-        self.images: dict[str, np.ndarray] = {}
+        self.index = index
+        self.history: dict[str, list[np.ndarray]] = history
+        self.images: dict[str, np.ndarray] = images
+        self.shape: tuple[int, int] = next(iter(images.values())).shape
 
-    # -- spatial reads (through the elaborated line buffer) -----------------
-    def edge_tap(self, consumer: str, edge, dx: int, dy: int) -> np.ndarray:
-        producer = edge.producer
-        lines = self.design.buffer_lines.get(producer)
-        image = self.images[producer]
-        if lines is None:
-            # No elaborated buffer instance: the value arrives over a plain
-            # wire, but the read must still be causal — one slot per row.
-            lines = image.shape[0]
-        config = self.schedule.line_buffers.get(producer)
-        return _line_buffer_tap(
-            self.design,
-            image,
-            start_producer=self.design.start_cycles[edge.producer],
-            start_consumer=self.design.start_cycles[consumer],
-            lines=lines,
-            min_dy=edge.window.min_dy,
-            dx=dx,
-            dy=dy,
-            fifo=config is not None and config.style == "fifo",
-        )
+    def past(self, consumer: str, ref: ast.StageRef) -> np.ndarray | None:
+        """The whole frame of ``ref.stage`` that the read ``ref`` (``dt != 0``) sees.
 
-    # -- temporal reads (through the frame buffer) --------------------------
-    def frame_tap(self, consumer: str, ref: ast.StageRef) -> np.ndarray:
+        Frame ``index + dt`` clamps at frame 0, as in the replay.  An earlier
+        frame comes out of a frame buffer deep enough to hold it: the one on
+        the routed in-edge's producer (a Darkroom relay can hold a deeper
+        history than the stage it relays), else the named producer's own.
+        ``None`` when there is none: the two-state ``X`` that reads as 0.
+        """
         if ref.dt > 0:
             raise SimulationError(
                 f"Stage {consumer!r} reads {ref.stage!r} at future frame "
                 f"offset dt={ref.dt}; the hardware cannot realize it"
             )
-        producer = ref.stage
-        effective = max(0, self.frame + ref.dt)
-        needed = self.frame - effective
-        base: np.ndarray
-        if needed == 0:
-            base = self.images[producer]
-        else:
-            buffer = self.schedule.frame_buffers.get(producer)
-            if buffer is None:
-                edge = _resolve_edge(self.dag, consumer, producer)
-                if edge is not None:
-                    buffer = self.schedule.frame_buffers.get(edge.producer)
-            height, width = self.images[producer].shape
-            if (
-                buffer is None
-                or buffer.depth < needed
-                or buffer.image_width != width
-                or buffer.image_height != height
-            ):
-                return np.zeros((height, width), dtype=np.float64)
-            base = self.history[producer][effective]
-        return ast._shifted(base, ref.dx, ref.dy)
+        wanted = max(0, self.index + ref.dt)
+        if wanted == self.index:
+            return self.images[ref.stage]
+        edge = _routed_edge(self.dag, consumer, ref.stage)
+        buffers = self.schedule.frame_buffers
+        routed = ref.stage if edge is None else edge.producer
+        buffer = buffers.get(routed) or buffers.get(ref.stage)
+        if (
+            buffer is None
+            or buffer.depth < self.index - wanted
+            or (buffer.image_height, buffer.image_width) != self.shape
+        ):
+            return None
+        return self.history[ref.stage][wanted]
 
-    # -- reference dispatch -------------------------------------------------
-    def fetch(self, consumer: str, ref: ast.StageRef) -> np.ndarray:
+    def line_buffer(self, consumer: str, edge) -> tuple[int, int, bool]:
+        """``(delta, lines, fifo)`` of ``consumer``'s reads over ``edge``.
+
+        The consumer's start-cycle lead over the producer, the producer's
+        line-buffer slots, and whether those are SODA FIFO chains.
+        """
+        config = self.schedule.line_buffers.get(edge.producer)
+        delta = self.design.start_cycles[consumer] - self.design.start_cycles[edge.producer]
+        # No elaborated buffer instance: the value arrives over a plain wire,
+        # but the read must still be causal — one slot per row.
+        lines = self.design.buffer_lines.get(edge.producer, self.shape[0])
+        return delta, lines, config is not None and config.style == "fifo"
+
+    def plane(self, consumer: str, ref: ast.StageRef) -> np.ndarray:
+        """``consumer``'s read ``ref`` over the whole frame."""
         if ref.dt != 0:
-            return self.frame_tap(consumer, ref)
-        edge = _resolve_edge(self.dag, consumer, ref.stage)
+            past = self.past(consumer, ref)
+            if past is None:
+                return np.zeros(self.shape, dtype=np.float64)
+            return ast._shifted(past, ref.dx, ref.dy)
+        edge = _routed_edge(self.dag, consumer, ref.stage)
         if edge is None:
             # Not routed through storage this model elaborates (e.g. a
             # coalesced group's internal wire): the value arrives
             # combinationally, identical to the functional semantics.
             return ast._shifted(self.images[ref.stage], ref.dx, ref.dy)
-        return self.edge_tap(consumer, edge, ref.dx, ref.dy)
+        delta, lines, fifo = self.line_buffer(consumer, edge)
+        return _line_buffer_tap(
+            self.images[edge.producer],
+            delta=delta,
+            lines=lines,
+            min_dy=edge.window.min_dy,
+            dx=ref.dx,
+            dy=ref.dy,
+            fifo=fifo,
+        )
 
-    def evaluate(self, consumer: str, expr: ast.Expr, shape) -> np.ndarray:
-        """Mirror of :func:`repro.dsl.ast.evaluate` with buffered reads."""
-        if isinstance(expr, ast.Const):
-            return np.full(shape, expr.value, dtype=np.float64)
-        if isinstance(expr, ast.StageRef):
-            return self.fetch(consumer, expr)
-        if isinstance(expr, ast.UnaryOp):
-            value = self.evaluate(consumer, expr.operand, shape)
-            return np.abs(value) if expr.op == "abs" else -value
-        if isinstance(expr, ast.BinOp):
-            left = self.evaluate(consumer, expr.left, shape)
-            right = self.evaluate(consumer, expr.right, shape)
-            return ast._apply_binop(expr.op, left, right)
-        if isinstance(expr, ast.Call):
-            args = [self.evaluate(consumer, arg, shape) for arg in expr.args]
-            return ast._apply_call(expr.fn, args)
-        raise SimulationError(f"Cannot simulate expression node {expr!r}")
-
-    def run_stage(self, name: str) -> np.ndarray:
-        """One stage's full output frame, mirroring ``run_functional``'s
-        fast paths so a legal design is bit-exact with the replay."""
-        dag = self.dag
-        stage = dag.stage(name)
-        in_edges = dag.in_edges(name)
-        expr = stage.expression
-        if expr is None:
-            if not in_edges:
-                raise SimulationError(f"Stage {name!r} has no expression and no inputs")
-            return self.edge_tap(name, in_edges[0], 0, 0)
-        if isinstance(expr, ast.StageRef) and expr.dx == 0 and expr.dy == 0 and expr.dt == 0:
-            edge = _resolve_edge(dag, name, expr.stage)
-            if edge is None:
-                return self.images[expr.stage].copy()
-            return self.edge_tap(name, edge, 0, 0)
-        shape = next(iter(self.images.values())).shape
-        return self.evaluate(name, expr, shape)
+    def pixel(self, consumer: str, ref: ast.StageRef, *, y: int, x: int) -> np.float64:
+        """Pixel ``(y, x)`` of :meth:`plane`, worked out on scalars."""
+        height, width = self.shape
+        wanted = min(max(y + ref.dy, 0), height - 1)
+        col = min(max(x + ref.dx, 0), width - 1)
+        if ref.dt != 0:
+            past = self.past(consumer, ref)
+            return np.float64(0.0) if past is None else past[wanted, col]
+        edge = _routed_edge(self.dag, consumer, ref.stage)
+        if edge is None:
+            return self.images[ref.stage][wanted, col]
+        delta, lines, fifo = self.line_buffer(consumer, edge)
+        raster = min(max(y + edge.window.min_dy, 0), height - 1)
+        if fifo:
+            fresh = delta + (raster - wanted) * width >= 1
+        else:
+            avail = min(raster + (delta - 1) // width, height - 1)
+            fresh = wanted + lines * ((avail - wanted) // lines) == wanted
+        return self.images[edge.producer][wanted, col] if fresh else np.float64(0.0)
 
 
-def simulate_design(
-    design: ElaboratedDesign, schedule, inputs: dict[str, np.ndarray]
-) -> RTLSimResult:
-    """Stream ``(frames, H, W)`` input stacks through the elaborated design.
+def _stream(design: ElaboratedDesign, schedule, inputs, evaluate_stage) -> RTLSimResult:
+    """The frame loop both simulations share.
 
-    Frames stream back to back: the controller restarts per frame (line
-    buffers reset; their state never carries across frames), while frame
-    buffers retain their rotating history — the same contract the generated
-    controller implements.  Returns the output stacks, their digest, and the
-    measured per-frame cycle counts.
+    Checks the input stacks, then runs the replay's stage walker once per
+    frame, ``evaluate_stage(frame, name, expression)`` computing one stage's
+    whole frame, and keeps every frame as history for the frame buffers.
     """
     dag: PipelineDAG = schedule.dag
     stacks = {name: np.asarray(stack, dtype=np.float64) for name, stack in inputs.items()}
@@ -445,21 +437,15 @@ def simulate_design(
         )
 
     with trace_span("rtl_sim", frames=frames):
-        order = [name for name in topological_order(dag)]
         history: dict[str, list[np.ndarray]] = {name: [] for name in dag.stage_names()}
-        for f in range(frames):
-            context = _FrameContext(design, schedule, f, history)
-            for name in order:
-                stage = dag.stage(name)
-                if stage.is_input:
-                    context.images[name] = stacks[name][f]
-                else:
-                    context.images[name] = context.run_stage(name)
-            for name, image in context.images.items():
+        for index in range(frames):
+            images = {s.name: stacks[s.name][index] for s in dag.input_stages()}
+            frame = _Frame(design, schedule, index, history, images)
+            for name, expression in _walk_stages(dag):
+                images[name] = evaluate_stage(frame, name, expression)
+            for name, image in images.items():
                 history[name].append(image)
-        outputs = {
-            name: np.stack(history[name]) for name in design.output_stages
-        }
+        outputs = {name: np.stack(history[name]) for name in design.output_stages}
         achieved = measure_performance(design, height)["cycles_per_frame"]
         span_attr(cycles_per_frame=achieved)
 
@@ -473,109 +459,44 @@ def simulate_design(
     )
 
 
+def simulate_design(
+    design: ElaboratedDesign, schedule, inputs: dict[str, np.ndarray]
+) -> RTLSimResult:
+    """Stream ``(frames, H, W)`` input stacks through the elaborated design.
+
+    Frames stream back to back: the controller restarts per frame (line
+    buffers reset; their state never carries across frames), while frame
+    buffers retain their rotating history — the same contract the generated
+    controller implements.  Each stage evaluates once per frame over the
+    whole (H, W) plane, every producer read served through the elaborated
+    line and frame buffers.  Returns the output stacks, their digest, and
+    the measured per-frame cycle counts.
+    """
+
+    def stage_plane(frame: _Frame, name: str, expression: ast.Expr) -> np.ndarray:
+        return ast._evaluate(expression, partial(frame.plane, name), frame.shape)
+
+    return _stream(design, schedule, inputs, stage_plane)
+
+
 def simulate_design_loop(
     design: ElaboratedDesign, schedule, inputs: dict[str, np.ndarray]
 ) -> RTLSimResult:
     """Per-pixel reference implementation of :func:`simulate_design`.
 
-    Evaluates every output pixel through scalar (0-d NumPy) arithmetic — the
-    oracle the row-vectorized path is benchmarked and property-tested
-    against.  Semantics are identical by construction; only the iteration
-    granularity differs.
+    Evaluates every output pixel through scalar (0-d NumPy) arithmetic —
+    the oracle the frame-vectorized path is benchmarked and tested against.
+    Both share the evaluator and the stage walker; only the reads differ:
+    whole planes there, single pixels worked out on scalars here.
     """
-    dag: PipelineDAG = schedule.dag
-    stacks = {name: np.asarray(stack, dtype=np.float64) for name, stack in inputs.items()}
-    frames, height, width = next(iter(stacks.values())).shape
 
-    def tap_scalar(context, consumer, edge, dx, dy, y, x):
-        producer = edge.producer
-        image = context.images[producer]
-        lines = design.buffer_lines.get(producer, height)
-        raster = min(max(y + edge.window.min_dy, 0), height - 1)
-        wanted = min(max(y + dy, 0), height - 1)
-        col = min(max(x + dx, 0), width - 1)
-        delta = design.start_cycles[consumer] - design.start_cycles[producer]
-        avail = min(raster + (delta - 1) // width, height - 1)
-        config = schedule.line_buffers.get(producer)
-        if config is not None and config.style == "fifo":
-            lag = delta + (raster - wanted) * width
-            if lag < 1:
-                return np.float64(0.0)
-        else:
-            resident = wanted + lines * ((avail - wanted) // lines)
-            if resident != wanted:
-                return np.float64(0.0)
-        return image[wanted, col]
+    def stage_pixels(frame: _Frame, name: str, expression: ast.Expr) -> np.ndarray:
+        out = np.empty(frame.shape, dtype=np.float64)
+        for y, x in np.ndindex(*frame.shape):
+            out[y, x] = ast._evaluate(expression, partial(frame.pixel, name, y=y, x=x), ())
+        return out
 
-    def eval_scalar(context, consumer, expr, y, x):
-        if isinstance(expr, ast.Const):
-            return np.float64(expr.value)
-        if isinstance(expr, ast.StageRef):
-            if expr.dt != 0:
-                plane = context.frame_tap(consumer, expr)
-                return plane[y, x]
-            edge = _resolve_edge(dag, consumer, expr.stage)
-            if edge is None:
-                image = context.images[expr.stage]
-                yy = min(max(y + expr.dy, 0), height - 1)
-                xx = min(max(x + expr.dx, 0), width - 1)
-                return image[yy, xx]
-            return tap_scalar(context, consumer, edge, expr.dx, expr.dy, y, x)
-        if isinstance(expr, ast.UnaryOp):
-            value = eval_scalar(context, consumer, expr.operand, y, x)
-            return np.abs(value) if expr.op == "abs" else -value
-        if isinstance(expr, ast.BinOp):
-            left = eval_scalar(context, consumer, expr.left, y, x)
-            right = eval_scalar(context, consumer, expr.right, y, x)
-            return ast._apply_binop(expr.op, left, right)
-        if isinstance(expr, ast.Call):
-            args = [eval_scalar(context, consumer, arg, y, x) for arg in expr.args]
-            return ast._apply_call(expr.fn, args)
-        raise SimulationError(f"Cannot simulate expression node {expr!r}")
-
-    history: dict[str, list[np.ndarray]] = {name: [] for name in dag.stage_names()}
-    order = [name for name in topological_order(dag)]
-    for f in range(frames):
-        context = _FrameContext(design, schedule, f, history)
-        for name in order:
-            stage = dag.stage(name)
-            if stage.is_input:
-                context.images[name] = stacks[name][f]
-                continue
-            expr = stage.expression
-            out = np.empty((height, width), dtype=np.float64)
-            in_edges = dag.in_edges(name)
-            for y in range(height):
-                for x in range(width):
-                    if expr is None:
-                        out[y, x] = tap_scalar(context, name, in_edges[0], 0, 0, y, x)
-                    elif (
-                        isinstance(expr, ast.StageRef)
-                        and expr.dx == 0
-                        and expr.dy == 0
-                        and expr.dt == 0
-                    ):
-                        edge = _resolve_edge(dag, name, expr.stage)
-                        if edge is None:
-                            out[y, x] = context.images[expr.stage][y, x]
-                        else:
-                            out[y, x] = tap_scalar(context, name, edge, 0, 0, y, x)
-                    else:
-                        out[y, x] = eval_scalar(context, name, expr, y, x)
-            context.images[name] = out
-        for name, image in context.images.items():
-            history[name].append(image)
-
-    outputs = {name: np.stack(history[name]) for name in design.output_stages}
-    achieved = measure_performance(design, height)["cycles_per_frame"]
-    return RTLSimResult(
-        outputs=outputs,
-        digest=output_digest(outputs),
-        frames=frames,
-        cycles_per_frame=achieved,
-        initiation_interval=width * height,
-        startup_cycles=achieved - width * height,
-    )
+    return _stream(design, schedule, inputs, stage_pixels)
 
 
 def rtl_replay(

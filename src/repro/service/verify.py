@@ -27,7 +27,9 @@ production machinery compiles get:
     RTL-level replay (:mod:`repro.rtl.sim`): the generated Verilog is
     elaborated back into a timing model and the same seeded golden frames
     stream through it, two-state and cycle-driven; passes when the RTL
-    outputs agree **bit-exactly** with the vectorized replay.  When an
+    outputs agree **bit-exactly** with the vectorized replay.  Both share one
+    evaluator, so this pins storage and timing under the DSL's float64
+    arithmetic, not the emitted Q24.8 datapath.  When an
     external HDL tool (Icarus/Verilator) is available it additionally
     syntax-checks the source — optional, gated like the solver backends.
 
@@ -77,7 +79,7 @@ from repro.service.admission import AdmissionQueue, QueueFullError
 from repro.service.engine import CompileEngine
 from repro.service.events import emit_event
 from repro.service.executor import ExecutorBackend, ThreadExecutor, relay_future, resolve_executor
-from repro.sim.batch import golden_frames, replay_frames
+from repro.sim.batch import replay_frames
 from repro.sim.cycle import check_schedule_legality
 from repro.trace import Span, collect_spans, trace_span
 
@@ -108,8 +110,9 @@ CHECK_KINDS: dict[str, str] = {
         "Cycle-driven two-state simulation of the emitted Verilog (elaborated "
         "back from the source text): seeded golden frames stream through the "
         "design's line/frame buffers and must agree bit-exactly with the "
-        "vectorized replay; an external HDL tool, when present, additionally "
-        "syntax-checks the source."
+        "vectorized replay. Bit-exact pins storage and timing under the DSL's "
+        "float64 arithmetic, not the emitted Q24.8 datapath. An external HDL "
+        "tool, when present, additionally syntax-checks the source."
     ),
     "perf": (
         "Achieved cycles/frame and initiation interval measured from the "
@@ -575,17 +578,26 @@ class VerifyEngine:
                 frames=request.frames,
                 seed=request.seed,
             )
-        max_abs_error = (
-            0.0
-            if compiled is reference
-            else float(np.max(np.abs(compiled.output() - reference.output())))
-        )
+        # Every output stage counts; a missing or extra one leaves nothing
+        # to compare (``None``) and fails the check.
+        max_abs_error: float | None = 0.0
+        if compiled.outputs.keys() != reference.outputs.keys():
+            max_abs_error = None
+        elif compiled is not reference:
+            max_abs_error = max(
+                float(np.max(np.abs(compiled.outputs[name] - stack)))
+                for name, stack in reference.outputs.items()
+            )
         expected_match = (
             None
             if request.expected_digest is None
             else reference.digest == request.expected_digest
         )
-        passed = max_abs_error <= request.tolerance and expected_match is not False
+        passed = (
+            max_abs_error is not None
+            and max_abs_error <= request.tolerance
+            and expected_match is not False
+        )
         return {
             "passed": passed,
             "digest": reference.digest,
@@ -601,23 +613,12 @@ class VerifyEngine:
     def _rtl_check(self, request: VerifyRequest, schedule) -> dict:
         """Stream golden frames through the elaborated RTL; demand bit-exact."""
         from repro.rtl.generator import generate_verilog
-        from repro.rtl.sim import (
-            check_external_syntax,
-            elaborate_design,
-            external_simulator,
-            simulate_design,
-        )
+        from repro.rtl.sim import check_external_syntax, external_simulator, rtl_replay
 
         source = generate_verilog(schedule)
-        design = elaborate_design(source, schedule.dag)
-        inputs = golden_frames(
-            schedule.dag,
-            schedule.image_width,
-            schedule.image_height,
-            frames=request.frames,
-            seed=request.seed,
+        simulated = rtl_replay(
+            schedule, frames=request.frames, seed=request.seed, source=source
         )
-        simulated = simulate_design(design, schedule, inputs)
         reference = replay_frames(
             schedule.dag,
             schedule.image_width,

@@ -11,10 +11,11 @@ preserve semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from repro.dsl.ast import StageRef, evaluate
+from repro.dsl.ast import Expr, StageRef, evaluate
 from repro.errors import SimulationError
 from repro.ir.dag import PipelineDAG
 from repro.ir.traversal import topological_order
@@ -59,8 +60,8 @@ def run_functional(
     ``(frames, height, width)`` batches; a single array may be passed when the
     pipeline has exactly one input stage.  Batched inputs evaluate every frame
     in one vectorized pass (see :mod:`repro.sim.batch` for the replay front).
-    Stages without an expression (relay/virtual stages) forward their single
-    producer unchanged.
+    Stages without an expression (coalescing virtual readers) forward their
+    first producer unchanged.
 
     A 3-D input is ambiguous: it may be a batch of independent frames
     (``axes="fyx"``) or a temporal sequence (``axes="tyx"``).  The two agree
@@ -115,32 +116,30 @@ def run_functional(
     if len(shapes) > 1:
         raise SimulationError(f"Input images must share one shape, got {shapes}")
 
+    # Evaluate against every image computed so far (not just direct
+    # producers): rewrites such as Darkroom linearization leave stage
+    # expressions referring to the original producer while routing the data
+    # through a relay, and both views are functionally identical.
+    for name, expression in _walk_stages(dag):
+        images[name] = evaluate(expression, images)
+
+    return FunctionalResult(dag=dag, images=images)
+
+
+def _walk_stages(dag: PipelineDAG) -> Iterator[tuple[str, Expr]]:
+    """The one stage walker: ``(name, expression)`` of every non-input stage.
+
+    Stages come in topological order, so every producer is computed before
+    its consumers.  A stage without an expression (a coalescing virtual
+    reader) reads its first producer unchanged.  The golden replay above and
+    both RTL simulations in :mod:`repro.rtl.sim` evaluate exactly these
+    expressions; only the reads they serve differ.
+    """
     for name in topological_order(dag):
         stage = dag.stage(name)
         if stage.is_input:
             continue
-        producers = dag.producers_of(name)
-        missing = [p for p in producers if p not in images]
-        if missing:
-            raise SimulationError(f"Stage {name!r} evaluated before producers {missing}")
         if stage.expression is None:
-            # Relay (Darkroom dummy) or structural-only stage: forward the
-            # first producer unchanged.
-            images[name] = images[producers[0]].copy()
-            continue
-        expression = stage.expression
-        if (
-            isinstance(expression, StageRef)
-            and expression.dx == 0
-            and expression.dy == 0
-            and expression.dt == 0
-        ):
-            images[name] = images[expression.stage].copy()
-            continue
-        # Evaluate against every image computed so far (not just direct
-        # producers): rewrites such as Darkroom linearization leave stage
-        # expressions referring to the original producer while routing the
-        # data through a relay, and both views are functionally identical.
-        images[name] = evaluate(expression, images)
-
-    return FunctionalResult(dag=dag, images=images)
+            yield name, StageRef(dag.producers_of(name)[0])
+        else:
+            yield name, stage.expression

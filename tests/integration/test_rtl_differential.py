@@ -19,7 +19,9 @@ codegen drift is caught byte-level even when the three models drift together.
 
 Agreement alone can certify a shared wrong answer, so bare temporal delays
 (``out = src.prev(n)``, which no catalog stage exercises) are additionally
-checked against hand-computed frames in each model separately.
+checked against hand-computed frames in each model separately.  Two small
+DAGs whose temporal reads Darkroom routes through relays pin the RTL sim's
+frame-buffer lookup, which the catalog never reaches either.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro import compile_pipeline
 from repro.algorithms import ALGORITHM_NAMES, build_algorithm
 from repro.api import CompileTarget
 from repro.dsl import PipelineBuilder
+from repro.dsl.builder import window_sum
 from repro.rtl import elaborate_design, generate_verilog, measure_performance, rtl_replay
 from repro.rtl.sim import simulate_design_loop
 from repro.sim.batch import golden_frames, replay_frames
@@ -188,3 +191,41 @@ def test_bare_temporal_delay_is_legal_and_within_bound(frames_back, generator):
     assert report.ok, report.violations[:3]
     rtl = rtl_replay(schedule, frames=frames_back + 2, seed=3)
     assert rtl.cycles_per_frame <= schedule.end_to_end_latency_cycles
+
+
+def _relay_holds_deeper_history():
+    """Darkroom relays ``src`` to ``out``, and the relay's frame buffer (2
+    frames, for ``out``'s ``prev(2)``) is deeper than ``src``'s own (1)."""
+    builder = PipelineBuilder("relay-holds-deeper-history")
+    src = builder.input("src")
+    a = builder.stage("a", src(0, 0) + src.prev(1))
+    blur = builder.stage("blur", window_sum(a, 3, 3))
+    builder.output("out", blur(0, 0) + src.prev(2))
+    return builder.build()
+
+
+def _relay_of_identity_stage():
+    """Darkroom relays the identity stage ``copy`` to ``out``; only the relay
+    has a frame buffer, and ``copy`` itself forwards ``src``."""
+    builder = PipelineBuilder("relay-of-identity-stage")
+    src = builder.input("src")
+    copy = builder.stage("copy", src(0, 0))
+    blur = builder.stage("blur", window_sum(copy, 3, 3) + src(0, 0))
+    builder.output("out", window_sum(blur, 3, 3) + copy.prev(1))
+    return builder.build()
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+@pytest.mark.parametrize("build", [_relay_holds_deeper_history, _relay_of_identity_stage])
+def test_relayed_temporal_reads_match_replay(build, generator):
+    """Temporal reads routed through relays come out of the routed frame buffer."""
+    width, height, frames = 32, 24, 3
+    schedule = compile_pipeline(
+        CompileTarget(build(), image_width=width, image_height=height, generator=generator)
+    ).schedule
+    replay = replay_frames(schedule.dag, width, height, frames=frames, seed=0)
+    rtl = rtl_replay(schedule, frames=frames, seed=0)
+    assert rtl.digest == replay.digest
+    design = elaborate_design(generate_verilog(schedule), schedule.dag)
+    inputs = golden_frames(schedule.dag, width, height, frames=frames, seed=0)
+    assert simulate_design_loop(design, schedule, inputs).digest == replay.digest

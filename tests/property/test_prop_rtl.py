@@ -1,12 +1,13 @@
 """Property tests for the RTL simulator: no vacuous passes.
 
 Hypothesis builds small random pipelines (chains with optional skip-edges,
-mixed stencil sizes, any of the four generators), compiles them, and pins
-three properties:
+mixed stencil sizes, bare ``prev(n)`` delays and skip-edges into past
+frames, any of the four generators), compiles them, and pins three
+properties:
 
 * the generated Verilog lints clean and elaborates,
 * the RTL simulation of the *solver's* schedule matches the functional
-  replay bit-exactly,
+  replay bit-exactly over 3 frames, so ``prev(2)`` reaches history,
 * perturbing the schedule's start cycles flips the verdicts — zeroed starts
   make the ``rtl`` digest comparison diverge, and delayed starts push the
   measured cycles/frame past the original schedule's bound so the ``perf``
@@ -36,21 +37,34 @@ W, H = 32, 24
 GENERATORS = ("imagen", "darkroom", "soda", "fixynn")
 
 
-def random_chain_dag(num_stages: int, stencils: list[int], fan_in: list[int]):
-    """A chain with optional skip-edges back to earlier stages."""
+#: How a stage reads its predecessor: through a square window of this size,
+#: or, for a negative entry ``-n``, as a bare temporal delay ``prev(n)``.
+READS = (1, 2, 3, 5, -1, -2)
+
+
+def random_chain_dag(num_stages: int, reads: list[int], fan_in: list[int], lags: list[int]):
+    """A chain with optional skip-edges back to earlier stages.
+
+    Stage ``i`` reads stage ``i - 1`` as ``reads[i - 1]`` says (see
+    :data:`READS`); a skip-edge reads its earlier stage ``lags[i - 1]``
+    frames back (0: the current frame).
+    """
     builder = PipelineBuilder(f"prop-rtl-{num_stages}")
     handles = [builder.input("K0")]
     for index in range(1, num_stages):
-        size = stencils[index - 1]
-        expr = (
-            window_sum(handles[-1], size, size)
-            if size > 1
-            else handles[-1](0, 0)
-        )
+        size = reads[index - 1]
+        previous = handles[-1]
+        if size < 0:
+            expr = previous.prev(-size)
+        elif size > 1:
+            expr = window_sum(previous, size, size)
+        else:
+            expr = previous(0, 0)
         back = fan_in[index - 1]
         if back > 0 and index - 1 - back >= 0:
             extra = handles[index - 1 - back]
-            expr = expr + extra(0, 0)
+            lag = lags[index - 1]
+            expr = expr + (extra.prev(lag) if lag else extra(0, 0))
         handles.append(builder.stage(f"K{index}", expr))
     builder.dag.stage(handles[-1].name).is_output = True
     return builder.dag.validated()
@@ -59,13 +73,14 @@ def random_chain_dag(num_stages: int, stencils: list[int], fan_in: list[int]):
 @st.composite
 def compiled_schedule(draw):
     num_stages = draw(st.integers(3, 5))
-    stencils = [draw(st.sampled_from([1, 2, 3, 5])) for _ in range(num_stages - 1)]
-    # Pointwise-only chains have no window anywhere; keep at least one.
-    if all(size == 1 for size in stencils):
-        stencils[0] = 3
+    reads = [draw(st.sampled_from(READS)) for _ in range(num_stages - 1)]
+    # Chains of pointwise reads and delays have no window; keep at least one.
+    if all(size < 2 for size in reads):
+        reads[0] = 3
     fan_in = [draw(st.integers(0, 2)) for _ in range(num_stages - 1)]
+    lags = [draw(st.integers(0, 2)) for _ in range(num_stages - 1)]
     generator = draw(st.sampled_from(GENERATORS))
-    dag = random_chain_dag(num_stages, stencils, fan_in)
+    dag = random_chain_dag(num_stages, reads, fan_in, lags)
     target = CompileTarget(
         dag, image_width=W, image_height=H, generator=generator
     )
@@ -80,8 +95,8 @@ def test_generated_design_lints_elaborates_and_matches_replay(schedule):
     assert report.ok, report.errors[:3]
     design = elaborate_design(source, schedule.dag)
     assert set(design.start_cycles) >= set(schedule.start_cycles)
-    result = rtl_replay(schedule, frames=1, seed=0, source=source)
-    replay = replay_frames(schedule.dag, W, H, frames=1, seed=0)
+    result = rtl_replay(schedule, frames=3, seed=0, source=source)
+    replay = replay_frames(schedule.dag, W, H, frames=3, seed=0)
     assert result.digest == replay.digest
 
 

@@ -1,12 +1,16 @@
 """Unit tests for verification-as-a-service (VerifyEngine + POST /v1/verify)."""
 
+import json
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.algorithms import ALGORITHM_NAMES, build_algorithm
 from repro.api import CompileTarget
 from repro.baselines import BASELINE_NAMES
+from repro.dsl import PipelineBuilder
+from repro.dsl.builder import window_sum
 from repro.errors import SimulationError
 from repro.service import (
     CompileEngine,
@@ -97,6 +101,41 @@ class TestGoldenRoundTrip:
         assert wrong.ok
         assert not wrong.passed
         assert "digest mismatch" in wrong.failure_summary()
+
+    @pytest.mark.parametrize("compiled_b_scale", [3.0, None])
+    def test_every_output_stage_is_compared(self, engines, monkeypatch, compiled_b_scale):
+        """A compiled DAG that miscomputes (``b = blur*3``) or drops its second
+        output stage fails, though the first output stage matches."""
+        engine, verify = engines
+        submit = engine.submit
+
+        def submit_with_compiled_dag(target, **kwargs):
+            result = submit(target, **kwargs)
+            accelerator = result.unwrap()
+            schedule = replace(accelerator.schedule, dag=_two_outputs(compiled_b_scale))
+            return replace(result, accelerator=replace(accelerator, schedule=schedule))
+
+        monkeypatch.setattr(engine, "submit", submit_with_compiled_dag)
+        target = CompileTarget(_two_outputs(2.0), image_width=W, image_height=H)
+        result = verify.submit(VerifyRequest(target=target, check="golden"))
+        assert result.ok
+        assert result.passed is False
+        assert result.golden["digest"] != result.golden["compiled_digest"]
+        if compiled_b_scale is None:
+            assert result.golden["max_abs_error"] is None
+        else:
+            assert result.golden["max_abs_error"] > 0
+        json.dumps(verify_result_to_wire(result), allow_nan=False)
+
+
+def _two_outputs(b_scale: float | None):
+    """Outputs ``a = blur*1`` and ``b = blur*b_scale`` (no ``b`` when ``None``)."""
+    builder = PipelineBuilder("two-outputs")
+    blur = builder.stage("blur", window_sum(builder.input("K0"), 3, 3))
+    builder.output("a", blur(0, 0) * 1)
+    if b_scale is not None:
+        builder.output("b", blur(0, 0) * b_scale)
+    return builder.build()
 
 
 class TestVerifyCaching:
