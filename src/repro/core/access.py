@@ -1,4 +1,4 @@
-"""Access-set arithmetic (paper Sec. 5.3, Eq. 3-4).
+"""Access-set arithmetic (paper Sec. 5.3, Eq. 3-4) and the port-occupancy kernel.
 
 The scheduler's contention constraints and the cycle-level simulator's
 legality checks both reason about *which lines of a line buffer a stage
@@ -14,12 +14,25 @@ Conventions
   where ``SH_i`` is 1 for the stage writing the buffer.
 * Under line coalescing with factor ``F``, the same formulas apply at block
   granularity with ``W -> F*W`` and ``SH -> ceil(SH / F)``.
+
+Port model
+----------
+Broadcast: a block serves one access per distinct ``(line, column)`` address
+per cycle, so pattern-identical reads (Darkroom's relays) share one access.
+:func:`port_conflict` is the one reserved table for memory contention (Eq. 12,
+extended to coalesced blocks in Sec. 6): the allocator sizes every ImaGen line
+buffer with it and the ``cycle`` check runs it for R3, so compiled schedules
+pass R3 by construction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from repro.errors import AllocationError
+
+#: Lines the slot search tries past the capacity bound before giving up.
+MAX_EXTRA_LINES = 4
 
 
 def ceil_div(numerator: int, denominator: int) -> int:
@@ -54,17 +67,6 @@ class Accessor:
     is_writer: bool = False
 
 
-def separation_requirement(trailing_height: int, row_cycles: int) -> int:
-    """Minimum start-cycle gap for two accessors' access sets to stay disjoint.
-
-    If stage ``i`` (reading ``trailing_height`` row units) trails stage ``j``,
-    then ``S_i - S_j >= row_cycles * trailing_height`` guarantees
-    ``max(A_i,t) < min(A_j,t)`` for every cycle ``t`` (Eq. 9 -> Eq. 12, with
-    the trailing stage's stencil height; see DESIGN.md for the index note).
-    """
-    return row_cycles * trailing_height
-
-
 def sets_disjoint(
     t: int,
     trailing_start: int,
@@ -88,21 +90,13 @@ def required_line_slots(max_delay: int, width: int) -> int:
     Physically the buffer must simultaneously hold every line from the oldest
     one still needed by a consumer up to the line being written, which is
     ``floor(delay / W) + 1`` lines; the two coincide except when the delay is
-    an exact multiple of ``W`` (see DESIGN.md).  We allocate the physical
-    count and report the model count separately.
+    an exact multiple of ``W``.  We allocate the physical count.
     """
     if max_delay < 0:
         raise ValueError("Delay cannot be negative")
     if max_delay == 0:
         return 1
     return max_delay // width + 1
-
-
-def model_line_slots(max_delay: int, width: int) -> int:
-    """Eq. 2 exactly: ``ceil(delay / W)`` lines (the paper's reported size)."""
-    if max_delay <= 0:
-        return 0 if max_delay == 0 else 0
-    return math.ceil(max_delay / width)
 
 
 def frame_buffer_pixels(depth: int, image_width: int, image_height: int) -> int:
@@ -123,65 +117,68 @@ def frame_buffer_pixels(depth: int, image_width: int, image_height: int) -> int:
     return depth * image_width * image_height
 
 
+
+
+def port_conflict(
+    width: int, ports: int, lines: int, factor: int, taps: list[tuple[int, int]]
+) -> tuple[int, int, int, int] | None:
+    """First over-subscribed ``(block, accesses, row_phase, column)`` of a buffer, or ``None``.
+
+    The buffer holds ``lines`` line slots, ``factor`` per block; ``taps`` are
+    ``(delay, stencil_height)`` pairs relative to the writer, which is itself
+    ``(0, 1)``.  In steady state a tap with delay ``q*W + r`` reads lines
+    ``R - q - [c < r] + k`` (``0 <= k < height``) at column ``(c - r) mod W``
+    while the writer is at row ``R``, column ``c``.  Which addresses land on
+    which block depends only on ``R mod lines`` and on which remainders ``c``
+    has passed: ``lines`` row phases x one column per distinct remainder, the
+    modulo-II reserved table.
+    """
+    entries = [(*divmod(delay, width), height) for delay, height in taps]
+    columns = sorted({0, *(remainder for _, remainder, _ in entries)})
+    for row_phase in range(lines):
+        for column in columns:
+            per_block: dict[int, set[tuple[int, int]]] = {}
+            for quotient, remainder, height in entries:
+                base = -quotient - (column < remainder)
+                for k in range(base, base + height):
+                    block = (row_phase + k) % lines // factor
+                    per_block.setdefault(block, set()).add((k, remainder))
+            for block, addresses in per_block.items():
+                if len(addresses) > ports:
+                    return block, len(addresses), row_phase, column
+    return None
+
+
 def minimal_slot_count(
     width: int,
     ports: int,
     accessors: list[tuple[int, int]],
     *,
     coalesce_factor: int = 1,
-    max_extra: int = 4,
 ) -> int:
-    """Smallest number of line slots that keeps every block within its port budget.
+    """Smallest line count that keeps every block of the buffer within its port budget.
 
-    ``accessors`` is a list of ``(delay, stencil_height)`` pairs relative to the
-    buffer's writer (the writer itself is ``(0, 1)`` and is added
-    automatically).  Starting from the capacity bound
-    ``floor(max_delay / W) + 1`` (the lines that must coexist), the function
-    checks one steady-state period at element granularity: logical lines wrap
-    onto ``B`` physical slots (grouped ``coalesce_factor`` per block), and no
-    block may collect more accesses in a cycle than it has ports.  Slot-count
-    aliasing between the writer's newest line and a slow consumer's oldest
-    line occasionally needs one extra slot; the search adds at most
-    ``max_extra`` lines before giving up (which would indicate a scheduling
-    bug).
+    ``accessors`` are ``(delay, stencil_height)`` pairs relative to the
+    buffer's writer (added automatically).  Candidates run from the capacity
+    bound ``floor(max_delay / W) + 1`` (the lines that must coexist) up to
+    :data:`MAX_EXTRA_LINES` more, because the writer's newest line can alias a
+    slow reader's oldest one.  Each is rounded up to whole blocks of
+    ``min(coalesce_factor, candidate)`` lines — exactly the buffer the
+    allocator builds — and checked with :func:`port_conflict`.  If none is
+    free of conflicts, the schedule itself over-subscribes the buffer and
+    :class:`AllocationError` is raised.
     """
     if not accessors:
         return 0
-    max_delay = max(delay for delay, _ in accessors)
-    base = required_line_slots(max_delay, width)
-    all_accessors = [(0, 1)] + list(accessors)
-    factor = max(1, coalesce_factor)
-
-    # Steady state starts once every accessor is active; one period of W cycles
-    # covers every relative column phase.
-    t0 = (max_delay // width + 2) * width
-    for extra in range(max_extra + 1):
-        slots = base + extra
-        if _period_is_legal(width, ports, all_accessors, slots, factor, t0):
-            return slots
-    return base + max_extra
-
-
-def _period_is_legal(
-    width: int,
-    ports: int,
-    accessors: list[tuple[int, int]],
-    slots: int,
-    factor: int,
-    t0: int,
-) -> bool:
-    for t in range(t0, t0 + width):
-        block_accesses: dict[int, int] = {}
-        for delay, height in accessors:
-            n = t - delay
-            if n < 0:
-                continue
-            row = n // width
-            for k in range(height):
-                line = row + k
-                slot = line % slots
-                block = slot // factor
-                block_accesses[block] = block_accesses.get(block, 0) + 1
-        if any(count > ports for count in block_accesses.values()):
-            return False
-    return True
+    base = required_line_slots(max(delay for delay, _ in accessors), width)
+    taps = [(0, 1), *accessors]
+    for candidate in range(base, base + MAX_EXTRA_LINES + 1):
+        factor = min(max(1, coalesce_factor), candidate)
+        lines = ceil_div(candidate, factor) * factor
+        conflict = port_conflict(width, ports, lines, factor, taps)
+        if conflict is None:
+            return lines
+    raise AllocationError(
+        f"No line count up to {lines} keeps the buffer within {ports} port(s); "
+        f"at {lines}, (block, accesses, row phase, column) = {conflict}"
+    )

@@ -746,9 +746,6 @@ def realize_line_buffers(
                 image_width, ports, delays, coalesce_factor=factor
             )
             factor = min(factor, lines)
-            if factor > 1 and lines % factor:
-                # Keep the line->block grouping stable as the buffer wraps around.
-                lines += factor - (lines % factor)
             line_buffers[producer] = allocate_line_buffer(
                 producer,
                 image_width,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.access import port_conflict
 from repro.core.schedule import PipelineSchedule
 from repro.errors import SimulationError
 
@@ -371,9 +372,12 @@ def check_schedule_legality(
     closed-form inequalities on start-cycle deltas, and port pressure (R3)
     repeats with period ``lines`` rows x ``W`` columns, collapsing further to
     ``lines`` row phases x one column segment per distinct start-delta
-    remainder.  Total cost is O(lines x accessors x segments) per buffer —
-    the reserved-table/II formulation — instead of the event walk's
-    O(cycles x accessors).
+    remainder.  R3 is :func:`repro.core.access.port_conflict`, the same
+    reserved table (and broadcast port model) the allocator sizes every
+    ImaGen line buffer with, so compiled schedules pass R3 by construction.
+    Total cost is O(lines x accessors x segments) per buffer instead of the
+    event walk's O(cycles x accessors); ``phases_checked`` sums the table
+    cells.
 
     The table models *full steady state* (every accessor of a buffer active
     simultaneously, no frame-edge clamping); boundary cycles only ever access
@@ -440,59 +444,34 @@ def check_schedule_legality(
                     )
                 )
 
-        # --- R3: periodic reserved table -----------------------------------
-        # Accessor taps are identified by (line offset from the writer's
-        # current line, start-delta remainder r); equal pairs share one
-        # physical address (broadcast), distinct pairs per block per cycle
-        # must not exceed the port count.  The pattern depends only on the
-        # writer's row phase (mod lines) and which side of each remainder
-        # breakpoint the writer's column is on.
-        entries = []
+        # --- R3: the allocator's reserved table ---------------------------
+        # Inside the steady-state window every accessor is active and no
+        # stencil reaches past the frame, so the kernel's table is exact.
+        taps = [(0, 1)] + [(starts[consumer] - writer_start, h) for consumer, h in readers]
         window_lo, window_hi = 0, rows - 1
-        for consumer, height in readers:
-            quotient, remainder = divmod(starts[consumer] - writer_start, width)
-            entries.append((quotient, remainder, height, consumer))
-            window_lo = max(window_lo, quotient + 1)
-            window_hi = min(window_hi, rows - height + quotient)
+        for delay, height in taps[1:]:
+            window_lo = max(window_lo, delay // width + 1)
+            window_hi = min(window_hi, rows - height + delay // width)
         if window_hi - window_lo + 1 < lines:
             # Frame too short for every row phase to reach full steady
             # state: the closed table cannot be trusted, so defer the whole
             # schedule to the exact event walk.
             return _legality_from_event_walk(schedule, rows)
 
-        breakpoints = sorted({0, *(remainder for _, remainder, _, _ in entries)})
-        oversubscribed = False
-        for row_phase in range(window_lo, window_lo + lines):
-            if oversubscribed:
-                break
-            for column in breakpoints:
-                phases_checked += 1
-                per_block: dict[int, set[tuple[int, int]]] = {}
-                per_block.setdefault((row_phase % lines) // factor, set()).add((0, 0))
-                for quotient, remainder, height, _consumer in entries:
-                    base = -quotient - (1 if column < remainder else 0)
-                    for k in range(height):
-                        line = row_phase + base + k
-                        if not 0 <= line < rows:
-                            continue
-                        block = (line % lines) // factor
-                        per_block.setdefault(block, set()).add((base + k, remainder))
-                for block, pairs in per_block.items():
-                    if len(pairs) > ports:
-                        violations.append(
-                            LegalityViolation(
-                                "R3",
-                                producer,
-                                None,
-                                f"R3: block {block} of LB[{producer}] receives {len(pairs)} "
-                                f"distinct accesses in row phase {row_phase % lines} column "
-                                f"segment {column} but has {ports} port(s)",
-                            )
-                        )
-                        oversubscribed = True
-                        break
-                if oversubscribed:
-                    break
+        phases_checked += lines * len({delay % width for delay, _ in taps})
+        conflict = port_conflict(width, ports, lines, factor, taps)
+        if conflict is not None:
+            block, accesses, row_phase, column = conflict
+            violations.append(
+                LegalityViolation(
+                    "R3",
+                    producer,
+                    None,
+                    f"R3: block {block} of LB[{producer}] receives {accesses} "
+                    f"distinct accesses in row phase {row_phase} column "
+                    f"segment {column} but has {ports} port(s)",
+                )
+            )
 
     return LegalityReport(
         schedule=schedule,

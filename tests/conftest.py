@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.access import Accessor
+from repro.core.constraints import pair_gap
 from repro.dsl import ast
 from repro.dsl.builder import PipelineBuilder, window_sum
 from repro.ir.dag import PipelineDAG
@@ -36,6 +38,12 @@ def single_port_spec():
 @pytest.fixture
 def fifo_spec():
     return asic_fifo()
+
+
+def writer_gap(height: int, width: int) -> int:
+    """The start gap the ILP imposes on a reader trailing its buffer's writer (Eq. 12)."""
+    writer = Accessor(stage="p", stencil_height=1, is_writer=True)
+    return pair_gap(Accessor(stage="c", stencil_height=height), writer, width, 1)
 
 
 def build_chain(num_stages: int = 3, stencil: int = 3, name: str = "chain") -> PipelineDAG:

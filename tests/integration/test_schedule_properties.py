@@ -8,7 +8,10 @@ from repro.baselines import generate_baseline
 from repro.core.compiler import compile_pipeline
 from repro.core.constraints import data_dependency_constraints
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
+from repro.dsl.builder import PipelineBuilder, window_sum
 from repro.memory.spec import asic_dual_port
+from repro.service import CompileEngine, VerifyEngine, VerifyRequest
+from repro.sim.cycle import check_schedule_legality, simulate_schedule
 
 W, H = 64, 48
 
@@ -96,3 +99,38 @@ class TestScalability:
             <= raw.solver_stats["pruned_contention_candidates"]
         )
         assert pruned.solver_stats["objective"] == pytest.approx(raw.solver_stats["objective"])
+
+
+def coalesced_reader_dag():
+    """K4 trails K3 by 5 rows + 1 cycle at width 16 and reads 3 of its lines.
+
+    In a 6-line LB[K3] of 2-line blocks, row phase 0 puts K3's line and two
+    of K4's lines in one dual-port block, so the buffer needs 8 lines.
+    """
+    builder = PipelineBuilder("coalesced-ports")
+    k0 = builder.input("K0")
+    k1 = builder.stage("K1", window_sum(k0, 5, 5))
+    k2 = builder.stage("K2", window_sum(k0, 5, 5) + window_sum(k1, 2, 2))
+    k3 = builder.stage("K3", window_sum(k0, 2, 2))
+    builder.output("K4", window_sum(k3, 3, 3) + k2(0, 0))
+    return builder.build()
+
+
+class TestCoalescedPortOccupancy:
+    """The allocator sizes coalesced buffers with the reserved table R3 checks."""
+
+    def test_coalesced_design_passes_every_legality_check(self, tmp_path):
+        target = CompileTarget(
+            coalesced_reader_dag(), image_width=16, image_height=24, memory_spec=asic_dual_port()
+        ).with_options(coalescing=True)
+        schedule = compile_pipeline(target).schedule
+        assert schedule.line_buffers["K3"].coalesce_factor == 2
+        assert check_schedule_legality(schedule).ok
+        assert simulate_schedule(schedule).ok
+
+        engine = CompileEngine(workers=1, executor="inline", cache_dir=tmp_path / "cache")
+        try:
+            result = VerifyEngine(engine).submit(VerifyRequest(target=target, check="cycle"))
+        finally:
+            engine.shutdown()
+        assert result.cycle["passed"] is True, result.cycle["violations"]

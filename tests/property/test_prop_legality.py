@@ -51,8 +51,13 @@ def perturbed_schedule(draw):
     fan_in = [draw(st.integers(0, 2)) for _ in range(num_stages - 1)]
     dag = random_chain_dag(num_stages, stencils, fan_in)
     spec = draw(st.sampled_from([asic_dual_port(), asic_single_port()]))
+    # Coalesced designs put several lines in one block, so the row phase
+    # decides which reads share a block's ports.
+    coalescing = draw(st.booleans())
     schedule = compile_pipeline(
-        CompileTarget(dag, image_width=W, image_height=H, memory_spec=spec),
+        CompileTarget(dag, image_width=W, image_height=H, memory_spec=spec).with_options(
+            coalescing=coalescing
+        ),
     ).schedule
     # Perturbations biased toward "too early" (negative), which is where the
     # interesting R1/R3 violations live; 0 keeps some legal schedules in play.

@@ -1,4 +1,4 @@
-"""Unit tests for access-set arithmetic (Eq. 3/4, Eq. 12, buffer sizing)."""
+"""Unit tests for access-set arithmetic (Eq. 3/4, Eq. 12, buffer sizing, port occupancy)."""
 
 import pytest
 
@@ -7,11 +7,13 @@ from repro.core.access import (
     ceil_div,
     first_line,
     minimal_slot_count,
-    model_line_slots,
+    port_conflict,
     required_line_slots,
-    separation_requirement,
     sets_disjoint,
 )
+from repro.errors import AllocationError
+
+from tests.conftest import writer_gap
 
 W = 64
 
@@ -40,18 +42,18 @@ class TestLineFormulas:
 
 
 class TestSeparation:
-    def test_separation_requirement_matches_eq12(self):
-        assert separation_requirement(3, W) == 3 * W
-        assert separation_requirement(1, 2 * W) == 2 * W
+    def test_writer_gap_matches_eq12(self):
+        assert writer_gap(3, W) == 3 * W
+        assert writer_gap(1, 2 * W) == 2 * W
 
     def test_separation_implies_disjoint_sets(self):
         # Trailing stage with SH=3 behind a writer (SH=1) by exactly 3W.
-        gap = separation_requirement(3, W)
+        gap = writer_gap(3, W)
         for t in range(gap, gap + 4 * W):
             assert sets_disjoint(t, gap, 3, 0, 1, W)
 
     def test_smaller_gap_eventually_conflicts(self):
-        gap = separation_requirement(3, W) - W  # one line too close
+        gap = writer_gap(3, W) - W  # one line too close
         conflict = any(not sets_disjoint(t, gap, 3, 0, 1, W) for t in range(gap, gap + 4 * W))
         assert conflict
 
@@ -78,11 +80,6 @@ class TestBufferSizing:
         with pytest.raises(ValueError):
             required_line_slots(-1, W)
 
-    def test_model_line_slots_matches_eq2(self):
-        assert model_line_slots(2 * W + 1, W) == 3
-        assert model_line_slots(3 * W, W) == 3
-        assert model_line_slots(0, W) == 0
-
 
 class TestMinimalSlotCount:
     def test_classic_dual_port_needs_three(self):
@@ -103,10 +100,35 @@ class TestMinimalSlotCount:
         slots = minimal_slot_count(W, 2, delays)
         assert slots >= required_line_slots(4 * W + 2, W)
         # And the returned count must actually be contention-free.
-        from repro.core.access import _period_is_legal
-
-        assert _period_is_legal(W, 2, [(0, 1)] + delays, slots, 1, (4 * W + 2 // W + 2) * W)
+        assert port_conflict(W, 2, slots, 1, [(0, 1)] + delays) is None
 
     def test_coalesced_grouping(self):
         slots = minimal_slot_count(W, 2, [(3 * W, 3)], coalesce_factor=2)
         assert slots >= 4
+        assert slots % 2 == 0
+
+    def test_coalesced_count_checks_every_row_phase(self):
+        # Four lines in two 2-line blocks put the writer's line and two of
+        # the reader's three lines in one block at row phase 0.
+        assert port_conflict(32, 2, 4, 2, [(0, 1), (97, 3)]) == (0, 3, 0, 0)
+        assert minimal_slot_count(32, 2, [(97, 3)], coalesce_factor=2) == 6
+        assert port_conflict(32, 2, 6, 2, [(0, 1), (97, 3)]) is None
+
+    def test_identical_reads_broadcast(self):
+        one = minimal_slot_count(16, 2, [(33, 3)])
+        assert minimal_slot_count(16, 2, [(33, 3), (33, 3)]) == one == 3
+
+    def test_unsatisfiable_buffer_raises(self):
+        # A 2-line reader W + 1 cycles behind the writer reads the line being
+        # written (at another column): one port cannot serve both, whatever
+        # the line count.
+        with pytest.raises(AllocationError):
+            minimal_slot_count(16, 1, [(17, 2)])
+
+
+class TestPortConflict:
+    def test_reports_first_oversubscribed_block(self):
+        # A 3-line reader 2W + 1 behind the writer of a 2-line single-port
+        # buffer: at row phase 0, column 0 it reads lines -3..-1, and line -2
+        # shares slot 0 with the writer's line.
+        assert port_conflict(W, 1, 2, 1, [(0, 1), (2 * W + 1, 3)]) == (0, 2, 0, 0)
