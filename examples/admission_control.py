@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Admission control end to end: auth, rate limits, queue-full, autoscaling.
+"""Admission control end to end: auth, rate limits, queue-full.
 
 Boots the HTTP front with every admission knob turned on — bearer-token
 authentication, a per-identity token bucket, and a bounded engine queue —
@@ -10,23 +10,20 @@ then drives each rejection path the way a misbehaving client would hit it:
   precise ``Retry-After``;
 * a saturated engine (tiny ``max_pending``, solver gated on an event so the
   demo is deterministic) -> 429 with ``reason: "queue-full"`` while the
-  admitted work still completes;
-* an autoscaling engine (``executor="thread:auto"``) growing its fleet under
-  a batch and reporting ``scale_ups``/worker counts via ``/v1/metrics``.
+  admitted work still completes.
 
 The same checks double as the CI smoke for the admission layer, so every
 assertion here is a service-level guarantee.  For a standalone hardened
 server, run::
 
     python -m repro.service.http --port 8080 --auth-token-file tokens.txt \
-        --rate-limit 10:20 --max-pending 64 --executor process:auto
+        --rate-limit 10:20 --max-pending 64
 
 Run:  python examples/admission_control.py
 """
 
 from __future__ import annotations
 
-import tempfile
 import threading
 import time
 
@@ -152,29 +149,6 @@ def main() -> None:
     finally:
         server.stop()
         engine.shutdown()
-
-    # --- autoscaling fleet --------------------------------------------------
-    with tempfile.TemporaryDirectory(prefix="imagen-admission-") as cache_dir:
-        auto_engine = CompileEngine(
-            workers=2, executor="thread:auto", cache_dir=cache_dir
-        )
-        auto_server = start_server(auto_engine)
-        try:
-            client = ServiceClient(port=auto_server.port)
-            batch = client.compile_batch(targets(4))
-            assert all(result["ok"] for result in batch["results"])
-            metrics = client.metrics()
-            assert metrics["executor"] == "thread:auto"
-            assert 1 <= metrics["workers"] <= metrics["max_workers"] == 2
-            assert metrics["scale_ups"] >= 1
-            print(
-                f"  autoscaler: fleet grew to {metrics['workers']}/"
-                f"{metrics['max_workers']} workers "
-                f"(scale_ups={metrics['scale_ups']}) for a 4-target batch"
-            )
-        finally:
-            auto_server.stop()
-            auto_engine.shutdown()
     print("admission control smoke ok")
 
 

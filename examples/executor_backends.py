@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
-"""Pluggable executor backends: one engine API, three execution strategies.
+"""Pluggable executor backends: one engine API, two execution strategies.
 
-The same catalog batch is compiled three ways — ``inline`` (deterministic,
-on the calling thread), ``thread`` (the default pool) and ``process``
-(worker processes talking wire payloads) — and the results are shown to be
-bit-identical: fingerprints and area/power report rows do not depend on
-where a job ran.  The process backend is the one that keeps fan-out parallel
-even when the HiGHS solver is unavailable and the pure-Python fallback would
-serialize threads on the GIL.
+The same catalog batch is compiled two ways — ``inline`` (deterministic, on
+the calling thread) and ``thread`` (the default pool) — and the results are
+shown to be bit-identical: fingerprints and area/power report rows do not
+depend on where a job ran.
 
-The second half demonstrates what the process boundary is built on: a
-baseline (Darkroom) design compiled by one process is persisted — full
-line-buffer configuration and all — to a shared :class:`DiskCacheStore`
-volume, and a second, cold engine on the same volume answers the identical
-request from disk without running any generator.
+The second half demonstrates the shared disk volume: a baseline (Darkroom)
+design compiled by one engine is persisted — full line-buffer configuration
+and all — to a :class:`DiskCacheStore` volume, and a second, cold engine on
+the same volume answers the identical request from disk without running any
+generator.  Separate server processes share a volume the same way.
 
 Run:  python examples/executor_backends.py
 """
@@ -50,12 +47,12 @@ def compile_catalog(executor: str) -> tuple[list, float]:
 def main() -> None:
     print(f"catalog: {', '.join(algorithm_names())} @ {W}x{H}\n")
     outcomes = {}
-    for executor in ("inline", "thread", "process"):
+    for executor in ("inline", "thread"):
         rows, seconds = compile_catalog(executor)
         outcomes[executor] = rows
         print(f"  executor={executor:<8} {len(rows)} designs in {seconds:.2f}s")
-    assert outcomes["inline"] == outcomes["thread"] == outcomes["process"]
-    print("\nall three backends produced identical fingerprints and reports\n")
+    assert outcomes["inline"] == outcomes["thread"]
+    print("\nboth backends produced identical fingerprints and reports\n")
 
     with tempfile.TemporaryDirectory(prefix="imagen-cache-") as volume:
         darkroom = CompileTarget(
@@ -64,17 +61,17 @@ def main() -> None:
             image_height=H,
             generator="darkroom",
         )
-        with CompileEngine(workers=2, executor="process", cache_dir=volume) as writer:
+        with CompileEngine(workers=2, cache_dir=volume) as writer:
             first = writer.submit(darkroom)
             print(
-                f"process A compiled darkroom design: source={first.source}, "
+                f"engine A compiled darkroom design: source={first.source}, "
                 f"{first.seconds * 1000:.1f} ms"
             )
         # A brand-new engine: empty memory tier, same shared volume.
-        with CompileEngine(workers=2, executor="process", cache_dir=volume) as reader:
+        with CompileEngine(workers=2, cache_dir=volume) as reader:
             second = reader.submit(darkroom)
             print(
-                f"process B loaded it from the shared volume: source={second.source}, "
+                f"engine B loaded it from the shared volume: source={second.source}, "
                 f"{second.seconds * 1000:.1f} ms"
             )
             assert second.source == "disk"

@@ -16,7 +16,7 @@ Public API
 * :mod:`repro.service` — compile cache + batch/parallel engine with sync,
   asyncio and HTTP/JSON serving fronts (``python -m repro.service.http``)
   and pluggable execution backends (``CompileEngine(executor=...)`` /
-  ``REPRO_EXECUTOR``: ``inline``, ``thread``, or ``process``).
+  ``REPRO_EXECUTOR``: ``inline`` or ``thread``).
 """
 
 from repro.api.fingerprint import compile_fingerprint, dag_fingerprint

@@ -5,7 +5,7 @@ producers at constant offsets.  The AST supports:
 
 * constants,
 * producer references at constant offsets (``K0(x-1, y+1)``),
-* binary arithmetic (``+ - * / //``), comparisons (0/1 valued), min/max,
+* binary arithmetic (``+ - * /``), comparisons (0/1 valued), min/max,
 * unary negation and absolute value,
 * a small set of intrinsics (``abs``, ``min``, ``max``, ``sqrt``, ``clamp``,
   ``select``).
@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import DSLSemanticError
 from repro.ir.stencil import StencilWindow
 
-_BINARY_OPS = {"+", "-", "*", "/", "//", "min", "max", "<", ">", "<=", ">=", "==", "!="}
+_BINARY_OPS = {"+", "-", "*", "/", "min", "max", "<", ">", "<=", ">=", "==", "!="}
 _UNARY_OPS = {"-", "abs"}
 _CALLS = {"abs", "min", "max", "sqrt", "clamp", "select"}
 
@@ -58,9 +58,6 @@ class Expr:
 
     def __rtruediv__(self, other: "Expr | float | int") -> "Expr":
         return BinOp("/", _as_expr(other), self)
-
-    def __floordiv__(self, other: "Expr | float | int") -> "Expr":
-        return BinOp("//", self, _as_expr(other))
 
     def __neg__(self) -> "Expr":
         return UnaryOp("-", self)
@@ -333,8 +330,6 @@ def _apply_binop(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return left * right
     if op == "/":
         return np.divide(left, np.where(right == 0, 1.0, right))
-    if op == "//":
-        return np.floor_divide(left, np.where(right == 0, 1.0, right))
     if op == "min":
         return np.minimum(left, right)
     if op == "max":

@@ -20,7 +20,6 @@ _SYMBOLS = (
     ">=",
     "==",
     "!=",
-    "//",
     "(",
     ")",
     ",",

@@ -9,7 +9,7 @@ Grammar (EBNF)::
     expr       := comparison
     comparison := additive (("<"|">"|"<="|">="|"=="|"!=") additive)?
     additive   := term (("+"|"-") term)*
-    term       := factor (("*"|"/"|"//") factor)*
+    term       := factor (("*"|"/") factor)*
     factor     := NUMBER | "-" factor | "(" expr ")" | call | reference | prev
     call       := NAME "(" expr ("," expr)* ")"       (for intrinsic names)
     reference  := NAME "(" offset "," offset ["," offset] ")"
@@ -151,7 +151,7 @@ class _Parser:
         expr = self._factor()
         while True:
             token = self._peek()
-            if token.kind == "symbol" and token.value in ("*", "/", "//"):
+            if token.kind == "symbol" and token.value in ("*", "/"):
                 op = self._advance().value
                 expr = ast.BinOp(op, expr, self._factor())
             else:

@@ -11,7 +11,7 @@ JSON-compatible dictionaries that capture *every* physical field — block
 assignments, DFF pixels, FIFO chains, reader heights and the (possibly
 generator-adapted) memory spec.  This is what lets baseline designs, whose
 buffers cannot be re-derived by the ImaGen allocator, round-trip losslessly
-through the disk cache and across process boundaries.
+through the disk cache that several processes may share.
 """
 
 from __future__ import annotations

@@ -75,7 +75,7 @@ def _binop(op: str, left: str, right: str) -> str:
         return f"({left} - {right})"
     if op == "*":
         return f"((({left}) * ({right})) >>> {FRACTION_BITS})"
-    if op in ("/", "//"):
+    if op == "/":
         return f"((({left}) <<< {FRACTION_BITS}) / (({right} == 0) ? {one} : ({right})))"
     if op == "min":
         return f"(({left} < {right}) ? ({left}) : ({right}))"

@@ -9,12 +9,10 @@ unified :class:`repro.api.CompileTarget` request object:
 
 * :mod:`repro.service.cache` — two-tier (LRU + sharded disk) schedule cache
   with optional size/age GC for shared volumes;
-* :mod:`repro.service.jobs` — typed result/batch records, job execution
-  (including the process-pool wire-payload task);
-* :mod:`repro.service.executor` — pluggable execution backends
-  (``inline``/``thread``/``process`` plus the autoscaling
-  ``thread:auto``/``process:auto``), selected via
-  ``CompileEngine(executor=...)`` or ``REPRO_EXECUTOR``;
+* :mod:`repro.service.jobs` — typed result/batch records;
+* :mod:`repro.service.executor` — the ``inline`` and ``thread`` execution
+  backends, selected via ``CompileEngine(executor=...)`` or
+  ``REPRO_EXECUTOR``;
 * :mod:`repro.service.metrics` — per-request latency/hit-rate metrics and
   the per-stage span histograms;
 * :mod:`repro.service.observability` — the span tracer (re-exported from
@@ -33,12 +31,11 @@ unified :class:`repro.api.CompileTarget` request object:
   with cached, deduplicated, admission-controlled verdicts
   (``POST /v1/verify``);
 * :mod:`repro.service.events` — the structured JSON emitter for
-  engine-internal events (autoscaler grow/shrink, queue sheds, disk-cache
-  GC), keyed like the access log;
+  engine-internal events (queue sheds, disk-cache GC), keyed like the
+  access log;
 * :mod:`repro.service.wire` — the JSON codec that round-trips
-  :class:`CompileTarget` requests (and, losslessly, full schedules and
-  results — the process boundary's transport) and flattens results for the
-  network boundary;
+  :class:`CompileTarget` requests and flattens results for the network
+  boundary;
 * :mod:`repro.service.http` — the stdlib HTTP/JSON serving front
   (``python -m repro.service.http``) plus the :class:`ServiceClient` helper.
 
@@ -47,7 +44,7 @@ Fingerprinting lives in :mod:`repro.api.fingerprint`.
 The prose documentation lives in ``docs/``: ``docs/architecture.md`` (layer
 map), ``docs/serving.md`` (HTTP API + admission semantics),
 ``docs/wire-protocol.md`` (payload formats and versioning) and
-``docs/tuning.md`` (executor/cache/autoscaler sizing).
+``docs/tuning.md`` (executor/cache/admission sizing).
 
 Quickstart::
 
@@ -104,10 +101,8 @@ from repro.service.events import (
 from repro.service.executor import (
     EXECUTOR_ENV_VAR,
     EXECUTOR_NAMES,
-    AutoscalingExecutor,
     ExecutorBackend,
     InlineExecutor,
-    ProcessExecutor,
     ThreadExecutor,
     default_executor_name,
     validate_worker_count,
@@ -147,14 +142,8 @@ from repro.service.verify import (
 from repro.service.wire import (
     WIRE_FORMAT_VERSION,
     WireFormatError,
-    accelerator_from_wire,
-    accelerator_to_wire,
     batch_result_to_wire,
-    full_result_from_wire,
-    full_result_to_wire,
     result_to_wire,
-    schedule_from_wire,
-    schedule_to_wire,
     target_from_wire,
     target_to_wire,
     verify_request_from_wire,
@@ -166,7 +155,6 @@ __all__ = [
     "AdmissionError",
     "AdmissionQueue",
     "AuthenticationError",
-    "AutoscalingExecutor",
     "BatchResult",
     "CHECK_KINDS",
     "CacheStats",
@@ -190,7 +178,6 @@ __all__ = [
     "MetricSpec",
     "PREWARM_RESOLUTIONS",
     "PROMETHEUS_CONTENT_TYPE",
-    "ProcessExecutor",
     "QueueFullError",
     "RateDecision",
     "RateLimiter",
@@ -209,8 +196,6 @@ __all__ = [
     "WIRE_FORMAT_VERSION",
     "WORKERS_ENV_VAR",
     "WireFormatError",
-    "accelerator_from_wire",
-    "accelerator_to_wire",
     "batch_result_to_wire",
     "collect_spans",
     "compile_fingerprint",
@@ -220,8 +205,6 @@ __all__ = [
     "default_worker_count",
     "deserialize_schedule",
     "emit_event",
-    "full_result_from_wire",
-    "full_result_to_wire",
     "get_event_log",
     "metric_spec",
     "parse_rate_limit",
@@ -230,8 +213,6 @@ __all__ = [
     "render_prometheus",
     "result_to_wire",
     "span_attr",
-    "schedule_from_wire",
-    "schedule_to_wire",
     "serialize_schedule",
     "start_server",
     "target_from_wire",

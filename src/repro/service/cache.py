@@ -84,8 +84,7 @@ def serialize_schedule(
     ``include_line_buffers`` controls whether the physical line-buffer
     configurations are embedded verbatim: the default (``None``) embeds them
     only for schedules the allocator cannot re-derive (baseline generators);
-    the wire codec forces ``True`` so process workers never depend on
-    re-derivation.
+    ``True`` embeds them for every generator.
     """
     stats = {
         key: value
@@ -525,17 +524,6 @@ class CompileCache:
             if self.store.save(fingerprint, serialize_schedule(schedule)):
                 with self._lock:
                     self.stats.disk_stores += 1
-
-    def absorb(self, fingerprint: str, schedule: PipelineSchedule) -> None:
-        """Adopt a schedule solved elsewhere into the memory tier only.
-
-        Used by the engine to warm its in-process LRU from results that a
-        process-pool worker computed (the worker already persisted them to
-        the shared disk tier, so no disk write and no ``stores`` counter —
-        this is bookkeeping, not a new solve).
-        """
-        with self._lock:
-            self._insert(fingerprint, schedule)
 
     def _insert(self, fingerprint: str, schedule: PipelineSchedule) -> None:
         self._entries[fingerprint] = schedule

@@ -17,10 +17,9 @@ the :class:`repro.api.CompileTarget`; every submission path wraps
 * identical in-flight targets are deduplicated — concurrent batches that
   contain the same design point trigger exactly one run;
 * batches fan out over a pluggable :class:`repro.service.executor`
-  backend — ``inline`` (deterministic, for tests), ``thread`` (the default;
-  the HiGHS backend releases the GIL, so independent solves overlap on
-  multi-core hosts) or ``process`` (worker processes talking wire payloads,
-  which parallelizes the pure-Python solver fallback too) — selected via
+  backend — ``inline`` (deterministic, for tests) or ``thread`` (the
+  default; the HiGHS backend releases the GIL, so independent solves
+  overlap on multi-core hosts) — selected via
   ``CompileEngine(executor=...)`` or the ``REPRO_EXECUTOR`` environment
   variable;
 * per-request latency and hit-rate metrics are recorded
@@ -144,7 +143,7 @@ class CompileEngine:
         :func:`default_worker_count`, overridable via ``REPRO_WORKERS``).
     executor:
         Execution backend for batch/async fan-out: ``"inline"``,
-        ``"thread"`` (default), ``"process"``, or a ready-made
+        ``"thread"`` (default), or a ready-made
         :class:`repro.service.executor.ExecutorBackend` instance (which may
         be shared between engines).  ``None`` consults the
         ``REPRO_EXECUTOR`` environment variable.
@@ -154,8 +153,7 @@ class CompileEngine:
     cache_dir:
         Convenience: when given (and ``cache`` is not), the created cache is
         backed by a :class:`DiskCacheStore` in this directory, so schedules
-        persist across processes.  The process backend forwards this volume
-        to its workers.
+        persist across processes.
     max_cache_entries:
         LRU capacity of the created cache.
     prewarm:
@@ -177,12 +175,9 @@ class CompileEngine:
         front maps it to 429 with ``Retry-After`` — while ``"block"`` makes
         the submitter wait for space.
     tracing:
-        Whether in-process compiles record per-stage spans
-        (:mod:`repro.trace`) onto their results and into the engine's stage
-        histograms.  ``None`` (default) follows the ``REPRO_TRACE``
-        environment variable, which also governs process-pool workers (they
-        inherit the environment; an explicit ``tracing=`` here cannot reach
-        an already-spawned worker process).
+        Whether compiles record per-stage spans (:mod:`repro.trace`) onto
+        their results and into the engine's stage histograms.  ``None``
+        (default) follows the ``REPRO_TRACE`` environment variable.
     """
 
     def __init__(
@@ -206,14 +201,7 @@ class CompileEngine:
             store = DiskCacheStore(cache_dir) if cache_dir is not None else None
             cache = CompileCache(max_entries=max_cache_entries, store=store)
         self.cache = cache
-        store = self.cache.store
-        self._executor = resolve_executor(
-            executor,
-            workers=self.workers,
-            cache_dir=str(store.directory) if store is not None else None,
-            cache_max_bytes=store.max_bytes if store is not None else None,
-            cache_max_age_seconds=store.max_age_seconds if store is not None else None,
-        )
+        self._executor = resolve_executor(executor, workers=self.workers)
         self.prewarm = prewarm
         self.prewarm_resolutions = tuple(prewarm_resolutions)
         self.tracing = default_tracing() if tracing is None else bool(tracing)
@@ -246,7 +234,7 @@ class CompileEngine:
 
     @property
     def executor_name(self) -> str:
-        """Name of the active execution backend (``inline``/``thread``/``process``)."""
+        """Name of the active execution backend (``inline``/``thread``)."""
         return self._executor.name
 
     # ------------------------------------------------------------- lifecycle
@@ -291,12 +279,7 @@ class CompileEngine:
     ) -> CompileResult:
         """Run one target synchronously, via the cache.
 
-        With the in-process backends (``inline``/``thread``) the job runs on
-        the calling thread; with a remote backend (``process``) a job that
-        the parent's memory tier cannot answer is shipped to a worker, so a
-        cold pure-Python solve never blocks the serving process on the GIL —
-        warm repeats are still answered in-process in microseconds.
-
+        Without an admission queue the job runs on the calling thread.
         Either way the submit takes part in the engine-wide in-flight
         deduplication: if an identical fingerprint is already being solved
         (by a batch, an async client, or another thread's submit), this call
@@ -312,8 +295,9 @@ class CompileEngine:
         """
         target = require_target(target)
         fingerprint = target.fingerprint
-        gated = self._executor.remote or self._admission is not None
-        if gated and not self._answerable_inline(target, fingerprint):
+        if self._admission is not None and not self._answerable_inline(
+            target, fingerprint
+        ):
             future, owner = self._enqueue(target, fingerprint, {}, client=client)
             outcome: CompileResult = future.result()
             self._speculate(target)
@@ -465,11 +449,11 @@ class CompileEngine:
 
     # ------------------------------------------------------------- internals
     def _answerable_inline(self, target: CompileTarget, fingerprint: str) -> bool:
-        """Whether a submit can be served from the parent's memory tier alone.
+        """Whether a submit can be served from the memory tier alone.
 
-        Used by remote backends to keep warm repeats in-process: when every
+        Gated submits use it to bypass the admission queue: when every
         schedule the compile would consult is already in the memory LRU,
-        running it inline is a dictionary lookup, not GIL-bound solver work.
+        running it inline is a dictionary lookup, not solver work.
         """
         options = target.options
         if (
@@ -498,10 +482,9 @@ class CompileEngine:
 
         The published future is a placeholder the backend's future relays
         into, so the actual ``executor.submit`` happens *outside* the engine
-        lock — the inline backend runs whole compiles in ``submit``, and the
-        process backend wire-encodes the target there; neither may stall
-        every other engine operation.  (Marked running before publication for
-        the same cancel-proofing as inline submits.)
+        lock — the inline backend runs whole compiles in ``submit``, which
+        must not stall every other engine operation.  (Marked running before
+        publication for the same cancel-proofing as inline submits.)
 
         With an admission queue configured, the dispatch is routed through it
         under the ``client`` identity instead of hitting the executor
@@ -524,9 +507,7 @@ class CompileEngine:
                 self._inflight[fingerprint] = future
         if owner:
             # Registered outside the lock: if the job already finished, the
-            # callbacks run inline and must be able to take the lock.
-            if self._executor.remote:
-                future.add_done_callback(self._absorb_remote_result)
+            # callback runs inline and must be able to take the lock.
             future.add_done_callback(lambda _f, fp=fingerprint: self._clear_inflight(fp))
             if self._admission is None or not gate:
                 try:
@@ -593,24 +574,6 @@ class CompileEngine:
         self.metrics.record(self._trace(result))
         return result
 
-    def _absorb_remote_result(self, future: Future) -> None:
-        """Adopt a worker process's solve into the in-memory cache tier.
-
-        Only single-solve results are adopted: the auto-coalescing fallback
-        records *two* fingerprints but the wire result carries only the
-        winning (possibly relabelled ``imagen+lc``) schedule, which must not
-        be filed under either raw solve's key.  The disk tier — which the
-        worker already wrote both solves to — covers those.
-        """
-        if future.cancelled() or future.exception() is not None:
-            return
-        result: CompileResult = future.result()
-        if result.accelerator is None:
-            return
-        fingerprints = result.accelerator.metadata.get("schedule_fingerprints", ())
-        if len(fingerprints) == 1:
-            self.cache.absorb(fingerprints[0], result.accelerator.schedule)
-
     # ------------------------------------------------------------ speculation
     def _speculate(self, target: CompileTarget) -> None:
         """Background-submit the likely next requests after ``target``.
@@ -622,9 +585,9 @@ class CompileEngine:
         pool, unserializable variant) surface on the triggering request.
 
         "Background" is as asynchronous as the active backend: the thread
-        and process pools truly run speculation off the caller's path, while
-        the ``inline`` backend — having no concurrency by design — compiles
-        the variants synchronously before returning.
+        pool truly runs speculation off the caller's path, while the
+        ``inline`` backend — having no concurrency by design — compiles the
+        variants synchronously before returning.
         """
         if not self.prewarm or not target.is_imagen:
             return
@@ -727,9 +690,9 @@ class CompileEngine:
             self._inflight.pop(fingerprint, None)
 
     def _execute(self, target: CompileTarget, fingerprint: str) -> CompileResult:
-        # Kept on the engine (rather than delegating to jobs.execute_target)
-        # so the module-level compile_pipeline stays the single patch point
-        # for instrumenting in-process solves.
+        # The job body every backend runs.  It calls the module-level
+        # compile_pipeline, which stays the single patch point for
+        # instrumenting solves.
         trace = collect_spans(enabled=self.tracing)
         started = time.perf_counter()
         try:
@@ -767,11 +730,9 @@ class CompileEngine:
         return self.cache.stats.hit_rate
 
     def executor_stats(self) -> dict:
-        """Live executor-backend snapshot (worker counts, scaling counters).
+        """Executor-backend snapshot (``executor`` name and ``workers``).
 
-        Fixed backends report their configured fleet; the autoscaling
-        backends report the current fleet plus ``scale_ups``/``scale_downs``
-        and recent scaling events.  Republished on ``GET /v1/metrics``.
+        Republished on ``GET /v1/metrics``.
         """
         return self._executor.stats()
 

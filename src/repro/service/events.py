@@ -3,10 +3,9 @@
 Stability: stable.
 
 The HTTP front already emits one JSON object per answered request
-(``--access-log json``); this module gives engine internals — autoscaler
-scale decisions, admission-queue sheds, disk-cache GC passes — the same
-treatment, so a log pipeline can join a request line to the engine activity
-it caused.  Every record carries the access log's identity fields::
+(``--access-log json``); this module gives engine internals — admission-queue
+sheds, disk-cache GC passes — the same treatment, so a log pipeline can join a
+request line to the engine activity it caused.  Every record carries the access log's identity fields::
 
     {"ts": 1723111845.12, "event": "queue.shed",
      "identity": "alice", "fingerprint": "cc087d31…", "retry_after": 0.4}
@@ -26,8 +25,6 @@ and debuggers can inspect what the engine just did without parsing stderr.
 Events emitted today:
 
 ========================  =====================================================
-``autoscaler.grow``       worker spawned (``executor``, ``workers``)
-``autoscaler.shrink``     idle worker reaped (``executor``, ``workers``)
 ``queue.shed``            admission queue full, request rejected
                           (``identity``, ``fingerprint``, ``retry_after``)
 ``cache.gc``              disk-cache GC pass (``evicted``, ``remaining_bytes``,

@@ -28,8 +28,8 @@ Endpoints
   that *errored* in simulation (bad input spec, strict-mode failure) is a
   422 with ``reason: "verify-failed"``, never a 500.  See
   ``docs/verification.md``.
-* ``GET /v1/metrics`` — engine request counters plus executor scaling and
-  admission counters (``rejected_total``, ``queue_depth``, live worker
+* ``GET /v1/metrics`` — engine request counters plus executor and
+  admission counters (``rejected_total``, ``queue_depth``, worker
   count).  ``?format=prometheus`` returns the same metrics — plus the
   per-stage span histograms — as Prometheus text exposition 0.0.4
   (:func:`repro.service.observability.render_prometheus`).
@@ -45,8 +45,8 @@ Access logs default to the stdlib's plain lines; ``--access-log json``
 switches to one JSON object per request (identity, method, path, status,
 seconds, fingerprint) for log pipelines, and ``--access-log none`` silences
 them.  ``--event-log json`` additionally streams the service's *internal*
-events — autoscaler grow/shrink, queue sheds, disk-cache GC — as JSON lines on
-the same stream (:mod:`repro.service.events`).
+events — queue sheds, disk-cache GC — as JSON lines on the same stream
+(:mod:`repro.service.events`).
 
 Admission control
 -----------------
@@ -64,15 +64,13 @@ semantics and curl examples.
 Run a server::
 
     PYTHONPATH=src python -m repro.service.http --port 8080 \
-        --cache-dir .imagen-cache --workers 4 --executor process:auto \
+        --cache-dir .imagen-cache --workers 4 \
         --auth-token-file tokens.txt --rate-limit 10:20 --max-pending 64
 
 or embed one (tests, examples) with :func:`start_server`, and talk to it with
 the :class:`ServiceClient` helper (stdlib ``http.client``, no dependencies).
 ``--executor`` selects the engine's execution backend (default: the
-``REPRO_EXECUTOR`` environment variable, falling back to ``thread``); the
-``process`` backends keep compiles parallel even on the pure-Python solver
-fallback, and the ``:auto`` variants autoscale the fleet with demand.
+``REPRO_EXECUTOR`` environment variable, falling back to ``thread``).
 ``--cache-max-bytes``/``--cache-max-age-seconds`` bound a shared disk cache
 volume (LRU-by-mtime eviction on save).
 """
@@ -363,11 +361,10 @@ class CompileServiceHandler(BaseHTTPRequestHandler):
 
     # -------------------------------------------------------------- plumbing
     def _metrics(self) -> dict:
-        """Engine counters + executor scaling + admission/throttle state.
+        """Engine counters + executor + admission/throttle state.
 
         One flat JSON object: the acceptance keys are ``rejected_total``,
-        ``queue_depth`` and ``workers`` (the *live* fleet; ``max_workers`` is
-        the configured ceiling).
+        ``queue_depth`` and ``workers``.
         """
         summary = self.engine.metrics.summary()
         summary.update(self.engine.executor_stats())
@@ -772,9 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--event-log",
         choices=("json", "none"),
         default=None,
-        help="engine-internal event stream (autoscaler grow/shrink, queue "
-        "sheds, cache GC) as JSON lines on stderr "
-        "(default: REPRO_EVENT_LOG or none)",
+        help="engine-internal event stream (queue sheds, cache GC) as JSON "
+        "lines on stderr (default: REPRO_EVENT_LOG or none)",
     )
     return parser
 

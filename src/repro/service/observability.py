@@ -156,14 +156,7 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("ilp_compound_blocks", "counter", "", "Blocks solved inside compound models (variants not already certified).", prometheus="repro_ilp_compound_blocks_total"),
     # -- executor backend (ExecutorBackend.stats) ----------------------------
     MetricSpec("executor", "info", "", "Active execution backend name (label on repro_service_info)."),
-    MetricSpec("workers", "gauge", "workers", "Live worker count (autoscalers report the current fleet).", prometheus="repro_workers"),
-    MetricSpec("max_workers", "gauge", "workers", "Configured worker-fleet ceiling.", prometheus="repro_max_workers"),
-    MetricSpec("min_workers", "gauge", "workers", "Configured worker-fleet floor (autoscaling backends only).", prometheus="repro_min_workers"),
-    MetricSpec("busy_workers", "gauge", "workers", "Workers currently running a job (autoscaling backends only).", prometheus="repro_busy_workers"),
-    MetricSpec("executor_queue_depth", "gauge", "", "Jobs queued inside the executor backend awaiting a worker.", prometheus="repro_executor_queue_depth"),
-    MetricSpec("scale_ups", "counter", "", "Workers added by the autoscaler (zero on fixed fleets).", prometheus="repro_scale_ups_total"),
-    MetricSpec("scale_downs", "counter", "", "Idle workers retired by the autoscaler (zero on fixed fleets).", prometheus="repro_scale_downs_total"),
-    MetricSpec("scaling_events", "object", "", "Ring of recent autoscaler decisions (grow/shrink, fleet size, time)."),
+    MetricSpec("workers", "gauge", "workers", "Worker count of the execution backend (1 for inline).", prometheus="repro_workers"),
     # -- admission queue (CompileEngine.admission_stats) ---------------------
     MetricSpec("max_pending", "gauge", "", "Bound on queued-but-undispatched jobs (null when unbounded).", prometheus="repro_max_pending"),
     MetricSpec("overflow", "info", "", "Full-queue policy, shed or block (label on repro_service_info)."),

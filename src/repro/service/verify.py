@@ -48,11 +48,8 @@ verifies route through a bounded :class:`~repro.service.admission.AdmissionQueue
 and the replay itself runs on an in-process executor backend.  Compiles are
 *not* re-done: the engine's ``submit`` answers from its own cache/dedup/queue.
 
-Verify bodies always run in-process (never the ``process`` backend): the
-NumPy replay releases the GIL, so threads scale, and shipping frame stacks
-across a process boundary would cost more than the check itself.  When the
-compile engine's backend is remote, the verify engine brings up its own
-thread pool of the same width.
+Verify bodies run on the same in-process backends as compiles: the NumPy
+replay releases the GIL, so threads scale.
 
 Spans (``verify`` > ``verify_compile``/``verify_golden``/``verify_cycle``/
 ``verify_rtl``/``verify_perf``) feed the engine's stage histograms, giving
@@ -78,7 +75,7 @@ from repro.errors import SimulationError
 from repro.service.admission import AdmissionQueue, QueueFullError
 from repro.service.engine import CompileEngine
 from repro.service.events import emit_event
-from repro.service.executor import ExecutorBackend, ThreadExecutor, relay_future, resolve_executor
+from repro.service.executor import ExecutorBackend, relay_future, resolve_executor
 from repro.sim.batch import replay_frames
 from repro.sim.cycle import check_schedule_legality
 from repro.trace import Span, collect_spans, trace_span
@@ -333,10 +330,9 @@ class VerifyEngine:
     max_entries:
         In-memory verdict LRU bound.
     executor:
-        In-process backend for verify bodies: an :class:`ExecutorBackend`, a
-        name (``"inline"``/``"thread"``), or ``None`` to share the engine's
-        backend when it is in-process (else a private thread pool of the same
-        width).  Remote backends are rejected — see the module docstring.
+        Backend for verify bodies: an :class:`ExecutorBackend`, a name
+        (``"inline"``/``"thread"``, sized like the engine), or ``None`` to
+        share the engine's backend.
     max_pending / overflow:
         Admission bound and policy for cold verifies, defaulting to the
         engine's settings (``max_pending=None`` disables the queue).
@@ -350,7 +346,6 @@ class VerifyEngine:
         *,
         max_entries: int = 512,
         executor: ExecutorBackend | str | None = None,
-        workers: int | None = None,
         max_pending=_INHERIT,
         overflow: str | None = None,
         tracing: bool | None = None,
@@ -358,7 +353,11 @@ class VerifyEngine:
         self.engine = engine
         self.max_entries = max(1, int(max_entries))
         self.tracing = engine.tracing if tracing is None else bool(tracing)
-        self._executor = self._resolve_executor(executor, workers)
+        self._executor = (
+            engine._executor  # noqa: SLF001 - deliberate sharing
+            if executor is None
+            else resolve_executor(executor, workers=engine.workers)
+        )
         if max_pending is _INHERIT:
             max_pending = engine.max_pending
         self.max_pending = max_pending
@@ -389,22 +388,6 @@ class VerifyEngine:
             "perf_measurements": 0,
             "seconds_total": 0.0,
         }
-
-    def _resolve_executor(
-        self, executor: ExecutorBackend | str | None, workers: int | None
-    ) -> ExecutorBackend:
-        width = workers or self.engine.workers
-        if executor is None:
-            base = self.engine._executor  # noqa: SLF001 - deliberate sharing
-            return base if not base.remote else ThreadExecutor(width)
-        if isinstance(executor, str):
-            executor = resolve_executor(executor, workers=width)
-        if executor.remote:
-            raise ValueError(
-                f"verify bodies run in-process, not on the remote {executor.name!r} "
-                "backend (the replay releases the GIL; verdicts are small JSON)"
-            )
-        return executor
 
     # ------------------------------------------------------------ submission
     def submit(self, request: VerifyRequest, *, client: str = "") -> VerifyResult:

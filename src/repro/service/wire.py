@@ -18,17 +18,9 @@ module defines the (de)serialization of the two objects that cross it:
   into fingerprint + source + seconds plus the area/power summary of
   :func:`repro.estimate.report.accelerator_report` — the metrics the paper
   reports per design point, without shipping a whole schedule.
-* :func:`schedule_to_wire` / :func:`schedule_from_wire`,
-  :func:`accelerator_to_wire` / :func:`accelerator_from_wire` and
-  :func:`full_result_to_wire` / :func:`full_result_from_wire` are the
-  *lossless* tier: the complete solved design — start cycles, coalesce
-  factors, solver stats, and every physical line-buffer configuration
-  (block assignments, DFF pixels, FIFO chains, per-buffer memory specs) —
-  round-trips bit-identically.  This is what the ``process`` executor backend
-  ships back from worker processes instead of pickled objects, and what lets
-  baseline (Darkroom/SODA/FixyNN) schedules, whose line buffers cannot be
-  re-derived by the ImaGen allocator, persist through
-  :class:`repro.service.cache.DiskCacheStore`.
+
+Solved schedules persist through the disk cache's own codec,
+:func:`repro.service.cache.serialize_schedule`; this module never ships one.
 
 The layout mirrors the canonical serialization used for fingerprinting
 (:mod:`repro.api.fingerprint` / ``PipelineDAG.canonical_form``): memory specs
@@ -50,17 +42,22 @@ from dataclasses import asdict, fields
 
 from repro.api.fingerprint import normalize_memory_spec
 from repro.api.target import CompileTarget
-from repro.core.compiler import CompiledAccelerator
-from repro.core.schedule import PipelineSchedule
 from repro.core.scheduler import SchedulerOptions
 from repro.dsl import ast
 from repro.estimate.report import accelerator_report
 from repro.ir.dag import PipelineDAG, Stage, window_to_list
 from repro.ir.stencil import StencilWindow
 from repro.memory.spec import MemorySpec
-from repro.service.cache import deserialize_schedule, serialize_schedule
 from repro.service.jobs import BatchResult, CompileResult
-from repro.trace import spans_from_payload, spans_to_payload
+from repro.service.verify import (
+    CHECK_KIND_MIN_VERSION,
+    READABLE_VERIFY_VERSIONS,
+    VERIFY_FORMAT_VERSION,
+    VERIFY_REQUEST_FIELDS,
+    VerifyRequest,
+    VerifyResult,
+)
+from repro.trace import spans_to_payload
 
 #: Bump when the wire layout changes incompatibly; requests carrying another
 #: version are rejected with a clear error instead of being misparsed.
@@ -382,133 +379,9 @@ def batch_result_to_wire(batch: BatchResult, *, include_spans: bool = False) -> 
 
 
 # ---------------------------------------------------------------------------
-# Lossless schedules / accelerators / results (the process-boundary tier)
-# ---------------------------------------------------------------------------
-def schedule_to_wire(schedule: PipelineSchedule) -> dict:
-    """Serialize a full solved schedule, line buffers included.
-
-    Unlike the disk-cache payload for ImaGen schedules — which stores only
-    the solver decisions and re-derives the buffers on load — the wire form
-    always embeds every physical :class:`LineBufferConfig`, so the receiving
-    side reconstructs the design without running any allocator code.
-    """
-    return serialize_schedule(schedule, include_line_buffers=True)
-
-
-def schedule_from_wire(payload: dict, dag: PipelineDAG) -> PipelineSchedule:
-    """Rebuild a schedule from :func:`schedule_to_wire` output.
-
-    The caller supplies the DAG (the wire result travels next to the target
-    that produced it, and content fingerprints guarantee they match).
-    """
-    if not isinstance(payload, dict):
-        raise WireFormatError(f"Schedule must be an object, got {type(payload).__name__}")
-    try:
-        return deserialize_schedule(payload, dag)
-    except WireFormatError:
-        raise
-    except Exception as exc:  # bad spec fields, missing stages, version skew
-        raise WireFormatError(f"Invalid schedule payload: {exc}") from None
-
-
-#: Accelerator metadata keys the compiler records as tuples; JSON turns them
-#: into lists, so decoding restores the tuple shape callers compare against.
-_TUPLE_METADATA_KEYS = ("schedule_sources", "schedule_fingerprints")
-
-
-def accelerator_to_wire(accelerator: CompiledAccelerator) -> dict:
-    """Serialize a :class:`CompiledAccelerator` (schedule + compile metadata).
-
-    The target and options are *not* shipped: a wire accelerator always
-    travels as part of a result that answers a concrete target, and
-    :func:`accelerator_from_wire` reattaches the receiver's own target
-    object, which keeps labels and caller metadata by reference.
-    """
-    metadata = {}
-    for key, value in accelerator.metadata.items():
-        metadata[key] = list(value) if isinstance(value, tuple) else value
-    return {
-        "schedule": schedule_to_wire(accelerator.schedule),
-        "metadata": metadata,
-    }
-
-
-def accelerator_from_wire(payload: dict, target: CompileTarget) -> CompiledAccelerator:
-    """Rebuild an accelerator from :func:`accelerator_to_wire` output."""
-    if not isinstance(payload, dict):
-        raise WireFormatError(
-            f"Accelerator must be an object, got {type(payload).__name__}"
-        )
-    metadata = dict(payload.get("metadata") or {})
-    for key in _TUPLE_METADATA_KEYS:
-        if key in metadata and isinstance(metadata[key], list):
-            metadata[key] = tuple(metadata[key])
-    return CompiledAccelerator(
-        schedule=schedule_from_wire(_require(payload, "schedule", "accelerator"), target.dag),
-        options=target.options,
-        metadata=metadata,
-        target=target,
-    )
-
-
-def full_result_to_wire(result: CompileResult) -> dict:
-    """Serialize one :class:`CompileResult` losslessly (process boundary).
-
-    The flat :func:`result_to_wire` form is for network clients that only
-    want the paper's metrics; this form carries the whole design so the
-    parent engine can hand callers the same accelerator object graph a
-    thread-backend compile would have produced.
-    """
-    payload = {
-        "fingerprint": result.fingerprint,
-        "source": result.source,
-        "seconds": result.seconds,
-    }
-    if result.error is not None:
-        payload["error"] = result.error
-    if result.accelerator is not None:
-        payload["accelerator"] = accelerator_to_wire(result.accelerator)
-    if result.spans:
-        payload["spans"] = spans_to_payload(result.spans)
-    return payload
-
-
-def full_result_from_wire(payload: dict, target: CompileTarget) -> CompileResult:
-    """Rebuild a :class:`CompileResult` from :func:`full_result_to_wire` output.
-
-    ``target`` becomes the result's target (the submitting side's object, so
-    labels/metadata compare by identity exactly as with in-process backends).
-    """
-    if not isinstance(payload, dict):
-        raise WireFormatError(
-            f"Compile result must be an object, got {type(payload).__name__}"
-        )
-    accelerator_payload = payload.get("accelerator")
-    accelerator = (
-        accelerator_from_wire(accelerator_payload, target)
-        if accelerator_payload is not None
-        else None
-    )
-    error = payload.get("error")
-    try:
-        spans = spans_from_payload(payload.get("spans"))
-    except ValueError as exc:
-        raise WireFormatError(f"Invalid spans payload: {exc}") from None
-    return CompileResult(
-        target=target,
-        fingerprint=str(payload.get("fingerprint", "")) or target.fingerprint,
-        accelerator=accelerator,
-        error=None if error is None else str(error),
-        source=str(payload.get("source", "solver")),
-        seconds=float(payload.get("seconds", 0.0)),
-        spans=spans,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Verify payloads (v1/v2) — see docs/verification.md and docs/wire-protocol.md
 # ---------------------------------------------------------------------------
-def verify_request_to_wire(request: "VerifyRequest") -> dict:
+def verify_request_to_wire(request: VerifyRequest) -> dict:
     """Encode one :class:`~repro.service.verify.VerifyRequest`.
 
     Defaults are omitted on the wire — a minimal request is just
@@ -517,10 +390,6 @@ def verify_request_to_wire(request: "VerifyRequest") -> dict:
     (``golden``/``cycle``/``both``) stamp 1, so their wire bytes are stable
     across the v2 bump; ``rtl``/``perf`` stamp 2.
     """
-    # Function-local: verify pulls in numpy and the sim stack, which process
-    # workers (whose only wire users are compile jobs) must not pay to import.
-    from repro.service.verify import CHECK_KIND_MIN_VERSION, VERIFY_FORMAT_VERSION
-
     payload = {
         "version": CHECK_KIND_MIN_VERSION.get(request.check, VERIFY_FORMAT_VERSION),
         "target": target_to_wire(request.target),
@@ -539,7 +408,7 @@ def verify_request_to_wire(request: "VerifyRequest") -> dict:
     return payload
 
 
-def verify_request_from_wire(payload: dict) -> "VerifyRequest":
+def verify_request_from_wire(payload: dict) -> VerifyRequest:
     """Decode a verify request; unknown fields and bad versions are rejected.
 
     Any version in ``READABLE_VERIFY_VERSIONS`` decodes (v1 payloads stay
@@ -547,14 +416,6 @@ def verify_request_from_wire(payload: dict) -> "VerifyRequest":
     kind stamped below its own floor (``rtl``/``perf`` in a v1 payload) is a
     format error — a v1-era peer could never have produced it.
     """
-    from repro.service.verify import (
-        CHECK_KIND_MIN_VERSION,
-        READABLE_VERIFY_VERSIONS,
-        VERIFY_FORMAT_VERSION,
-        VERIFY_REQUEST_FIELDS,
-        VerifyRequest,
-    )
-
     if not isinstance(payload, dict):
         raise WireFormatError(
             f"Verify request must be a JSON object, got {type(payload).__name__}"
@@ -592,7 +453,7 @@ def verify_request_from_wire(payload: dict) -> "VerifyRequest":
         raise WireFormatError(f"Invalid verify request: {exc}") from None
 
 
-def verify_result_to_wire(result: "VerifyResult", *, include_spans: bool = False) -> dict:
+def verify_result_to_wire(result: VerifyResult, *, include_spans: bool = False) -> dict:
     """Flatten one :class:`~repro.service.verify.VerifyResult` for HTTP clients.
 
     ``ok`` says the check *ran*; ``passed`` says the design survived it —

@@ -64,8 +64,8 @@ class Span:
 
     ``start`` is seconds since the enclosing :class:`collect_spans` began;
     ``seconds`` is the span's own (inclusive) duration.  ``attrs`` carry
-    JSON-serializable scalars only, so spans cross the process-pool wire
-    boundary losslessly.
+    JSON-serializable scalars only, so spans round-trip through the HTTP
+    ``"spans"`` field losslessly.
     """
 
     name: str

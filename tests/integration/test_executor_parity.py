@@ -1,11 +1,10 @@
-"""Thread-vs-process executor parity over the algorithm catalog.
+"""Inline-vs-thread executor parity over the algorithm catalog.
 
-Acceptance for the pluggable-backend refactor: ``CompileEngine(
-executor="process")`` must compile the full catalog with fingerprints and
-area/power report rows *identical* to the thread backend — the process
-boundary (wire-encoded targets out, wire-encoded full results back) is
-lossless — and a baseline design saved by one process must be loaded warm
-from the shared :class:`DiskCacheStore` by a second process.
+``CompileEngine(executor="thread")`` must compile the full catalog with
+fingerprints and area/power report rows *identical* to the deterministic
+``inline`` backend — where a job ran never changes what it produced — and a
+baseline design saved by one process must be loaded warm from the shared
+:class:`DiskCacheStore` by a second process.
 """
 
 import multiprocessing
@@ -36,25 +35,22 @@ def _rows(batch):
     ]
 
 
-class TestThreadProcessParity:
+def _inline_and_thread(targets):
+    """Compile ``targets`` on the inline backend and on a 2-thread pool."""
+    with CompileEngine(executor="inline") as inline_engine:
+        inline_batch = inline_engine.submit_batch(targets)
+    with CompileEngine(workers=2, executor="thread") as thread_engine:
+        thread_batch = thread_engine.submit_batch(targets)
+    return inline_batch, thread_batch
+
+
+class TestInlineThreadParity:
     def test_catalog_identical_across_backends(self):
         """Same fingerprints, same area/power rows, algorithm by algorithm."""
-        targets = _catalog_targets()
-        with CompileEngine(workers=2, executor="thread") as thread_engine:
-            thread_batch = thread_engine.submit_batch(targets)
-        with CompileEngine(workers=2, executor="process") as process_engine:
-            process_batch = process_engine.submit_batch(targets)
+        inline_batch, thread_batch = _inline_and_thread(_catalog_targets())
+        assert all(r.ok for r in inline_batch.results)
         assert all(r.ok for r in thread_batch.results)
-        assert all(r.ok for r in process_batch.results)
-        assert _rows(thread_batch) == _rows(process_batch)
-
-    def test_inline_backend_agrees_too(self):
-        targets = _catalog_targets()[:3]
-        with CompileEngine(executor="inline") as inline_engine:
-            inline_batch = inline_engine.submit_batch(targets)
-        with CompileEngine(workers=2, executor="process") as process_engine:
-            process_batch = process_engine.submit_batch(targets)
-        assert _rows(inline_batch) == _rows(process_batch)
+        assert _rows(inline_batch) == _rows(thread_batch)
 
     def test_baseline_generators_identical_across_backends(self):
         dag_name = algorithm_names()[0]
@@ -64,12 +60,9 @@ class TestThreadProcessParity:
             )
             for gen in ("darkroom", "soda", "fixynn")
         ]
-        with CompileEngine(workers=2, executor="thread") as thread_engine:
-            thread_batch = thread_engine.submit_batch(targets)
-        with CompileEngine(workers=2, executor="process") as process_engine:
-            process_batch = process_engine.submit_batch(targets)
-        assert _rows(thread_batch) == _rows(process_batch)
-        for ours, theirs in zip(process_batch.results, thread_batch.results):
+        inline_batch, thread_batch = _inline_and_thread(targets)
+        assert _rows(inline_batch) == _rows(thread_batch)
+        for ours, theirs in zip(thread_batch.results, inline_batch.results):
             assert (
                 ours.accelerator.schedule.start_cycles
                 == theirs.accelerator.schedule.start_cycles
@@ -81,14 +74,12 @@ class TestThreadProcessParity:
                 )
 
     def test_coalescing_fallback_identical_across_backends(self):
-        """The two-solve auto-coalescing path survives the wire round-trip."""
+        """The two-solve auto-coalescing path agrees across backends."""
         target = CompileTarget(
             build_algorithm("unsharp-m"), image_width=W, image_height=H
         ).with_options(coalescing=True)
-        with CompileEngine(workers=2, executor="thread") as thread_engine:
-            theirs = thread_engine.submit_batch([target]).results[0]
-        with CompileEngine(workers=2, executor="process") as process_engine:
-            ours = process_engine.submit_batch([target]).results[0]
+        inline_batch, thread_batch = _inline_and_thread([target])
+        theirs, ours = inline_batch.results[0], thread_batch.results[0]
         assert ours.ok and theirs.ok
         assert ours.accelerator.schedule.generator == theirs.accelerator.schedule.generator
         assert ours.accelerator.metadata["schedule_fingerprints"] == (

@@ -1,20 +1,15 @@
-"""Span trees survive the process-pool wire boundary losslessly.
+"""Span trees do not depend on the executor backend.
 
-Acceptance for the tracing tentpole: a cold solve dispatched to a process
-worker must come back with the same span tree (names and nesting) as the
-identical solve run inline — the spans are collected in the worker, ride the
-wire result, and are absorbed into the parent engine's result and stage
-histograms.  ``REPRO_TRACE=0`` must switch worker-side collection off (the
-variable is inherited by the pool).
+A cold solve run on the thread pool must come back with the same span tree
+(names and nesting) as the identical solve run inline: the spans are
+collected on whichever thread ran the job and ride on the result.  The
+engine's stage histograms count each pool solve once, and ``REPRO_TRACE=0``
+switches collection off on pool threads too.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
+import asyncio
 
 from repro.algorithms import build_algorithm
 from repro.api import CompileTarget
@@ -34,23 +29,31 @@ def _name_tree(spans) -> list:
     return [[span.name, _name_tree(span.children)] for span in spans]
 
 
-class TestProcessPoolSpanParity:
-    def test_cold_process_solve_matches_inline_span_tree(self, monkeypatch):
+class TestBackendSpanParity:
+    def test_thread_backend_matches_inline_too(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")
         with CompileEngine(executor="inline", tracing=True) as inline_engine:
             inline_result = inline_engine.submit(_target())
-        with CompileEngine(workers=1, executor="process") as process_engine:
-            process_result = process_engine.submit(_target())
-        assert inline_result.ok and process_result.ok
-        assert inline_result.source == "solver"
-        assert process_result.source == "solver"
-        assert process_result.spans, "worker spans were dropped at the wire boundary"
-        assert _name_tree(process_result.spans) == _name_tree(inline_result.spans)
+        with CompileEngine(workers=1, executor="thread") as thread_engine:
+            # A batch, not a submit: single submits run on the calling thread.
+            thread_result = thread_engine.submit_batch([_target()]).results[0]
+        assert thread_result.spans
+        assert _name_tree(thread_result.spans) == _name_tree(inline_result.spans)
 
-    def test_absorbed_result_keeps_spans_and_feeds_histograms_once(self, monkeypatch):
+    def test_async_submit_matches_inline(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")
-        with CompileEngine(workers=1, executor="process") as engine:
-            result = engine.submit(_target())
+        with CompileEngine(executor="inline", tracing=True) as inline_engine:
+            inline_result = inline_engine.submit(_target())
+        with CompileEngine(workers=1, executor="thread") as thread_engine:
+            thread_result = asyncio.run(thread_engine.submit_async(_target()))
+        assert thread_result.source == "solver"
+        assert thread_result.spans
+        assert _name_tree(thread_result.spans) == _name_tree(inline_result.spans)
+
+    def test_pool_result_feeds_histograms_once(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        with CompileEngine(workers=1, executor="thread") as engine:
+            result = engine.submit_batch([_target()]).results[0]
             names = {span.name for span in result.spans}
             # RTL emission is on-demand (generate_verilog), so a plain
             # compile traces the cache/solve/allocate stages only.
@@ -60,43 +63,10 @@ class TestProcessPoolSpanParity:
             assert histograms[stage]["count"] == 1, stage  # exactly once, not zero/twice
         assert histograms["rtl"]["count"] == 0  # pre-seeded family, no emission ran
 
-    def test_repro_trace_0_disables_worker_collection(self):
-        # REPRO_TRACE is read when worker processes start, and the pool's
-        # forkserver inherits the environment of its *first* use in this
-        # interpreter — so the knob needs a fresh interpreter to be testable.
-        repo = Path(__file__).resolve().parents[2]
-        script = textwrap.dedent(
-            f"""
-            from repro.algorithms import build_algorithm
-            from repro.api import CompileTarget
-            from repro.service import CompileEngine
-
-            target = CompileTarget(
-                build_algorithm("unsharp-m"), image_width={W}, image_height={H}
-            )
-            with CompileEngine(workers=1, executor="process") as engine:
-                result = engine.submit(target)
-                assert result.ok
-                assert result.spans == (), result.spans
-                assert engine.metrics.stage_histograms()["solve"]["count"] == 0
-            print("NO-SPANS-OK")
-            """
-        )
-        env = dict(os.environ, REPRO_TRACE="0", PYTHONPATH=str(repo / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "NO-SPANS-OK" in proc.stdout
-
-    def test_thread_backend_matches_inline_too(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        with CompileEngine(executor="inline", tracing=True) as inline_engine:
-            inline_result = inline_engine.submit(_target())
-        with CompileEngine(workers=1, executor="thread") as thread_engine:
-            thread_result = thread_engine.submit(_target())
-        assert _name_tree(thread_result.spans) == _name_tree(inline_result.spans)
+    def test_repro_trace_0_disables_pool_collection(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        with CompileEngine(workers=1, executor="thread") as engine:
+            result = engine.submit_batch([_target()]).results[0]
+            assert result.ok and result.source == "solver"
+            assert result.spans == ()
+            assert engine.metrics.stage_histograms()["solve"]["count"] == 0

@@ -1,17 +1,20 @@
-"""Property-based round-trip tests for the lossless wire/disk codecs.
+"""Property-based round-trip tests for the target wire codec and the
+disk cache's schedule codec.
 
-The invariants that make process-pool execution and disk-persistable
-baselines safe: an arbitrary physical line-buffer configuration survives
-``to_payload``/``from_payload`` bit-identically, and any schedule a real
-generator (ImaGen or a baseline) produces survives
-:func:`repro.service.wire.schedule_to_wire` /
-:func:`repro.service.wire.schedule_from_wire` with identical reports.
+The invariants that make disk-persistable designs safe: an arbitrary
+physical line-buffer configuration survives ``to_payload``/``from_payload``
+bit-identically, and any schedule a real generator (ImaGen or a baseline)
+produces survives :func:`repro.service.cache.serialize_schedule` /
+:func:`repro.service.cache.deserialize_schedule` with identical reports —
+both as the default payload (decisions-only for ImaGen, line buffers
+re-derived on load) and with ``include_line_buffers=True``.
 """
 
 from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api.target import CompileTarget
@@ -20,12 +23,8 @@ from repro.dsl.builder import PipelineBuilder, temporal_average, window_sum
 from repro.estimate.report import accelerator_report
 from repro.memory.linebuffer import BlockAssignment, FrameBufferConfig, LineBufferConfig
 from repro.memory.spec import MemorySpec
-from repro.service.wire import (
-    schedule_from_wire,
-    schedule_to_wire,
-    target_from_wire,
-    target_to_wire,
-)
+from repro.service.cache import deserialize_schedule, serialize_schedule
+from repro.service.wire import target_from_wire, target_to_wire
 
 W, H = 32, 24
 
@@ -144,27 +143,49 @@ def generator_schedules(draw, temporal: bool = False):
     return compile_target(target).schedule, target
 
 
+def _round_trip(schedule, dag, include_line_buffers):
+    """Serialize through JSON and back, as a disk-cache entry would be."""
+    payload = serialize_schedule(schedule, include_line_buffers=include_line_buffers)
+    return deserialize_schedule(json.loads(json.dumps(payload)), dag)
+
+
+def _assert_same_design(restored, schedule):
+    """Reports, start cycles and every buffer payload match."""
+    assert restored.generator == schedule.generator
+    assert restored.start_cycles == schedule.start_cycles
+    assert restored.coalesce_factors == schedule.coalesce_factors
+    assert set(restored.line_buffers) == set(schedule.line_buffers)
+    for name, config in schedule.line_buffers.items():
+        assert restored.line_buffers[name].to_payload() == config.to_payload()
+    assert set(restored.frame_buffers) == set(schedule.frame_buffers)
+    for name, config in schedule.frame_buffers.items():
+        assert restored.frame_buffers[name].to_payload() == config.to_payload()
+    assert accelerator_report(restored).row() == accelerator_report(schedule).row()
+
+
+#: ``None`` is the disk cache's default payload (decisions-only for ImaGen,
+#: line buffers re-derived on load); ``True`` embeds them for every generator.
+INCLUDE_LINE_BUFFERS = pytest.mark.parametrize("include_line_buffers", [None, True])
+
+
 class TestGeneratorScheduleRoundTrip:
+    @INCLUDE_LINE_BUFFERS
     @given(data=generator_schedules())
     @settings(max_examples=25, deadline=None)
-    def test_schedule_round_trip_preserves_reports(self, data):
+    def test_schedule_round_trip_preserves_reports(self, data, include_line_buffers):
         schedule, target = data
-        payload = json.loads(json.dumps(schedule_to_wire(schedule)))
-        restored = schedule_from_wire(payload, target.dag)
-        assert restored.generator == schedule.generator
-        assert restored.start_cycles == schedule.start_cycles
-        assert restored.coalesce_factors == schedule.coalesce_factors
-        assert set(restored.line_buffers) == set(schedule.line_buffers)
-        for name, config in schedule.line_buffers.items():
-            assert restored.line_buffers[name].to_payload() == config.to_payload()
-        assert accelerator_report(restored).row() == accelerator_report(schedule).row()
+        restored = _round_trip(schedule, target.dag, include_line_buffers)
+        _assert_same_design(restored, schedule)
 
+    @INCLUDE_LINE_BUFFERS
     @given(data=generator_schedules())
     @settings(max_examples=10, deadline=None)
-    def test_wire_payload_is_json_serializable(self, data):
+    def test_payload_is_json_serializable(self, data, include_line_buffers):
         schedule, _ = data
-        payload = schedule_to_wire(schedule)
+        payload = serialize_schedule(schedule, include_line_buffers=include_line_buffers)
         assert json.loads(json.dumps(payload)) == payload
+        embedded = include_line_buffers or schedule.generator not in ("imagen", "imagen+lc")
+        assert ("line_buffers" in payload) == embedded
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +215,17 @@ class TestTargetPayloadVersions:
         assert restored.fingerprint == target.fingerprint
         assert restored.dag.canonical_form() == target.dag.canonical_form()
 
+    @INCLUDE_LINE_BUFFERS
     @given(data=generator_schedules(temporal=True))
     @settings(max_examples=10, deadline=None)
-    def test_temporal_schedule_round_trip_preserves_frame_buffers(self, data):
+    def test_temporal_schedule_round_trip_preserves_frame_buffers(
+        self, data, include_line_buffers
+    ):
         schedule, target = data
-        payload = json.loads(json.dumps(schedule_to_wire(schedule)))
-        restored = schedule_from_wire(payload, target.dag)
+        restored = _round_trip(schedule, target.dag, include_line_buffers)
         assert restored.frame_buffers == schedule.frame_buffers
         assert all(
             isinstance(config, FrameBufferConfig)
             for config in restored.frame_buffers.values()
         )
-        assert accelerator_report(restored).row() == accelerator_report(schedule).row()
+        _assert_same_design(restored, schedule)

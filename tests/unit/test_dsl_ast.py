@@ -122,7 +122,10 @@ class TestEvaluation:
         with pytest.raises(DSLSemanticError):
             ast.evaluate(ast.StageRef("missing"), {"K0": ramp()})
 
-    def test_floordiv(self):
-        image = ramp()
-        result = ast.evaluate(ast.StageRef("K0") // 2.0, {"K0": image})
-        np.testing.assert_allclose(result, np.floor_divide(image, 2.0))
+    def test_floor_division_is_not_an_operator(self):
+        # The emitted Verilog has only a true divide, so the DSL offers no
+        # floor division for the golden replay to disagree with.
+        with pytest.raises(TypeError):
+            ast.StageRef("K0") // 2
+        with pytest.raises(DSLSemanticError):
+            ast.BinOp("//", ast.StageRef("K0"), ast.Const(2.0))

@@ -30,6 +30,11 @@ class TestTokenize:
         tokens = tokenize("// a comment\ninput K0;")
         assert tokens[0].value == "input"
 
+    def test_double_slash_is_a_comment_not_an_operator(self):
+        tokens = tokenize("a / b // c\nd")
+        assert [t.value for t in tokens if t.kind == "symbol"] == ["/"]
+        assert [t.value for t in tokens if t.kind == "name"] == ["a", "b", "d"]
+
     def test_block_comments_skipped(self):
         tokens = tokenize("/* multi\nline */ input K0;")
         assert tokens[0].value == "input"

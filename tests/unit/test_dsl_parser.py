@@ -60,6 +60,13 @@ class TestParserFeatures:
         dag = parse_pipeline("input A; output B = im(x,y) (A(x,y) + A(x+1,y)) / 2 end")
         assert dag.edge("A", "B").window.width == 2
 
+    def test_double_slash_ends_the_expression(self):
+        # ``//`` starts a line comment; the DSL has no floor division.
+        dag = parse_pipeline("input A;\noutput B = im(x,y) A(x,y) + A(x+1,y) // 2\nend")
+        expression = dag.stage("B").expression
+        assert expression.op == "+"
+        assert "/" not in str(expression)
+
     def test_comparison_expression(self):
         dag = parse_pipeline("input A; output B = im(x,y) (A(x,y) > 10) * 255 end")
         assert "B" in dag

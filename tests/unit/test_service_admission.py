@@ -1,10 +1,10 @@
 """Unit tests for the admission-control layer.
 
-Covers the ISSUE's edge cases: expired/garbage tokens, burst-then-refill
-timing, queue-full shed vs block, autoscaler ceilings and idle retirement,
-and round-robin fairness under two competing identities.  Timing-sensitive
-pieces (rate buckets, idle expiry) use injected fake clocks; saturation tests
-gate the solver on events so nothing here depends on real solve latency.
+Covers the edge cases: expired/garbage tokens, burst-then-refill timing,
+queue-full shed vs block, and round-robin fairness under two competing
+identities.  Timing-sensitive pieces (rate buckets) use injected fake clocks;
+saturation tests gate the solver on events so nothing here depends on real
+solve latency.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.service.admission import (
     parse_token_line,
     validate_max_pending,
 )
-from repro.service.executor import AutoscalingExecutor, ThreadExecutor
+from repro.service.executor import ThreadExecutor
 from repro.service.jobs import SOURCE_REJECTED
 
 from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain
@@ -440,6 +440,31 @@ class TestEngineAdmission:
             slow_solver.set()
             engine.shutdown()
 
+    def test_admission_and_a_two_thread_pool_compose(self, slow_solver):
+        """max_pending bounds the wait queue while the pool runs width-many
+        dispatches."""
+        engine = CompileEngine(workers=2, executor="thread", max_pending=2)
+        outcomes: list = []
+        try:
+            threads = [
+                _submit_in_thread(engine, _target(i), "a", outcomes) for i in range(4)
+            ]
+            assert _wait_for(
+                lambda: engine.admission_stats()["inflight"] == 2
+                and engine.admission_stats()["queue_depth"] == 2
+            )
+            with pytest.raises(QueueFullError):
+                engine.submit(_target(9), client="a")
+            slow_solver.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert len(outcomes) == 4
+            assert all(getattr(result, "ok", False) for result in outcomes)
+            assert engine.executor_stats() == {"executor": "thread", "workers": 2}
+        finally:
+            slow_solver.set()
+            engine.shutdown()
+
     def test_shutdown_cancel_pending_cancels_admission_queued_jobs(self, slow_solver):
         """Jobs still waiting in the admission queue must resolve with
         CancelledError on shutdown(cancel_pending=True), not get pumped into
@@ -526,160 +551,6 @@ class TestEngineAdmission:
             assert alive and result.ok
             for thread in filler:
                 thread.join(timeout=30)
-        finally:
-            slow_solver.set()
-            engine.shutdown()
-
-
-# ---------------------------------------------------------------------------
-# Autoscaling executor
-# ---------------------------------------------------------------------------
-def _blocking_job(gate: threading.Event):
-    def run_local(target, fingerprint):
-        gate.wait(30)
-        return fingerprint
-
-    return run_local
-
-
-class TestAutoscalingExecutor:
-    def test_fleet_grows_with_demand_but_never_exceeds_max(self):
-        gate = threading.Event()
-        backend = AutoscalingExecutor(2, mode="thread")
-        try:
-            futures = [
-                backend.submit(_blocking_job(gate), None, f"job-{i}") for i in range(5)
-            ]
-            assert _wait_for(lambda: backend.stats()["busy_workers"] == 2)
-            stats = backend.stats()
-            assert stats["workers"] == 2  # ceiling respected
-            assert stats["max_workers"] == 2
-            assert stats["executor_queue_depth"] == 3
-            assert stats["scale_ups"] == 2
-            gate.set()
-            assert [f.result(timeout=30) for f in futures] == [
-                f"job-{i}" for i in range(5)
-            ]
-            assert backend.stats()["workers"] <= 2
-        finally:
-            gate.set()
-            backend.shutdown()
-
-    def test_idle_workers_retire_after_idle_seconds(self):
-        clock = FakeClock()
-        gate = threading.Event()
-        gate.set()
-        backend = AutoscalingExecutor(3, mode="thread", idle_seconds=10.0, clock=clock)
-        try:
-            block = threading.Event()
-            futures = [backend.submit(_blocking_job(block), None, str(i)) for i in range(3)]
-            assert _wait_for(lambda: backend.stats()["workers"] == 3)
-            block.set()
-            for future in futures:
-                future.result(timeout=30)
-            assert _wait_for(lambda: backend.stats()["busy_workers"] == 0)
-            assert backend.reap() == 0  # not idle long enough yet
-            clock.advance(10.5)
-            assert backend.reap() == 3
-            stats = backend.stats()
-            assert stats["workers"] == 0
-            assert stats["scale_downs"] == 3
-            assert any(e["action"] == "shrink" for e in stats["scaling_events"])
-        finally:
-            backend.shutdown()
-
-    def test_steady_trickle_reuses_the_hot_worker_and_sheds_the_cold_one(self):
-        """LIFO reuse regression: a light trickle must keep hitting the same
-        (most recently idled) worker so the other one ages out — FIFO reuse
-        would refresh both idle stamps forever and the fleet would never
-        scale down."""
-        clock = FakeClock()
-        backend = AutoscalingExecutor(2, mode="thread", idle_seconds=10.0, clock=clock)
-        try:
-            burst = threading.Event()
-            futures = [backend.submit(_blocking_job(burst), None, str(i)) for i in range(2)]
-            assert _wait_for(lambda: backend.stats()["workers"] == 2)
-            burst.set()
-            for future in futures:
-                future.result(timeout=30)
-            assert _wait_for(lambda: backend.stats()["busy_workers"] == 0)
-            done = threading.Event()
-            done.set()
-            # One quick job every 3 fake seconds: 5 * 3 = 15s > idle_seconds,
-            # but each job re-idles *some* worker within 3s of the last.
-            for _ in range(5):
-                clock.advance(3.0)
-                backend.submit(_blocking_job(done), None, "tick").result(timeout=30)
-                assert _wait_for(lambda: backend.stats()["busy_workers"] == 0)
-            clock.advance(3.0)
-            backend.reap()
-            stats = backend.stats()
-            assert stats["workers"] == 1, (
-                f"cold worker never retired under a steady trickle: {stats}"
-            )
-            assert stats["scale_downs"] >= 1
-        finally:
-            backend.shutdown()
-
-    def test_min_workers_floor_survives_reaping(self):
-        clock = FakeClock()
-        backend = AutoscalingExecutor(3, mode="thread", min_workers=1, idle_seconds=5.0, clock=clock)
-        try:
-            block = threading.Event()
-            futures = [backend.submit(_blocking_job(block), None, str(i)) for i in range(3)]
-            assert _wait_for(lambda: backend.stats()["workers"] == 3)
-            block.set()
-            for future in futures:
-                future.result(timeout=30)
-            assert _wait_for(lambda: backend.stats()["busy_workers"] == 0)
-            clock.advance(60.0)
-            backend.reap()
-            assert backend.stats()["workers"] == 1
-        finally:
-            backend.shutdown()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            AutoscalingExecutor(2, mode="inline")
-        with pytest.raises(ValueError, match="min_workers"):
-            AutoscalingExecutor(2, mode="thread", min_workers=3)
-        with pytest.raises(ValueError, match="idle_seconds"):
-            AutoscalingExecutor(2, mode="thread", idle_seconds=0)
-
-    def test_engine_compiles_through_thread_auto(self):
-        engine = CompileEngine(workers=2, executor="thread:auto")
-        try:
-            assert engine.executor_name == "thread:auto"
-            batch = engine.submit_batch([_target(i) for i in range(4)])
-            assert all(result.ok for result in batch.results)
-            stats = engine.executor_stats()
-            assert 1 <= stats["workers"] <= 2
-            assert stats["scale_ups"] >= 1
-            # Warm repeat: answered from cache, no extra scaling.
-            assert engine.submit(_target(0)).source == "memory"
-        finally:
-            engine.shutdown()
-
-    def test_admission_and_autoscaler_compose(self, slow_solver):
-        """max_pending bounds the wait queue while the auto fleet absorbs
-        width-many dispatches."""
-        engine = CompileEngine(workers=2, executor="thread:auto", max_pending=2)
-        outcomes: list = []
-        try:
-            threads = [
-                _submit_in_thread(engine, _target(i), "a", outcomes) for i in range(4)
-            ]
-            assert _wait_for(
-                lambda: engine.admission_stats()["queue_depth"] == 2
-                and engine.executor_stats()["workers"] == 2
-            )
-            with pytest.raises(QueueFullError):
-                engine.submit(_target(9), client="a")
-            slow_solver.set()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert all(getattr(result, "ok", False) for result in outcomes)
-            assert engine.executor_stats()["workers"] <= 2
         finally:
             slow_solver.set()
             engine.shutdown()

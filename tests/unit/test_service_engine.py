@@ -24,11 +24,9 @@ W, H = TEST_WIDTH, TEST_HEIGHT
 
 @pytest.fixture
 def engine():
-    # Pinned to the thread backend: these tests assert in-process semantics
-    # (schedule object identity across dedup twins, monkeypatched solvers,
-    # parent-cache hit accounting) that the process backend intentionally
-    # trades away.  Cross-backend behaviour lives in test_service_executor /
-    # the integration parity suite.
+    # Pinned to the thread backend so REPRO_EXECUTOR cannot change it;
+    # cross-backend behaviour lives in test_service_executor and the
+    # integration parity suite.
     engine = CompileEngine(workers=2, executor="thread")
     yield engine
     engine.shutdown()

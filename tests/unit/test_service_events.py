@@ -28,15 +28,16 @@ def clean_default_log():
 class TestEventLog:
     def test_ring_records_without_stream(self):
         log = EventLog(enabled=False, clock=lambda: 1000.0)
-        log.emit("autoscaler.grow", executor="thread:auto", workers=3)
-        records = log.recent("autoscaler.grow")
+        log.emit("cache.gc", evicted=3, remaining_bytes=0, directory="d")
+        records = log.recent("cache.gc")
         assert records == [
             {
                 "ts": 1000.0,
-                "event": "autoscaler.grow",
+                "event": "cache.gc",
                 "identity": "",
-                "executor": "thread:auto",
-                "workers": 3,
+                "evicted": 3,
+                "remaining_bytes": 0,
+                "directory": "d",
             }
         ]
         assert log.emitted_total == 1
@@ -60,7 +61,7 @@ class TestEventLog:
 
     def test_fingerprint_omitted_when_empty(self):
         log = EventLog(enabled=False)
-        record = log.emit("autoscaler.shrink", executor="thread:auto", workers=1)
+        record = log.emit("cache.gc", evicted=1, remaining_bytes=0, directory="d")
         assert "fingerprint" not in record
 
     def test_ring_is_bounded(self):
@@ -86,23 +87,6 @@ class TestEventLog:
 
 
 class TestEngineEventWiring:
-    def test_autoscaler_emits_grow_events(self, clean_default_log):
-        engine = CompileEngine(workers=2, executor="thread:auto")
-        try:
-            # Batch fan-out is what exercises the executor (single submits on
-            # in-process backends run on the calling thread).
-            targets = [
-                CompileTarget(build_chain(n), image_width=W, image_height=H)
-                for n in (2, 3)
-            ]
-            engine.submit_batch(targets)
-        finally:
-            engine.shutdown()
-        events = clean_default_log.recent("autoscaler.grow")
-        assert events
-        assert events[0]["executor"] == "thread:auto"
-        assert events[0]["workers"] >= 1
-
     def test_queue_shed_emits_event(self, clean_default_log):
         from concurrent.futures import Future
 
@@ -136,3 +120,17 @@ class TestEngineEventWiring:
         assert events
         assert events[-1]["directory"] == str(tmp_path)
         assert events[-1]["evicted"] >= 1
+
+    def test_pool_solves_emit_cache_gc_events(self, clean_default_log, tmp_path):
+        from repro.service import CompileCache
+
+        cache = CompileCache(store=DiskCacheStore(tmp_path, max_bytes=1))
+        targets = [
+            CompileTarget(build_chain(n), image_width=W, image_height=H)
+            for n in (2, 3)
+        ]
+        with CompileEngine(workers=2, executor="thread", cache=cache) as engine:
+            engine.submit_batch(targets).raise_on_error()
+        events = clean_default_log.recent("cache.gc")
+        assert events
+        assert all(event["directory"] == str(tmp_path) for event in events)

@@ -1,6 +1,7 @@
 """Unit tests for the pluggable execution backends and engine wiring."""
 
-import os
+import threading
+from concurrent.futures import CancelledError, Future
 
 import pytest
 
@@ -9,12 +10,11 @@ from repro.service import (
     CompileEngine,
     EXECUTOR_NAMES,
     InlineExecutor,
-    ProcessExecutor,
     ThreadExecutor,
     default_executor_name,
     validate_worker_count,
 )
-from repro.service.jobs import execute_wire_job
+from repro.service.executor import relay_future
 
 from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain, build_paper_example
 
@@ -32,6 +32,9 @@ class TestBackendSelection:
         engine = CompileEngine(workers=1)
         assert engine.executor_name == "thread"
 
+    def test_backend_names(self):
+        assert EXECUTOR_NAMES == ("inline", "thread")
+
     @pytest.mark.parametrize("name", EXECUTOR_NAMES)
     def test_env_selects_backend(self, monkeypatch, name):
         monkeypatch.setenv("REPRO_EXECUTOR", name)
@@ -40,12 +43,18 @@ class TestBackendSelection:
         engine.shutdown()
 
     def test_explicit_executor_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
         engine = CompileEngine(workers=1, executor="inline")
         assert engine.executor_name == "inline"
 
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "threads")  # typo must fail loudly
+    # "threads" is a typo; the rest name backends that no longer exist, so a
+    # stale deployment setting fails loudly too.
+    @pytest.mark.parametrize(
+        "name",
+        ["threads", "process", *(f"{mode}:auto" for mode in ("process", "thread"))],
+    )
+    def test_invalid_env_rejected(self, monkeypatch, name):
+        monkeypatch.setenv("REPRO_EXECUTOR", name)
         with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
             default_executor_name()
         with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
@@ -80,11 +89,9 @@ class TestWorkerValidation:
     def test_valid_counts_pass(self, good, expected):
         assert validate_worker_count(good) == expected
 
-    @pytest.mark.parametrize("name", ["thread", "process"])
-    def test_pool_backends_reject_bad_counts(self, name):
-        backend_cls = {"thread": ThreadExecutor, "process": ProcessExecutor}[name]
+    def test_thread_backend_rejects_bad_counts(self):
         with pytest.raises(ValueError):
-            backend_cls(0)
+            ThreadExecutor(0)
 
     def test_http_cli_rejects_bad_workers(self, capsys):
         from repro.service.http import main
@@ -123,22 +130,67 @@ class TestInlineBackend:
         batch = engine.submit_batch([_target().with_resolution(1, H), _target()])
         assert not batch.results[0].ok and batch.results[1].ok
 
+    def test_escaping_exception_settles_the_future(self):
+        def explode(target, fingerprint):
+            raise RuntimeError("boom")
 
-class TestProcessBackend:
+        future = InlineExecutor().submit(explode, _target(), "fp")
+        assert future.done()
+        with pytest.raises(RuntimeError, match="boom"):
+            future.result()
+
+
+def _track_threads(engine) -> list:
+    """Record the name of every thread that runs one of ``engine``'s jobs."""
+    seen = []
+    original = engine._execute
+
+    def tracking(target, fingerprint):
+        seen.append(threading.current_thread().name)
+        return original(target, fingerprint)
+
+    engine._execute = tracking
+    return seen
+
+
+class TestThreadBackend:
     @pytest.fixture
     def engine(self):
-        engine = CompileEngine(workers=2, executor="process")
+        engine = CompileEngine(workers=2, executor="thread")
         yield engine
         engine.shutdown()
 
-    def test_batch_matches_thread_backend(self, engine):
+    def test_shutdown_then_resubmit_recreates_pool(self):
+        with CompileEngine(workers=2, executor="thread") as engine:
+            assert engine.submit_batch([_target()]).results[0].ok
+            engine.shutdown()
+            assert engine._executor._pool is None
+            assert engine.submit_batch([_target(build_chain(4))]).results[0].ok
+
+    def test_pool_is_created_on_first_job(self, engine):
+        assert engine._executor._pool is None
+        engine.submit_batch([_target()])
+        assert engine._executor._pool is not None
+
+    def test_batch_jobs_run_on_pool_threads(self, engine):
+        seen = _track_threads(engine)
+        engine.submit_batch([_target(build_chain(n)) for n in (2, 3, 4)])
+        assert len(seen) == 3
+        assert all(name.startswith("repro-compile") for name in seen)
+
+    def test_single_submit_runs_on_the_calling_thread(self, engine):
+        seen = _track_threads(engine)
+        assert engine.submit(_target()).source == "solver"
+        assert seen == [threading.current_thread().name]
+        assert engine._executor._pool is None
+
+    def test_batch_matches_inline_backend(self, engine):
         targets = [
             _target(build_paper_example(), label="imagen"),
             _target(build_paper_example(), generator="darkroom", label="dk"),
             _target(build_paper_example(), generator="soda", label="soda"),
         ]
-        with CompileEngine(workers=2, executor="thread") as reference:
-            expected = reference.submit_batch(targets)
+        expected = CompileEngine(executor="inline").submit_batch(targets)
         actual = engine.submit_batch(targets)
         assert [r.fingerprint for r in actual] == [r.fingerprint for r in expected]
         for ours, theirs in zip(actual.results, expected.results):
@@ -161,84 +213,81 @@ class TestProcessBackend:
             is batch.results[1].accelerator.schedule
         )
 
-    def test_error_capture_crosses_the_process_boundary(self, engine):
-        batch = engine.submit_batch([_target().with_resolution(1, H)])
-        assert not batch.results[0].ok
+    def test_errors_captured_on_pool_threads(self, engine):
+        batch = engine.submit_batch([_target().with_resolution(1, H), _target()])
+        assert not batch.results[0].ok and batch.results[1].ok
         assert "SchedulingError" in batch.results[0].error
 
-    def test_parent_memory_cache_absorbs_worker_solves(self, engine):
+    def test_memory_cache_holds_pool_solves(self, engine):
         target = _target()
         engine.submit_batch([target])
-        # The follow-up inline submit is answered from the parent's memory
-        # tier — no worker round-trip, no new solve.
-        repeat = engine.submit(target)
-        assert repeat.source == "memory"
+        assert engine.submit(target).source == "memory"
 
     def test_result_target_is_the_submitters_object(self, engine):
         target = _target(label="mine")
         batch = engine.submit_batch([target])
         assert batch.results[0].target is target
 
-    def test_workers_share_the_disk_volume(self, tmp_path):
-        with CompileEngine(workers=1, executor="process", cache_dir=tmp_path) as engine:
-            engine.submit_batch([_target(build_chain(4))])
-        assert len(engine.cache.store) >= 1
+    def test_pool_solves_persist_to_the_shared_volume(self, tmp_path):
+        targets = [_target(build_chain(n)) for n in (2, 3, 4)]
+        with CompileEngine(workers=2, executor="thread", cache_dir=tmp_path) as engine:
+            engine.submit_batch(targets).raise_on_error()
+        assert len(engine.cache.store) >= len(targets)
+        # A fresh engine on the same volume (another server process, say)
+        # answers every target from disk.
+        with CompileEngine(workers=2, executor="thread", cache_dir=tmp_path) as fresh:
+            batch = fresh.submit_batch(targets)
+        assert [r.source for r in batch.results] == ["disk"] * len(targets)
 
-    def test_workers_enforce_the_volumes_gc_bounds(self, tmp_path):
-        """Regression: batch traffic used to bypass max_bytes entirely —
-        workers built unbounded stores, so only rare parent-side saves GCed."""
+    def test_pool_solves_respect_the_volumes_gc_bounds(self, tmp_path):
         from repro.service import CompileCache, DiskCacheStore
 
         store = DiskCacheStore(tmp_path, max_bytes=2_000)  # ~1-2 entries
         cache = CompileCache(store=store)
         targets = [_target(build_chain(n)) for n in (2, 3, 4, 5)]
-        with CompileEngine(workers=2, executor="process", cache=cache) as engine:
+        with CompileEngine(workers=2, executor="thread", cache=cache) as engine:
             engine.submit_batch(targets).raise_on_error()
         assert store.total_bytes() <= 2_000
 
-    def test_cold_submit_runs_in_a_worker_not_the_serving_thread(
-        self, engine, monkeypatch
-    ):
-        """Regression: single submits used to always solve on the calling
-        thread, leaving the process pool idle for the GIL-bound case it
-        exists for.  Poisoning the parent's solver proves where the job ran:
-        workers are fresh interpreters and never see the monkeypatch."""
-        import repro.service.engine as engine_mod
 
-        def parent_must_not_solve(target, cache=None):
-            raise AssertionError("cold submit ran in the serving process")
+class TestBackendStats:
+    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
+    def test_stats_report_only_name_and_workers(self, name):
+        with CompileEngine(workers=2, executor=name) as engine:
+            engine.submit_batch([_target()])
+            expected_workers = 1 if name == "inline" else 2
+            assert engine.executor_stats() == {
+                "executor": name,
+                "workers": expected_workers,
+            }
 
-        monkeypatch.setattr(engine_mod, "compile_pipeline", parent_must_not_solve)
-        result = engine.submit(_target(build_chain(4)))
-        assert result.ok and result.source == "solver"
 
-    def test_warm_submit_stays_in_process(self, engine, monkeypatch):
-        """...and the flip side: once the parent's memory tier holds the
-        design, repeats are answered inline without a worker round-trip."""
-        target = _target()
-        engine.submit_batch([target])  # worker solves; parent absorbs
+def _running_future() -> Future:
+    future: Future = Future()
+    future.set_running_or_notify_cancel()
+    return future
 
-        def no_worker_round_trip(run_local, t, fingerprint):
-            raise AssertionError("warm submit went to the pool")
 
-        monkeypatch.setattr(engine._executor, "submit", no_worker_round_trip)
-        assert engine.submit(target).source == "memory"
+class TestRelayFuture:
+    def test_result_is_copied(self):
+        source, destination = Future(), _running_future()
+        source.set_result("compiled")
+        relay_future(source, destination)
+        assert destination.result() == "compiled"
 
-    def test_wire_job_round_trip(self):
-        """The process-pool task is a pure wire-payload transformation."""
-        target = _target(build_paper_example())
-        payload = execute_wire_job(target.to_wire(), None)
-        from repro.service import full_result_from_wire
+    def test_exception_is_copied(self):
+        source, destination = Future(), _running_future()
+        error = RuntimeError("solver crashed")
+        source.set_exception(error)
+        relay_future(source, destination)
+        assert destination.exception() is error
 
-        result = full_result_from_wire(payload, target)
-        assert result.ok
-        assert result.fingerprint == target.fingerprint
-        assert result.accelerator.schedule.total_blocks > 0
-
-    def test_shutdown_then_resubmit_recreates_pool(self, engine):
-        assert engine.submit_batch([_target()]).results[0].ok
-        engine.shutdown()
-        assert engine.submit_batch([_target(build_chain(4))]).results[0].ok
+    def test_cancellation_arrives_as_an_exception(self):
+        source, destination = Future(), _running_future()
+        source.cancel()
+        relay_future(source, destination)
+        assert not destination.cancelled()
+        assert isinstance(destination.exception(), CancelledError)
 
 
 class TestSubmitFailureRecovery:

@@ -30,8 +30,6 @@ W, H = TEST_WIDTH, TEST_HEIGHT
 @pytest.fixture
 def service(tmp_path):
     """A live server on an ephemeral port + its engine + a client."""
-    # Thread backend pinned: the endpoint tests assert parent-cache hit
-    # accounting that worker-process caches would intentionally change.
     engine = CompileEngine(workers=2, executor="thread", cache_dir=tmp_path / "cache")
     server = start_server(engine)
     yield ServiceClient(port=server.port), engine, server
@@ -238,16 +236,36 @@ class TestOperationalEndpoints:
 
     def test_metrics_expose_admission_and_executor_schema(self, service):
         """Acceptance: /v1/metrics always carries rejected_total, queue_depth
-        and the live worker count, even with admission control off."""
+        and the worker count, even with admission control off."""
         client, engine, _ = service
         metrics = client.metrics()
         assert metrics["rejected_total"] == 0
         assert metrics["queue_depth"] == 0
         assert metrics["throttled_total"] == 0
+        assert metrics["executor"] == engine.executor_name
         assert metrics["workers"] == engine.workers
-        assert metrics["max_workers"] == engine.workers
         assert metrics["auth"] == "anonymous"
         assert metrics["max_pending"] is None
+        removed = {
+            "max_workers",
+            "min_workers",
+            "busy_workers",
+            "executor_queue_depth",
+            "scale_ups",
+            "scale_downs",
+            "scaling_events",
+        }
+        assert not removed & set(metrics)
+        text = client.metrics_prometheus()
+        for series in (
+            "repro_max_workers",
+            "repro_min_workers",
+            "repro_busy_workers",
+            "repro_executor_queue_depth",
+            "repro_scale_ups_total",
+            "repro_scale_downs_total",
+        ):
+            assert series not in text
 
     def test_internal_errors_become_500_json(self, service, monkeypatch):
         """An unexpected exception in a route is a JSON 500, not a reset."""
@@ -279,6 +297,28 @@ class TestOperationalEndpoints:
         )
         assert status == 400
         assert "error" in body
+
+    def test_floor_divide_target_is_400(self, service):
+        _, _, server = service
+        wire = target_to_wire(
+            CompileTarget(build_chain(3), image_width=W, image_height=H)
+        )
+        stage = wire["dag"]["stages"][-1]
+        stage["expression"] = {
+            "kind": "binop",
+            "op": "//",
+            "left": stage["expression"],
+            "right": {"kind": "const", "value": 2},
+        }
+        status, body = _raw_request(
+            server.port,
+            "POST",
+            "/v1/compile",
+            body=json.dumps(wire),
+            headers={"Content-Type": "application/json"},
+        )
+        assert status == 400
+        assert "//" in body["error"]
 
 
 class TestAccessLog:

@@ -189,6 +189,33 @@ class TestVerifyCaching:
         assert verify.stats()["deduplicated"] + verify.stats()["served_from_memory"] == 3
 
 
+class TestVerifyExecutor:
+    def test_verify_bodies_run_on_the_engines_pool(self, engines):
+        engine, verify = engines
+        assert verify._executor is engine._executor
+        seen = []
+        original = verify._execute
+
+        def tracking(request, fingerprint, client):
+            seen.append(threading.current_thread().name)
+            return original(request, fingerprint, client)
+
+        verify._execute = tracking
+        result = verify.submit(VerifyRequest(target=_target(), check="cycle"))
+        assert result.ok and result.passed
+        assert len(seen) == 1 and seen[0].startswith("repro-compile")
+
+    def test_inline_backend_gives_the_same_verdict(self, engines):
+        _, verify = engines
+        request = VerifyRequest(target=_target(), check="golden", frames=1)
+        pooled = verify.submit(request)
+        with CompileEngine(executor="inline") as engine:
+            inline = VerifyEngine(engine).submit(request)
+        assert pooled.source == inline.source == "verified"
+        assert pooled.passed and inline.passed
+        assert pooled.golden["digest"] == inline.golden["digest"]
+
+
 class TestVerifyAdmission:
     def test_bounded_queue_sheds_with_retry_after(self, tmp_path):
         engine = CompileEngine(workers=1, executor="thread")

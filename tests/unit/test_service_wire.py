@@ -167,6 +167,18 @@ class TestMalformedPayloads:
         with pytest.raises(WireFormatError):
             target_from_wire([1, 2, 3])
 
+    def test_floor_divide_rejected(self):
+        wire = self._wire()
+        stage = wire["dag"]["stages"][-1]
+        stage["expression"] = {
+            "kind": "binop",
+            "op": "//",
+            "left": stage["expression"],
+            "right": {"kind": "const", "value": 2},
+        }
+        with pytest.raises(WireFormatError, match="binop"):
+            target_from_wire(wire)
+
     def test_bad_resolution_rejected(self):
         wire = self._wire()
         wire["resolution"] = [W]
@@ -240,8 +252,6 @@ class TestResultCodec:
             CompileTarget(build_chain(3), image_width=1, image_height=H, label="bad"),
             CompileTarget(build_chain(4), image_width=W, image_height=H, label="b"),
         ]
-        # Thread backend pinned: the cache_stats assertion below reads the
-        # parent cache, which the process backend leaves to its workers.
         with CompileEngine(workers=2, executor="thread") as engine:
             wire = batch_result_to_wire(engine.submit_batch(targets))
         assert [r["label"] for r in wire["results"]] == ["a", "bad", "b"]

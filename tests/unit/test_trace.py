@@ -3,7 +3,7 @@
 The tracer is the foundation of the observability surface: these tests pin
 the thread-local collection model (no collector -> shared no-op span), the
 nesting/attribute semantics, the wire payload round-trip, and the
-``REPRO_TRACE`` default used by process-pool workers.
+``REPRO_TRACE`` default.
 """
 
 from __future__ import annotations
