@@ -1,20 +1,19 @@
-"""Solver-acceleration benchmark: warm-started and compound solves.
+"""Solver-acceleration benchmark: warm-started solves.
 
-Quantifies the two speed claims of the warm-start layer, while the unit
-suite (``tests/unit/test_warmstart.py``) pins that neither path changes a
-single byte of the solved schedules:
+Quantifies the two speed claims of the warm-start layer; the unit suite
+(``tests/unit/test_warmstart.py``) pins what a certified schedule keeps of
+the cold one (all of it where the optimum is unique):
 
 * A solve warm-started from a cached neighbor (same DAG, other resolution)
   must run its scheduling phase at least 2x faster than a cold solve — the
   transfer certifies the neighbor's solution optimal and skips the ILP.
-* The compound Fig. 10 sweep (canny-m's 16 designs + denoise-m's 8) must
-  schedule at least 1.5x faster than sequential per-variant solves — most
-  variants certify against the baseline's solution, the remainder solve as
-  blocks of one block-diagonal model.
+* The hinted Fig. 10 sweep (canny-m's 16 designs + denoise-m's 8) must
+  schedule at least 1.5x faster than cold per-variant solves — most
+  variants certify against the baseline's solution, the rest solve cold.
 
-Both measurements isolate the scheduler (``schedule_pipeline`` /
-``schedule_compound``): report generation and evaluation around it are
-identical in either mode and would only dilute the ratio.
+Both measurements isolate the scheduler (``schedule_pipeline``): report
+generation and evaluation around it are identical in either mode and would
+only dilute the ratio.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import time
 
 from repro.algorithms import build_algorithm
 from repro.api import CompileTarget
-from repro.core.scheduler import SchedulerOptions, schedule_compound, schedule_pipeline
+from repro.core.scheduler import SchedulerOptions, schedule_pipeline
 from repro.core.warmstart import hint_from_schedule
 from repro.dse.sweep import _design_target
 from repro.memory.spec import asic_dual_port
@@ -83,13 +82,13 @@ def test_warm_neighbor_solve_is_2x_faster_than_cold(benchmark):
         )
 
 
-def test_compound_fig10_sweep_is_1_5x_faster_than_sequential(benchmark):
-    def sequential_and_compound():
+def test_hinted_fig10_sweep_is_1_5x_faster_than_sequential(benchmark):
+    def sequential_and_hinted():
         spec = asic_dual_port()
         schedule_pipeline(  # HiGHS warm-up, as above
             build_algorithm("unsharp-m"), *NEIGHBOR_RES, spec, SchedulerOptions()
         )
-        sequential_s = compound_s = 0.0
+        sequential_s = hinted_s = 0.0
         variant_counts = {}
         for algorithm in ("canny-m", "denoise-m"):
             dag = build_algorithm(algorithm)
@@ -120,29 +119,30 @@ def test_compound_fig10_sweep_is_1_5x_faster_than_sequential(benchmark):
             sequential_s += time.perf_counter() - start
 
             start = time.perf_counter()
-            merged = schedule_compound(
-                dag, *NEIGHBOR_RES, spec, variant_options,
-                base_hint=hint_from_schedule(baseline),
-            )
-            compound_s += time.perf_counter() - start
+            hint = hint_from_schedule(baseline)
+            hinted = [
+                schedule_pipeline(dag, *NEIGHBOR_RES, spec, options, warm_hint=hint)
+                for options in variant_options
+            ]
+            hinted_s += time.perf_counter() - start
 
-            # Identity guard: the ratio is only meaningful if the compound
+            # Identity guard: the ratio is only meaningful if the hinted
             # path produced the exact same designs.
-            for cold, warm in zip(solo, merged):
+            for cold, warm in zip(solo, hinted):
                 assert warm.start_cycles == cold.start_cycles
                 assert warm.coalesce_factors == cold.coalesce_factors
-        return sequential_s, compound_s, variant_counts
+        return sequential_s, hinted_s, variant_counts
 
-    sequential_s, compound_s, variant_counts = benchmark.pedantic(
-        sequential_and_compound, rounds=1, iterations=1
+    sequential_s, hinted_s, variant_counts = benchmark.pedantic(
+        sequential_and_hinted, rounds=1, iterations=1
     )
-    speedup = sequential_s / compound_s if compound_s > 0 else float("inf")
+    speedup = sequential_s / hinted_s if hinted_s > 0 else float("inf")
     print(
         f"\nFig. 10 scheduling ({variant_counts['canny-m']} canny-m + "
         f"{variant_counts['denoise-m']} denoise-m designs): sequential "
-        f"{sequential_s:.2f}s, compound {compound_s:.2f}s ({speedup:.2f}x)"
+        f"{sequential_s:.2f}s, hinted {hinted_s:.2f}s ({speedup:.2f}x)"
     )
     assert variant_counts["canny-m"] == 16 and variant_counts["denoise-m"] == 8
-    assert compound_s * 1.5 <= sequential_s, (
-        f"compound sweep only {speedup:.2f}x faster than sequential"
+    assert hinted_s * 1.5 <= sequential_s, (
+        f"hinted sweep only {speedup:.2f}x faster than sequential"
     )

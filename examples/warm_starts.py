@@ -10,7 +10,7 @@ Two acts, using the paper's canny-m pipeline:
 2. **Engine wiring** — the same thing happens automatically through a
    :class:`CompileEngine`: compiling 480p warms the cache, the 1080p compile
    misses exactly but warm-starts from the cached neighbor, and the
-   ``neighbor_*`` / ``ilp_warm_*`` counters surface it.
+   ``neighbor_*`` / ``ilp_warm_certificates`` counters surface it.
 
 Run:  python examples/warm_starts.py
 """
@@ -45,7 +45,11 @@ def main() -> None:
         f"warm solved {warm.solver_stats['ilp_variables']})"
     )
     assert warm.solver_stats["warm_start"] == "certificate"
-    assert warm.start_cycles == cold.start_cycles, "warm must not change the answer"
+    assert warm.solver_stats["objective"] == cold.solver_stats["objective"]
+    # Here the certificate is the cold schedule itself.  Where optima tie it
+    # may be another optimum with the same objective and memory
+    # (docs/architecture.md, "Warm starts").
+    assert warm.start_cycles == cold.start_cycles
 
     # -- Act 2: the engine does this by itself through its cache -------------
     engine = CompileEngine()

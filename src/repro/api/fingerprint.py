@@ -26,6 +26,11 @@ Normalization rules
 * Baseline generators (Darkroom/SODA/FixyNN) ignore scheduler options, so
   options are dropped entirely from their fingerprints — a baseline design is
   cacheable regardless of what options the request happened to carry.
+* Three scheduler options were retired when the scheduler kept a single
+  solve path: the ILP ``backend``, the ``disjunction_strategy`` and its
+  ``max_subproblems`` limit.  :data:`RETIRED_OPTIONS` keeps them at the only
+  values they can still take, and :func:`normalize_options` merges it in, so
+  every fingerprint (and every disk-cache key) is unchanged.
 * Everything is serialized to JSON with sorted keys before hashing, so dict
   ordering never leaks into the digest.
 """
@@ -45,6 +50,10 @@ from repro.memory.spec import MemorySpec
 #: a way that invalidates previously persisted cache entries.
 FINGERPRINT_VERSION = 1
 
+#: Retired ``SchedulerOptions`` fields at their fixed values.  Fingerprints and
+#: wire payloads still carry them; a wire payload may only repeat them.
+RETIRED_OPTIONS = {"backend": "auto", "disjunction_strategy": "bigm", "max_subproblems": 4096}
+
 
 def normalize_options(options: SchedulerOptions) -> dict:
     """Reduce scheduler options to the fields that can change the schedule."""
@@ -52,9 +61,7 @@ def normalize_options(options: SchedulerOptions) -> dict:
         "ports": options.ports,
         "coalescing": options.coalescing,
         "pruning": options.pruning,
-        "disjunction_strategy": options.disjunction_strategy,
-        "backend": options.backend,
-        "max_subproblems": options.max_subproblems,
+        **RETIRED_OPTIONS,
     }
     if options.coalescing:
         data["coalescing_policy"] = options.coalescing_policy

@@ -29,7 +29,6 @@ from dataclasses import replace as dc_replace
 from typing import Any
 
 from repro.core.scheduler import SchedulerOptions
-from repro.ilp.solver import check_backend
 from repro.ir.dag import PipelineDAG
 from repro.memory.spec import MemorySpec, asic_dual_port
 
@@ -72,9 +71,7 @@ class CompileTarget:
         ASIC SRAM macros (:func:`repro.memory.spec.asic_dual_port`).
     options:
         Scheduler knobs; ``None`` resolves to default
-        :class:`SchedulerOptions`.  The target stores a private copy.  An
-        ImaGen target whose ``backend`` is unknown (directly or through
-        ``REPRO_ILP_BACKEND``) raises :class:`repro.errors.SolverError`.
+        :class:`SchedulerOptions`.  The target stores a private copy.
     generator:
         ``"imagen"`` (default) runs the ILP optimizer; a baseline name
         (``"darkroom"``, ``"soda"``, ``"fixynn"``) runs that comparison
@@ -106,10 +103,6 @@ class CompileTarget:
         options = dc_replace(
             options, per_stage_coalescing=dict(options.per_stage_coalescing)
         )
-        if self.generator == IMAGEN_GENERATOR:
-            # Reject an unknown ILP backend here, not at solve time: cache
-            # hits and warm-certified compiles never reach the solver.
-            check_backend(options.backend)
         object.__setattr__(self, "options", options)
         object.__setattr__(self, "metadata", dict(self.metadata))
 

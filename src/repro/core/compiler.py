@@ -98,9 +98,10 @@ def _schedule_cached(
     (``fetch_neighbor``): the same DAG solved at another resolution or
     coalescing selection.  A hit becomes the solver's warm-start hint — the
     scheduler transfers the neighbor's solution and either certifies it
-    optimal (skipping the ILP) or seeds the branch-and-bound incumbent with
-    it.  Either way the solved schedule is byte-identical to a cold solve;
-    the hint only changes how fast it is found.
+    optimal (skipping the ILP) or solves cold.  A certified schedule is a
+    legal optimum with the cold solve's objective, allocated bits, blocks
+    and SRAM (power agrees to within float rounding), but where optima tie
+    it may carry other start cycles, and so other Verilog, than a cold solve.
     """
     if cache is None:
         schedule = schedule_pipeline(

@@ -4,8 +4,9 @@ The contention constraints for one ``(P+1)``-combination are OR-ed: any one
 pair-separation suffices.  Pruning removes candidates that *imply* another
 candidate — removing an implied-from disjunct never changes the feasible set
 (``A or B == B`` whenever ``A implies B``) but it shrinks the number of
-sub-problems (enumeration strategy) or indicator variables (big-M strategy),
-which is where the paper's 4x compile-time speedup comes from.
+disjunct combinations (the paper's sub-problems) and the scheduler's big-M
+indicator variables, which is where the paper's 4x compile-time speedup
+comes from.
 
 Implication rule
 ----------------
@@ -85,7 +86,7 @@ def prune_disjunctions(
 
 
 def count_subproblems(disjunctions: list[Disjunction]) -> int:
-    """Number of ILP sub-problems the enumeration strategy would solve."""
+    """Number of disjunct combinations, the paper's ILP sub-problems (Sec. 5.4)."""
     total = 1
     for disjunction in disjunctions:
         total *= max(1, len(disjunction.candidates))

@@ -9,29 +9,22 @@ the scheduler assigns a start cycle to every stage such that
 * the total line-buffer size (Eq. 1a / Eq. 2) is minimal.
 
 The problem is an Integer Linear Program.  Disjunctive contention constraints
-(Sec. 5.4) are handled either with big-M indicator variables (default) or by
-enumerating sub-problems; constraint pruning removes dominated disjuncts in
-both cases.
+(Sec. 5.4) become big-M indicator variables once constraint pruning has
+removed the dominated disjuncts, and the one model is solved by HiGHS (the
+pure-Python branch-and-bound stands in when SciPy is missing; see
+:mod:`repro.ilp.solver`).
 
-Two solve-acceleration paths sit in front of the ILP, both optimality
-preserving:
-
-* **Warm starts** — :func:`schedule_pipeline` accepts a
-  :class:`~repro.core.warmstart.WarmHint` (a solved neighbor design).  The
-  neighbor's binding constraint edges are re-imposed at the target
-  width/options (:mod:`repro.core.warmstart`); when the transferred candidate
-  is legal and its objective matches the longest-walk lower bound, the ILP is
-  skipped entirely (the ``ilp`` span reports ``backend="warmstart"``).
-  Otherwise a legal candidate still seeds the branch-and-bound incumbent.
-* **Compound solves** — :func:`schedule_compound` folds several option
-  variants of one pipeline (the Fig. 10 sweep) into a single block-diagonal
-  model solved in one call (:mod:`repro.ilp.compound`), with the warm
-  certificate peeling off variants before any model is built.
+A warm certificate sits in front of the ILP: :func:`schedule_pipeline`
+accepts a :class:`~repro.core.warmstart.WarmHint` (a solved neighbor design).
+The neighbor's binding constraint edges are re-imposed at the target
+width/options (:mod:`repro.core.warmstart`); when the transferred candidate is
+legal and its objective matches the disjunctive lower bound, the ILP is
+skipped entirely (the ``ilp`` span reports ``backend="warmstart"``).
+Otherwise the solve runs cold.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -39,7 +32,6 @@ from repro.core import access
 from repro.core.constraints import (
     DependencyConstraint,
     Disjunction,
-    PairSeparation,
     coalescing_safety_constraints,
     contention_disjunctions,
     data_dependency_constraints,
@@ -56,9 +48,8 @@ from repro.core.warmstart import (
     try_warm_transfer,
 )
 from repro.errors import SchedulingError
-from repro.ilp.compound import merge_models, solve_compound
 from repro.ilp.expr import linear_sum
-from repro.ilp.model import Model, SolveStatus, WarmStart
+from repro.ilp.model import Model, SolveStatus
 from repro.ilp.solver import solve
 from repro.ir.dag import PipelineDAG
 from repro.ir.traversal import partial_order
@@ -88,23 +79,14 @@ class SchedulerOptions:
         DSE uses this together with ``per_stage_coalescing``).
     pruning:
         Enable constraint pruning (Sec. 5.4).
-    disjunction_strategy:
-        ``"bigm"`` (indicator variables, one solve) or ``"enumerate"``
-        (Cartesian product of sub-problems, the paper's formulation).
-    backend:
-        ILP backend passed to :func:`repro.ilp.solver.solve` (``"auto"``,
-        ``"python"`` or ``"highs"``).
-    max_subproblems:
-        Safety valve for the enumeration strategy.
+    per_stage_coalescing:
+        Per-producer coalescing choices that override ``coalescing_policy``.
     """
 
     ports: int | None = None
     coalescing: bool = False
     coalescing_policy: str = "auto"
     pruning: bool = True
-    disjunction_strategy: str = "bigm"
-    backend: str = "auto"
-    max_subproblems: int = 4096
     per_stage_coalescing: dict[str, bool] = field(default_factory=dict)
 
 
@@ -176,14 +158,8 @@ def _attempt_warm_start(
     prologue: _Prologue,
     options: SchedulerOptions,
     warm_hint: WarmHint,
-) -> tuple[dict[str, int] | None, int | None, str]:
-    """Transfer + certify a warm hint: (cycles, certified objective, detail).
-
-    The fast path is gated to the big-M strategy: enumeration breaks
-    objective ties by sub-problem order, which the certificate cannot see.
-    """
-    if options.disjunction_strategy != "bigm":
-        return None, None, "strategy"
+) -> tuple[dict[str, int] | None, str]:
+    """Transfer and certify a warm hint: (certified cycles or ``None``, detail)."""
     mandatory, multis = difference_system(prologue.dependencies, prologue.disjunctions)
     cycles, detail = try_warm_transfer(
         dag,
@@ -195,11 +171,10 @@ def _attempt_warm_start(
         order=prologue.order,
     )
     if cycles is None:
-        return None, None, detail
-    objective = schedule_objective(dag, cycles)
-    if objective == disjunctive_lower_bound(dag, mandatory, multis):
-        return cycles, objective, "certificate"
-    return cycles, None, "seed"
+        return None, detail
+    if schedule_objective(dag, cycles) == disjunctive_lower_bound(dag, mandatory, multis):
+        return cycles, "certificate"
+    return None, "uncertified"
 
 
 def _certificate_stats() -> dict:
@@ -225,218 +200,71 @@ def schedule_pipeline(
 ) -> PipelineSchedule:
     """Solve the scheduling ILP and return the resulting accelerator design.
 
-    ``warm_hint`` offers a solved neighbor design as a seed; it can only ever
-    accelerate the solve — the returned schedule is a proven optimum either
-    way, and a hint that fails transfer or certification degrades to a cold
-    solve (or an incumbent-seeded branch-and-bound).
+    ``warm_hint`` offers a solved neighbor design.  When its transfer is
+    certified optimal the ILP is skipped; otherwise the solve runs cold.  The
+    returned schedule is a legal optimum either way.  When several optima tie,
+    a certified schedule may pick different start cycles (and so emit
+    different Verilog) than the cold solve would; its objective, allocated
+    bits, block count and SRAM are the same, and its power agrees to within
+    float rounding.
     """
-    options = options or SchedulerOptions()
     _validate_request(dag, image_width, image_height)
-
-    started = time.perf_counter()
-    with trace_span(
-        "solve",
-        strategy=options.disjunction_strategy,
-        coalescing=bool(options.coalescing),
-    ):
-        prologue = _constraint_prologue(dag, image_width, memory_spec, options)
-
-        warm_cycles: dict[str, int] | None = None
-        certified: int | None = None
-        warm_detail = "none"
-        if warm_hint is not None:
-            warm_cycles, certified, warm_detail = _attempt_warm_start(
-                dag, image_width, prologue, options, warm_hint
-            )
-
-        if certified is not None:
-            assert warm_cycles is not None
-            # Provably optimal without a model: record a zero-cost "ilp" span
-            # so warm wins are measurable alongside real backend calls.
-            with trace_span("ilp", backend="warmstart"):
-                span_attr(status="optimal", lp_iterations=0, bnb_pruned=0, warm_start="certificate")
-            start_cycles, objective = warm_cycles, float(certified)
-            solver_stats = _certificate_stats()
-        elif options.disjunction_strategy == "enumerate":
-            start_cycles, objective, solver_stats = _solve_by_enumeration(
-                dag, image_width, prologue.dependencies, prologue.disjunctions,
-                prologue.horizon, options,
-            )
-        elif options.disjunction_strategy == "bigm":
-            start_cycles, objective, solver_stats = _solve_big_m(
-                dag, image_width, prologue.dependencies, prologue.disjunctions,
-                prologue.horizon, options, warm_cycles=warm_cycles,
-            )
-        else:
-            raise SchedulingError(f"Unknown disjunction strategy {options.disjunction_strategy!r}")
-
-        if warm_hint is not None:
-            disposition = solver_stats.pop("warm_seed", "none")
-            if certified is not None:
-                solver_stats["warm_start"] = "certificate"
-            elif warm_cycles is not None:
-                # The hint transferred but did not certify.  The Python
-                # backend reports what it did with the seed
-                # (seeded/incumbent/rejected); HiGHS ignores seeds, in which
-                # case the transfer outcome itself ("seed") is recorded.
-                solver_stats["warm_start"] = disposition if disposition != "none" else "seed"
-            else:
-                solver_stats["warm_start"] = warm_detail
-            span_attr(warm=solver_stats["warm_start"])
-        span_attr(
-            objective=float(objective),
-            solves=int(solver_stats.get("solves", 1)),
-            disjunctions=len(prologue.disjunctions),
-        )
-
-    elapsed = time.perf_counter() - started
-    return _finalize_schedule(
-        dag, image_width, image_height, memory_spec, options, prologue,
-        start_cycles, objective, solver_stats, elapsed,
+    return _schedule(
+        dag, image_width, image_height, memory_spec, options or SchedulerOptions(), warm_hint
     )
 
 
-def schedule_compound(
-    dag: PipelineDAG,
-    image_width: int,
-    image_height: int,
-    memory_spec: MemorySpec,
-    variant_options: list[SchedulerOptions],
-    *,
-    base_hint: WarmHint | None = None,
-) -> list[PipelineSchedule]:
-    """Schedule several option-variants of one pipeline as one compound solve.
-
-    This is the DSE sweep path (Fig. 10): the ``2^k`` per-stage coalescing
-    variants share a DAG and a resolution, so their ILPs are merged into one
-    block-diagonal compound model (:mod:`repro.ilp.compound`) and solved in a
-    single call.  Before any model is built, each variant is offered
-    ``base_hint`` (typically the sweep's all-DP baseline schedule); variants
-    whose transferred candidate certifies optimal skip the model entirely.
-    The remaining blocks are solved cold — never incumbent-seeded — so every
-    variant's schedule is byte-identical to what a standalone
-    :func:`schedule_pipeline` cold solve returns.
-
-    Returns one :class:`PipelineSchedule` per entry of ``variant_options``,
-    in order.
-    """
-    if not variant_options:
-        return []
-    _validate_request(dag, image_width, image_height)
-    for options in variant_options:
-        if options.disjunction_strategy != "bigm":
-            raise SchedulingError("Compound scheduling requires the big-M strategy")
-    backend = variant_options[0].backend
-    if any(options.backend != backend for options in variant_options):
-        raise SchedulingError("Compound scheduling requires one shared backend")
-
-    started = time.perf_counter()
-    plans = []
-    with trace_span("solve", strategy="compound", variants=len(variant_options)):
-        for options in variant_options:
-            prologue = _constraint_prologue(dag, image_width, memory_spec, options)
-            warm_cycles: dict[str, int] | None = None
-            certified: int | None = None
-            detail = "none"
-            if base_hint is not None:
-                warm_cycles, certified, detail = _attempt_warm_start(
-                    dag, image_width, prologue, options, base_hint
-                )
-            plans.append({
-                "options": options,
-                "prologue": prologue,
-                "certified": certified,
-                "warm_cycles": warm_cycles,
-                "detail": detail,
-            })
-
-        pending = [plan for plan in plans if plan["certified"] is None]
-        if pending:
-            built = [
-                _build_big_m(
-                    dag, image_width, plan["prologue"].dependencies,
-                    plan["prologue"].disjunctions, plan["prologue"].horizon,
-                )
-                for plan in pending
-            ]
-            compound, blocks = merge_models(
-                [model for model, _, _, _ in built], name=f"{dag.name}-compound"
-            )
-            combined, results = solve_compound(compound, blocks, backend=backend)
-            for plan, (model, start_vars, _, _), result in zip(pending, built, results):
-                if result.status is not SolveStatus.OPTIMAL:
-                    raise SchedulingError(
-                        f"Compound scheduling block for {dag.name!r} is {result.status.value} "
-                        f"(backend {result.backend}, {result.message})"
-                    )
-                plan["start_cycles"] = {
-                    stage: int(round(result.value_by_name(var.name)))
-                    for stage, var in start_vars.items()
-                }
-                plan["objective"] = float(result.objective or 0.0)
-                plan["stats"] = {
-                    "backend": result.backend,
-                    "ilp_variables": model.num_variables,
-                    "ilp_constraints": model.num_constraints,
-                    "lp_iterations": result.iterations,
-                    "solves": 1,
-                }
-        for plan in plans:
-            if plan["certified"] is not None:
-                with trace_span("ilp", backend="warmstart"):
-                    span_attr(
-                        status="optimal", lp_iterations=0, bnb_pruned=0,
-                        warm_start="certificate",
-                    )
-                plan["start_cycles"] = plan["warm_cycles"]
-                plan["objective"] = float(plan["certified"])
-                plan["stats"] = _certificate_stats()
-        span_attr(
-            objective=sum(plan["objective"] for plan in plans),
-            solves=len(pending),
-            certified=len(plans) - len(pending),
-        )
-
-    elapsed = time.perf_counter() - started
-    schedules = []
-    for plan in plans:
-        stats = plan["stats"]
-        stats["compound_variants"] = len(plans)
-        if base_hint is not None:
-            stats["warm_start"] = "certificate" if plan["certified"] is not None else plan["detail"]
-        schedules.append(
-            _finalize_schedule(
-                dag, image_width, image_height, memory_spec, plan["options"],
-                plan["prologue"], plan["start_cycles"], plan["objective"], stats,
-                elapsed / len(plans),
-            )
-        )
-    return schedules
-
-
-def _finalize_schedule(
+def _schedule(
     dag: PipelineDAG,
     image_width: int,
     image_height: int,
     memory_spec: MemorySpec,
     options: SchedulerOptions,
-    prologue: _Prologue,
-    start_cycles: dict[str, int],
-    objective: float,
-    solver_stats: dict,
-    elapsed: float,
+    warm_hint: WarmHint | None,
 ) -> PipelineSchedule:
+    """:func:`schedule_pipeline` for a request whose DAG and size are already
+    validated: the DSE sweep validates once for all of its variants."""
+    started = time.perf_counter()
+    with trace_span("solve", coalescing=bool(options.coalescing)):
+        prologue = _constraint_prologue(dag, image_width, memory_spec, options)
+
+        certified: dict[str, int] | None = None
+        if warm_hint is not None:
+            certified, warm_detail = _attempt_warm_start(
+                dag, image_width, prologue, options, warm_hint
+            )
+
+        if certified is not None:
+            # Provably optimal without a model: record a zero-cost "ilp" span
+            # so warm wins are measurable alongside real backend calls.
+            with trace_span("ilp", backend="warmstart"):
+                span_attr(status="optimal", lp_iterations=0, bnb_pruned=0, warm_start="certificate")
+            start_cycles = certified
+            objective = float(schedule_objective(dag, certified))
+            solver_stats = _certificate_stats()
+        else:
+            start_cycles, objective, solver_stats = _solve_big_m(dag, image_width, prologue)
+
+        if warm_hint is not None:
+            solver_stats["warm_start"] = warm_detail
+            span_attr(warm=warm_detail)
+        span_attr(
+            objective=objective,
+            solves=int(solver_stats["solves"]),
+            disjunctions=len(prologue.disjunctions),
+        )
+
     solver_stats.update(
         {
             "objective": objective,
-            "compile_seconds": elapsed,
+            "compile_seconds": time.perf_counter() - started,
             "ports": prologue.ports,
             "raw_contention_candidates": prologue.raw_candidates,
             "pruned_contention_candidates": prologue.pruned_candidates,
             "num_disjunctions": len(prologue.disjunctions),
             "subproblems": count_subproblems(prologue.disjunctions),
             "pruning": options.pruning,
-            "strategy": options.disjunction_strategy,
+            "strategy": "bigm",
         }
     )
 
@@ -452,7 +280,6 @@ def _finalize_schedule(
             for depth in depths.values()
         )
         solver_stats["frame_buffers"] = len(depths)
-    generator = "imagen+lc" if options.coalescing else "imagen"
     return PipelineSchedule(
         dag=dag,
         image_width=image_width,
@@ -460,7 +287,7 @@ def _finalize_schedule(
         memory_spec=memory_spec,
         start_cycles=start_cycles,
         line_buffers=line_buffers,
-        generator=generator,
+        generator="imagen+lc" if options.coalescing else "imagen",
         coalesce_factors=prologue.factors,
         solver_stats=solver_stats,
     )
@@ -507,14 +334,13 @@ def _effective_factors(
     return factors
 
 
-def _base_model(
-    dag: PipelineDAG,
-    dependencies: list[DependencyConstraint],
-    horizon: int,
-    name: str,
-):
-    """The model shared by both disjunction strategies: variables, Eq. 1a/1b."""
-    model = Model(name=name, sense="min")
+def _build_big_m(dag: PipelineDAG, image_width: int, prologue: _Prologue):
+    """Build the big-M model (Eq. 1a/1b plus indicator-relaxed Eq. 12).
+
+    Returns the model and the start-cycle variable of each stage.
+    """
+    horizon = prologue.horizon
+    model = Model(name=f"{dag.name}-bigm", sense="min")
     start_vars = {
         stage: model.add_integer_var(f"S[{stage}]", lb=0, ub=horizon)
         for stage in dag.stage_names()
@@ -523,7 +349,7 @@ def _base_model(
         model.add_constraint(
             (start_vars[stage.name] + 0.0).eq(0.0), name=f"anchor[{stage.name}]"
         )
-    for dep in dependencies:
+    for dep in prologue.dependencies:
         model.add_constraint(
             start_vars[dep.consumer] - start_vars[dep.producer] >= dep.min_delay,
             name=f"dep[{dep.producer}->{dep.consumer}]",
@@ -531,45 +357,27 @@ def _base_model(
 
     # Objective: sum over producers of the maximum consumer delay (Eq. 1a with
     # the ceiling dropped, which the paper shows preserves optimality).
-    delay_vars = {}
+    delay_vars = []
     for producer in dag.stage_names():
         consumers = dag.consumers_of(producer)
         if not consumers:
             continue
         delay = model.add_integer_var(f"D[{producer}]", lb=0, ub=horizon)
-        delay_vars[producer] = delay
+        delay_vars.append(delay)
         for consumer in consumers:
             model.add_constraint(
                 delay - (start_vars[consumer] - start_vars[producer]) >= 0,
                 name=f"maxdelay[{producer}->{consumer}]",
             )
-    model.set_objective(linear_sum(delay_vars.values()))
-    return model, start_vars, delay_vars
+    model.set_objective(linear_sum(delay_vars))
 
-
-def _separation_constraint(start_vars, separation: PairSeparation):
-    gap = separation.min_gap
-    return (
-        start_vars[separation.trailing] - start_vars[separation.leading] >= gap
-    )
-
-
-def _build_big_m(
-    dag: PipelineDAG,
-    image_width: int,
-    dependencies: list[DependencyConstraint],
-    disjunctions: list[Disjunction],
-    horizon: int,
-):
-    """Build the big-M model; returns (model, start vars, delay vars, indicators)."""
-    model, start_vars, delay_vars = _base_model(dag, dependencies, horizon, f"{dag.name}-bigm")
     big_m = 2 * horizon + image_width
-
-    indicator_specs: list[tuple] = []
-    for index, disjunction in enumerate(disjunctions):
+    for index, disjunction in enumerate(prologue.disjunctions):
         if disjunction.is_singleton:
+            candidate = disjunction.candidates[0]
             model.add_constraint(
-                _separation_constraint(start_vars, disjunction.candidates[0]),
+                start_vars[candidate.trailing] - start_vars[candidate.leading]
+                >= candidate.min_gap,
                 name=f"sep[{disjunction.buffer}:{index}]",
             )
             continue
@@ -577,54 +385,23 @@ def _build_big_m(
         for cand_index, candidate in enumerate(disjunction.candidates):
             indicator = model.add_binary_var(f"y[{disjunction.buffer}:{index}:{cand_index}]")
             indicators.append(indicator)
-            indicator_specs.append((indicator, candidate))
-            gap = candidate.min_gap
             # S_t - S_l >= gap - M*(1 - y): enforced when the indicator y is 1.
             model.add_constraint(
                 start_vars[candidate.trailing]
                 - start_vars[candidate.leading]
                 - big_m * indicator
-                >= gap - big_m,
+                >= candidate.min_gap - big_m,
                 name=f"sepM[{disjunction.buffer}:{index}:{cand_index}]",
             )
         model.add_constraint(
             linear_sum(indicators) >= 1, name=f"cover[{disjunction.buffer}:{index}]"
         )
-    return model, start_vars, delay_vars, indicator_specs
+    return model, start_vars
 
 
-def _warm_values(dag, start_vars, delay_vars, indicator_specs, cycles):
-    """Complete a start-cycle candidate into a full big-M model assignment."""
-    values = {var: float(cycles[stage]) for stage, var in start_vars.items()}
-    for producer, delay_var in delay_vars.items():
-        values[delay_var] = float(
-            max(cycles[consumer] - cycles[producer] for consumer in dag.consumers_of(producer))
-        )
-    for indicator, candidate in indicator_specs:
-        satisfied = cycles[candidate.trailing] - cycles[candidate.leading] >= candidate.min_gap
-        values[indicator] = 1.0 if satisfied else 0.0
-    return values
-
-
-def _solve_big_m(
-    dag: PipelineDAG,
-    image_width: int,
-    dependencies: list[DependencyConstraint],
-    disjunctions: list[Disjunction],
-    horizon: int,
-    options: SchedulerOptions,
-    warm_cycles: dict[str, int] | None = None,
-):
-    model, start_vars, delay_vars, indicator_specs = _build_big_m(
-        dag, image_width, dependencies, disjunctions, horizon
-    )
-    warm_start = None
-    if warm_cycles is not None:
-        warm_start = WarmStart(
-            values=_warm_values(dag, start_vars, delay_vars, indicator_specs, warm_cycles)
-        )
-
-    result = solve(model, backend=options.backend, warm_start=warm_start, raise_on_failure=False)
+def _solve_big_m(dag: PipelineDAG, image_width: int, prologue: _Prologue):
+    model, start_vars = _build_big_m(dag, image_width, prologue)
+    result = solve(model, raise_on_failure=False)
     if result.status is not SolveStatus.OPTIMAL:
         raise SchedulingError(
             f"Scheduling ILP for {dag.name!r} is {result.status.value} "
@@ -638,69 +415,7 @@ def _solve_big_m(
         "lp_iterations": result.iterations,
         "solves": 1,
     }
-    if warm_start is not None:
-        stats["warm_seed"] = result.warm_start
     return start_cycles, float(result.objective or 0.0), stats
-
-
-def _solve_by_enumeration(
-    dag: PipelineDAG,
-    image_width: int,
-    dependencies: list[DependencyConstraint],
-    disjunctions: list[Disjunction],
-    horizon: int,
-    options: SchedulerOptions,
-):
-    singles = [d for d in disjunctions if d.is_singleton]
-    multis = [d for d in disjunctions if not d.is_singleton]
-    total = count_subproblems(multis)
-    if total > options.max_subproblems:
-        raise SchedulingError(
-            f"Enumeration would require {total} sub-problems "
-            f"(limit {options.max_subproblems}); use the big-M strategy"
-        )
-
-    best_cycles: dict[str, int] | None = None
-    best_objective = float("inf")
-    solves = 0
-    variables = constraints = 0
-    choice_lists = [d.candidates for d in multis]
-    for combo in itertools.product(*choice_lists) if multis else [()]:
-        model, start_vars, _ = _base_model(
-            dag, dependencies, horizon, f"{dag.name}-enum-{solves}"
-        )
-        for index, disjunction in enumerate(singles):
-            model.add_constraint(
-                _separation_constraint(start_vars, disjunction.candidates[0]),
-                name=f"sep[{disjunction.buffer}:{index}]",
-            )
-        for index, candidate in enumerate(combo):
-            model.add_constraint(
-                _separation_constraint(start_vars, candidate), name=f"sepE[{index}]"
-            )
-        solves += 1
-        variables = model.num_variables
-        constraints = model.num_constraints
-        result = solve(model, backend=options.backend, raise_on_failure=False)
-        if result.status is not SolveStatus.OPTIMAL:
-            continue
-        if result.objective is not None and result.objective < best_objective:
-            best_objective = float(result.objective)
-            best_cycles = {
-                stage: int(round(result.value(var))) for stage, var in start_vars.items()
-            }
-
-    if best_cycles is None:
-        raise SchedulingError(
-            f"All {solves} enumeration sub-problems for {dag.name!r} were infeasible"
-        )
-    stats = {
-        "backend": options.backend,
-        "ilp_variables": variables,
-        "ilp_constraints": constraints,
-        "solves": solves,
-    }
-    return best_cycles, best_objective, stats
 
 
 # ---------------------------------------------------------------------------

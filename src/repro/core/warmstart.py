@@ -21,8 +21,7 @@ makes the neighbor's solution transferable:
    optimal: its objective equals the longest-walk lower bound over the
    target's difference graph, minimized over the disjunct choices
    (:func:`disjunctive_lower_bound`).  Only then may the scheduler skip the
-   ILP entirely; otherwise the candidate merely seeds the branch-and-bound
-   incumbent (:class:`repro.ilp.model.WarmStart`).
+   ILP entirely; otherwise it solves cold.
 
 The longest-walk bound is valid for *any* choice of disjuncts: it uses only
 constraints every feasible schedule must satisfy, and the objective

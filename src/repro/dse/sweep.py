@@ -22,12 +22,10 @@ concurrently on the engine's executor backend, failures are captured per
 point instead of aborting the sweep, and the all-DP configuration is served
 from the cache entry the baseline compile warmed.
 
-Serial sweeps (no engine) default to **compound** scheduling: the pending
-variants' ILPs are folded into one block-diagonal model, warm-started from
-the baseline's solution, solved in a single backend call and decomposed back
-into per-variant schedules (``repro.core.scheduler.schedule_compound``).
-Every design stays byte-identical to a solo solve and keeps its own
-fingerprint; pass ``compound=False`` (or an ``engine``) to opt out.
+A serial sweep (no engine) schedules each variant as
+:func:`repro.core.scheduler.schedule_pipeline` does, with the baseline's
+solution as its warm hint: most variants are certified optimal from the
+transfer alone and never build an ILP, and the rest solve cold.
 """
 
 from __future__ import annotations
@@ -37,6 +35,8 @@ from dataclasses import dataclass, field
 
 from repro.api.target import CompileTarget, require_target
 from repro.core.compiler import CompiledAccelerator, compile_target
+from repro.core.scheduler import _schedule
+from repro.core.warmstart import hint_from_schedule
 from repro.errors import ReproError
 from repro.estimate.report import AcceleratorReport, accelerator_report
 from repro.estimate.sram_model import SramTechModel
@@ -119,7 +119,6 @@ def sweep_memory_configurations(
     max_designs: int = 1024,
     sizing: str = "custom",
     engine=None,
-    compound: bool | None = None,
 ) -> list[DesignPoint]:
     """Compile every DP/DPLC combination and return the evaluated design points.
 
@@ -135,28 +134,14 @@ def sweep_memory_configurations(
     engine:
         Optional :class:`repro.service.engine.CompileEngine`.  All ``2^k``
         configurations are submitted as one batch: compiles fan out over the
-        engine's executor backend (thread pool, process pool or inline —
-        whatever the engine was built with), repeated design points are
-        served from its cache, and a design point that fails to compile is
-        skipped (the sweep only raises when *every* point fails).  Results
-        are identical to the serial path, in the same order.  Build it with
-        ``CompileEngine(workers=N, executor=...)`` to pick the fan-out width
-        and backend (``executor="process"`` keeps the ``2^k`` fan-out
-        parallel when the HiGHS backend is unavailable and thread workers
-        would serialize on the GIL).
-    compound:
-        Solve the ``2^k`` variants as one compound model
-        (:func:`repro.core.scheduler.schedule_compound`): the baseline's
-        solution warm-starts every variant — most are *certified* optimal
-        from the transfer alone and never build an ILP — and the remainder
-        are solved as blocks of one block-diagonal model.  The resulting
-        schedules are identical to the per-variant path (the warm transfer
-        only short-circuits provably optimal solutions); per-variant
-        fingerprints still enter the compile cache when one is available.
-        The default (``None``) enables it for the serial path and disables
-        it when an ``engine`` fans the variants out instead; it is forced
-        off for non-big-M scheduler strategies, which the compound solver
-        does not cover.
+        engine's executor backend (``thread`` or ``inline``, whatever the
+        engine was built with), repeated design points are served from its
+        cache, and a design point that fails to compile is skipped (the
+        sweep only raises when *every* point fails).  Results come back in
+        the serial path's order, with the same labels, objectives and
+        memory; the engine may warm-start a variant from a different cached
+        neighbor, so where optima tie its start cycles can differ.  Build it
+        with ``CompileEngine(workers=N)`` to pick the fan-out width.
     """
     if not require_target(base).is_imagen:
         raise ReproError(
@@ -176,15 +161,7 @@ def sweep_memory_configurations(
         dict(zip(configurable, choices))
         for choices in itertools.product(("DP", "DPLC"), repeat=len(configurable))
     ]
-    use_compound = compound if compound is not None else engine is None
-    if base.options.disjunction_strategy != "bigm":
-        use_compound = False
-    if use_compound:
-        compiled = _compile_compound(
-            base, configurations, baseline,
-            cache=getattr(engine, "cache", None),
-        )
-    elif engine is not None:
+    if engine is not None:
         compiled = _compile_with_engine(base, configurations, engine)
     else:
         compiled = _compile_serially(base, configurations, baseline)
@@ -209,71 +186,34 @@ def _compile_serially(
     configurations: list[dict[str, str]],
     baseline: CompiledAccelerator,
 ):
+    hint = hint_from_schedule(baseline.schedule)
     compiled = []
     for configuration in configurations:
         if all(choice == "DP" for choice in configuration.values()):
             # The baseline compile *is* the all-DP design; reuse it.
             compiled.append((configuration, baseline, {}))
             continue
-        accelerator = compile_target(_design_target(base, configuration))
-        compiled.append((configuration, accelerator, {}))
-    return compiled
-
-
-def _compile_compound(
-    base: CompileTarget,
-    configurations: list[dict[str, str]],
-    baseline: CompiledAccelerator,
-    cache=None,
-):
-    """Solve every DPLC-bearing configuration as one compound model.
-
-    The all-DP point reuses the baseline compile exactly like the serial
-    path.  Every other configuration becomes one block of a single
-    block-diagonal model, warm-started from the baseline's solution; the
-    decomposed schedules are identical to per-variant solves, and each is
-    recorded in ``cache`` (when given) under its own compile fingerprint so
-    later exact requests hit.
-    """
-    from repro.core.scheduler import schedule_compound
-    from repro.core.warmstart import hint_from_schedule
-
-    variants = [
-        (index, configuration, _design_target(base, configuration))
-        for index, configuration in enumerate(configurations)
-        if any(choice == "DPLC" for choice in configuration.values())
-    ]
-    accelerators: dict[int, CompiledAccelerator] = {}
-    if variants:
-        schedules = schedule_compound(
-            base.dag,
-            base.image_width,
-            base.image_height,
-            base.memory_spec,
-            [target.options for _, _, target in variants],
-            base_hint=hint_from_schedule(baseline.schedule),
+        target = _design_target(base, configuration)
+        # The baseline compile validated this DAG and resolution, so the
+        # variants skip schedule_pipeline's repeat of those graph checks.
+        schedule = _schedule(
+            target.dag,
+            target.image_width,
+            target.image_height,
+            target.memory_spec,
+            target.options,
+            hint,
         )
-        for (index, _, target), schedule in zip(variants, schedules):
-            fingerprint = target.fingerprint
-            if cache is not None:
-                cache.put(fingerprint, schedule)
-            accelerators[index] = CompiledAccelerator(
-                schedule=schedule,
-                options=target.options,
-                metadata={
-                    "schedule_sources": ("solver",),
-                    "schedule_fingerprints": (fingerprint,),
-                },
-                target=target,
-            )
-
-    compiled = []
-    for index, configuration in enumerate(configurations):
-        if index in accelerators:
-            compiled.append((configuration, accelerators[index], {}))
-        else:
-            # The baseline compile *is* the all-DP design; reuse it.
-            compiled.append((configuration, baseline, {}))
+        accelerator = CompiledAccelerator(
+            schedule=schedule,
+            options=target.options,
+            metadata={
+                "schedule_sources": ("solver",),
+                "schedule_fingerprints": (target.fingerprint,),
+            },
+            target=target,
+        )
+        compiled.append((configuration, accelerator, {}))
     return compiled
 
 

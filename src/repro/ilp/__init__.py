@@ -12,14 +12,13 @@ scratch:
 * :mod:`repro.ilp.highs` — a backend that maps the model onto
   ``scipy.optimize.milp`` (HiGHS).
 * :mod:`repro.ilp.solver` — the facade used by the rest of the library.
-* :mod:`repro.ilp.compound` — block-diagonal compound models: merge N
-  independent models, solve once, split the results (the DSE sweep path).
 
-Both backends are exact; tests cross-check them against each other.
+Both backends are exact.  The scheduler always asks for ``"auto"``: HiGHS,
+or the branch-and-bound when SciPy is missing; tests cross-check the two.
 """
 
 from repro.ilp.expr import Variable, LinExpr
-from repro.ilp.model import Model, Constraint, SolveResult, SolveStatus, WarmStart
+from repro.ilp.model import Model, Constraint, SolveResult, SolveStatus
 from repro.ilp.solver import solve, available_backends, resolve_backend
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "Constraint",
     "SolveResult",
     "SolveStatus",
-    "WarmStart",
     "solve",
     "available_backends",
     "resolve_backend",

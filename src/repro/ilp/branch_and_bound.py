@@ -9,14 +9,6 @@ textbook best-first branch-and-bound:
 3. otherwise branch on the most fractional integer variable, adding
    ``x <= floor(v)`` / ``x >= ceil(v)`` bounds;
 4. prune nodes whose relaxation bound cannot beat the incumbent.
-
-**Warm starts** support the solve-acceleration layer: a feasible
-:class:`~repro.ilp.model.WarmStart` installs its objective as the incumbent
-bound before the first LP solve.  The search then only looks for *strictly
-better* solutions (for integral objectives the cutoff is a full unit below the
-incumbent, which is what makes the pruning bite); if none exists, the warm
-incumbent is returned as the proven optimum.  Among multiple optima the
-incumbent is therefore preferred — a deterministic, documented tie-break.
 """
 
 from __future__ import annotations
@@ -29,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ilp.model import Model, SolveResult, SolveStatus, WarmStart
+from repro.ilp.model import Model, SolveResult, SolveStatus
 from repro.ilp.simplex import solve_lp
 from repro.trace import span_attr
 
@@ -82,45 +74,10 @@ def _model_matrices(model: Model):
     return c, a_ub, np.array(b_ub), a_eq, np.array(b_eq), lb, ub
 
 
-def _objective_is_integral(model: Model) -> bool:
-    """True when every feasible objective value lies on the integer lattice.
-
-    Holds when each objective term has an integer coefficient over an integer
-    variable — then any two feasible objective values differ by an integer,
-    which licenses the unit-deep warm-start cutoff.
-    """
-    for var, coeff in model.objective.coeffs.items():
-        if not var.integer or not float(coeff).is_integer():
-            return False
-    return True
-
-
-def _resolve_warm_start(model: Model, warm_start: WarmStart) -> dict | None:
-    """Map a warm start onto this model's variables; ``None`` if it cannot be."""
-    by_name = {var.name: var for var in model.variables}
-    values: dict = {}
-    for key, value in warm_start.values.items():
-        if isinstance(key, str):
-            var = by_name.get(key)
-        else:
-            var = key
-            owned = var.index < model.num_variables and model.variables[var.index] is var
-            if not owned:
-                var = None
-        if var is None:
-            return None
-        values[var] = float(value)
-    if not model.is_feasible(values):
-        return None
-    return values
-
-
 def solve_branch_and_bound(
     model: Model,
     max_nodes: int = 200000,
     time_limit: float | None = None,
-    *,
-    warm_start: WarmStart | None = None,
 ) -> SolveResult:
     """Solve ``model`` exactly with branch and bound over the simplex engine."""
     import time
@@ -135,26 +92,6 @@ def solve_branch_and_bound(
     total_lp_iterations = 0
     explored = 0
     pruned = 0
-
-    # A feasible warm start installs its objective as the incumbent bound
-    # (internally always min-sense, matching c above) *without* installing its
-    # solution vector: only strictly better solutions are recorded, and the
-    # warm values are returned verbatim when none exists.  For integral
-    # objectives the cutoff sits a full unit below the incumbent, so sibling
-    # optima prune immediately instead of being re-enumerated.
-    warm_outcome = "none"
-    warm_values: dict | None = None
-    warm_internal: float | None = None
-    if warm_start is not None:
-        warm_values = _resolve_warm_start(model, warm_start)
-        if warm_values is None:
-            warm_outcome = "rejected"
-        else:
-            warm_outcome = "seeded"
-            warm_true = model.objective_value(warm_values)
-            warm_internal = warm_true if model.sense == "min" else -warm_true
-            slack = (1.0 - _INT_TOL) if _objective_is_integral(model) else _INT_TOL
-            best_objective = warm_internal - slack
 
     root = _Node(bound=-math.inf, tiebreak=next(counter), lb=lb0.copy(), ub=ub0.copy())
     heap: list[_Node] = [root]
@@ -229,44 +166,14 @@ def solve_branch_and_bound(
     # Reported onto the enclosing "ilp" span (no-op outside a trace): node
     # count is the cost driver of this backend, alongside LP iterations.
     span_attr(bnb_nodes=explored, bnb_pruned=pruned)
-    if warm_start is not None:
-        span_attr(warm_start=warm_outcome)
 
     if best_x is None:
-        if saw_unbounded_root:
-            return SolveResult(
-                status=SolveStatus.UNBOUNDED,
-                backend="python",
-                iterations=total_lp_iterations,
-                nodes=explored,
-                pruned=pruned,
-                warm_start=warm_outcome,
-            )
-        if warm_internal is not None:
-            # The search exhausted without beating the incumbent: the warm
-            # solution is a proven optimum.  Return it verbatim.
-            assert warm_values is not None
-            values = {
-                var: float(round(value)) if var.integer else float(value)
-                for var, value in warm_values.items()
-            }
-            return SolveResult(
-                status=SolveStatus.OPTIMAL,
-                objective=model.objective_value(values),
-                values=values,
-                backend="python",
-                iterations=total_lp_iterations,
-                nodes=explored,
-                pruned=pruned,
-                warm_start="incumbent",
-            )
         return SolveResult(
-            status=SolveStatus.INFEASIBLE,
+            status=SolveStatus.UNBOUNDED if saw_unbounded_root else SolveStatus.INFEASIBLE,
             backend="python",
             iterations=total_lp_iterations,
             nodes=explored,
             pruned=pruned,
-            warm_start=warm_outcome,
         )
 
     values = {var: float(best_x[var.index]) for var in model.variables}
@@ -279,5 +186,4 @@ def solve_branch_and_bound(
         iterations=total_lp_iterations,
         nodes=explored,
         pruned=pruned,
-        warm_start=warm_outcome,
     )

@@ -58,22 +58,6 @@ class Constraint:
         return f"{label}{self.expr!r} {self.sense} {self.rhs:g}"
 
 
-@dataclass(frozen=True)
-class WarmStart:
-    """An incumbent assignment handed to a solver before the search starts.
-
-    ``values`` may be keyed by :class:`~repro.ilp.expr.Variable` or by
-    variable *name* — name keys let a caller seed a model it did not build
-    itself (e.g. a block of a compound model).  ``objective`` is optional; a
-    solver recomputes it from the model when absent.  An infeasible or
-    incomplete warm start is *rejected*, never an error: the solve proceeds
-    cold and reports ``warm_start="rejected"`` on its result.
-    """
-
-    values: Mapping[Variable | str, float]
-    objective: float | None = None
-
-
 @dataclass
 class SolveResult:
     """Outcome of solving a model."""
@@ -89,11 +73,6 @@ class SolveResult:
     nodes: int = 0
     #: Nodes discarded by the incumbent bound without an LP solve.
     pruned: int = 0
-    #: Warm-start disposition: ``"none"`` (no hint offered), ``"rejected"``
-    #: (hint infeasible/incomplete), ``"seeded"`` (hint accepted, a strictly
-    #: better solution was found anyway) or ``"incumbent"`` (hint accepted and
-    #: returned as the proven optimum).
-    warm_start: str = "none"
 
     @property
     def is_optimal(self) -> bool:
@@ -103,12 +82,6 @@ class SolveResult:
         if var not in self.values:
             raise ILPError(f"No solution value for variable {var.name!r}")
         return self.values[var]
-
-    def value_by_name(self, name: str) -> float:
-        for var, value in self.values.items():
-            if var.name == name:
-                return value
-        raise ILPError(f"No solution value for variable named {name!r}")
 
 
 class Model:

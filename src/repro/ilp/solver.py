@@ -2,26 +2,21 @@
 
 ``backend`` may be:
 
-* ``"highs"`` — SciPy's HiGHS MILP solver (fast, default when available);
+* ``"highs"`` — SciPy's HiGHS MILP solver;
 * ``"python"`` — the pure-Python branch-and-bound over the simplex engine;
-* ``"auto"`` — the ``REPRO_ILP_BACKEND`` environment variable when set,
-  otherwise HiGHS when importable, otherwise the Python backend.
+* ``"auto"`` — HiGHS when importable, otherwise the Python backend.
+
+The scheduler always solves with ``"auto"``; the explicit names exist so
+tests can cross-check the two exact backends against each other.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.errors import InfeasibleError, SolverError, UnboundedError
 from repro.ilp import highs
 from repro.ilp.branch_and_bound import solve_branch_and_bound
-from repro.ilp.model import Model, SolveResult, SolveStatus, WarmStart
+from repro.ilp.model import Model, SolveResult, SolveStatus
 from repro.trace import span_attr, trace_span
-
-#: Environment override consulted by ``backend="auto"`` — lets CI pin the
-#: whole suite to one backend (e.g. ``REPRO_ILP_BACKEND=python`` to exercise
-#: the SciPy-free path) without threading an option through every caller.
-BACKEND_ENV_VAR = "REPRO_ILP_BACKEND"
 
 _KNOWN_BACKENDS = ("auto", "python", "highs")
 
@@ -34,31 +29,15 @@ def available_backends() -> list[str]:
     return backends
 
 
-def check_backend(backend: str) -> str:
-    """Apply the ``REPRO_ILP_BACKEND`` override to ``"auto"``, without probing
-    for HiGHS.
+def resolve_backend(backend: str = "auto") -> str:
+    """Resolve ``"auto"`` to a concrete backend by HiGHS availability.
 
-    Raises :class:`SolverError` for a name outside ``_KNOWN_BACKENDS``, whether
-    passed directly or through the environment variable.
+    Raises :class:`SolverError` for a name outside ``_KNOWN_BACKENDS``.
     """
     if backend not in _KNOWN_BACKENDS:
         raise SolverError(
             f"Unknown ILP backend {backend!r}; expected one of {_KNOWN_BACKENDS}"
         )
-    if backend == "auto":
-        env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-        if env:
-            if env not in _KNOWN_BACKENDS:
-                raise SolverError(
-                    f"{BACKEND_ENV_VAR}={env!r} is not one of {_KNOWN_BACKENDS}"
-                )
-            backend = env
-    return backend
-
-
-def resolve_backend(backend: str = "auto") -> str:
-    """Resolve ``"auto"`` (env var, then availability) to a concrete backend."""
-    backend = check_backend(backend)
     if backend == "auto":
         backend = "highs" if highs.is_available() else "python"
     return backend
@@ -68,15 +47,13 @@ def solve(
     model: Model,
     backend: str = "auto",
     *,
-    warm_start: WarmStart | None = None,
     raise_on_failure: bool = False,
 ) -> SolveResult:
     """Solve ``model`` and return a :class:`SolveResult`.
 
     With ``raise_on_failure=True``, infeasible/unbounded outcomes raise
     :class:`InfeasibleError` / :class:`UnboundedError` instead of being
-    returned as statuses.  ``warm_start`` seeds the Python branch-and-bound;
-    the HiGHS backend ignores it.
+    returned as statuses.
     """
     backend = resolve_backend(backend)
 
@@ -84,14 +61,12 @@ def solve(
         if backend == "highs":
             result = highs.solve_highs(model)
         else:
-            result = solve_branch_and_bound(model, warm_start=warm_start)
+            result = solve_branch_and_bound(model)
         span_attr(
             status=result.status.value,
             lp_iterations=result.iterations,
             bnb_pruned=result.pruned,
         )
-        if result.warm_start != "none":
-            span_attr(warm_start=result.warm_start)
 
     if raise_on_failure:
         if result.status is SolveStatus.INFEASIBLE:
@@ -101,4 +76,3 @@ def solve(
         if result.status is SolveStatus.ERROR:
             raise SolverError(f"Backend {backend!r} failed on model {model.name!r}: {result.message}")
     return result
-

@@ -11,9 +11,9 @@ the :class:`repro.api.CompileTarget`; every submission path wraps
   fallback, baseline comparisons) are answered without re-running anything;
   on a miss the cache still helps: its nearest same-DAG entry
   (:meth:`CompileCache.fetch_neighbor`) warm-starts the scheduling ILP,
-  which certifies most resolution/option neighbors outright and seeds the
-  branch-and-bound otherwise (``ilp_warm_*`` counters on ``/v1/metrics``,
-  ``neighbor_*`` on ``/v1/cache/stats``);
+  which certifies most resolution/option neighbors outright and solves cold
+  otherwise (``ilp_warm_certificates`` on ``/v1/metrics``, ``neighbor_*``
+  on ``/v1/cache/stats``);
 * identical in-flight targets are deduplicated — concurrent batches that
   contain the same design point trigger exactly one run;
 * batches fan out over a pluggable :class:`repro.service.executor`

@@ -135,16 +135,12 @@ class EngineMetrics:
     errors: int = 0
     batches: int = 0
     total_seconds: float = 0.0
-    # ILP solver effectiveness, aggregated from ``ilp``/``ilp_compound`` span
-    # attrs by observe_spans: how many solves ran, how many were avoided
-    # outright by a warm-start certificate, how many were seeded, and how
-    # much the branch-and-bound pruned.
+    # ILP solver effectiveness, aggregated from ``ilp`` span attrs by
+    # observe_spans: how many solves ran, how many were avoided outright by a
+    # warm-start certificate, and how much the branch-and-bound pruned.
     ilp_solves: int = 0
     ilp_warm_certificates: int = 0
-    ilp_warm_seeded: int = 0
     ilp_pruned_nodes: int = 0
-    ilp_compound_solves: int = 0
-    ilp_compound_blocks: int = 0
     recent: deque = field(default_factory=lambda: deque(maxlen=256))
     stages: dict = field(
         default_factory=lambda: {name: StageHistogram() for name in DEFAULT_STAGES}
@@ -180,8 +176,8 @@ class EngineMetrics:
         Every span in the forest — children included — is counted under its
         own name, so nested stages (``ilp`` inside ``solve``) each get their
         own histogram.  Unknown stage names create histograms on demand.
-        ``ilp``/``ilp_compound`` spans additionally feed the solver counters
-        (warm-start certificates and seeds, pruned nodes).
+        ``ilp`` spans additionally feed the solver counters (warm-start
+        certificates, pruned nodes).
         """
         if not spans:
             return
@@ -194,20 +190,12 @@ class EngineMetrics:
                 histogram.observe(span.seconds)
                 if span.name == "ilp":
                     self._observe_ilp(span.attrs)
-                elif span.name == "ilp_compound":
-                    self.ilp_compound_solves += 1
-                    self.ilp_compound_blocks += int(
-                        span.attrs.get("block_solves", span.attrs.get("blocks", 0)) or 0
-                    )
 
     def _observe_ilp(self, attrs: dict) -> None:
         """Fold one ``ilp`` span's attrs into the solver counters (lock held)."""
         self.ilp_solves += 1
-        warm = attrs.get("warm_start")
-        if warm == "certificate":
+        if attrs.get("warm_start") == "certificate":
             self.ilp_warm_certificates += 1
-        elif warm in ("seeded", "incumbent"):
-            self.ilp_warm_seeded += 1
         try:
             self.ilp_pruned_nodes += int(attrs.get("bnb_pruned", 0) or 0)
         except (TypeError, ValueError):
@@ -284,9 +272,6 @@ class EngineMetrics:
                 "p95_seconds_served_from_cache": round(self._percentile_of(cached, 0.95), 6),
                 "ilp_solves": self.ilp_solves,
                 "ilp_warm_certificates": self.ilp_warm_certificates,
-                "ilp_warm_seeded": self.ilp_warm_seeded,
                 "ilp_pruned_nodes": self.ilp_pruned_nodes,
-                "ilp_compound_solves": self.ilp_compound_solves,
-                "ilp_compound_blocks": self.ilp_compound_blocks,
                 "stage_seconds": stage_seconds,
             }

@@ -147,13 +147,10 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("p95_seconds_served_from_cache", "gauge", "seconds", _LATENCY_HELP, prometheus='repro_latency_seconds{stat="p95",class="served_from_cache"}'),
     # -- per-stage spans -----------------------------------------------------
     MetricSpec("stage_seconds", "histogram", "seconds", "Per-stage span durations (cache/solve/allocate/rtl and nested stages); JSON carries count/sum/mean per stage, the exposition carries full histograms.", prometheus=STAGE_HISTOGRAM_FAMILY + '{stage="..."}'),
-    # -- ILP solver effectiveness (EngineMetrics, from ilp/ilp_compound spans)
+    # -- ILP solver effectiveness (EngineMetrics, from ilp spans) ----------
     MetricSpec("ilp_solves", "counter", "", "ILP backend invocations observed in request spans (warm-start certificates included as zero-cost solves).", prometheus="repro_ilp_solves_total"),
     MetricSpec("ilp_warm_certificates", "counter", "", "Solves short-circuited by a warm-start transfer certified optimal (no model built).", prometheus="repro_ilp_warm_certificates_total"),
-    MetricSpec("ilp_warm_seeded", "counter", "", "Solves whose branch-and-bound was seeded with a warm-start incumbent (seeded or returned as incumbent).", prometheus="repro_ilp_warm_seeded_total"),
     MetricSpec("ilp_pruned_nodes", "counter", "", "Branch-and-bound nodes pruned by bound across observed solves.", prometheus="repro_ilp_pruned_nodes_total"),
-    MetricSpec("ilp_compound_solves", "counter", "", "Compound (block-diagonal) model solves, each covering many design variants.", prometheus="repro_ilp_compound_solves_total"),
-    MetricSpec("ilp_compound_blocks", "counter", "", "Blocks solved inside compound models (variants not already certified).", prometheus="repro_ilp_compound_blocks_total"),
     # -- executor backend (ExecutorBackend.stats) ----------------------------
     MetricSpec("executor", "info", "", "Active execution backend name (label on repro_service_info)."),
     MetricSpec("workers", "gauge", "workers", "Worker count of the execution backend (1 for inline).", prometheus="repro_workers"),

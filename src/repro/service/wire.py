@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, fields
 
-from repro.api.fingerprint import normalize_memory_spec
+from repro.api.fingerprint import RETIRED_OPTIONS, normalize_memory_spec
 from repro.api.target import CompileTarget
 from repro.core.scheduler import SchedulerOptions
 from repro.dsl import ast
@@ -241,13 +241,18 @@ def memory_spec_from_wire(payload: dict) -> MemorySpec:
 
 def options_to_wire(options: SchedulerOptions) -> dict:
     """All scheduler knobs, verbatim (unlike the fingerprint normalization,
-    which drops fields that cannot change the schedule)."""
-    return asdict(options)
+    which drops fields that cannot change the schedule), plus the retired
+    ones at their fixed values (:data:`repro.api.fingerprint.RETIRED_OPTIONS`)."""
+    return {**asdict(options), **RETIRED_OPTIONS}
 
 
 def options_from_wire(payload: dict) -> SchedulerOptions:
     if not isinstance(payload, dict):
         raise WireFormatError(f"options must be an object, got {type(payload).__name__}")
+    payload = dict(payload)
+    for name, fixed in RETIRED_OPTIONS.items():
+        if name in payload and payload.pop(name) != fixed:
+            raise WireFormatError(f"options.{name} is retired; only {fixed!r} is accepted")
     known = {f.name for f in fields(SchedulerOptions)}
     unknown = set(payload) - known
     if unknown:

@@ -34,7 +34,7 @@ controlled by the ``REPRO_TRACE`` environment variable:
 Example::
 
     with collect_spans() as trace:
-        with trace_span("solve", strategy="bigm"):
+        with trace_span("solve", coalescing=False):
             with trace_span("ilp"):
                 span_attr(iterations=42)
     trace.spans  # (Span(name="solve", children=(Span(name="ilp"), ...)),)

@@ -27,6 +27,13 @@ def image_size() -> tuple[int, int]:
 
 
 @pytest.fixture
+def no_highs(monkeypatch):
+    """Hide SciPy's HiGHS, so every ``"auto"`` solve in the test takes the
+    pure-Python branch-and-bound fallback, as on a machine without SciPy."""
+    monkeypatch.setattr("repro.ilp.highs.is_available", lambda: False)
+
+
+@pytest.fixture
 def dual_port_spec():
     return asic_dual_port()
 

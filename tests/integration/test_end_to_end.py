@@ -7,8 +7,8 @@ from repro.algorithms import ALGORITHM_NAMES, build_algorithm
 from repro.api import CompileTarget
 from repro.baselines import generate_baseline
 from repro.core.compiler import compile_pipeline
-from repro.core.scheduler import SchedulerOptions
 from repro.dsl.parser import parse_pipeline
+from repro.ilp import highs
 from repro.estimate.report import accelerator_report
 from repro.rtl.lint import lint_verilog
 from repro.sim.cycle import simulate_schedule
@@ -99,23 +99,28 @@ class TestAllAlgorithmsAllGenerators:
         assert reports["ours"].memory_power_mw < reports["fixynn"].memory_power_mw
 
 
+@pytest.fixture(scope="module")
+def highs_unsharp():
+    """unsharp-m compiled with HiGHS; module scope, so it is built before any
+    function-scoped ``no_highs`` fixture hides the backend."""
+    if not highs.is_available():
+        pytest.skip("SciPy HiGHS not available")
+    return compile_pipeline(
+        CompileTarget(build_algorithm("unsharp-m"), image_width=W, image_height=H)
+    )
+
+
 class TestIlpBackendsAgree:
-    def test_backends_reach_same_objective(self):
-        dag = build_algorithm("unsharp-m")
-        highs = compile_pipeline(
-            CompileTarget(
-                dag, image_width=W, image_height=H, options=SchedulerOptions(backend="highs")
-            ),
-        )
+    def test_backends_reach_same_objective(self, highs_unsharp, no_highs):
         python = compile_pipeline(
-            CompileTarget(
-                dag, image_width=W, image_height=H, options=SchedulerOptions(backend="python")
-            ),
+            CompileTarget(build_algorithm("unsharp-m"), image_width=W, image_height=H)
         )
-        assert highs.schedule.solver_stats["objective"] == pytest.approx(
+        assert highs_unsharp.schedule.solver_stats["backend"] == "highs"
+        assert python.schedule.solver_stats["backend"] == "python"
+        assert highs_unsharp.schedule.solver_stats["objective"] == pytest.approx(
             python.schedule.solver_stats["objective"]
         )
-        assert highs.schedule.total_blocks == python.schedule.total_blocks
+        assert highs_unsharp.schedule.total_blocks == python.schedule.total_blocks
 
 
 class TestRtlForAlgorithms:

@@ -16,7 +16,7 @@ from repro.ilp import highs
 from repro.ilp.expr import LinExpr
 from repro.ilp.model import Model, SolveStatus
 from repro.ilp.simplex import solve_lp
-from repro.ilp.solver import available_backends, solve
+from repro.ilp.solver import solve
 
 
 def _as_linexpr(value, fallback_variable):
@@ -111,27 +111,3 @@ class TestSimplexProperties:
             assert ours.status == "optimal"
             assert ours.objective == pytest.approx(reference.fun, abs=1e-6)
 
-
-class TestWarmStartParity:
-    """Warm starts must never change the answer."""
-
-    @pytest.mark.parametrize("reference", available_backends())
-    @settings(max_examples=20, deadline=None)
-    @given(random_bounded_ilp())
-    def test_warm_seeded_python_matches_cold(self, reference, model):
-        """Branch-and-bound seeded with an optimum (its own, or HiGHS's when
-        installed) returns that optimum's objective."""
-        from repro.ilp.branch_and_bound import solve_branch_and_bound
-        from repro.ilp.model import WarmStart
-
-        cold = solve(model, backend=reference)
-        if cold.status is not SolveStatus.OPTIMAL:
-            return
-        warm = solve_branch_and_bound(
-            model,
-            warm_start=WarmStart(values=dict(cold.values), objective=cold.objective),
-        )
-        assert warm.status is SolveStatus.OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
-        assert model.is_feasible(warm.values)
-        assert warm.warm_start in ("incumbent", "seeded")

@@ -84,3 +84,23 @@ class TestSweep:
             assert point.area_mm2 > 0
             assert point.power_mw > 0
             assert set(point.configuration.values()) <= {"DP", "DPLC"}
+
+    def test_compound_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            sweep_memory_configurations(
+                CompileTarget(build_chain(3, stencil=3), image_width=W, image_height=H),
+                compound=True,
+            )
+
+    def test_serial_variants_are_warm_hinted_by_the_baseline(self):
+        """Every DPLC variant of the serial sweep is offered the all-DP
+        baseline's schedule as its warm hint."""
+        points = sweep_memory_configurations(
+            CompileTarget(build_algorithm("denoise-m"), image_width=W, image_height=H),
+        )
+        variants = [p for p in points if p.coalesced_stages]
+        assert variants
+        for point in variants:
+            # The scheduler records a warm_start outcome only when offered a hint.
+            assert "warm_start" in point.accelerator.schedule.solver_stats
+            assert point.accelerator.fingerprint == point.accelerator.target.fingerprint

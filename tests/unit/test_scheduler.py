@@ -69,14 +69,6 @@ class TestMultiConsumerScheduling:
         # a full stencil height; they cannot both sit at the ASAP point.
         assert max(delay_a, delay_b) >= 3 * W or abs(delay_a - delay_b) >= 3 * W
 
-    def test_enumeration_matches_bigm(self):
-        dag = build_two_consumer()
-        big_m = schedule_pipeline(dag, W, H, asic_dual_port(), SchedulerOptions())
-        enum = schedule_pipeline(
-            dag, W, H, asic_dual_port(), SchedulerOptions(disjunction_strategy="enumerate")
-        )
-        assert big_m.solver_stats["objective"] == pytest.approx(enum.solver_stats["objective"])
-
     def test_pruning_does_not_change_optimum(self):
         dag = build_paper_example()
         with_pruning = schedule_pipeline(dag, W, H, asic_dual_port(), SchedulerOptions(pruning=True))
@@ -107,17 +99,25 @@ class TestOptionsAndErrors:
         with pytest.raises(SchedulingError):
             schedule_pipeline(build_chain(3), W, H, asic_dual_port(), SchedulerOptions(ports=0))
 
-    def test_unknown_strategy(self):
-        with pytest.raises(SchedulingError):
-            schedule_pipeline(
-                build_chain(3), W, H, asic_dual_port(), SchedulerOptions(disjunction_strategy="magic")
-            )
-
-    def test_python_backend_small_model(self):
-        schedule = schedule_pipeline(
-            build_chain(3), W, H, asic_dual_port(), SchedulerOptions(backend="python")
-        )
+    def test_python_backend_small_model(self, no_highs):
+        schedule = schedule_pipeline(build_chain(3), W, H, asic_dual_port())
+        assert schedule.solver_stats["backend"] == "python"
         assert schedule.delay("K0", "K1") == 2 * W + 1
+
+    def test_options_keep_five_fields(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(SchedulerOptions)] == [
+            "ports", "coalescing", "coalescing_policy", "pruning", "per_stage_coalescing",
+        ]
+
+    @pytest.mark.parametrize(
+        "retired", [{"backend": "python"}, {"disjunction_strategy": "enumerate"},
+                    {"max_subproblems": 4096}],
+    )
+    def test_retired_fields_are_type_errors(self, retired):
+        with pytest.raises(TypeError):
+            SchedulerOptions(**retired)
 
 
 class TestCoalescedScheduling:

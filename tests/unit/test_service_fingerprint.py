@@ -1,7 +1,10 @@
 """Unit tests for content-addressed compile fingerprints."""
 
+import pytest
+
 from repro.api import CompileTarget
 from repro.api.fingerprint import (
+    RETIRED_OPTIONS,
     compile_fingerprint,
     dag_fingerprint,
     normalize_options,
@@ -86,9 +89,16 @@ class TestSensitivity:
         assert _fp(dag, options=SchedulerOptions(coalescing=True)) != base
         assert _fp(dag, options=SchedulerOptions(ports=1)) != base
         assert _fp(dag, options=SchedulerOptions(pruning=False)) != base
-        assert (
-            _fp(dag, options=SchedulerOptions(disjunction_strategy="enumerate")) != base
-        )
+
+    def test_retired_strategy_is_gone_but_still_hashed_at_its_fixed_value(self):
+        """``disjunction_strategy="enumerate"`` no longer exists; the retired
+        fields enter every fingerprint at their fixed values instead."""
+        with pytest.raises(TypeError):
+            SchedulerOptions(disjunction_strategy="enumerate")
+        normalized = normalize_options(SchedulerOptions())
+        assert {key: normalized[key] for key in RETIRED_OPTIONS} == {
+            "backend": "auto", "disjunction_strategy": "bigm", "max_subproblems": 4096,
+        }
 
     def test_per_stage_choice_matters_when_coalescing(self):
         dag = build_paper_example()

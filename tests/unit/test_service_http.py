@@ -321,6 +321,27 @@ class TestOperationalEndpoints:
         assert "//" in body["error"]
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("backend", "python"), ("disjunction_strategy", "enumerate"), ("max_subproblems", 8)],
+    )
+    def test_retired_option_value_is_400(self, service, field, value):
+        _, _, server = service
+        wire = target_to_wire(
+            CompileTarget(build_chain(3), image_width=W, image_height=H)
+        )
+        wire["options"][field] = value
+        status, body = _raw_request(
+            server.port,
+            "POST",
+            "/v1/compile",
+            body=json.dumps(wire),
+            headers={"Content-Type": "application/json"},
+        )
+        assert status == 400
+        assert field in body["error"]
+
+
 class TestAccessLog:
     """One spelling per log style: ``access_log=`` / ``--access-log``."""
 

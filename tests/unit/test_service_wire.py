@@ -76,7 +76,6 @@ class TestTargetRoundTrip:
             coalescing=True,
             coalescing_policy="all",
             per_stage_coalescing={"K1": True, "K2": False},
-            backend="python",
         )
         target = CompileTarget(
             build_paper_example(),
@@ -189,6 +188,40 @@ class TestMalformedPayloads:
         wire = self._wire()
         wire["options"]["turbo"] = True
         with pytest.raises(WireFormatError, match="turbo"):
+            target_from_wire(wire)
+
+    def test_options_carry_retired_fields_at_fixed_values(self):
+        options = self._wire()["options"]
+        assert options["backend"] == "auto"
+        assert options["disjunction_strategy"] == "bigm"
+        assert options["max_subproblems"] == 4096
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("backend", "auto"), ("disjunction_strategy", "bigm"), ("max_subproblems", 4096)],
+    )
+    def test_retired_field_at_fixed_value_decodes(self, field, value):
+        wire = self._wire()
+        for other in ("backend", "disjunction_strategy", "max_subproblems"):
+            del wire["options"][other]
+        wire["options"][field] = value
+        restored = target_from_wire(wire)
+        assert restored.fingerprint == target_from_wire(self._wire()).fingerprint
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("backend", "python"),
+            ("backend", "highs"),
+            ("disjunction_strategy", "enumerate"),
+            ("max_subproblems", 8),
+            ("max_subproblems", "4096"),
+        ],
+    )
+    def test_retired_field_at_other_value_rejected(self, field, value):
+        wire = self._wire()
+        wire["options"][field] = value
+        with pytest.raises(WireFormatError, match=f"options.{field}"):
             target_from_wire(wire)
 
     def test_unknown_memory_spec_field_rejected(self):

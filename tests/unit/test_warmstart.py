@@ -1,15 +1,18 @@
-"""Warm-start transfer, certificates, neighbor cache, and byte-identity pins.
+"""Warm-start transfer, certificates, neighbor cache, and identity pins.
 
-The acceptance property of the warm-start layer is *identity*: a warm-started
-(or compound) solve must produce a byte-identical schedule to the cold solve
-it replaces — the warm machinery may only change how fast the answer is
-found, never the answer.  These tests pin that for every catalog algorithm
-and for every generator family, plus the unit behaviour of the transfer, the
-lower bounds, the cache's neighbor lookup and the compiler wiring.
+A certified warm start is a legal optimum with the cold solve's objective,
+allocated bits, blocks and SRAM, and power equal to within float rounding.
+Where the optimum is unique it is the cold solve's schedule byte for byte,
+which these tests pin for every catalog algorithm, every generator family
+and the DSE sweep, on HiGHS and on the pure-Python fallback.  Where optima
+tie, the certificate may pick another one (``TestTiedOptima``).  Also
+covered: the transfer, the lower bounds, the cache's neighbor lookup and the
+compiler wiring.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
@@ -18,7 +21,7 @@ from repro.algorithms.catalog import ALGORITHM_NAMES, build_algorithm
 from repro.api.target import CompileTarget
 from repro.baselines.base import BASELINE_NAMES
 from repro.core.compiler import compile_target
-from repro.core.scheduler import SchedulerOptions, schedule_compound, schedule_pipeline
+from repro.core.scheduler import SchedulerOptions, schedule_pipeline
 from repro.core.warmstart import (
     WarmHint,
     dependency_lower_bound,
@@ -28,8 +31,12 @@ from repro.core.warmstart import (
     schedule_objective,
     try_warm_transfer,
 )
+from repro.dse.sweep import _design_target, sweep_memory_configurations
+from repro.estimate.report import accelerator_report
 from repro.memory.spec import asic_dual_port
+from repro.service import CompileEngine
 from repro.service.cache import CompileCache, serialize_schedule
+from repro.sim.cycle import check_schedule_legality
 
 NEIGHBOR_RES = (480, 320)
 TARGET_RES = (960, 540)
@@ -81,12 +88,22 @@ class TestTransfer:
         from repro.core.scheduler import _attempt_warm_start, _constraint_prologue
 
         prologue = _constraint_prologue(dag, TARGET_RES[0], spec, options)
-        cycles, certified, detail = _attempt_warm_start(
-            dag, TARGET_RES[0], prologue, options, hint
-        )
+        cycles, detail = _attempt_warm_start(dag, TARGET_RES[0], prologue, options, hint)
         assert detail == "certificate"
         assert cycles is not None
-        assert certified == schedule_objective(dag, cycles)
+        mandatory, multis = difference_system(prologue.dependencies, prologue.disjunctions)
+        assert schedule_objective(dag, cycles) == disjunctive_lower_bound(dag, mandatory, multis)
+
+    def test_uncertified_transfer_solves_cold(self, spec):
+        """A legal transfer that misses the lower bound is dropped, not seeded."""
+        dag = build_algorithm("unsharp-m")
+        options = SchedulerOptions(pruning=False)
+        hint = hint_from_schedule(schedule_pipeline(dag, 64, 48, spec, options))
+        cold = schedule_pipeline(dag, 32, 24, spec, options)
+        warm = schedule_pipeline(dag, 32, 24, spec, options, warm_hint=hint)
+        assert warm.solver_stats["warm_start"] == "uncertified"
+        assert warm.solver_stats["solves"] == 1
+        assert schedule_payload(warm) == schedule_payload(cold)
 
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_disjunctive_bound_tightens_but_stays_valid(self, name, spec):
@@ -150,38 +167,150 @@ class TestGeneratorIdentity:
         assert schedule_payload(cached.schedule) == schedule_payload(plain.schedule)
 
 
-class TestCompoundIdentity:
+class TestSweepIdentity:
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
-    def test_compound_sweep_matches_solo_solves(self, name, spec):
-        import itertools
-
-        from repro.dse.sweep import _design_target
-
+    def test_hinted_sweep_matches_solo_solves(self, name, spec):
+        """The serial sweep's baseline-hinted variants equal their cold solves."""
         dag = build_algorithm(name)
-        base = CompileTarget(
-            dag=dag, image_width=NEIGHBOR_RES[0], image_height=NEIGHBOR_RES[1],
-            memory_spec=spec,
+        points = sweep_memory_configurations(
+            CompileTarget(dag, *NEIGHBOR_RES, memory_spec=spec)
         )
-        baseline = schedule_pipeline(
-            dag, *NEIGHBOR_RES, spec, SchedulerOptions(coalescing=False)
-        )
-        configurable = [
-            producer for producer, config in baseline.line_buffers.items()
-            if config.lines >= 2
-        ]
-        variant_options = [
-            _design_target(base, dict(zip(configurable, combo))).options
-            for combo in itertools.product(("DP", "DPLC"), repeat=len(configurable))
-        ]
-        solo = [schedule_pipeline(dag, *NEIGHBOR_RES, spec, o) for o in variant_options]
-        compound = schedule_compound(
-            dag, *NEIGHBOR_RES, spec, variant_options,
-            base_hint=hint_from_schedule(baseline),
-        )
-        assert len(compound) == len(solo)
-        for cold, warm in zip(solo, compound):
-            assert schedule_payload(warm) == schedule_payload(cold)
-            assert warm.solver_stats["compound_variants"] == len(variant_options)
+        for point in points:
+            solo = schedule_pipeline(dag, *NEIGHBOR_RES, spec, point.accelerator.options)
+            assert schedule_payload(point.accelerator.schedule) == schedule_payload(solo)
+
+
+@pytest.mark.usefixtures("no_highs")
+class TestWarmIdentityWithoutHighs(TestWarmIdentity):
+    """``TestWarmIdentity`` on the pure-Python branch-and-bound fallback."""
+
+
+@pytest.mark.usefixtures("no_highs")
+class TestGeneratorIdentityWithoutHighs(TestGeneratorIdentity):
+    """``TestGeneratorIdentity`` on the pure-Python branch-and-bound fallback."""
+
+
+@pytest.mark.usefixtures("no_highs")
+class TestSweepIdentityWithoutHighs(TestSweepIdentity):
+    """``TestSweepIdentity`` on the pure-Python branch-and-bound fallback."""
+
+
+@functools.lru_cache(maxsize=None)
+def _configurable(name: str) -> tuple[str, ...]:
+    baseline = schedule_pipeline(
+        build_algorithm(name), *NEIGHBOR_RES, asic_dual_port(), SchedulerOptions()
+    )
+    return tuple(p for p, config in baseline.line_buffers.items() if config.lines >= 2)
+
+
+def _variant_target(name: str, label: str) -> CompileTarget:
+    """The 480x320 DSE variant that coalesces the ``+``-joined buffers."""
+    chosen = set(label.split("+"))
+    configuration = {b: "DPLC" if b in chosen else "DP" for b in _configurable(name)}
+    base = CompileTarget(build_algorithm(name), *NEIGHBOR_RES, memory_spec=asic_dual_port())
+    return _design_target(base, configuration)
+
+
+@functools.lru_cache(maxsize=None)
+def _cold_variant(name: str, label: str, resolution: tuple[int, int]):
+    return schedule_pipeline(
+        build_algorithm(name), *resolution, asic_dual_port(),
+        _variant_target(name, label).options,
+    )
+
+
+def _warm_variant(pair):
+    name, target, hint, hint_res = pair
+    return schedule_pipeline(
+        build_algorithm(name), *NEIGHBOR_RES, asic_dual_port(),
+        _variant_target(name, target).options,
+        warm_hint=hint_from_schedule(_cold_variant(name, hint, hint_res)),
+    )
+
+
+#: (algorithm, target variant, hint variant, hint resolution): every pair of
+#: canny-m/harris-m DSE variants at 480x320, hinted by a sibling variant at
+#: 480x320 or by itself at 640x480 or 1920x1080, whose certified schedule is
+#: not the cold solve's.  Their optima tie, and the certificate and HiGHS
+#: pick different ones, with grad_x and grad_y swapped.  The other 516 of
+#: the 544 such pairs certify the cold schedule or solve cold.
+TIED_PAIRS = [
+    ("canny-m", "K0+gauss_h", "K0+gauss_h", (640, 480)),
+    ("harris-m", "gauss", "gauss+structure", NEIGHBOR_RES),
+    ("harris-m", "gauss", "K0+gauss+structure", NEIGHBOR_RES),
+    ("harris-m", "gauss+structure", "gauss", NEIGHBOR_RES),
+    ("harris-m", "gauss+structure", "gauss+products", NEIGHBOR_RES),
+    ("harris-m", "gauss+structure", "gauss+products+structure", NEIGHBOR_RES),
+    ("harris-m", "gauss+structure", "K0+gauss", NEIGHBOR_RES),
+    ("harris-m", "gauss+structure", "K0+gauss+products", NEIGHBOR_RES),
+    ("harris-m", "gauss+structure", "K0+gauss+products+structure", NEIGHBOR_RES),
+    ("harris-m", "gauss+structure", "gauss+structure", (640, 480)),
+    ("harris-m", "gauss+products", "gauss+structure", NEIGHBOR_RES),
+    ("harris-m", "gauss+products", "K0+gauss+structure", NEIGHBOR_RES),
+    ("harris-m", "gauss+products+structure", "gauss+structure", NEIGHBOR_RES),
+    ("harris-m", "gauss+products+structure", "K0+gauss+structure", NEIGHBOR_RES),
+    ("harris-m", "K0+gauss", "gauss+structure", NEIGHBOR_RES),
+    ("harris-m", "K0+gauss", "K0+gauss+structure", NEIGHBOR_RES),
+    ("harris-m", "K0+gauss+structure", "gauss", NEIGHBOR_RES),
+    ("harris-m", "K0+gauss+structure", "gauss+products", NEIGHBOR_RES),
+    ("harris-m", "K0+gauss+structure", "gauss+products+structure", NEIGHBOR_RES),
+    ("harris-m", "K0+gauss+structure", "K0+gauss", NEIGHBOR_RES),
+    ("harris-m", "K0+gauss+structure", "K0+gauss+products", NEIGHBOR_RES),
+    ("harris-m", "K0+gauss+structure", "K0+gauss+products+structure", NEIGHBOR_RES),
+    ("harris-m", "K0+gauss+structure", "K0+gauss+structure", (640, 480)),
+    ("harris-m", "K0+gauss+products", "gauss+structure", NEIGHBOR_RES),
+    ("harris-m", "K0+gauss+products", "K0+gauss+structure", NEIGHBOR_RES),
+    ("harris-m", "K0+gauss+products", "K0+gauss+products", (640, 480)),
+    ("harris-m", "K0+gauss+products+structure", "gauss+structure", NEIGHBOR_RES),
+    ("harris-m", "K0+gauss+products+structure", "K0+gauss+structure", NEIGHBOR_RES),
+]
+
+
+def _pair_id(pair) -> str:
+    name, target, hint, (width, height) = pair
+    return f"{name}:{target}<-{hint}@{width}x{height}"
+
+
+def assert_same_design_quality(warm, cold) -> None:
+    """The guarantee a certified warm start keeps where optima tie."""
+    assert check_schedule_legality(warm).ok
+    assert warm.solver_stats["objective"] == cold.solver_stats["objective"]
+    assert warm.total_allocated_bits == cold.total_allocated_bits
+    assert warm.total_blocks == cold.total_blocks
+    warm_report, cold_report = accelerator_report(warm), accelerator_report(cold)
+    assert warm_report.sram_kbytes == cold_report.sram_kbytes
+    assert warm_report.memory_power_mw == pytest.approx(cold_report.memory_power_mw)
+    assert warm_report.total_power_mw == pytest.approx(cold_report.total_power_mw)
+
+
+class TestTiedOptima:
+    @pytest.mark.parametrize("pair", TIED_PAIRS, ids=_pair_id)
+    def test_certified_tie_keeps_design_quality(self, pair):
+        name, target, _, _ = pair
+        warm = _warm_variant(pair)
+        assert warm.solver_stats["warm_start"] == "certificate"
+        assert_same_design_quality(warm, _cold_variant(name, target, NEIGHBOR_RES))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: the optima tie and the certificate picks another "
+        "one than HiGHS; a canonical optimum would make the start cycles agree",
+    )
+    def test_certified_tie_matches_cold_start_cycles(self):
+        name, target, _, _ = pair = TIED_PAIRS[1]
+        cold = _cold_variant(name, target, NEIGHBOR_RES)
+        assert _warm_variant(pair).start_cycles == cold.start_cycles
+
+    def test_engine_serves_a_tied_optimum(self):
+        """An engine whose cache holds harris-m gauss+structure serves gauss
+        from a certificate: another optimum than ``compile_target`` emits."""
+        target = _variant_target("harris-m", "gauss")
+        with CompileEngine(workers=1, executor="inline") as engine:
+            engine.submit(_variant_target("harris-m", "gauss+structure")).unwrap()
+            served = engine.submit(target).unwrap()
+        plain = compile_target(target)
+        assert served.schedule.solver_stats["warm_start"] == "certificate"
+        assert_same_design_quality(served.schedule, plain.schedule)
 
 
 class TestCacheNeighbor:
@@ -301,21 +430,16 @@ class TestIlpMetrics:
             }),
             Span.from_payload({
                 "name": "ilp", "start": 0.0, "seconds": 0.01,
-                "attrs": {"warm_start": "incumbent", "bnb_pruned": 4},
-            }),
-            Span.from_payload({
-                "name": "ilp_compound", "start": 0.0, "seconds": 0.1,
-                "attrs": {"blocks": 8, "block_solves": 8},
+                "attrs": {"backend": "python", "bnb_pruned": 4},
             }),
         ]
         metrics.observe_spans(spans)
         summary = metrics.summary()
         assert summary["ilp_solves"] == 2
         assert summary["ilp_warm_certificates"] == 1
-        assert summary["ilp_warm_seeded"] == 1
         assert summary["ilp_pruned_nodes"] == 4
-        assert summary["ilp_compound_solves"] == 1
-        assert summary["ilp_compound_blocks"] == 8
+        for retired in ("ilp_warm_seeded", "ilp_compound_solves", "ilp_compound_blocks"):
+            assert retired not in summary
 
     def test_summary_keys_are_registered_metrics(self):
         from repro.service.metrics import EngineMetrics
