@@ -3,9 +3,9 @@
 Quantifies the two performance claims behind the RTL tier of the verify
 service: streaming frames through the elaborated design with whole-frame
 NumPy evaluation must beat the per-pixel reference interpreter
-(`simulate_design_loop`, the differential oracle) by a healthy margin, and
-a warm `rtl` verify — a verdict-cache lookup — must be far cheaper than the
-cold elaborate-and-simulate it memoises.
+(`simulate_design_loop` in `tests/oracles.py`, the differential oracle) by
+a healthy margin, and a warm `rtl` verify — a verdict-cache lookup — must
+be far cheaper than the cold elaborate-and-simulate it memoises.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ import time
 from repro import compile_pipeline
 from repro.algorithms import build_algorithm
 from repro.api import CompileTarget
-from repro.rtl import elaborate_design, generate_verilog, simulate_design, simulate_design_loop
+from repro.rtl import elaborate_design, generate_verilog, simulate_design
 from repro.service import CompileEngine, VerifyEngine, VerifyRequest
 from repro.sim.batch import golden_frames
+
+from oracles import simulate_design_loop
 
 #: Small frames: the per-pixel oracle pays Python dispatch per pixel x stage,
 #: the vectorized simulator per frame x stage — the gap is the whole point.

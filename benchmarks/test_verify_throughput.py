@@ -14,7 +14,9 @@ import time
 from repro.algorithms import build_algorithm
 from repro.api import CompileTarget
 from repro.service import CompileEngine, VerifyEngine, VerifyRequest
-from repro.sim.batch import replay_frames, replay_frames_loop
+from repro.sim.batch import replay_frames
+
+from oracles import replay_frames_loop
 
 #: Small frames, many of them: the regime the vectorization targets, where
 #: per-stage Python dispatch (not element arithmetic) dominates the loop.

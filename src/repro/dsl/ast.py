@@ -18,6 +18,7 @@ arrays (:func:`evaluate`), and Verilog expression generation
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -228,50 +229,90 @@ def stencil_windows(expr: Expr) -> dict[str, StencilWindow]:
     """
     windows: dict[str, StencilWindow] = {}
     for stage, refs in references_by_stage(expr).items():
-        window = _point_window(refs[0])
-        for ref in refs[1:]:
-            window = window.union(_point_window(ref))
-        windows[stage] = window
+        dxs, dys, dts = zip(*((ref.dx, ref.dy, ref.dt) for ref in refs))
+        windows[stage] = StencilWindow(min(dxs), max(dxs), min(dys), max(dys), min(dts), max(dts))
     return windows
-
-
-def _point_window(ref: StageRef) -> StencilWindow:
-    if ref.dt == 0:
-        return StencilWindow(ref.dx, ref.dx, ref.dy, ref.dy)
-    return StencilWindow(ref.dx, ref.dx, ref.dy, ref.dy, ref.dt, ref.dt)
 
 
 # ---------------------------------------------------------------------------
 # Functional evaluation over NumPy images
 # ---------------------------------------------------------------------------
-def _shifted(image: np.ndarray, dx: int, dy: int, dt: int = 0) -> np.ndarray:
-    """Return image sampled at (x+dx, y+dy) — and frame (t+dt) — edge-clamped.
+class _EdgePadded:
+    """A producer image edge-padded once, so that every read is a basic slice.
 
-    Spatial offsets shift the trailing two axes only, so a
-    (frames, height, width) batch evaluates all frames in one pass — the
-    vectorized replay path of ``repro.sim.batch`` relies on this.  A temporal
-    offset shifts the third-from-last axis (the frame/time axis) with the
-    same clamping convention: before the first frame, the sequence is padded
-    by repeating frame 0 (the temporal analogue of edge-clamped borders).
-    A zero offset is a plain copy: no gather.
+    ``window`` bounds the offsets that :meth:`tap` will read.  Spatial
+    offsets pad the trailing two axes; a temporal window pads the frame axis
+    (third from last), so frame ``t + dt`` before the first frame repeats
+    frame 0, the temporal analogue of edge-clamped borders.  An offset past
+    the border reads the same edge pixels as one at the border, so no axis
+    is padded by more than its length minus one.  A point window pads
+    nothing and serves views of ``image`` itself.
     """
-    if dx == 0 and dy == 0 and dt == 0:
-        return image.copy()
-    height, width = image.shape[-2], image.shape[-1]
-    ys = np.clip(np.arange(height) + dy, 0, height - 1)
-    xs = np.clip(np.arange(width) + dx, 0, width - 1)
-    shifted = image[..., ys[:, None], xs[None, :]]
-    if dt == 0:
-        return shifted
-    if image.ndim < 3:
-        raise DSLSemanticError(
-            f"Temporal reference (dt={dt}) needs a (frames, height, width) "
-            "sequence, got a single 2-D frame"
-        )
-    frames = image.shape[-3]
-    ts = np.clip(np.arange(frames) + dt, 0, frames - 1)
-    axis = image.ndim - 3
-    return np.take(shifted, ts, axis=axis)
+
+    __slots__ = ("shape", "origin", "padded", "image")
+
+    def __init__(self, image: np.ndarray, window: StencilWindow) -> None:
+        reaches = [
+            _reach(window.min_dy, window.max_dy, image.shape[-2]),
+            _reach(window.min_dx, window.max_dx, image.shape[-1]),
+        ]
+        if window.is_temporal:
+            if image.ndim < 3:
+                dt = window.min_dt or window.max_dt
+                raise DSLSemanticError(
+                    f"Temporal reference (dt={dt}) needs a (frames, height, width) "
+                    "sequence, got a single 2-D frame"
+                )
+            reaches.insert(0, _reach(window.min_dt, window.max_dt, image.shape[-3]))
+        self.shape = image.shape
+        self.origin = tuple(before for before, _ in reaches)
+        self.padded = _edge_pad(image, reaches) if any(map(any, reaches)) else image
+        #: The unpadded image, a view of ``padded``.
+        self.image = self.tap(0, 0)
+
+    def tap(self, dx: int, dy: int, dt: int = 0) -> np.ndarray:
+        """The image sampled at ``(x + dx, y + dy)`` and frame ``t + dt``: a view."""
+        *_, height, width = self.shape
+        y = self.origin[-2] + _clip_offset(dy, height)
+        x = self.origin[-1] + _clip_offset(dx, width)
+        if len(self.origin) == 2:
+            return self.padded[..., y : y + height, x : x + width]
+        frames = self.shape[-3]
+        t = self.origin[0] + _clip_offset(dt, frames)
+        return self.padded[..., t : t + frames, y : y + height, x : x + width]
+
+
+def _clip_offset(offset: int, length: int) -> int:
+    return min(max(offset, 1 - length), length - 1)
+
+
+def _reach(low: int, high: int, length: int) -> tuple[int, int]:
+    """Padding before and after an axis of ``length`` for offsets ``low..high``."""
+    return max(0, -_clip_offset(low, length)), max(0, _clip_offset(high, length))
+
+
+def _edge_pad(image: np.ndarray, reaches: list[tuple[int, int]]) -> np.ndarray:
+    """``np.pad(image, reaches, mode="edge")`` on the trailing axes, minus its overhead."""
+    lead = image.ndim - len(reaches)
+    lengths = image.shape[lead:]
+    padded = np.empty(
+        image.shape[:lead] + tuple(n + b + a for n, (b, a) in zip(lengths, reaches))
+    )
+    index = [slice(b, b + n) for n, (b, _) in zip(lengths, reaches)]
+    padded[(..., *index)] = image
+    # Innermost axis first, over the core of the outer axes; each later
+    # axis then copies whole padded slabs.
+    for axis in reversed(range(len(reaches))):
+        (before, after), n = reaches[axis], lengths[axis]
+        end = before + n
+        for start, stop, edge in ((0, before, before), (end, end + after, end - 1)):
+            if start != stop:
+                index[axis] = slice(start, stop)
+                target = (..., *index)
+                index[axis] = slice(edge, edge + 1)
+                padded[target] = padded[(..., *index)]
+        index[axis] = slice(None)
+    return padded
 
 
 def evaluate(expr: Expr, images: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -280,14 +321,19 @@ def evaluate(expr: Expr, images: Mapping[str, np.ndarray]) -> np.ndarray:
     ``images`` maps producer stage names to float arrays of identical shape —
     2-D ``(height, width)`` single frames or N-D batches whose trailing two
     axes are ``(height, width)``.  Border handling is edge clamping, matching
-    the padding assumption of the paper's formulation (Sec. 5, footnote 2).
+    the padding assumption of the paper's formulation (Sec. 5, footnote 2):
+    each producer is edge-padded once by its stencil window, and every
+    reference reads a zero-copy slice of the padded copy.  The padded
+    copies live only for this call.
     """
+    padded: dict[str, _EdgePadded] = {}
+    for stage, window in stencil_windows(expr).items():
+        if stage not in images:
+            raise DSLSemanticError(f"No image supplied for producer {stage!r}")
+        padded[stage] = _EdgePadded(np.asarray(images[stage], dtype=np.float64), window)
 
     def fetch(ref: StageRef) -> np.ndarray:
-        if ref.stage not in images:
-            raise DSLSemanticError(f"No image supplied for producer {ref.stage!r}")
-        image = np.asarray(images[ref.stage], dtype=np.float64)
-        return _shifted(image, ref.dx, ref.dy, ref.dt)
+        return padded[ref.stage].tap(ref.dx, ref.dy, ref.dt)
 
     return _evaluate(expr, fetch, next((img.shape for img in images.values()), None))
 
@@ -297,77 +343,132 @@ def _evaluate(
 ) -> np.ndarray:
     """The one recursive evaluator: the golden replay and the RTL sim share it.
 
-    ``fetch(ref)`` serves every producer read — direct edge-clamped images in
-    :func:`evaluate`, line- and frame-buffer taps in :mod:`repro.rtl.sim` —
-    and constants fill ``shape`` (``()`` for a single pixel).  Operators
-    apply in tree order, so two callers whose reads agree agree bit-exactly.
+    ``fetch(ref)`` serves every producer read — slices of edge-padded images
+    in :func:`evaluate`, line- and frame-buffer taps in :mod:`repro.rtl.sim`.
+    Constants are 0-d scalars that broadcast.  Operators apply in tree order
+    with fixed ufuncs, so two callers whose reads agree agree bit-exactly;
+    each writes into an operand the evaluator allocated itself, never into a
+    read.  Returns a new array of ``shape`` (``()`` for a single pixel), even
+    for a bare reference or a constant.
     """
+    value, owned = _value(expr, fetch)
+    if owned and value.shape == shape:
+        return value
+    if shape is None:
+        raise DSLSemanticError("Cannot evaluate a constant expression without images")
+    return np.full(shape, value, dtype=np.float64)
+
+
+#: A value during evaluation, and whether the evaluator allocated it (so a
+#: later operator may overwrite it) rather than fetched it.
+_Value = tuple[np.ndarray, bool]
+
+
+def _value(expr: Expr, fetch: Callable[[StageRef], np.ndarray]) -> _Value:
     if isinstance(expr, Const):
-        if shape is None:
-            raise DSLSemanticError("Cannot evaluate a constant expression without images")
-        return np.full(shape, expr.value, dtype=np.float64)
+        return np.float64(expr.value), False
     if isinstance(expr, StageRef):
-        return fetch(expr)
+        return fetch(expr), False
     if isinstance(expr, UnaryOp):
-        value = _evaluate(expr.operand, fetch, shape)
-        return np.abs(value) if expr.op == "abs" else -value
+        ufunc = np.absolute if expr.op == "abs" else np.negative
+        return _apply(ufunc, _value(expr.operand, fetch))
     if isinstance(expr, BinOp):
-        left = _evaluate(expr.left, fetch, shape)
-        right = _evaluate(expr.right, fetch, shape)
-        return _apply_binop(expr.op, left, right)
+        return _apply_binop(expr.op, _value(expr.left, fetch), _value(expr.right, fetch))
     if isinstance(expr, Call):
-        args = [_evaluate(arg, fetch, shape) for arg in expr.args]
-        return _apply_call(expr.fn, args)
+        return _apply_call(expr.fn, [_value(arg, fetch) for arg in expr.args])
     raise DSLSemanticError(f"Cannot evaluate expression node {expr!r}")
 
 
-def _apply_binop(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
+def _apply(function, *operands: _Value) -> _Value:
+    """``function`` over ``operands``, written into an owned one of the result's shape.
+
+    Without such an operand the result goes into a new float64 array
+    (comparisons too, so their 0/1 needs no second pass), or, for scalar
+    operands only, is a scalar.
+    """
+    values = [value for value, _ in operands]
+    shape = out = None
+    for value, owned in operands:
+        if not value.shape:
+            continue
+        if shape is None:
+            shape = value.shape
+        elif value.shape != shape:  # shapes that broadcast: numpy allocates
+            return function(*values), True
+        if owned and out is None:
+            out = value
+    if shape is None:
+        return _SCALAR_OPERATORS.get(function, function)(*values), False
+    return function(*values, out=np.empty(shape) if out is None else out), True
+
+
+#: Python's operators on NumPy scalars give the same IEEE results as the
+#: ufuncs without the ufunc dispatch, which dominates a one-pixel evaluation.
+_SCALAR_OPERATORS = {
+    np.add: operator.add,
+    np.subtract: operator.sub,
+    np.multiply: operator.mul,
+    np.negative: operator.neg,
+    np.absolute: operator.abs,
+    np.less: operator.lt,
+    np.greater: operator.gt,
+    np.less_equal: operator.le,
+    np.greater_equal: operator.ge,
+    np.equal: operator.eq,
+    np.not_equal: operator.ne,
+}
+
+
+_ARITHMETIC = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "min": np.minimum,
+    "max": np.maximum,
+}
+_COMPARISONS = {
+    "<": np.less,
+    ">": np.greater,
+    "<=": np.less_equal,
+    ">=": np.greater_equal,
+    "==": np.equal,
+    "!=": np.not_equal,
+}
+
+
+def _apply_binop(op: str, left: _Value, right: _Value) -> _Value:
+    if op in _ARITHMETIC:
+        return _apply(_ARITHMETIC[op], left, right)
     if op == "/":
-        return np.divide(left, np.where(right == 0, 1.0, right))
-    if op == "min":
-        return np.minimum(left, right)
-    if op == "max":
-        return np.maximum(left, right)
-    if op == "<":
-        return (left < right).astype(np.float64)
-    if op == ">":
-        return (left > right).astype(np.float64)
-    if op == "<=":
-        return (left <= right).astype(np.float64)
-    if op == ">=":
-        return (left >= right).astype(np.float64)
-    if op == "==":
-        return (left == right).astype(np.float64)
-    if op == "!=":
-        return (left != right).astype(np.float64)
+        divisor = np.where(right[0] == 0, 1.0, right[0])
+        return _apply(np.divide, left, (divisor, True))
+    if op in _COMPARISONS:
+        value, owned = _apply(_COMPARISONS[op], left, right)
+        if value.dtype != np.float64:  # scalars, or shapes that broadcast
+            value = value.astype(np.float64)
+        return value, owned
     raise DSLSemanticError(f"Unsupported binary operator {op!r}")
 
 
-def _apply_call(fn: str, args: list[np.ndarray]) -> np.ndarray:
+def _apply_call(fn: str, args: list[_Value]) -> _Value:
     if fn == "abs":
-        return np.abs(args[0])
+        return _apply(np.absolute, args[0])
     if fn == "sqrt":
-        return np.sqrt(np.maximum(args[0], 0.0))
-    if fn == "min":
+        return _apply(np.sqrt, _apply(np.maximum, args[0], (np.float64(0.0), False)))
+    if fn in ("min", "max"):
         result = args[0]
         for arg in args[1:]:
-            result = np.minimum(result, arg)
-        return result
-    if fn == "max":
-        result = args[0]
-        for arg in args[1:]:
-            result = np.maximum(result, arg)
+            result = _apply(_ARITHMETIC[fn], result, arg)
         return result
     if fn == "clamp":
-        return np.clip(args[0], args[1], args[2])
+        # Not np.clip: it orders signed zeros differently for scalar bounds.
+        # Maximum then minimum equals np.clip over full-array bounds on
+        # every value, signed zeros and NaNs included.
+        return _apply(np.minimum, _apply(np.maximum, args[0], args[1]), args[2])
     if fn == "select":
-        return np.where(args[0] != 0, args[1], args[2])
+        (condition, _), (chosen, _), (other, _) = args
+        result = np.where(condition != 0, chosen, other)
+        return result, True
     raise DSLSemanticError(f"Unsupported intrinsic {fn!r}")
 
 

@@ -201,7 +201,7 @@ class PipelineDAG:
         Temporal depth accumulates along paths: a stage reading its producer
         one frame back, whose producer itself reads the input one frame back,
         depends on input frames two back.  This is the window a per-frame
-        replay must carry (:func:`repro.sim.batch.replay_frames_loop`);
+        replay must carry (the ``replay_frames_loop`` test oracle);
         contrast :meth:`temporal_depth`, the deepest *single edge*, which
         sizes the frame buffers.
         """

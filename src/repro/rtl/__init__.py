@@ -9,7 +9,6 @@ from repro.rtl.sim import (
     measure_performance,
     rtl_replay,
     simulate_design,
-    simulate_design_loop,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "measure_performance",
     "rtl_replay",
     "simulate_design",
-    "simulate_design_loop",
 ]

@@ -28,6 +28,12 @@ requested row and the simulation is bit-exact with
 and timing under the DSL's float64 arithmetic; it says nothing about the
 fixed-point arithmetic the emitted Verilog computes.
 
+Like the hardware, which reads its window rows straight out of the line
+buffer, a read copies nothing: each stage's frame is edge-padded once as it
+is stored, by the union of the offsets of every read it serves, and every
+read is a view of a padded frame.  Only a read that finds some rows stale
+copies the view, to zero those rows.
+
 The residency model, per consumer read of producer ``P`` at stencil offset
 ``(dx, dy)`` over an edge with window top ``min_dy``:
 
@@ -58,13 +64,14 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from repro.dsl import ast
 from repro.errors import SimulationError
 from repro.ir.dag import PipelineDAG
+from repro.ir.stencil import StencilWindow
 from repro.rtl.expressions import sanitize
 from repro.rtl.lint import lint_verilog
 from repro.sim.batch import golden_frames, output_digest
@@ -76,7 +83,6 @@ __all__ = [
     "RTLSimResult",
     "elaborate_design",
     "simulate_design",
-    "simulate_design_loop",
     "rtl_replay",
     "measure_performance",
     "external_simulator",
@@ -208,22 +214,18 @@ class RTLSimResult:
 # --------------------------------------------------------------------------
 # The cycle-driven core
 # --------------------------------------------------------------------------
-def _line_buffer_tap(
-    producer_image: np.ndarray,
-    *,
-    delta: int,
-    lines: int,
-    min_dy: int,
-    dx: int,
-    dy: int,
-    fifo: bool = False,
-) -> np.ndarray:
-    """One whole-frame read of a producer through its elaborated line buffer.
+@lru_cache(maxsize=1024)
+def _stale_rows(
+    height: int, width: int, delta: int, lines: int, min_dy: int, dy: int, fifo: bool
+) -> np.ndarray | None:
+    """The output rows whose read at row offset ``dy`` misses its producer row.
 
-    Vectorized over the full (H, W) output plane; implements the residency
-    model from the module docstring, with ``delta = S_C - S_P`` the
-    consumer's start-cycle lead over the producer.  Values whose slot is still
-    uninitialised at read time come back as 0.0 (two-state ``X``).
+    Implements the residency model from the module docstring, with
+    ``delta = S_C - S_P`` the consumer's start-cycle lead over the producer.
+    Read and write touch the same column, so the column term cancels: whole
+    rows are fresh or stale, whatever the read's ``dx``.  ``None`` when every
+    row is fresh.  The rows depend on the timing alone, never on the pixels,
+    so each answer is computed once (and is read-only).
 
     ``fifo`` switches to SODA's semantics: each consumer's split chain is a
     pure delay line *sized to its schedule by construction* — there are no
@@ -232,32 +234,39 @@ def _line_buffer_tap(
     timing hazard left is causality: the wanted pixel must have been pushed
     strictly before the read.
     """
-    height, width = producer_image.shape
     ys = np.arange(height)
-    xs = np.arange(width)
     raster = np.clip(ys + min_dy, 0, height - 1)
     wanted = np.clip(ys + dy, 0, height - 1)
-    cols = np.clip(xs + dx, 0, width - 1)
-
     if fifo:
         # Push of row ``wanted`` passed this column at S_P + wanted*W; the
         # read happens at S_C + raster*W (column terms align — the window
         # shift registers absorb dx).
-        lag = delta + (raster - wanted) * width
-        fresh = lag >= 1
-        out = producer_image[np.where(fresh, wanted, 0)[:, None], cols[None, :]]
-        out[~fresh] = 0.0
-        return out
+        fresh = delta + (raster - wanted) * width >= 1
+    else:
+        # The newest row written before the read of raster row R is
+        # R + floor((delta - 1) / W).
+        avail = np.minimum(raster + (delta - 1) // width, height - 1)
+        fresh = wanted + lines * ((avail - wanted) // lines) == wanted
+    if fresh.all():
+        return None
+    stale = ~fresh
+    stale.flags.writeable = False
+    return stale
 
-    # Read and write touch the same column, so the column term cancels and
-    # availability is per *row*: the newest row written before the read of
-    # raster row R is R + floor((delta - 1) / W).
-    avail = np.minimum(raster + (delta - 1) // width, height - 1)
-    resident = wanted + lines * ((avail - wanted) // lines)
-    fresh = resident == wanted  # (H,) — whole rows are fresh or stale
 
-    out = producer_image[np.where(fresh, wanted, 0)[:, None], cols[None, :]]
-    out[~fresh] = 0.0
+def _line_buffer_tap(view: np.ndarray, stale: np.ndarray | None) -> np.ndarray:
+    """One whole-frame read of a producer through its elaborated line buffer.
+
+    ``view`` is the producer's frame at the read's offset, and ``stale`` the
+    rows whose slot no longer (or not yet) holds the wanted row
+    (:func:`_stale_rows`).  A fresh read is the view itself, as the hardware
+    reads its window rows straight out of the buffer; otherwise a copy with
+    the stale rows read as 0.0 (two-state ``X``).
+    """
+    if stale is None:
+        return view
+    out = view.copy()
+    out[stale] = 0.0
     return out
 
 
@@ -306,26 +315,52 @@ def _routed_edge(dag: PipelineDAG, consumer: str, producer: str):
     return None
 
 
-class _Frame:
-    """One frame streaming through the design, and the reads it serves.
+class _Frames:
+    """Frames streaming through the design, and the reads they serve.
 
-    ``images`` fills with this frame's stages as the walker computes them;
-    ``history`` holds every stage's images of the earlier frames.
-    :meth:`plane` serves whole-frame reads to :func:`simulate_design`,
-    :meth:`pixel` single pixels to the :func:`simulate_design_loop` oracle.
+    ``history`` holds every stage's frames so far and ``index`` is the frame
+    the stage walker is computing.  Each frame is edge-padded once as it is
+    stored, by the union of the offsets of every read it serves, so
+    :meth:`plane` serves whole-frame reads as views of padded frames.
     """
 
-    def __init__(self, design: ElaboratedDesign, schedule, index: int, history, images):
+    def __init__(self, design: ElaboratedDesign, schedule, shape: tuple[int, int], stages):
         self.design = design
         self.schedule = schedule
         self.dag: PipelineDAG = schedule.dag
-        self.index = index
-        self.history: dict[str, list[np.ndarray]] = history
-        self.images: dict[str, np.ndarray] = images
-        self.shape: tuple[int, int] = next(iter(images.values())).shape
+        self.shape = shape
+        self.index = 0
+        self.history: dict[str, list[ast._EdgePadded]] = {
+            name: [] for name in self.dag.stage_names()
+        }
+        self.routes: dict[tuple[str, str], object] = {}
+        self.windows: dict[str, StencilWindow] = {}
+        for consumer, expression in stages:
+            for stage, window in ast.stencil_windows(expression).items():
+                # A current-frame read comes out of the routed producer's
+                # frame, a past-frame read out of the named stage's own.
+                spatial = StencilWindow(
+                    window.min_dx, window.max_dx, window.min_dy, window.max_dy
+                )
+                edge = self.route(consumer, stage)
+                for source in {stage, stage if edge is None else edge.producer}:
+                    known = self.windows.get(source, spatial)
+                    self.windows[source] = known.union(spatial)
 
-    def past(self, consumer: str, ref: ast.StageRef) -> np.ndarray | None:
-        """The whole frame of ``ref.stage`` that the read ``ref`` (``dt != 0``) sees.
+    def route(self, consumer: str, stage: str):
+        """:func:`_routed_edge` of ``consumer``'s reads of ``stage``, found once."""
+        key = (consumer, stage)
+        if key not in self.routes:
+            self.routes[key] = _routed_edge(self.dag, consumer, stage)
+        return self.routes[key]
+
+    def store(self, name: str, image: np.ndarray) -> None:
+        """Keep stage ``name``'s image of the current frame, padded once."""
+        window = self.windows.get(name) or StencilWindow.point()
+        self.history[name].append(ast._EdgePadded(image, window))
+
+    def past(self, consumer: str, ref: ast.StageRef) -> ast._EdgePadded | None:
+        """The frame of ``ref.stage`` that the read ``ref`` (``dt != 0``) sees.
 
         Frame ``index + dt`` clamps at frame 0, as in the replay.  An earlier
         frame comes out of a frame buffer deep enough to hold it: the one on
@@ -339,18 +374,17 @@ class _Frame:
                 f"offset dt={ref.dt}; the hardware cannot realize it"
             )
         wanted = max(0, self.index + ref.dt)
-        if wanted == self.index:
-            return self.images[ref.stage]
-        edge = _routed_edge(self.dag, consumer, ref.stage)
-        buffers = self.schedule.frame_buffers
-        routed = ref.stage if edge is None else edge.producer
-        buffer = buffers.get(routed) or buffers.get(ref.stage)
-        if (
-            buffer is None
-            or buffer.depth < self.index - wanted
-            or (buffer.image_height, buffer.image_width) != self.shape
-        ):
-            return None
+        if wanted != self.index:
+            edge = self.route(consumer, ref.stage)
+            buffers = self.schedule.frame_buffers
+            routed = ref.stage if edge is None else edge.producer
+            buffer = buffers.get(routed) or buffers.get(ref.stage)
+            if (
+                buffer is None
+                or buffer.depth < self.index - wanted
+                or (buffer.image_height, buffer.image_width) != self.shape
+            ):
+                return None
         return self.history[ref.stage][wanted]
 
     def line_buffer(self, consumer: str, edge) -> tuple[int, int, bool]:
@@ -372,51 +406,26 @@ class _Frame:
             past = self.past(consumer, ref)
             if past is None:
                 return np.zeros(self.shape, dtype=np.float64)
-            return ast._shifted(past, ref.dx, ref.dy)
-        edge = _routed_edge(self.dag, consumer, ref.stage)
+            return past.tap(ref.dx, ref.dy)
+        edge = self.route(consumer, ref.stage)
         if edge is None:
             # Not routed through storage this model elaborates (e.g. a
             # coalesced group's internal wire): the value arrives
             # combinationally, identical to the functional semantics.
-            return ast._shifted(self.images[ref.stage], ref.dx, ref.dy)
+            return self.history[ref.stage][self.index].tap(ref.dx, ref.dy)
         delta, lines, fifo = self.line_buffer(consumer, edge)
-        return _line_buffer_tap(
-            self.images[edge.producer],
-            delta=delta,
-            lines=lines,
-            min_dy=edge.window.min_dy,
-            dx=ref.dx,
-            dy=ref.dy,
-            fifo=fifo,
-        )
-
-    def pixel(self, consumer: str, ref: ast.StageRef, *, y: int, x: int) -> np.float64:
-        """Pixel ``(y, x)`` of :meth:`plane`, worked out on scalars."""
-        height, width = self.shape
-        wanted = min(max(y + ref.dy, 0), height - 1)
-        col = min(max(x + ref.dx, 0), width - 1)
-        if ref.dt != 0:
-            past = self.past(consumer, ref)
-            return np.float64(0.0) if past is None else past[wanted, col]
-        edge = _routed_edge(self.dag, consumer, ref.stage)
-        if edge is None:
-            return self.images[ref.stage][wanted, col]
-        delta, lines, fifo = self.line_buffer(consumer, edge)
-        raster = min(max(y + edge.window.min_dy, 0), height - 1)
-        if fifo:
-            fresh = delta + (raster - wanted) * width >= 1
-        else:
-            avail = min(raster + (delta - 1) // width, height - 1)
-            fresh = wanted + lines * ((avail - wanted) // lines) == wanted
-        return self.images[edge.producer][wanted, col] if fresh else np.float64(0.0)
+        stale = _stale_rows(*self.shape, delta, lines, edge.window.min_dy, ref.dy, fifo)
+        view = self.history[edge.producer][self.index].tap(ref.dx, ref.dy)
+        return _line_buffer_tap(view, stale)
 
 
 def _stream(design: ElaboratedDesign, schedule, inputs, evaluate_stage) -> RTLSimResult:
-    """The frame loop both simulations share.
+    """The frame loop of :func:`simulate_design`.
 
     Checks the input stacks, then runs the replay's stage walker once per
-    frame, ``evaluate_stage(frame, name, expression)`` computing one stage's
-    whole frame, and keeps every frame as history for the frame buffers.
+    frame, ``evaluate_stage(frames, name, expression)`` computing one
+    stage's whole frame, and keeps every frame as history for the frame
+    buffers.
     """
     dag: PipelineDAG = schedule.dag
     stacks = {name: np.asarray(stack, dtype=np.float64) for name, stack in inputs.items()}
@@ -430,29 +439,32 @@ def _stream(design: ElaboratedDesign, schedule, inputs, evaluate_stage) -> RTLSi
     shapes = {stacks[s.name].shape for s in dag.input_stages()}
     if len(shapes) != 1:
         raise SimulationError(f"Input stacks must share one shape, got {shapes}")
-    frames, height, width = shapes.pop()
+    frame_count, height, width = shapes.pop()
     if width != design.image_width:
         raise SimulationError(
             f"Design rasterizes width {design.image_width}, inputs are {width} wide"
         )
 
-    with trace_span("rtl_sim", frames=frames):
-        history: dict[str, list[np.ndarray]] = {name: [] for name in dag.stage_names()}
-        for index in range(frames):
-            images = {s.name: stacks[s.name][index] for s in dag.input_stages()}
-            frame = _Frame(design, schedule, index, history, images)
-            for name, expression in _walk_stages(dag):
-                images[name] = evaluate_stage(frame, name, expression)
-            for name, image in images.items():
-                history[name].append(image)
-        outputs = {name: np.stack(history[name]) for name in design.output_stages}
+    with trace_span("rtl_sim", frames=frame_count):
+        stages = list(_walk_stages(dag))
+        frames = _Frames(design, schedule, (height, width), stages)
+        for index in range(frame_count):
+            frames.index = index
+            for stage in dag.input_stages():
+                frames.store(stage.name, stacks[stage.name][index])
+            for name, expression in stages:
+                frames.store(name, evaluate_stage(frames, name, expression))
+        outputs = {
+            name: np.stack([frame.image for frame in frames.history[name]])
+            for name in design.output_stages
+        }
         achieved = measure_performance(design, height)["cycles_per_frame"]
         span_attr(cycles_per_frame=achieved)
 
     return RTLSimResult(
         outputs=outputs,
         digest=output_digest(outputs),
-        frames=frames,
+        frames=frame_count,
         cycles_per_frame=achieved,
         initiation_interval=width * height,
         startup_cycles=achieved - width * height,
@@ -473,30 +485,10 @@ def simulate_design(
     the measured per-frame cycle counts.
     """
 
-    def stage_plane(frame: _Frame, name: str, expression: ast.Expr) -> np.ndarray:
-        return ast._evaluate(expression, partial(frame.plane, name), frame.shape)
+    def stage_plane(frames: _Frames, name: str, expression: ast.Expr) -> np.ndarray:
+        return ast._evaluate(expression, partial(frames.plane, name), frames.shape)
 
     return _stream(design, schedule, inputs, stage_plane)
-
-
-def simulate_design_loop(
-    design: ElaboratedDesign, schedule, inputs: dict[str, np.ndarray]
-) -> RTLSimResult:
-    """Per-pixel reference implementation of :func:`simulate_design`.
-
-    Evaluates every output pixel through scalar (0-d NumPy) arithmetic —
-    the oracle the frame-vectorized path is benchmarked and tested against.
-    Both share the evaluator and the stage walker; only the reads differ:
-    whole planes there, single pixels worked out on scalars here.
-    """
-
-    def stage_pixels(frame: _Frame, name: str, expression: ast.Expr) -> np.ndarray:
-        out = np.empty(frame.shape, dtype=np.float64)
-        for y, x in np.ndindex(*frame.shape):
-            out[y, x] = ast._evaluate(expression, partial(frame.pixel, name, y=y, x=x), ())
-        return out
-
-    return _stream(design, schedule, inputs, stage_pixels)
 
 
 def rtl_replay(

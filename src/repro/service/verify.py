@@ -594,14 +594,19 @@ class VerifyEngine:
         }
 
     def _rtl_check(self, request: VerifyRequest, schedule) -> dict:
-        """Stream golden frames through the elaborated RTL; demand bit-exact."""
-        from repro.rtl.generator import generate_verilog
-        from repro.rtl.sim import check_external_syntax, external_simulator, rtl_replay
+        """Stream golden frames through the elaborated RTL; demand bit-exact.
 
-        source = generate_verilog(schedule)
-        simulated = rtl_replay(
-            schedule, frames=request.frames, seed=request.seed, source=source
+        The reference replay draws the seeded frames, and the simulation
+        streams the replay's own input stacks, so they are drawn once.
+        """
+        from repro.rtl.generator import generate_verilog
+        from repro.rtl.sim import (
+            check_external_syntax,
+            elaborate_design,
+            external_simulator,
+            simulate_design,
         )
+
         reference = replay_frames(
             schedule.dag,
             schedule.image_width,
@@ -609,15 +614,21 @@ class VerifyEngine:
             frames=request.frames,
             seed=request.seed,
         )
+        digest = reference.digest
+        inputs = {
+            stage.name: reference.result.images[stage.name]
+            for stage in schedule.dag.input_stages()
+        }
+        del reference  # free the replay's stage images before the simulation
+        source = generate_verilog(schedule)
+        design = elaborate_design(source, schedule.dag)
+        simulated = simulate_design(design, schedule, inputs)
         expected_match = (
-            None
-            if request.expected_digest is None
-            else reference.digest == request.expected_digest
+            None if request.expected_digest is None else digest == request.expected_digest
         )
         payload = {
-            "passed": simulated.digest == reference.digest
-            and expected_match is not False,
-            "digest": reference.digest,
+            "passed": simulated.digest == digest and expected_match is not False,
+            "digest": digest,
             "rtl_digest": simulated.digest,
             "frames": request.frames,
             "seed": request.seed,

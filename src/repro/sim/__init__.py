@@ -5,7 +5,6 @@ from repro.sim.batch import (
     golden_frames,
     output_digest,
     replay_frames,
-    replay_frames_loop,
 )
 from repro.sim.cycle import (
     BufferStats,
@@ -30,5 +29,4 @@ __all__ = [
     "golden_frames",
     "output_digest",
     "replay_frames",
-    "replay_frames_loop",
 ]

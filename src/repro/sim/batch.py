@@ -4,8 +4,9 @@ The functional simulator (:mod:`repro.sim.functional`) is pixel-accurate but
 was invoked one frame at a time; verification-as-a-service wants *frame
 throughput*.  This module batches replay across frames: inputs become
 ``(frames, height, width)`` stacks and every stage expression evaluates once
-over the whole stack (``repro.dsl.ast._shifted`` shifts only the trailing two
-axes), so the Python/NumPy dispatch overhead is paid per *stage*, not per
+over the whole stack (spatial offsets pad and slice only the trailing two
+axes of each producer, see :func:`repro.dsl.ast.evaluate`), so the
+Python/NumPy dispatch overhead is paid per *stage*, not per
 ``stage x frame``.
 
 Frames are generated deterministically from ``(seed, input-stage name)`` so a
@@ -28,6 +29,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.ir.dag import PipelineDAG
 from repro.sim.functional import FunctionalResult, run_functional
+from repro.trace import trace_span
 
 
 def golden_frames(
@@ -94,59 +96,13 @@ def replay_frames(
     Spatial pipelines replay the stack as an independent-frame batch (the
     historic behaviour); temporal pipelines replay it as a time sequence
     (``axes="tyx"``), so ``dt`` references reach earlier frames of the same
-    stack, clamped at frame 0.
+    stack, clamped at frame 0.  Traced as a ``replay`` span.
     """
-    inputs = golden_frames(dag, width, height, frames=frames, seed=seed)
-    axes = "tyx" if dag.is_temporal() else None
-    result = run_functional(dag, inputs, axes=axes)
-    outputs = result.outputs()
-    return BatchReplay(
-        dag=dag,
-        frames=frames,
-        seed=seed,
-        result=result,
-        outputs=outputs,
-        digest=output_digest(outputs),
-    )
-
-
-def replay_frames_loop(
-    dag: PipelineDAG, width: int, height: int, *, frames: int = 2, seed: int = 0
-) -> BatchReplay:
-    """Reference per-frame replay loop (identical semantics, one frame at a time).
-
-    Kept as the oracle for the vectorized path: same inputs, same outputs,
-    same digest — only the dispatch cost differs.  The throughput benchmark
-    (``benchmarks/test_verify_throughput.py``) guards the speedup between the
-    two.
-
-    For a temporal pipeline each iteration carries the sliding window of past
-    input frames the deepest ``dt`` reference needs (clamp-at-frame-0 only
-    ever applies inside the first ``depth`` frames, matching the vectorized
-    semantics exactly), and keeps the window's last frame.
-    """
-    inputs = golden_frames(dag, width, height, frames=frames, seed=seed)
-    per_frame: list[FunctionalResult] = []
-    depth = dag.history_depth()
-    for index in range(frames):
-        if depth:
-            lo = max(0, index - depth)
-            window_inputs = {name: stack[lo : index + 1] for name, stack in inputs.items()}
-            windowed = run_functional(dag, window_inputs, axes="tyx")
-            per_frame.append(
-                FunctionalResult(
-                    dag=dag,
-                    images={name: img[-1] for name, img in windowed.images.items()},
-                )
-            )
-        else:
-            frame_inputs = {name: stack[index] for name, stack in inputs.items()}
-            per_frame.append(run_functional(dag, frame_inputs))
-    stacked: dict[str, np.ndarray] = {}
-    for name in per_frame[0].images:
-        stacked[name] = np.stack([result.images[name] for result in per_frame])
-    result = FunctionalResult(dag=dag, images=stacked)
-    outputs = result.outputs()
+    with trace_span("replay", frames=frames, stages=len(dag.stage_names())):
+        inputs = golden_frames(dag, width, height, frames=frames, seed=seed)
+        axes = "tyx" if dag.is_temporal() else None
+        result = run_functional(dag, inputs, axes=axes)
+        outputs = result.outputs()
     return BatchReplay(
         dag=dag,
         frames=frames,

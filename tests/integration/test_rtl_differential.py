@@ -40,9 +40,10 @@ from repro.api import CompileTarget
 from repro.dsl import PipelineBuilder
 from repro.dsl.builder import window_sum
 from repro.rtl import elaborate_design, generate_verilog, measure_performance, rtl_replay
-from repro.rtl.sim import simulate_design_loop
 from repro.sim.batch import golden_frames, replay_frames
 from repro.sim.cycle import simulate_schedule
+
+from oracles import simulate_design_loop
 
 PINS_PATH = Path(__file__).parent.parent / "data" / "rtl_digests.json"
 PINS = json.loads(PINS_PATH.read_text())

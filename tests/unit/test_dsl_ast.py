@@ -113,6 +113,15 @@ class TestEvaluation:
         )
         np.testing.assert_allclose(selected, (image > 10.0).astype(float))
 
+    def test_clamp_orders_signed_zeros_like_full_array_bounds(self):
+        # Constants are scalars, and np.clip with scalar bounds keeps the -0.0
+        # that np.clip with full-array bounds (the replay before constants
+        # became scalars) turns into +0.0.
+        image = np.array([[0.0, -0.0, 1.0], [2.0, -1.0, 0.5]])
+        expr = ast.Call("clamp", (-ast.StageRef("K0"), ast.Const(0.0), ast.Const(1.0)))
+        expected = np.clip(-image, np.zeros(image.shape), np.ones(image.shape))
+        assert ast.evaluate(expr, {"K0": image}).tobytes() == expected.tobytes()
+
     def test_sqrt_clamps_negative(self):
         image = ramp() - 100.0
         result = ast.evaluate(ast.Call("sqrt", (ast.StageRef("K0"),)), {"K0": image})

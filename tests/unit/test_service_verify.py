@@ -295,6 +295,26 @@ class TestVerifySpans:
         assert "verify_golden" in children
         assert "verify_cycle" in children
 
+    def test_golden_check_traces_its_replays(self, engines):
+        engine, verify = engines
+        target = _target()
+        result = verify.submit(VerifyRequest(target=target, check="golden", frames=2))
+        (golden,) = [s for s in result.spans[0].children if s.name == "verify_golden"]
+        replays = [s for s in golden.children if s.name == "replay"]
+        assert replays
+        assert all(s.attrs["frames"] == 2 for s in replays)
+        assert replays[0].attrs["stages"] == len(target.dag.stage_names())
+        assert engine.metrics.stage_histograms()["replay"]["count"] >= 1
+
+    def test_rtl_check_replays_once_and_simulates_its_frames(self, engines):
+        _, verify = engines
+        result = verify.submit(VerifyRequest(target=_target(), check="rtl"))
+        assert result.passed
+        (rtl,) = [s for s in result.spans[0].children if s.name == "verify_rtl"]
+        names = [span.name for span in rtl.walk()]
+        assert names.count("replay") == 1
+        assert names.count("rtl_sim") == 1
+
 
 class TestVerifyWire:
     def test_request_round_trips(self):

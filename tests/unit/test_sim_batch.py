@@ -5,8 +5,9 @@ import pytest
 
 from repro.algorithms import ALGORITHM_NAMES, build_algorithm
 from repro.errors import SimulationError
-from repro.sim.batch import golden_frames, output_digest, replay_frames, replay_frames_loop
+from repro.sim.batch import golden_frames, output_digest, replay_frames
 
+from oracles import replay_frames_loop
 from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain, build_paper_example
 
 W, H = TEST_WIDTH, TEST_HEIGHT

@@ -10,7 +10,7 @@ from repro.core.compiler import compile_target
 from repro.dsl.builder import PipelineBuilder, frame_difference
 from repro.errors import SimulationError
 from repro.memory.linebuffer import FrameBufferConfig
-from repro.sim.batch import replay_frames, replay_frames_loop
+from repro.sim.batch import replay_frames
 from repro.sim.cycle import (
     check_schedule_legality,
     frame_buffer_violations,
@@ -18,6 +18,7 @@ from repro.sim.cycle import (
 )
 from repro.sim.functional import run_functional
 
+from oracles import replay_frames_loop
 from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain
 
 
