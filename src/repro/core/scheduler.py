@@ -8,11 +8,16 @@ the scheduler assigns a start cycle to every stage such that
   (R3, Eq. 1c realised through pairwise separations, Eq. 12),
 * the total line-buffer size (Eq. 1a / Eq. 2) is minimal.
 
-The problem is an Integer Linear Program.  Disjunctive contention constraints
-(Sec. 5.4) become big-M indicator variables once constraint pruning has
-removed the dominated disjuncts, and the one model is solved by HiGHS (the
-pure-Python branch-and-bound stands in when SciPy is missing; see
-:mod:`repro.ilp.solver`).
+The problem is an Integer Linear Program.  Once constraint pruning (Sec. 5.4)
+has removed the dominated disjuncts, one of two exact paths solves it:
+
+* with no true disjunction left (each contention disjunction kept a single
+  candidate), the system is a plain difference system whose LP is the dual
+  of a min-cost flow; :mod:`repro.core.flow` returns its earliest optimum
+  (``backend="flow"`` in the ``ilp`` span);
+* otherwise the disjunctions become big-M indicator variables and the one
+  model is solved by HiGHS (the pure-Python branch-and-bound stands in when
+  SciPy is missing; see :mod:`repro.ilp.solver`).
 
 A warm certificate sits in front of the ILP: :func:`schedule_pipeline`
 accepts a :class:`~repro.core.warmstart.WarmHint` (a solved neighbor design).
@@ -20,7 +25,7 @@ The neighbor's binding constraint edges are re-imposed at the target
 width/options (:mod:`repro.core.warmstart`); when the transferred candidate is
 legal and its objective matches the disjunctive lower bound, the ILP is
 skipped entirely (the ``ilp`` span reports ``backend="warmstart"``).
-Otherwise the solve runs cold.
+Otherwise the solve runs cold on one of the two paths above.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from repro.core.constraints import (
     schedule_horizon,
 )
 from repro.core.coalescing import coalescing_factors
+from repro.core.flow import earliest_optimum
 from repro.core.pruning import count_subproblems, prune_disjunctions
 from repro.core.schedule import PipelineSchedule
 from repro.core.warmstart import (
@@ -242,8 +248,10 @@ def _schedule(
             start_cycles = certified
             objective = float(schedule_objective(dag, certified))
             solver_stats = _certificate_stats()
-        else:
+        elif any(not disjunction.is_singleton for disjunction in prologue.disjunctions):
             start_cycles, objective, solver_stats = _solve_big_m(dag, image_width, prologue)
+        else:
+            start_cycles, objective, solver_stats = _solve_flow(dag, prologue)
 
         if warm_hint is not None:
             solver_stats["warm_start"] = warm_detail
@@ -264,7 +272,7 @@ def _schedule(
             "num_disjunctions": len(prologue.disjunctions),
             "subproblems": count_subproblems(prologue.disjunctions),
             "pruning": options.pruning,
-            "strategy": "bigm",
+            "strategy": "flow" if solver_stats["backend"] == "flow" else "bigm",
         }
     )
 
@@ -416,6 +424,48 @@ def _solve_big_m(dag: PipelineDAG, image_width: int, prologue: _Prologue):
         "solves": 1,
     }
     return start_cycles, float(result.objective or 0.0), stats
+
+
+def _solve_flow(dag: PipelineDAG, prologue: _Prologue):
+    """Solve a system with no true disjunction exactly by min-cost flow.
+
+    The nodes are the start cycles ``S_s`` plus one ``E_p = S_p + D_p`` per
+    producer, so the objective ``sum_p (E_p - S_p)`` is linear over
+    difference arcs; :func:`repro.core.flow.earliest_optimum` returns the
+    componentwise-least optimal schedule.
+    """
+    arcs, _ = difference_system(prologue.dependencies, prologue.disjunctions)
+    nodes: list = list(dag.stage_names())
+    costs: dict = {}
+    for producer in dag.stage_names():
+        consumers = dag.consumers_of(producer)
+        if not consumers:
+            continue
+        end = ("E", producer)
+        nodes.append(end)
+        costs[producer], costs[end] = -1, 1
+        for consumer in consumers:
+            arcs[(consumer, end)] = 0
+    anchored = [stage.name for stage in dag.input_stages()]
+    with trace_span("ilp", backend="flow"):
+        solution = earliest_optimum(
+            nodes, arcs, costs, anchored=anchored, horizon=prologue.horizon
+        )
+        status = "infeasible" if solution is None else "optimal"
+        span_attr(status=status, lp_iterations=0, bnb_pruned=0)
+    if solution is None:
+        raise SchedulingError(
+            f"Scheduling ILP for {dag.name!r} is {status} (backend flow, positive cycle)"
+        )
+    values, objective = solution
+    stats = {
+        "backend": "flow",
+        "ilp_variables": len(nodes),
+        "ilp_constraints": len(arcs) + len(anchored),
+        "lp_iterations": 0,
+        "solves": 1,
+    }
+    return {stage: values[stage] for stage in dag.stage_names()}, float(objective), stats
 
 
 # ---------------------------------------------------------------------------

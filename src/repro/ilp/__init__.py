@@ -13,8 +13,10 @@ scratch:
   ``scipy.optimize.milp`` (HiGHS).
 * :mod:`repro.ilp.solver` — the facade used by the rest of the library.
 
-Both backends are exact.  The scheduler always asks for ``"auto"``: HiGHS,
-or the branch-and-bound when SciPy is missing; tests cross-check the two.
+Both backends are exact.  The scheduler reaches this package only for
+systems with a true disjunction (the others go to the min-cost-flow kernel
+in :mod:`repro.core.flow`) and always asks for ``"auto"``: HiGHS, or the
+branch-and-bound when SciPy is missing; tests cross-check the two.
 """
 
 from repro.ilp.expr import Variable, LinExpr

@@ -6,8 +6,10 @@
 * ``"python"`` — the pure-Python branch-and-bound over the simplex engine;
 * ``"auto"`` — HiGHS when importable, otherwise the Python backend.
 
-The scheduler always solves with ``"auto"``; the explicit names exist so
-tests can cross-check the two exact backends against each other.
+The scheduler calls this facade only for systems with a true disjunction
+(the others go to the min-cost-flow kernel in :mod:`repro.core.flow`) and
+always solves with ``"auto"``; the explicit names exist so tests can
+cross-check the two exact backends against each other.
 """
 
 from __future__ import annotations

@@ -32,9 +32,10 @@ def dff_realization_threshold(image_width: int) -> int:
     two) are cheaper as flip-flop shift registers than as an SRAM line — the
     same observation the paper makes for SODA's short FIFOs (Fig. 4).  The
     threshold grows mildly with the line width but is capped so a full image
-    line is never put in DFFs.
+    line is never put in DFFs: at most ``image_width - 1`` pixels, which only
+    binds on frames 8 pixels wide or narrower.
     """
-    return min(64, max(8, image_width // 8))
+    return min(64, image_width - 1, max(8, image_width // 8))
 
 
 def allocate_register_buffer(

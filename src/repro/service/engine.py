@@ -18,8 +18,10 @@ the :class:`repro.api.CompileTarget`; every submission path wraps
   contain the same design point trigger exactly one run;
 * batches fan out over a pluggable :class:`repro.service.executor`
   backend — ``inline`` (deterministic, for tests) or ``thread`` (the
-  default; the HiGHS backend releases the GIL, so independent solves
-  overlap on multi-core hosts) — selected via
+  default; HiGHS, which solves the systems with a true disjunction,
+  releases the GIL, so those solves overlap on multi-core hosts, and the
+  pure-Python flow kernel that solves the rest takes under 1 ms) —
+  selected via
   ``CompileEngine(executor=...)`` or the ``REPRO_EXECUTOR`` environment
   variable;
 * per-request latency and hit-rate metrics are recorded

@@ -12,8 +12,9 @@ environment variable:
     ordering and zero concurrency — the backend for tests and debugging.
 ``thread``
     A lazily-created :class:`~concurrent.futures.ThreadPoolExecutor` (the
-    default).  Independent solves overlap on multi-core hosts because the
-    HiGHS backend releases the GIL.
+    default).  Solves of systems with a true disjunction overlap on
+    multi-core hosts because HiGHS releases the GIL; the others take the
+    pure-Python flow kernel, which holds the GIL for under 1 ms.
 
 Both backends present one interface: ``submit(run_local, target, fingerprint)``
 returning a :class:`concurrent.futures.Future` that resolves to a

@@ -100,27 +100,28 @@ class TestAllAlgorithmsAllGenerators:
 
 
 @pytest.fixture(scope="module")
-def highs_unsharp():
-    """unsharp-m compiled with HiGHS; module scope, so it is built before any
-    function-scoped ``no_highs`` fixture hides the backend."""
+def highs_harris():
+    """harris-m (which keeps a true disjunction) compiled with HiGHS; module
+    scope, so it is built before any function-scoped ``no_highs`` fixture
+    hides the backend."""
     if not highs.is_available():
         pytest.skip("SciPy HiGHS not available")
     return compile_pipeline(
-        CompileTarget(build_algorithm("unsharp-m"), image_width=W, image_height=H)
+        CompileTarget(build_algorithm("harris-m"), image_width=W, image_height=H)
     )
 
 
 class TestIlpBackendsAgree:
-    def test_backends_reach_same_objective(self, highs_unsharp, no_highs):
+    def test_backends_reach_same_objective(self, highs_harris, no_highs):
         python = compile_pipeline(
-            CompileTarget(build_algorithm("unsharp-m"), image_width=W, image_height=H)
+            CompileTarget(build_algorithm("harris-m"), image_width=W, image_height=H)
         )
-        assert highs_unsharp.schedule.solver_stats["backend"] == "highs"
+        assert highs_harris.schedule.solver_stats["backend"] == "highs"
         assert python.schedule.solver_stats["backend"] == "python"
-        assert highs_unsharp.schedule.solver_stats["objective"] == pytest.approx(
+        assert highs_harris.schedule.solver_stats["objective"] == pytest.approx(
             python.schedule.solver_stats["objective"]
         )
-        assert highs_unsharp.schedule.total_blocks == python.schedule.total_blocks
+        assert highs_harris.schedule.total_blocks == python.schedule.total_blocks
 
 
 class TestRtlForAlgorithms:

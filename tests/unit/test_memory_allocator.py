@@ -108,6 +108,12 @@ class TestRegisterBuffers:
         assert dff_realization_threshold(480) == 60
         assert dff_realization_threshold(1920) == 64  # capped
 
+    def test_threshold_stays_below_one_line(self):
+        """A full image line is never put in DFFs, however narrow the frame."""
+        assert dff_realization_threshold(7) == 6
+        assert dff_realization_threshold(8) == 7
+        assert dff_realization_threshold(9) == 8
+
     def test_negative_delay_rejected(self):
         with pytest.raises(AllocationError):
             allocate_register_buffer("p", 480, -1, asic_dual_port())

@@ -1,10 +1,19 @@
 """Unit tests for the ILP scheduler (paper Sec. 5)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.algorithms import build_algorithm
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
 from repro.errors import SchedulingError
+from repro.ilp import highs
 from repro.memory.spec import asic_dual_port, asic_single_port
+from repro.sim.cycle import check_schedule_legality
 
 from tests.conftest import (
     TEST_HEIGHT,
@@ -82,12 +91,19 @@ class TestMultiConsumerScheduling:
         )
 
     def test_solver_stats_populated(self):
-        schedule = schedule_pipeline(build_paper_example(), W, H, asic_dual_port())
+        """The paper example has no true disjunction, so the flow kernel
+        solves it: one solve, no LP iterations, S and E nodes as variables."""
+        dag = build_paper_example()
+        schedule = schedule_pipeline(dag, W, H, asic_dual_port())
         stats = schedule.solver_stats
         assert stats["compile_seconds"] > 0
         assert stats["ports"] == 2
-        assert stats["ilp_variables"] > 0
-        assert stats["strategy"] == "bigm"
+        assert stats["subproblems"] == 1
+        producers = [s for s in dag.stage_names() if dag.consumers_of(s)]
+        assert stats["ilp_variables"] == len(dag.stage_names()) + len(producers)
+        assert stats["ilp_constraints"] > 0
+        assert (stats["backend"], stats["strategy"]) == ("flow", "flow")
+        assert (stats["solves"], stats["lp_iterations"]) == (1, 0)
 
 
 class TestOptionsAndErrors:
@@ -100,8 +116,19 @@ class TestOptionsAndErrors:
             schedule_pipeline(build_chain(3), W, H, asic_dual_port(), SchedulerOptions(ports=0))
 
     def test_python_backend_small_model(self, no_highs):
-        schedule = schedule_pipeline(build_chain(3), W, H, asic_dual_port())
+        """harris-m keeps a true disjunction, so without HiGHS the big-M
+        model goes to the pure-Python branch-and-bound."""
+        schedule = schedule_pipeline(build_algorithm("harris-m"), W, H, asic_dual_port())
         assert schedule.solver_stats["backend"] == "python"
+        assert schedule.solver_stats["strategy"] == "bigm"
+        assert check_schedule_legality(schedule).ok
+
+    @pytest.mark.parametrize("hide_highs", [False, True], ids=["highs", "no-highs"])
+    def test_disjunction_free_chain_takes_the_flow_kernel(self, hide_highs, request):
+        if hide_highs:
+            request.getfixturevalue("no_highs")
+        schedule = schedule_pipeline(build_chain(3), W, H, asic_dual_port())
+        assert schedule.solver_stats["backend"] == "flow"
         assert schedule.delay("K0", "K1") == 2 * W + 1
 
     def test_options_keep_five_fields(self):
@@ -144,3 +171,30 @@ class TestCoalescedScheduling:
         options = SchedulerOptions(coalescing=True, per_stage_coalescing={"K0": False, "K1": False})
         schedule = schedule_pipeline(dag, W, H, asic_dual_port(), options)
         assert all(config.coalesce_factor == 1 for config in schedule.line_buffers.values())
+
+
+class TestStartUp:
+    def test_only_a_true_disjunction_imports_scipy_optimize(self):
+        """A fresh interpreter compiles unsharp-m (flow kernel) without
+        importing SciPy's optimiser, and harris-m (HiGHS) with it."""
+        if not highs.is_available():
+            pytest.skip("SciPy HiGHS not available")
+        script = (
+            "import sys\n"
+            "from repro.algorithms import build_algorithm\n"
+            "from repro.api import CompileTarget\n"
+            "from repro.core.compiler import compile_pipeline\n"
+            "for name in ('unsharp-m', 'harris-m'):\n"
+            "    compile_pipeline(CompileTarget(build_algorithm(name),"
+            " image_width=480, image_height=320))\n"
+            "    print(name, 'scipy.optimize' in sys.modules)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert completed.stdout.split() == ["unsharp-m", "False", "harris-m", "True"]

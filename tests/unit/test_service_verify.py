@@ -138,6 +138,27 @@ def _two_outputs(b_scale: float | None):
     return builder.build()
 
 
+class TestNarrowFrames:
+    """A buffer holding a whole line at a 7-pixel-wide frame: the allocator
+    must size it as SRAM lines, not as a DFF chain the RTL cannot express."""
+
+    @pytest.mark.parametrize("generator", ["imagen", "darkroom"])
+    def test_line_deep_buffer_passes_every_check(self, generator):
+        builder = PipelineBuilder("narrow")
+        k0 = builder.input("K0")
+        builder.output("S0", k0(0, -1) + k0(0, 0))
+        target = CompileTarget(
+            builder.build(), image_width=7, image_height=5, generator=generator
+        )
+        with CompileEngine(workers=1, executor="inline") as engine:
+            buffer = engine.submit(target).unwrap().schedule.line_buffers["K0"]
+            assert (buffer.style, buffer.lines) == ("sram", 2)
+            verify = VerifyEngine(engine)
+            for check in ("golden", "cycle", "rtl", "perf"):
+                result = verify.submit(VerifyRequest(target=target, check=check))
+                assert result.passed, (check, result.failure_summary())
+
+
 class TestVerifyCaching:
     def test_warm_verify_is_a_memory_hit(self, engines):
         _, verify = engines
