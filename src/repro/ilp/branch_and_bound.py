@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ilp.model import Model, SolveResult, SolveStatus
+from repro.ilp.model import Model, SolveResult, SolveStatus, time_limit_message
 from repro.ilp.simplex import solve_lp
 from repro.trace import span_attr
 
@@ -97,9 +97,11 @@ def solve_branch_and_bound(
     heap: list[_Node] = [root]
     saw_unbounded_root = False
 
+    timed_out = False
     while heap:
         if time_limit is not None and time.monotonic() - start > time_limit:
-            raise SolverError("Branch-and-bound time limit exceeded")
+            timed_out = True
+            break
         node = heapq.heappop(heap)
         if node.bound >= best_objective - 1e-9:
             pruned += 1
@@ -167,6 +169,21 @@ def solve_branch_and_bound(
     # count is the cost driver of this backend, alongside LP iterations.
     span_attr(bnb_nodes=explored, bnb_pruned=pruned)
 
+    if timed_out:
+        # The heap is ordered by bound, so its head bounds every open node.
+        gap = (
+            None
+            if best_x is None
+            else (best_objective - heap[0].bound) / max(abs(best_objective), 1e-9)
+        )
+        return SolveResult(
+            status=SolveStatus.ERROR,
+            backend="python",
+            iterations=total_lp_iterations,
+            nodes=explored,
+            pruned=pruned,
+            message=time_limit_message(time_limit, gap),
+        )
     if best_x is None:
         return SolveResult(
             status=SolveStatus.UNBOUNDED if saw_unbounded_root else SolveStatus.INFEASIBLE,

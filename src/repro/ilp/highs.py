@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SolverError
-from repro.ilp.model import Model, SolveResult, SolveStatus
+from repro.ilp.model import Model, SolveResult, SolveStatus, time_limit_message
 
 
 def is_available() -> bool:
@@ -21,8 +21,9 @@ def is_available() -> bool:
         return False
 
 
-def solve_highs(model: Model) -> SolveResult:
-    """Solve ``model`` with ``scipy.optimize.milp`` (HiGHS)."""
+def solve_highs(model: Model, time_limit: float | None = None) -> SolveResult:
+    """Solve ``model`` with ``scipy.optimize.milp`` (HiGHS), for at most
+    ``time_limit`` seconds when one is given."""
     try:
         from scipy.optimize import Bounds, LinearConstraint, milp
     except Exception as exc:  # pragma: no cover - exercised only without scipy
@@ -61,9 +62,16 @@ def solve_highs(model: Model) -> SolveResult:
         constraints=constraints,
         bounds=Bounds(lb, ub),
         integrality=integrality,
+        options=None if time_limit is None else {"time_limit": time_limit},
     )
 
     # scipy status codes: 0 optimal, 1 iteration/time limit, 2 infeasible, 3 unbounded.
+    if result.status == 1 and time_limit is not None:
+        return SolveResult(
+            status=SolveStatus.ERROR,
+            backend="highs",
+            message=time_limit_message(time_limit, getattr(result, "mip_gap", None)),
+        )
     if result.status == 2:
         return SolveResult(status=SolveStatus.INFEASIBLE, backend="highs", message=result.message)
     if result.status == 3:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -17,6 +18,14 @@ class SolveStatus(enum.Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ERROR = "error"
+
+
+def time_limit_message(limit: float, gap: float | None) -> str:
+    """Why a solve stopped at its time limit, with the relative gap left
+    between the incumbent and the best bound (``None``: no incumbent)."""
+    if gap is None or not math.isfinite(gap):
+        return f"time limit of {limit:g} s reached with no feasible solution"
+    return f"time limit of {limit:g} s reached at a {gap:.1%} gap"
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,14 @@ from repro.trace import span_attr, trace_span
 
 _KNOWN_BACKENDS = ("auto", "python", "highs")
 
+#: Wall-clock cap, in seconds, on one solve, HiGHS or the fallback.  Far
+#: above every measured scheduling solve: about 36 ms for the slowest
+#: catalog design and about 100 ms for the 60-stage synthetic pipeline.
+#: Some systems with many true disjunctions keep HiGHS from closing its gap
+#: for minutes; at the cap the scheduler raises a ``SchedulingError`` that
+#: gives the gap left.
+SOLVE_TIME_LIMIT_S = 60.0
+
 
 def available_backends() -> list[str]:
     """Names of the backends usable in this environment."""
@@ -55,15 +63,17 @@ def solve(
 
     With ``raise_on_failure=True``, infeasible/unbounded outcomes raise
     :class:`InfeasibleError` / :class:`UnboundedError` instead of being
-    returned as statuses.
+    returned as statuses.  A solve still open after
+    :data:`SOLVE_TIME_LIMIT_S` stops with status ``error`` and a message
+    giving the gap left.
     """
     backend = resolve_backend(backend)
 
     with trace_span("ilp", backend=backend):
         if backend == "highs":
-            result = highs.solve_highs(model)
+            result = highs.solve_highs(model, time_limit=SOLVE_TIME_LIMIT_S)
         else:
-            result = solve_branch_and_bound(model)
+            result = solve_branch_and_bound(model, time_limit=SOLVE_TIME_LIMIT_S)
         span_attr(
             status=result.status.value,
             lp_iterations=result.iterations,

@@ -10,6 +10,8 @@ paper's point that stage code generation is a mechanical translation
 
 from __future__ import annotations
 
+import re
+
 from repro.dsl import ast
 from repro.errors import RTLError
 
@@ -18,6 +20,8 @@ FRACTION_BITS = 8
 
 #: Total datapath width in bits.
 DATA_WIDTH = 32
+
+_NON_IDENTIFIER_RE = re.compile(r"[^A-Za-z0-9_]")
 
 
 def window_wire(stage: str, dx: int, dy: int) -> str:
@@ -30,11 +34,24 @@ def window_wire(stage: str, dx: int, dy: int) -> str:
 
 
 def sanitize(name: str) -> str:
-    """Make a stage name usable as a Verilog identifier."""
-    cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
+    """Make a stage name a Verilog-2001 identifier, ``[A-Za-z_][A-Za-z0-9_]*``.
+
+    ASCII letters, digits and ``_`` are kept and any other ASCII character
+    becomes ``_``.  A non-ASCII character is escaped by its code point
+    (``ö`` -> ``_u00f6``), so names that differ only there stay distinct.
+    """
+    cleaned = _NON_IDENTIFIER_RE.sub(_escape, name)
     if not cleaned or cleaned[0].isdigit():
         cleaned = f"s_{cleaned}"
     return cleaned
+
+
+def _escape(match: re.Match) -> str:
+    char = match.group()
+    if char.isascii():
+        return "_"
+    code = ord(char)
+    return f"_u{code:04x}" if code <= 0xFFFF else f"_U{code:08x}"
 
 
 def constant_literal(value: float) -> str:

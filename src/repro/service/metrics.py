@@ -47,7 +47,9 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 #: exposition always carries the acceptance-critical stage families (with
 #: zero counts) even before the first traced compile — dashboards and
 #: scrapers never see the schema change as traffic arrives.
-DEFAULT_STAGES: tuple[str, ...] = ("cache", "solve", "allocate", "rtl", "verify", "replay")
+DEFAULT_STAGES: tuple[str, ...] = (
+    "cache", "solve", "allocate", "rtl", "verify", "replay", "lint",
+)
 
 #: Source classes for latency reporting; :func:`classify_source` maps the
 #: raw trace sources (``memory``/``disk``/``solver``/...) onto them.

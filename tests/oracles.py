@@ -3,23 +3,31 @@
 * :func:`replay_frames_loop` replays one frame at a time, the oracle of the
   whole-stack :func:`repro.sim.batch.replay_frames`;
 * :func:`simulate_design_loop` evaluates every pixel on scalars, the oracle
-  of the whole-frame :func:`repro.rtl.sim.simulate_design`.
+  of the whole-frame :func:`repro.rtl.sim.simulate_design`;
+* :func:`lint_verilog_regex` is the structural linter as it stood before
+  its scans were made literal-first, the oracle of
+  :func:`repro.rtl.lint.lint_verilog`.
 
-Both share the evaluator and the stage walker with the paths they check;
-only the dispatch differs (frames, pixels), and the pixel oracle works out
-each read with its own scalar residency formula instead of a padded slice.
+The first two share the evaluator and the stage walker with the paths they
+check; only the dispatch differs (frames, pixels), and the pixel oracle works
+out each read with its own scalar residency formula instead of a padded
+slice.  The lint oracle shares only :class:`repro.rtl.lint.LintReport`: its
+patterns open with ``\\b`` or ``^\\s*`` and are searched over the whole
+source or module body, so the regex engine tries them at every character.
 ``pytest.ini`` puts this directory on ``sys.path``, so the suite and the
 guards in ``benchmarks/`` import it as ``oracles``.
 """
 
 from __future__ import annotations
 
+import re
 from functools import partial
 
 import numpy as np
 
 from repro.dsl import ast
 from repro.rtl import sim as rtl_sim
+from repro.rtl.lint import LintReport
 from repro.sim.batch import BatchReplay, golden_frames, output_digest
 from repro.sim.functional import FunctionalResult, run_functional
 
@@ -113,3 +121,139 @@ def _pixel(frames, consumer: str, ref: ast.StageRef, *, y: int, x: int) -> np.fl
         fresh = wanted + lines * ((avail - wanted) // lines) == wanted
     image = frames.history[edge.producer][frames.index].image
     return image[wanted, col] if fresh else np.float64(0.0)
+
+
+# ---------------------------------------------------------------------------
+# Structural lint, one regex search per check
+# ---------------------------------------------------------------------------
+_MODULE_RE = re.compile(r"^\s*module\s+([A-Za-z_][A-Za-z0-9_$]*)", re.MULTILINE)
+_INSTANCE_RE = re.compile(
+    r"^\s*([A-Za-z_][A-Za-z0-9_$]*)\s+(?:#\s*\([^;]*?\)\s*)?(u_[A-Za-z0-9_$]*)\s*\(",
+    re.MULTILINE,
+)
+_PORT_DECL_RE = re.compile(
+    r"\b(?:input|output|inout)\b\s+(?:(?:wire|reg)\s+)?(?:signed\s+)?(\[[^\]]*\])?\s*"
+    r"([A-Za-z_][A-Za-z0-9_$]*(?:\s*,\s*(?!(?:input|output|inout|wire|reg)\b)"
+    r"[A-Za-z_][A-Za-z0-9_$]*)*)"
+)
+_SIGNAL_DECL_RE = re.compile(
+    r"\b(?:wire|reg)\b\s*(?:signed\s+)?(\[[^\]]*\])?\s*"
+    r"([A-Za-z_][A-Za-z0-9_$]*(?:\s*,\s*(?!(?:input|output|inout|wire|reg)\b)"
+    r"[A-Za-z_][A-Za-z0-9_$]*)*)"
+)
+_PORT_CONNECT_RE = re.compile(r"\.([A-Za-z_][A-Za-z0-9_$]*)\s*\(")
+_PORT_CONNECT_EXPR_RE = re.compile(r"\.([A-Za-z_][A-Za-z0-9_$]*)\s*\(\s*([^()]*?)\s*\)")
+_RANGE_RE = re.compile(r"\[\s*(\d+)\s*:\s*(\d+)\s*\]")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+
+
+def _module_bodies(source: str) -> dict[str, str]:
+    bodies: dict[str, str] = {}
+    for match in _MODULE_RE.finditer(source):
+        name = match.group(1)
+        end = source.find("endmodule", match.end())
+        bodies[name] = source[match.start() : end if end != -1 else len(source)]
+    return bodies
+
+
+def _range_width(range_text: str | None) -> int | None:
+    """Bit width of a ``[msb:lsb]`` range; 1 when absent; None when symbolic."""
+    if not range_text:
+        return 1
+    match = _RANGE_RE.fullmatch(range_text.strip())
+    if match is None:
+        return None
+    return abs(int(match.group(1)) - int(match.group(2))) + 1
+
+
+def _port_names(body: str) -> set[str]:
+    names: set[str] = set()
+    for match in _PORT_DECL_RE.finditer(body):
+        names.update(name.strip() for name in match.group(2).split(","))
+    return names
+
+
+def _declared_widths(body: str) -> dict[str, int | None]:
+    """Width of every wire/reg/port in a module body (None = not constant)."""
+    widths: dict[str, int | None] = {}
+    for regex in (_SIGNAL_DECL_RE, _PORT_DECL_RE):
+        for match in regex.finditer(body):
+            width = _range_width(match.group(1))
+            for name in match.group(2).split(","):
+                widths[name.strip()] = width
+    return widths
+
+
+def lint_verilog_regex(source: str) -> LintReport:
+    """Run the structural checks and return a :class:`LintReport`."""
+    report = LintReport()
+    bodies = _module_bodies(source)
+    report.modules = list(bodies)
+
+    seen: set[str] = set()
+    for name in _MODULE_RE.findall(source):
+        if name in seen:
+            report.errors.append(f"Duplicate module definition: {name}")
+        seen.add(name)
+
+    module_count = len(_MODULE_RE.findall(source))
+    endmodule_count = len(re.findall(r"\bendmodule\b", source))
+    if module_count != endmodule_count:
+        report.errors.append(
+            f"Unbalanced module/endmodule: {module_count} module(s), {endmodule_count} endmodule(s)"
+        )
+
+    begin_count = len(re.findall(r"\bbegin\b", source))
+    end_count = len(re.findall(r"\bend\b(?!module|generate|function|case)", source))
+    if begin_count != end_count:
+        report.errors.append(f"Unbalanced begin/end: {begin_count} begin(s), {end_count} end(s)")
+
+    port_map = {name: _port_names(body) for name, body in bodies.items()}
+    width_map = {name: _declared_widths(body) for name, body in bodies.items()}
+
+    for module_name, body in bodies.items():
+        for match in _INSTANCE_RE.finditer(body):
+            target, instance = match.group(1), match.group(2)
+            if target in ("module",):
+                continue
+            report.instances.append((target, instance))
+            if target not in bodies:
+                report.errors.append(
+                    f"Module {module_name!r} instantiates undefined module {target!r} as {instance}"
+                )
+                continue
+            # Check the named connections of this instance against the target's ports.
+            instance_text = _instance_text(body, match.start())
+            for port in _PORT_CONNECT_RE.findall(instance_text):
+                if port not in port_map[target]:
+                    report.errors.append(
+                        f"Instance {instance} connects unknown port .{port} of module {target}"
+                    )
+            # Width agreement where both ends have constant ranges and the
+            # connection is a bare identifier (expressions are skipped).
+            for port, expr in _PORT_CONNECT_EXPR_RE.findall(instance_text):
+                if _IDENT_RE.fullmatch(expr) is None:
+                    continue
+                port_width = width_map[target].get(port)
+                signal_width = width_map[module_name].get(expr)
+                if port_width is None or signal_width is None:
+                    continue
+                if port_width != signal_width:
+                    report.errors.append(
+                        f"Instance {instance} connects {expr} ({signal_width} bits) "
+                        f"to port .{port} of module {target} ({port_width} bits)"
+                    )
+
+    tops = [m for m in report.modules if m not in {t for t, _ in report.instances}]
+    if not tops:
+        report.errors.append("No top-level module (every module is instantiated)")
+    elif len(tops) > 1:
+        report.warnings.append(f"Multiple top-level candidates: {', '.join(tops)}")
+
+    return report
+
+
+def _instance_text(body: str, start: int) -> str:
+    """The text of one instantiation, from its start to the closing ');'."""
+    end = body.find(");", start)
+    return body[start : end if end != -1 else len(body)]

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import repro
 from repro.algorithms import build_algorithm
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
+from repro.dsl.builder import PipelineBuilder, window_sum
 from repro.errors import SchedulingError
 from repro.ilp import highs
 from repro.memory.spec import asic_dual_port, asic_single_port
@@ -145,6 +147,42 @@ class TestOptionsAndErrors:
     def test_retired_fields_are_type_errors(self, retired):
         with pytest.raises(TypeError):
             SchedulerOptions(**retired)
+
+
+def build_star():
+    """K0 feeds K1-K7, and K1-K6 feed K7.  Dual-port at 32x24 this keeps 56
+    true disjunctions, and HiGHS leaves a gap of about 30% after tens of
+    seconds."""
+    builder = PipelineBuilder("star")
+    source = builder.input("K0")
+
+    def read(handle, size):
+        return window_sum(handle, size, size) if size > 1 else handle(0, 0)
+
+    middle = [
+        builder.stage(f"K{index}", read(source, size))
+        for index, size in enumerate((1, 3, 2, 2, 3, 3), start=1)
+    ]
+    expr = read(source, 5)
+    for handle, size in zip(middle, (2, 3, 1, 5, 2, 1)):
+        expr = expr + read(handle, size)
+    builder.output("K7", expr)
+    return builder.build()
+
+
+class TestSolveTimeLimit:
+    @pytest.mark.parametrize("hide_highs", [False, True], ids=["highs", "no-highs"])
+    def test_star_stops_at_the_limit_and_gives_the_gap(self, hide_highs, request, monkeypatch):
+        if hide_highs:
+            request.getfixturevalue("no_highs")
+        monkeypatch.setattr("repro.ilp.solver.SOLVE_TIME_LIMIT_S", 1.0)
+        gap = r"at a \d+\.\d% gap"
+        if hide_highs:  # HiGHS has an incumbent within the second; the fallback may not
+            gap = rf"({gap}|with no feasible solution)"
+        started = time.perf_counter()
+        with pytest.raises(SchedulingError, match="time limit of 1 s reached " + gap):
+            schedule_pipeline(build_star(), 32, 24, asic_dual_port())
+        assert time.perf_counter() - started < 10
 
 
 class TestCoalescedScheduling:

@@ -11,7 +11,9 @@ from repro.api import CompileTarget
 from repro.baselines import BASELINE_NAMES
 from repro.dsl import PipelineBuilder
 from repro.dsl.builder import window_sum
+from repro.dsl.parser import parse_pipeline
 from repro.errors import SimulationError
+from repro.rtl import generate_verilog, lint_verilog
 from repro.service import (
     CompileEngine,
     QueueFullError,
@@ -153,6 +155,33 @@ class TestNarrowFrames:
         with CompileEngine(workers=1, executor="inline") as engine:
             buffer = engine.submit(target).unwrap().schedule.line_buffers["K0"]
             assert (buffer.style, buffer.lines) == ("sram", 2)
+            verify = VerifyEngine(engine)
+            for check in ("golden", "cycle", "rtl", "perf"):
+                result = verify.submit(VerifyRequest(target=target, check=check))
+                assert result.passed, (check, result.failure_summary())
+
+
+class TestNonAsciiStageNames:
+    """The DSL takes Unicode identifiers; the emitted Verilog keeps to
+    Verilog-2001's ASCII ones, and names differing only in non-ASCII
+    characters stay distinct modules."""
+
+    PROGRAM = """
+input K0;
+K\u00f6 = im(x,y) (K0(x,y-1) + K0(x,y) + K0(x,y+1)) / 3 end
+output K\u00e4 = im(x,y) K\u00f6(x-1,y) + K\u00f6(x+1,y) end
+"""
+
+    def test_program_lints_clean_and_passes_every_check(self):
+        target = CompileTarget(
+            parse_pipeline(self.PROGRAM, name="umlaut"), image_width=W, image_height=H
+        )
+        with CompileEngine(workers=1, executor="inline") as engine:
+            source = generate_verilog(engine.submit(target).unwrap().schedule)
+            assert source.isascii()
+            report = lint_verilog(source)
+            assert report.ok, report.errors
+            assert {"stage_K_u00f6", "stage_K_u00e4"} <= set(report.modules)
             verify = VerifyEngine(engine)
             for check in ("golden", "cycle", "rtl", "perf"):
                 result = verify.submit(VerifyRequest(target=target, check=check))
@@ -335,6 +364,15 @@ class TestVerifySpans:
         names = [span.name for span in rtl.walk()]
         assert names.count("replay") == 1
         assert names.count("rtl_sim") == 1
+
+    def test_rtl_check_lints_once(self, engines):
+        engine, verify = engines
+        result = verify.submit(VerifyRequest(target=_target(), check="rtl"))
+        (rtl,) = [s for s in result.spans[0].children if s.name == "verify_rtl"]
+        (lint,) = [span for span in rtl.walk() if span.name == "lint"]
+        assert lint.attrs["errors"] == 0
+        assert lint.attrs["modules"] > lint.attrs["instances"] > 0
+        assert engine.metrics.stage_histograms()["lint"]["count"] == 1
 
 
 class TestVerifyWire:
