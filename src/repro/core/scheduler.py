@@ -9,15 +9,19 @@ the scheduler assigns a start cycle to every stage such that
 * the total line-buffer size (Eq. 1a / Eq. 2) is minimal.
 
 The problem is an Integer Linear Program.  Once constraint pruning (Sec. 5.4)
-has removed the dominated disjuncts, one of two exact paths solves it:
+has removed the dominated disjuncts, the min-cost-flow kernel solves it
+exactly whenever it can:
 
-* with no true disjunction left (each contention disjunction kept a single
-  candidate), the system is a plain difference system whose LP is the dual
-  of a min-cost flow; :mod:`repro.core.flow` returns its earliest optimum
-  (``backend="flow"`` in the ``ilp`` span);
-* otherwise the disjunctions become big-M indicator variables and the one
-  model is solved by HiGHS (the pure-Python branch-and-bound stands in when
-  SciPy is missing; see :mod:`repro.ilp.solver`).
+* fixing one candidate of every true disjunction leaves a plain difference
+  system (the paper's sub-problem), whose LP is the dual of a min-cost flow;
+  :mod:`repro.core.flow` returns each sub-problem's earliest optimum, and
+  with at most :data:`MAX_FLOW_BRANCHES` of them the scheduler returns the
+  least optimal schedule of the whole system (``backend="flow"`` in the
+  ``ilp`` span).  A system with no true disjunction is the one-branch case;
+* a system without a least optimum (mirror-image optima) or with more
+  branches goes to the big-M model, solved by HiGHS (the pure-Python
+  branch-and-bound stands in when SciPy is missing; see
+  :mod:`repro.ilp.solver`).
 
 A warm certificate sits in front of the ILP: :func:`schedule_pipeline`
 accepts a :class:`~repro.core.warmstart.WarmHint` (a solved neighbor design).
@@ -30,6 +34,7 @@ Otherwise the solve runs cold on one of the two paths above.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -66,6 +71,11 @@ from repro.memory.allocator import (
 )
 from repro.memory.spec import MemorySpec
 from repro.trace import span_attr, trace_span
+
+
+#: Most disjunct combinations :func:`_solve_flow` branches over; a system
+#: with more goes to the big-M model.  Every catalog design has at most 2.
+MAX_FLOW_BRANCHES = 64
 
 
 @dataclass
@@ -248,10 +258,11 @@ def _schedule(
             start_cycles = certified
             objective = float(schedule_objective(dag, certified))
             solver_stats = _certificate_stats()
-        elif any(not disjunction.is_singleton for disjunction in prologue.disjunctions):
-            start_cycles, objective, solver_stats = _solve_big_m(dag, image_width, prologue)
         else:
-            start_cycles, objective, solver_stats = _solve_flow(dag, prologue)
+            solved = _solve_flow(dag, prologue)
+            if solved is None:  # no least optimum, or too many branches
+                solved = _solve_big_m(dag, image_width, prologue)
+            start_cycles, objective, solver_stats = solved
 
         if warm_hint is not None:
             solver_stats["warm_start"] = warm_detail
@@ -427,17 +438,29 @@ def _solve_big_m(dag: PipelineDAG, image_width: int, prologue: _Prologue):
 
 
 def _solve_flow(dag: PipelineDAG, prologue: _Prologue):
-    """Solve a system with no true disjunction exactly by min-cost flow.
+    """Solve exactly by min-cost flow, one branch per disjunct combination.
 
     The nodes are the start cycles ``S_s`` plus one ``E_p = S_p + D_p`` per
     producer, so the objective ``sum_p (E_p - S_p)`` is linear over
-    difference arcs; :func:`repro.core.flow.earliest_optimum` returns the
-    componentwise-least optimal schedule.
+    difference arcs.  Fixing one candidate of every true disjunction leaves a
+    plain difference system (a paper sub-problem, Sec. 5.4), which
+    :func:`repro.core.flow.earliest_optimum` solves exactly.  The system's
+    optimal set is the union of the optimal branches' faces, and each face
+    lies above its branch's earliest optimum, so the least optimal schedule
+    exists exactly when one optimal branch's earliest optimum is
+    componentwise <= every other's; that one is returned.
+
+    Returns ``None`` when there is no least optimum (mirror-image optima) or
+    more than :data:`MAX_FLOW_BRANCHES` branches: the big-M model decides.
     """
-    arcs, _ = difference_system(prologue.dependencies, prologue.disjunctions)
-    nodes: list = list(dag.stage_names())
+    mandatory, multis = difference_system(prologue.dependencies, prologue.disjunctions)
+    branches = count_subproblems(multis)
+    if branches > MAX_FLOW_BRANCHES:
+        return None
+    stages = dag.stage_names()
+    nodes: list = list(stages)
     costs: dict = {}
-    for producer in dag.stage_names():
+    for producer in stages:
         consumers = dag.consumers_of(producer)
         if not consumers:
             continue
@@ -445,27 +468,45 @@ def _solve_flow(dag: PipelineDAG, prologue: _Prologue):
         nodes.append(end)
         costs[producer], costs[end] = -1, 1
         for consumer in consumers:
-            arcs[(consumer, end)] = 0
+            mandatory[(consumer, end)] = 0
     anchored = [stage.name for stage in dag.input_stages()]
-    with trace_span("ilp", backend="flow"):
-        solution = earliest_optimum(
-            nodes, arcs, costs, anchored=anchored, horizon=prologue.horizon
-        )
-        status = "infeasible" if solution is None else "optimal"
+    best, optimal = None, []
+    with trace_span("ilp", backend="flow", branches=branches):
+        for choice in itertools.product(*(d.candidates for d in multis)):
+            arcs = dict(mandatory)
+            for candidate in choice:
+                key = (candidate.leading, candidate.trailing)
+                arcs[key] = max(arcs.get(key, candidate.min_gap), candidate.min_gap)
+            solution = earliest_optimum(
+                nodes, arcs, costs, anchored=anchored, horizon=prologue.horizon
+            )
+            if solution is None:
+                continue
+            values, objective = solution
+            if best is None or objective < best:
+                best, optimal = objective, []
+            if objective == best:
+                optimal.append({stage: values[stage] for stage in stages})
+        if best is None:
+            status = "infeasible"
+        else:
+            least = {stage: min(values[stage] for values in optimal) for stage in stages}
+            status = "optimal" if least in optimal else "deferred"
         span_attr(status=status, lp_iterations=0, bnb_pruned=0)
-    if solution is None:
+    if best is None:
         raise SchedulingError(
             f"Scheduling ILP for {dag.name!r} is {status} (backend flow, positive cycle)"
         )
-    values, objective = solution
+    if status == "deferred":
+        return None
     stats = {
         "backend": "flow",
         "ilp_variables": len(nodes),
-        "ilp_constraints": len(arcs) + len(anchored),
+        "ilp_constraints": len(mandatory) + len(multis) + len(anchored),
         "lp_iterations": 0,
         "solves": 1,
     }
-    return {stage: values[stage] for stage in dag.stage_names()}, float(objective), stats
+    return least, float(best), stats
 
 
 # ---------------------------------------------------------------------------

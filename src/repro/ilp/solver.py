@@ -6,8 +6,10 @@
 * ``"python"`` — the pure-Python branch-and-bound over the simplex engine;
 * ``"auto"`` — HiGHS when importable, otherwise the Python backend.
 
-The scheduler calls this facade only for systems with a true disjunction
-(the others go to the min-cost-flow kernel in :mod:`repro.core.flow`) and
+The scheduler calls this facade only for systems that the branched
+min-cost-flow kernel (:mod:`repro.core.flow`) leaves open: those with no
+least optimum (mirror-image optima) or more than
+:data:`repro.core.scheduler.MAX_FLOW_BRANCHES` disjunct combinations.  It
 always solves with ``"auto"``; the explicit names exist so tests can
 cross-check the two exact backends against each other.
 """
@@ -23,11 +25,12 @@ from repro.trace import span_attr, trace_span
 _KNOWN_BACKENDS = ("auto", "python", "highs")
 
 #: Wall-clock cap, in seconds, on one solve, HiGHS or the fallback.  Far
-#: above every measured scheduling solve: about 36 ms for the slowest
-#: catalog design and about 100 ms for the 60-stage synthetic pipeline.
-#: Some systems with many true disjunctions keep HiGHS from closing its gap
-#: for minutes; at the cap the scheduler raises a ``SchedulingError`` that
-#: gives the gap left.
+#: above every measured scheduling solve that reaches it: 30-95 ms for the
+#: 16 Fig. 10 variants of canny-m and harris-m with mirror-image optima
+#: (every catalog design itself solves on the flow kernel) and about 120 ms
+#: for the 60-stage synthetic pipeline.  Some systems with many true
+#: disjunctions keep HiGHS from closing its gap for minutes; at the cap the
+#: scheduler raises a ``SchedulingError`` that gives the gap left.
 SOLVE_TIME_LIMIT_S = 60.0
 
 

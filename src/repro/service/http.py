@@ -168,6 +168,10 @@ class CompileServiceHandler(BaseHTTPRequestHandler):
     # HTTP/1.1 keeps client connections alive between requests; every
     # response below carries an exact Content-Length, as 1.1 requires.
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a response goes out as headers, then body.  With Nagle on,
+    # a kept-alive connection holds that second small segment until the
+    # client's delayed ACK, about 40 ms per response.
+    disable_nagle_algorithm = True
 
     @property
     def engine(self) -> CompileEngine:

@@ -402,6 +402,25 @@ class VerifyEngine:
         fingerprint = request.fingerprint
         self._count(requests=1)
         cached = self._lookup(fingerprint)
+        owner = False
+        if cached is None:
+            with self._lock:
+                # Read the memory tier again under the hold that guards the
+                # in-flight table: an identical request may have been
+                # remembered and forgotten since the lookup above missed.
+                payload = self._recall(fingerprint)
+                if payload is not None:
+                    cached = payload, "memory"
+                else:
+                    future = self._inflight.get(fingerprint)
+                    if future is None:
+                        owner = True
+                        future = Future()
+                        future.set_running_or_notify_cancel()
+                        self._inflight[fingerprint] = future
+                        future.add_done_callback(
+                            lambda _done, fp=fingerprint: self._forget(fp)
+                        )
         if cached is not None:
             payload, tier = cached
             result = self._from_payload(request, fingerprint, payload, tier)
@@ -409,17 +428,6 @@ class VerifyEngine:
             self._count_outcome(result)
             return self._finalize(result)
 
-        owner = False
-        with self._lock:
-            future = self._inflight.get(fingerprint)
-            if future is None:
-                owner = True
-                future = Future()
-                future.set_running_or_notify_cancel()
-                self._inflight[fingerprint] = future
-                future.add_done_callback(
-                    lambda _done, fp=fingerprint: self._forget(fp)
-                )
         try:
             if owner:
                 # A shed raises out of the dispatch itself (the placeholder is
@@ -683,12 +691,18 @@ class VerifyEngine:
         if store is not None:
             store.save(fingerprint, payload)
 
+    def _recall(self, fingerprint: str) -> dict | None:
+        """The memory tier's verdict, marked most recent (lock held)."""
+        payload = self._verdicts.get(fingerprint)
+        if payload is not None:
+            self._verdicts.move_to_end(fingerprint)
+        return payload
+
     def _lookup(self, fingerprint: str) -> tuple[dict, str] | None:
         with self._lock:
-            payload = self._verdicts.get(fingerprint)
-            if payload is not None:
-                self._verdicts.move_to_end(fingerprint)
-                return payload, "memory"
+            payload = self._recall(fingerprint)
+        if payload is not None:
+            return payload, "memory"
         store = self.engine.cache.store
         if store is not None:
             payload = store.load(fingerprint)

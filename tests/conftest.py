@@ -10,8 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms import build_algorithm
+from repro.api import CompileTarget
 from repro.core.access import Accessor
 from repro.core.constraints import pair_gap
+from repro.dse.sweep import _design_target
 from repro.dsl import ast
 from repro.dsl.builder import PipelineBuilder, window_sum
 from repro.ir.dag import PipelineDAG
@@ -19,6 +22,21 @@ from repro.memory.spec import asic_dual_port, asic_fifo, asic_single_port
 
 TEST_WIDTH = 64
 TEST_HEIGHT = 48
+
+
+def harris_tie_target(width: int, height: int) -> CompileTarget:
+    """harris-m's Fig. 10 variant that coalesces only ``gauss``.
+
+    At 64x48 and 480x320 (not at 1920x1080) its two optima are mirror
+    images (grad_x and grad_y start cycles swapped), so no least optimum
+    exists, the flow kernel defers, and the scheduler solves the big-M
+    model: a catalog target that still reaches HiGHS (or the pure-Python
+    fallback).
+    """
+    base = CompileTarget(build_algorithm("harris-m"), image_width=width, image_height=height)
+    return _design_target(
+        base, {"K0": "DP", "gauss": "DPLC", "products": "DP", "structure": "DP"}
+    )
 
 
 @pytest.fixture

@@ -14,6 +14,8 @@ from repro.rtl.lint import lint_verilog
 from repro.sim.cycle import simulate_schedule
 from repro.sim.functional import run_functional
 
+from tests.conftest import harris_tie_target
+
 W, H = 64, 48
 
 UNSHARP_DSL = """
@@ -101,21 +103,17 @@ class TestAllAlgorithmsAllGenerators:
 
 @pytest.fixture(scope="module")
 def highs_harris():
-    """harris-m (which keeps a true disjunction) compiled with HiGHS; module
-    scope, so it is built before any function-scoped ``no_highs`` fixture
-    hides the backend."""
+    """harris-m's mirror-tie variant (no least optimum, so the big-M model
+    solves it) compiled with HiGHS; module scope, so it is built before any
+    function-scoped ``no_highs`` fixture hides the backend."""
     if not highs.is_available():
         pytest.skip("SciPy HiGHS not available")
-    return compile_pipeline(
-        CompileTarget(build_algorithm("harris-m"), image_width=W, image_height=H)
-    )
+    return compile_pipeline(harris_tie_target(W, H))
 
 
 class TestIlpBackendsAgree:
     def test_backends_reach_same_objective(self, highs_harris, no_highs):
-        python = compile_pipeline(
-            CompileTarget(build_algorithm("harris-m"), image_width=W, image_height=H)
-        )
+        python = compile_pipeline(harris_tie_target(W, H))
         assert highs_harris.schedule.solver_stats["backend"] == "highs"
         assert python.schedule.solver_stats["backend"] == "python"
         assert highs_harris.schedule.solver_stats["objective"] == pytest.approx(

@@ -1,39 +1,54 @@
 """Property tests of the min-cost-flow kernel (:mod:`repro.core.flow`).
 
-Two oracles, both HiGHS:
+Three oracles, all HiGHS:
 
 * on random difference systems, including infeasible ones (a positive cycle
   or a longest path past the horizon), the kernel reaches SciPy's verdict and
   objective, and its point is the least one on the LP's optimal face;
 * on random disjunction-free pipelines, the scheduler's start cycles are the
   earliest optimum of the big-M model: for every stage, the minimum of
-  ``S_s`` over that model's optimal face.
+  ``S_s`` over that model's optimal face;
+* on random pipelines with 2-64 disjunct combinations, including infeasible
+  ones (a horizon cut below the longest path), the branched kernel reaches
+  the big-M model's verdict and objective.  When it answers, each start
+  cycle is that stage's minimum over the big-M optimal set; when it defers,
+  the vector of those minima is not itself optimal.
 
 The optimal face of a difference system is itself a difference system, so
 its componentwise-least point exists and is the unique minimiser of the sum
 of the coordinates over the face: one extra solve finds every per-node
-minimum at once.
+minimum at once.  The optimal set of a system with true disjunctions is a
+union of such faces and need not have a least point, so the third oracle
+takes one MILP per stage.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, assume, example, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck, Phase, assume, event, example, given, settings, strategies as st,
+)
 
 from repro.core.flow import earliest_optimum
+from repro.core.pruning import count_subproblems
 from repro.core.scheduler import (
+    MAX_FLOW_BRANCHES,
     SchedulerOptions,
     _build_big_m,
     _constraint_prologue,
+    _solve_flow,
     schedule_pipeline,
 )
+from repro.core.warmstart import difference_system, schedule_is_legal, schedule_objective
+from repro.errors import SchedulingError
 from repro.ilp.expr import linear_sum
 from repro.ilp.model import SolveStatus
 from repro.ilp.solver import solve
 from repro.memory.spec import asic_dual_port, asic_single_port
 
 from test_prop_core import random_pipeline
+from tests.conftest import harris_tie_target
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -157,3 +172,79 @@ class TestDisjunctionFreePipelines:
         schedule = schedule_pipeline(dag, W, H, spec, options)
         assert schedule.solver_stats["backend"] == "flow"
         assert schedule.start_cycles == _earliest_big_m_optimum(dag, spec, options)
+
+
+def _stage_minima(dag, prologue, optimum: float, width: int = W) -> dict[str, int]:
+    """Each stage's least start cycle over the big-M optimal set: one MILP
+    per stage, with the objective held at ``optimum``."""
+    minima = {}
+    for stage in dag.stage_names():
+        model, start_vars = _build_big_m(dag, width, prologue)
+        model.add_constraint(model.objective <= optimum, name="optimal-set")
+        model.set_objective(start_vars[stage])
+        result = solve(model, backend="highs")
+        assert result.status is SolveStatus.OPTIMAL, result.message
+        minima[stage] = int(round(result.objective))
+    return minima
+
+
+def _is_optimal(dag, prologue, cycles, optimum: float) -> bool:
+    mandatory, multis = difference_system(prologue.dependencies, prologue.disjunctions)
+    return schedule_is_legal(cycles, mandatory, multis) and (
+        schedule_objective(dag, cycles) == optimum
+    )
+
+
+class TestBranchedPipelines:
+    @pytest.mark.parametrize("spec", [asic_dual_port(), asic_single_port()], ids=["dp", "sp"])
+    @pytest.mark.parametrize("coalescing", [False, True], ids=["plain", "lc"])
+    @settings(max_examples=8, deadline=None, derandomize=True,
+              phases=(Phase.explicit, Phase.generate),
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(dag=random_pipeline(), cut=st.sampled_from([1.0, 0.5, 0.3, 0.2]))
+    def test_kernel_answer_is_the_least_big_m_optimum(self, dag, spec, coalescing, cut):
+        prologue = _constraint_prologue(dag, W, spec, SchedulerOptions(coalescing=coalescing))
+        assume(2 <= count_subproblems(prologue.disjunctions) <= MAX_FLOW_BRANCHES)
+        # A horizon cut makes some systems infeasible.  It stays at or above
+        # every candidate gap, so big-M (2 * horizon + W) still relaxes a
+        # candidate whose indicator is off.
+        gaps = [c.min_gap for d in prologue.disjunctions for c in d.candidates]
+        prologue.horizon = max(max(gaps), int(prologue.horizon * cut))
+        model, _ = _build_big_m(dag, W, prologue)
+        oracle = solve(model, backend="highs")
+        try:
+            solved = _solve_flow(dag, prologue)
+        except SchedulingError as error:
+            event("infeasible")
+            assert "is infeasible (backend flow" in str(error)
+            assert oracle.status is SolveStatus.INFEASIBLE
+            return
+        assert oracle.status is SolveStatus.OPTIMAL, oracle.message
+        optimum = round(oracle.objective)
+        minima = _stage_minima(dag, prologue, optimum)
+        event("deferred" if solved is None else "answered")
+        if solved is None:
+            assert not _is_optimal(dag, prologue, minima, optimum)
+            return
+        cycles, objective, stats = solved
+        assert stats["backend"] == "flow"
+        assert objective == optimum
+        assert cycles == minima
+
+
+class TestMirrorTie:
+    def test_harris_m_gauss_variant_defers(self):
+        """Its two optima are mirror images: neither branch's earliest
+        optimum lies below the other's, and the stage minima are not a
+        schedule."""
+        target = harris_tie_target(480, 320)
+        dag = target.dag
+        prologue = _constraint_prologue(dag, 480, target.memory_spec, target.options)
+        assert count_subproblems(prologue.disjunctions) == 2
+        assert _solve_flow(dag, prologue) is None
+        schedule = schedule_pipeline(dag, 480, 320, target.memory_spec, target.options)
+        assert schedule.solver_stats["backend"] == "highs"
+        optimum = schedule.solver_stats["objective"]
+        minima = _stage_minima(dag, prologue, optimum, width=480)
+        assert not _is_optimal(dag, prologue, minima, optimum)
+        assert _is_optimal(dag, prologue, dict(schedule.start_cycles), optimum)

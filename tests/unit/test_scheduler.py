@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.algorithms import build_algorithm
+from repro.algorithms import ALGORITHM_NAMES, TEMPORAL_ALGORITHM_NAMES, build_algorithm
+from repro.core import scheduler
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
 from repro.dsl.builder import PipelineBuilder, window_sum
 from repro.errors import SchedulingError
@@ -23,6 +24,7 @@ from tests.conftest import (
     build_chain,
     build_paper_example,
     build_two_consumer,
+    harris_tie_target,
 )
 
 W, H = TEST_WIDTH, TEST_HEIGHT
@@ -118,9 +120,10 @@ class TestOptionsAndErrors:
             schedule_pipeline(build_chain(3), W, H, asic_dual_port(), SchedulerOptions(ports=0))
 
     def test_python_backend_small_model(self, no_highs):
-        """harris-m keeps a true disjunction, so without HiGHS the big-M
-        model goes to the pure-Python branch-and-bound."""
-        schedule = schedule_pipeline(build_algorithm("harris-m"), W, H, asic_dual_port())
+        """harris-m's mirror-tie variant has no least optimum, so without
+        HiGHS its big-M model goes to the pure-Python branch-and-bound."""
+        target = harris_tie_target(W, H)
+        schedule = schedule_pipeline(target.dag, W, H, target.memory_spec, target.options)
         assert schedule.solver_stats["backend"] == "python"
         assert schedule.solver_stats["strategy"] == "bigm"
         assert check_schedule_legality(schedule).ok
@@ -211,10 +214,32 @@ class TestCoalescedScheduling:
         assert all(config.coalesce_factor == 1 for config in schedule.line_buffers.values())
 
 
+class TestLeastOptimum:
+    def test_no_catalog_design_reaches_the_big_m_model(self, monkeypatch):
+        """Every catalog design has a least optimum: canny-m and harris-m
+        over their two branches, the rest on their one."""
+        def refuse(dag, width, prologue):
+            raise AssertionError(f"{dag.name} at width {width} reached the big-M model")
+
+        monkeypatch.setattr(scheduler, "_solve_big_m", refuse)
+        for name in ALGORITHM_NAMES + TEMPORAL_ALGORITHM_NAMES:
+            for width, height in ((480, 320), (1920, 1080)):
+                for coalescing in (False, True):
+                    schedule = schedule_pipeline(
+                        build_algorithm(name), width, height, asic_dual_port(),
+                        SchedulerOptions(coalescing=coalescing),
+                    )
+                    assert schedule.solver_stats["backend"] == "flow"
+                    branches = 2 if name in ("canny-m", "harris-m") else 1
+                    assert schedule.solver_stats["subproblems"] == branches
+
+
 class TestStartUp:
-    def test_only_a_true_disjunction_imports_scipy_optimize(self):
-        """A fresh interpreter compiles unsharp-m (flow kernel) without
-        importing SciPy's optimiser, and harris-m (HiGHS) with it."""
+    def test_only_a_mirror_tie_imports_scipy_optimize(self):
+        """A fresh interpreter compiles unsharp-m, and canny-m and harris-m
+        (true disjunctions, each with a least optimum) with coalescing off
+        and on, on the flow kernel without importing SciPy's optimiser;
+        harris-m's mirror-tie variant reaches HiGHS and imports it."""
         if not highs.is_available():
             pytest.skip("SciPy HiGHS not available")
         script = (
@@ -222,10 +247,17 @@ class TestStartUp:
             "from repro.algorithms import build_algorithm\n"
             "from repro.api import CompileTarget\n"
             "from repro.core.compiler import compile_pipeline\n"
-            "for name in ('unsharp-m', 'harris-m'):\n"
-            "    compile_pipeline(CompileTarget(build_algorithm(name),"
-            " image_width=480, image_height=320))\n"
-            "    print(name, 'scipy.optimize' in sys.modules)\n"
+            "from repro.dse.sweep import _design_target\n"
+            "def target(name):\n"
+            "    return CompileTarget(build_algorithm(name), image_width=480, image_height=320)\n"
+            "tie = {'K0': 'DP', 'gauss': 'DPLC', 'products': 'DP', 'structure': 'DP'}\n"
+            "targets = [('unsharp-m', target('unsharp-m'))] + [\n"
+            "    (f'{name}:{lc}', target(name).with_options(coalescing=lc))\n"
+            "    for name in ('canny-m', 'harris-m') for lc in (False, True)\n"
+            "] + [('tie', _design_target(target('harris-m'), tie))]\n"
+            "for label, each in targets:\n"
+            "    compile_pipeline(each)\n"
+            "    print(label, 'scipy.optimize' in sys.modules)\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -235,4 +267,9 @@ class TestStartUp:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True,
             timeout=120, check=True,
         )
-        assert completed.stdout.split() == ["unsharp-m", "False", "harris-m", "True"]
+        assert completed.stdout.split() == [
+            "unsharp-m", "False",
+            "canny-m:False", "False", "canny-m:True", "False",
+            "harris-m:False", "False", "harris-m:True", "False",
+            "tie", "True",
+        ]

@@ -215,6 +215,30 @@ class TestOperationalEndpoints:
         finally:
             connection.close()
 
+    def test_kept_alive_warm_requests_do_not_wait_for_delayed_acks(self, service):
+        """With Nagle on, the body segment that follows the headers waits
+        on a kept-alive connection for the client's delayed ACK, about
+        40 ms per response."""
+        client, _, server = service
+        target = CompileTarget(build_chain(3), image_width=W, image_height=H)
+        client.compile(target)  # the cold solve; every timed request is warm
+        body = json.dumps(target_to_wire(target))
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request(
+                    "POST", "/v1/compile", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["source"] == "memory"
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 20 * 0.020, f"20 kept-alive warm requests took {elapsed * 1000:.0f} ms"
+
     def test_error_responses_close_the_connection(self, service):
         """Error paths may not drain the request body; keeping the HTTP/1.1
         connection alive would desync it (body bytes parsed as the next

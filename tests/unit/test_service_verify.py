@@ -238,6 +238,39 @@ class TestVerifyCaching:
         assert all(result.passed for result in results)
         assert verify.stats()["deduplicated"] + verify.stats()["served_from_memory"] == 3
 
+    def test_request_that_missed_as_its_twin_settled_reads_the_verdict(self):
+        """A request whose cache lookup missed, and that reaches the
+        in-flight table only after an identical request was remembered and
+        forgotten, is served that verdict instead of verifying again."""
+        with CompileEngine(workers=1, executor="inline") as engine:
+            verify = VerifyEngine(engine)
+            request = VerifyRequest(target=_target(), check="cycle")
+            missed, release = threading.Event(), threading.Event()
+            lookup = verify._lookup
+
+            def held_lookup(fingerprint):
+                found = lookup(fingerprint)
+                if not missed.is_set():  # only the first caller waits
+                    missed.set()
+                    release.wait(10)
+                return found
+
+            verify._lookup = held_lookup
+            second = {}
+            thread = threading.Thread(
+                target=lambda: second.update(result=verify.submit(request))
+            )
+            thread.start()
+            assert missed.wait(10)
+            first = verify.submit(request)  # inline: settled and forgotten on return
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert first.source == "verified"
+        assert second["result"].source == "memory"
+        assert second["result"].passed
+        assert verify.stats()["verified"] == 1
+
 
 class TestVerifyExecutor:
     def test_verify_bodies_run_on_the_engines_pool(self, engines):
