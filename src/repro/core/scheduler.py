@@ -34,7 +34,6 @@ Otherwise the solve runs cold on one of the two paths above.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -53,6 +52,7 @@ from repro.core.pruning import count_subproblems, prune_disjunctions
 from repro.core.schedule import PipelineSchedule
 from repro.core.warmstart import (
     WarmHint,
+    branch_arcs,
     difference_system,
     disjunctive_lower_bound,
     schedule_objective,
@@ -74,8 +74,12 @@ from repro.trace import span_attr, trace_span
 
 
 #: Most disjunct combinations :func:`_solve_flow` branches over; a system
-#: with more goes to the big-M model.  Every catalog design has at most 2.
-MAX_FLOW_BRANCHES = 64
+#: with more goes to the big-M model.  The bound is the measured crossover
+#: on the 15-, 18- and 21-stage synthetic pipelines (16, 32 and 64 branches,
+#: about 1-1.6 ms each): at 16 the kernel beat HiGHS 1.7-2.1x at widths
+#: 32-64 and 3-4.3x at 480-1920; at 32 it lost at widths 32-64; at 64 it
+#: lost 2-3.5x everywhere.  Every catalog design has at most 2.
+MAX_FLOW_BRANCHES = 16
 
 
 @dataclass
@@ -259,9 +263,12 @@ def _schedule(
             objective = float(schedule_objective(dag, certified))
             solver_stats = _certificate_stats()
         else:
-            solved = _solve_flow(dag, prologue)
-            if solved is None:  # no least optimum, or too many branches
-                solved = _solve_big_m(dag, image_width, prologue)
+            # One span per solve: a deferred flow attempt is billed to the
+            # big-M solve that follows it, which reports its own backend.
+            with trace_span("ilp", backend="flow"):
+                solved = _solve_flow(dag, prologue)
+                if solved is None:  # no least optimum, or too many branches
+                    solved = _solve_big_m(dag, image_width, prologue)
             start_cycles, objective, solver_stats = solved
 
         if warm_hint is not None:
@@ -455,6 +462,7 @@ def _solve_flow(dag: PipelineDAG, prologue: _Prologue):
     """
     mandatory, multis = difference_system(prologue.dependencies, prologue.disjunctions)
     branches = count_subproblems(multis)
+    span_attr(branches=branches)
     if branches > MAX_FLOW_BRANCHES:
         return None
     stages = dag.stage_names()
@@ -471,34 +479,26 @@ def _solve_flow(dag: PipelineDAG, prologue: _Prologue):
             mandatory[(consumer, end)] = 0
     anchored = [stage.name for stage in dag.input_stages()]
     best, optimal = None, []
-    with trace_span("ilp", backend="flow", branches=branches):
-        for choice in itertools.product(*(d.candidates for d in multis)):
-            arcs = dict(mandatory)
-            for candidate in choice:
-                key = (candidate.leading, candidate.trailing)
-                arcs[key] = max(arcs.get(key, candidate.min_gap), candidate.min_gap)
-            solution = earliest_optimum(
-                nodes, arcs, costs, anchored=anchored, horizon=prologue.horizon
-            )
-            if solution is None:
-                continue
-            values, objective = solution
-            if best is None or objective < best:
-                best, optimal = objective, []
-            if objective == best:
-                optimal.append({stage: values[stage] for stage in stages})
-        if best is None:
-            status = "infeasible"
-        else:
-            least = {stage: min(values[stage] for values in optimal) for stage in stages}
-            status = "optimal" if least in optimal else "deferred"
-        span_attr(status=status, lp_iterations=0, bnb_pruned=0)
-    if best is None:
-        raise SchedulingError(
-            f"Scheduling ILP for {dag.name!r} is {status} (backend flow, positive cycle)"
+    for arcs in branch_arcs(mandatory, multis):
+        solution = earliest_optimum(
+            nodes, arcs, costs, anchored=anchored, horizon=prologue.horizon
         )
-    if status == "deferred":
+        if solution is None:
+            continue
+        values, objective = solution
+        if best is None or objective < best:
+            best, optimal = objective, []
+        if objective == best:
+            optimal.append({stage: values[stage] for stage in stages})
+    if best is None:
+        span_attr(status="infeasible", lp_iterations=0, bnb_pruned=0)
+        raise SchedulingError(
+            f"Scheduling ILP for {dag.name!r} is infeasible (backend flow, positive cycle)"
+        )
+    least = {stage: min(values[stage] for values in optimal) for stage in stages}
+    if least not in optimal:
         return None
+    span_attr(status="optimal", lp_iterations=0, bnb_pruned=0)
     stats = {
         "backend": "flow",
         "ilp_variables": len(nodes),

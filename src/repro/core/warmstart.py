@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 
 from repro.core.constraints import (
     Disjunction,
@@ -51,6 +52,7 @@ __all__ = [
     "WarmHint",
     "hint_from_schedule",
     "difference_system",
+    "branch_arcs",
     "schedule_is_legal",
     "schedule_objective",
     "dependency_lower_bound",
@@ -117,15 +119,29 @@ def difference_system(dependencies, disjunctions):
     return mandatory, multis
 
 
+def _with_candidates(mandatory, candidates):
+    """``mandatory`` plus each candidate's separation, max-merged per pair."""
+    arcs = dict(mandatory)
+    for candidate in candidates:
+        key = (candidate.leading, candidate.trailing)
+        if candidate.min_gap > arcs.get(key, -(1 << 62)):
+            arcs[key] = candidate.min_gap
+    return arcs
+
+
+def branch_arcs(mandatory, multis):
+    """Yield the difference system of each disjunct combination: the
+    mandatory edges plus one chosen candidate of every true disjunction (a
+    paper sub-problem, Sec. 5.4)."""
+    for choice in product(*(disjunction.candidates for disjunction in multis)):
+        yield _with_candidates(mandatory, choice)
+
+
 def _pair_weights(mandatory, multis):
     """Max-merged separation per ordered stage pair, candidates included."""
-    weights = dict(mandatory)
-    for disjunction in multis:
-        for candidate in disjunction.candidates:
-            key = (candidate.leading, candidate.trailing)
-            if candidate.min_gap > weights.get(key, -(1 << 62)):
-                weights[key] = candidate.min_gap
-    return weights
+    return _with_candidates(
+        mandatory, (candidate for disjunction in multis for candidate in disjunction.candidates)
+    )
 
 
 def schedule_is_legal(cycles, mandatory, multis) -> bool:
@@ -210,20 +226,7 @@ def disjunctive_lower_bound(dag: PipelineDAG, mandatory, multis, max_combos: int
         combos *= len(disjunction.candidates)
     if not multis or combos > max_combos:
         return dependency_lower_bound(dag, mandatory)
-
-    from itertools import product
-
-    best: int | None = None
-    for choice in product(*[disjunction.candidates for disjunction in multis]):
-        edges = dict(mandatory)
-        for candidate in choice:
-            key = (candidate.leading, candidate.trailing)
-            if candidate.min_gap > edges.get(key, -(1 << 62)):
-                edges[key] = candidate.min_gap
-        bound = dependency_lower_bound(dag, edges)
-        if best is None or bound < best:
-            best = bound
-    return best if best is not None else dependency_lower_bound(dag, mandatory)
+    return min(dependency_lower_bound(dag, edges) for edges in branch_arcs(mandatory, multis))
 
 
 def _neighbor_system(dag: PipelineDAG, hint: WarmHint, pruning: bool, order):

@@ -20,7 +20,7 @@ from repro.errors import InfeasibleError, SolverError, UnboundedError
 from repro.ilp import highs
 from repro.ilp.branch_and_bound import solve_branch_and_bound
 from repro.ilp.model import Model, SolveResult, SolveStatus
-from repro.trace import span_attr, trace_span
+from repro.trace import span_attr
 
 _KNOWN_BACKENDS = ("auto", "python", "highs")
 
@@ -68,20 +68,22 @@ def solve(
     :class:`InfeasibleError` / :class:`UnboundedError` instead of being
     returned as statuses.  A solve still open after
     :data:`SOLVE_TIME_LIMIT_S` stops with status ``error`` and a message
-    giving the gap left.
+    giving the gap left.  The backend, status and counts are reported onto
+    the caller's open span: the scheduler's ``ilp`` span, which also covers
+    the flow attempt that deferred to this solve.
     """
     backend = resolve_backend(backend)
 
-    with trace_span("ilp", backend=backend):
-        if backend == "highs":
-            result = highs.solve_highs(model, time_limit=SOLVE_TIME_LIMIT_S)
-        else:
-            result = solve_branch_and_bound(model, time_limit=SOLVE_TIME_LIMIT_S)
-        span_attr(
-            status=result.status.value,
-            lp_iterations=result.iterations,
-            bnb_pruned=result.pruned,
-        )
+    if backend == "highs":
+        result = highs.solve_highs(model, time_limit=SOLVE_TIME_LIMIT_S)
+    else:
+        result = solve_branch_and_bound(model, time_limit=SOLVE_TIME_LIMIT_S)
+    span_attr(
+        backend=backend,
+        status=result.status.value,
+        lp_iterations=result.iterations,
+        bnb_pruned=result.pruned,
+    )
 
     if raise_on_failure:
         if result.status is SolveStatus.INFEASIBLE:

@@ -148,7 +148,7 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     # -- per-stage spans -----------------------------------------------------
     MetricSpec("stage_seconds", "histogram", "seconds", "Per-stage span durations (cache/solve/allocate/rtl and nested stages); JSON carries count/sum/mean per stage, the exposition carries full histograms.", prometheus=STAGE_HISTOGRAM_FAMILY + '{stage="..."}'),
     # -- ILP solver effectiveness (EngineMetrics, from ilp spans) ----------
-    MetricSpec("ilp_solves", "counter", "", "Scheduling solves observed in request spans: flow-kernel and ILP backend calls, with warm-start certificates included as zero-cost solves.", prometheus="repro_ilp_solves_total"),
+    MetricSpec("ilp_solves", "counter", "", "Scheduling solves observed in request spans, one `ilp` span each whichever path answered, with warm-start certificates included as zero-cost solves.", prometheus="repro_ilp_solves_total"),
     MetricSpec("ilp_warm_certificates", "counter", "", "Solves short-circuited by a warm-start transfer certified optimal (no model built).", prometheus="repro_ilp_warm_certificates_total"),
     MetricSpec("ilp_pruned_nodes", "counter", "", "Branch-and-bound nodes pruned by bound across observed solves.", prometheus="repro_ilp_pruned_nodes_total"),
     # -- executor backend (ExecutorBackend.stats) ----------------------------

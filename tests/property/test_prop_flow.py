@@ -8,11 +8,12 @@ Three oracles, all HiGHS:
 * on random disjunction-free pipelines, the scheduler's start cycles are the
   earliest optimum of the big-M model: for every stage, the minimum of
   ``S_s`` over that model's optimal face;
-* on random pipelines with 2-64 disjunct combinations, including infeasible
-  ones (a horizon cut below the longest path), the branched kernel reaches
-  the big-M model's verdict and objective.  When it answers, each start
-  cycle is that stage's minimum over the big-M optimal set; when it defers,
-  the vector of those minima is not itself optimal.
+* on random pipelines with 2 to ``MAX_FLOW_BRANCHES`` (16) disjunct
+  combinations, including infeasible ones (a horizon cut below the longest
+  path), the branched kernel reaches the big-M model's verdict and
+  objective.  When it answers, each start cycle is that stage's minimum
+  over the big-M optimal set; when it defers, the vector of those minima is
+  not itself optimal.
 
 The optimal face of a difference system is itself a difference system, so
 its componentwise-least point exists and is the unique minimiser of the sum

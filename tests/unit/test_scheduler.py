@@ -9,14 +9,18 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.algorithms import ALGORITHM_NAMES, TEMPORAL_ALGORITHM_NAMES, build_algorithm
+from repro.algorithms import (
+    ALGORITHM_NAMES, TEMPORAL_ALGORITHM_NAMES, build_algorithm, build_synthetic_pipeline,
+)
 from repro.core import scheduler
+from repro.core.pruning import count_subproblems
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
 from repro.dsl.builder import PipelineBuilder, window_sum
 from repro.errors import SchedulingError
 from repro.ilp import highs
 from repro.memory.spec import asic_dual_port, asic_single_port
 from repro.sim.cycle import check_schedule_legality
+from repro.trace import collect_spans, flatten_spans
 
 from tests.conftest import (
     TEST_HEIGHT,
@@ -232,6 +236,46 @@ class TestLeastOptimum:
                     assert schedule.solver_stats["backend"] == "flow"
                     branches = 2 if name in ("canny-m", "harris-m") else 1
                     assert schedule.solver_stats["subproblems"] == branches
+
+    def test_kernel_defers_above_the_branch_cap_without_solving(self, monkeypatch):
+        """Synthetic pipelines of 15 and 18 stages have 16 and 32 branches:
+        the first solves on the kernel, the second goes to the big-M model
+        before any branch is solved."""
+        calls = []
+        earliest = scheduler.earliest_optimum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return earliest(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "earliest_optimum", counted)
+        for stages, answers in ((15, True), (18, False)):
+            dag = build_synthetic_pipeline(stages)
+            prologue = scheduler._constraint_prologue(dag, W, asic_dual_port(), SchedulerOptions())
+            branches = count_subproblems(prologue.disjunctions)
+            assert (branches <= scheduler.MAX_FLOW_BRANCHES) is answers
+            calls.clear()
+            solved = scheduler._solve_flow(dag, prologue)
+            assert (solved is not None) is answers
+            assert len(calls) == (branches if answers else 0)
+
+    def test_one_ilp_span_per_solve(self):
+        """A flow attempt that defers shares its ``ilp`` span with the big-M
+        solve after it; the span names the backend that answered."""
+        plain = build_algorithm("harris-m")
+        tie = harris_tie_target(W, H)
+        for dag, spec, options in (
+            (plain, asic_dual_port(), SchedulerOptions()),
+            (tie.dag, tie.memory_spec, tie.options),
+        ):
+            with collect_spans() as trace:
+                schedule = schedule_pipeline(dag, W, H, spec, options)
+            spans = [span for span in flatten_spans(trace.spans) if span.name == "ilp"]
+            assert len(spans) == 1
+            assert spans[0].attrs["backend"] == schedule.solver_stats["backend"]
+            assert spans[0].attrs["branches"] == 2
+            assert spans[0].attrs["status"] == "optimal"
+        assert schedule.solver_stats["backend"] != "flow"
 
 
 class TestStartUp:
