@@ -16,7 +16,9 @@ Public API
 * :mod:`repro.service` — compile cache + batch/parallel engine with sync,
   asyncio and HTTP/JSON serving fronts (``python -m repro.service.http``)
   and pluggable execution backends (``CompileEngine(executor=...)`` /
-  ``REPRO_EXECUTOR``: ``inline`` or ``thread``).
+  ``REPRO_EXECUTOR``: ``inline`` or ``thread``).  Its names re-exported
+  here load on first use, so ``import repro`` does not pay for the service
+  layer.
 """
 
 from repro.api.fingerprint import compile_fingerprint, dag_fingerprint
@@ -36,16 +38,29 @@ from repro.memory.spec import (
     asic_fifo,
     spartan7_fpga,
 )
-from repro.service import (
-    EXECUTOR_NAMES,
-    CompileCache,
-    CompileEngine,
-    CompileResult,
-    DiskCacheStore,
-    ExecutorBackend,
-)
 
 __version__ = "1.2.0"
+
+#: :mod:`repro.service` names re-exported here, imported when first read.
+_SERVICE_NAMES = frozenset(
+    {
+        "EXECUTOR_NAMES",
+        "CompileCache",
+        "CompileEngine",
+        "CompileResult",
+        "DiskCacheStore",
+        "ExecutorBackend",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _SERVICE_NAMES:
+        from repro import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CompileTarget",

@@ -20,12 +20,12 @@ unified :class:`repro.api.CompileTarget` request object:
   exposed metric key, and the Prometheus text-exposition renderer behind
   ``GET /v1/metrics?format=prometheus``;
 * :mod:`repro.service.admission` — admission control: bearer-token
-  authentication, per-identity token-bucket rate limiting, and the bounded
-  fair submission queue behind ``CompileEngine(max_pending=...)``;
+  authentication, per-identity token-bucket rate limiting, the bounded
+  fair submission queue behind ``CompileEngine(max_pending=...)``, and the
+  single-flight in-flight table both engines dispatch through;
 * :mod:`repro.service.engine` — the :class:`CompileEngine` front door, with
   synchronous (``submit``/``submit_batch``) and asyncio
-  (``submit_async``/``submit_batch_async``) serving fronts plus opt-in
-  speculative pre-warming;
+  (``submit_async``/``submit_batch_async``) serving fronts;
 * :mod:`repro.service.verify` — verification-as-a-service: the
   :class:`VerifyEngine` answering golden-replay and cycle-legality checks
   with cached, deduplicated, admission-controlled verdicts
@@ -37,7 +37,8 @@ unified :class:`repro.api.CompileTarget` request object:
   :class:`CompileTarget` requests and flattens results for the network
   boundary;
 * :mod:`repro.service.http` — the stdlib HTTP/JSON serving front
-  (``python -m repro.service.http``) plus the :class:`ServiceClient` helper.
+  (``python -m repro.service.http``) plus the :class:`ServiceClient` helper,
+  loaded on first use of one of its names.
 
 Fingerprinting lives in :mod:`repro.api.fingerprint`.
 
@@ -86,7 +87,6 @@ from repro.service.cache import (
     serialize_schedule,
 )
 from repro.service.engine import (
-    PREWARM_RESOLUTIONS,
     WORKERS_ENV_VAR,
     CompileEngine,
     default_worker_count,
@@ -106,12 +106,6 @@ from repro.service.executor import (
     ThreadExecutor,
     default_executor_name,
     validate_worker_count,
-)
-from repro.service.http import (
-    CompileServiceServer,
-    ServiceClient,
-    ServiceError,
-    start_server,
 )
 from repro.service.jobs import (
     BatchResult,
@@ -176,7 +170,6 @@ __all__ = [
     "MAX_PENDING_ENV_VAR",
     "METRIC_SPECS",
     "MetricSpec",
-    "PREWARM_RESOLUTIONS",
     "PROMETHEUS_CONTENT_TYPE",
     "QueueFullError",
     "RateDecision",
@@ -225,3 +218,17 @@ __all__ = [
     "verify_request_to_wire",
     "verify_result_to_wire",
 ]
+
+#: :mod:`repro.service.http` names, imported when first read, so that
+#: ``python -m repro.service.http`` does not find the module already loaded.
+_HTTP_NAMES = frozenset(
+    {"CompileServiceServer", "ServiceClient", "ServiceError", "start_server"}
+)
+
+
+def __getattr__(name: str):
+    if name in _HTTP_NAMES:
+        from repro.service import http
+
+        return getattr(http, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

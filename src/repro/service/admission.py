@@ -22,22 +22,27 @@ solver runs.  Three independent pieces compose:
   can pay for it.
 * :class:`AdmissionQueue` — a bounded submission queue between the engine's
   dedup table and its executor backend.  At most ``width`` jobs are
-  dispatched concurrently; at most ``max_pending`` more may wait.  Overflow
-  follows an explicit policy: ``"shed"`` raises :class:`QueueFullError`
-  (mapped to HTTP 429 with ``Retry-After``) while ``"block"`` applies
-  backpressure to the submitter.  Pending work drains **round-robin across
+  dispatched concurrently; at most ``max_pending`` more may wait, and a
+  submission beyond that is shed with :class:`QueueFullError` (mapped to
+  HTTP 429 with ``Retry-After``).  Pending work drains **round-robin across
   client identities**, so one flooding client cannot starve the others —
   with two competing identities each gets every other worker slot regardless
   of how deep the flooder's backlog is.
 
+:class:`SingleFlight` is the one in-flight table both
+:class:`repro.service.engine.CompileEngine` and
+:class:`repro.service.verify.VerifyEngine` run their jobs through: an
+identical key joins the running flight instead of starting a second one,
+and the owner's job reaches the executor backend directly or through an
+:class:`AdmissionQueue`.
+
 The engine enables the queue with ``CompileEngine(max_pending=...)`` (or the
 ``REPRO_MAX_PENDING`` environment variable) and threads the client identity
 through ``submit(..., client=...)``; the HTTP front wires all three pieces
-together (``--auth-token-file``, ``--rate-limit``, ``--max-pending``,
-``--overflow``) and surfaces their counters on ``GET /v1/metrics``
-(``rejected_total``, ``throttled_total``, ``queue_depth``).  See
-``docs/serving.md`` for the end-to-end semantics and ``docs/tuning.md`` for
-sizing guidance.
+together (``--auth-token-file``, ``--rate-limit``, ``--max-pending``) and
+surfaces their counters on ``GET /v1/metrics`` (``rejected_total``,
+``throttled_total``, ``queue_depth``).  See ``docs/serving.md`` for the
+end-to-end semantics and ``docs/tuning.md`` for sizing guidance.
 """
 
 from __future__ import annotations
@@ -48,20 +53,23 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future
 
 from repro.errors import ReproError
+from repro.service.events import emit_event
+from repro.service.executor import (
+    ExecutorBackend,
+    relay_future,
+    validate_worker_count,
+)
 
 #: Environment variable enabling the engine's bounded submission queue when
 #: ``CompileEngine(max_pending=...)`` is not passed explicitly.
 MAX_PENDING_ENV_VAR = "REPRO_MAX_PENDING"
-
-#: Valid overflow policies for :class:`AdmissionQueue`.
-OVERFLOW_POLICIES = ("shed", "block")
 
 #: Identity assigned to requests when authentication is disabled and the
 #: transport provides none (e.g. direct library calls).
@@ -73,7 +81,7 @@ class AdmissionError(ReproError):
 
 
 class QueueFullError(AdmissionError):
-    """The engine's bounded submission queue rejected a job (shed policy).
+    """The engine's bounded submission queue rejected (shed) a job.
 
     ``retry_after`` is the service's best estimate, in seconds, of when
     resubmitting is worthwhile (the HTTP front forwards it as a
@@ -92,19 +100,11 @@ class AuthenticationError(AdmissionError):
 def validate_max_pending(value, *, source: str = "max_pending") -> int:
     """Check a queue-bound setting; garbage raises :class:`ValueError`.
 
-    Mirrors :func:`repro.service.executor.validate_worker_count`: ``0``,
-    negatives and non-integers name the offending setting instead of
+    The check is :func:`repro.service.executor.validate_worker_count`'s:
+    ``0``, negatives and non-integers name the offending setting instead of
     silently mis-sizing a production queue.
     """
-    try:
-        bound = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{source} must be a positive integer, got {value!r}") from None
-    if bound != value and not isinstance(value, str):
-        raise ValueError(f"{source} must be a positive integer, got {value!r}")
-    if bound < 1:
-        raise ValueError(f"{source} must be >= 1, got {bound}")
-    return bound
+    return validate_worker_count(value, source=source)
 
 
 def default_max_pending() -> int | None:
@@ -344,15 +344,9 @@ class RateLimiter:
 #: which case the dispatch itself settled the caller-visible future).
 DispatchFn = Callable[[], "Future | None"]
 
-
-@dataclass
-class _PendingJob:
-    client: str
-    dispatch: DispatchFn
-    #: Invoked (outside the lock) if the job is dropped by
-    #: :meth:`AdmissionQueue.cancel_pending` before ever dispatching; settles
-    #: the caller-visible future with ``CancelledError``.
-    on_cancel: Callable[[], None] | None = None
+#: A waiting job: its dispatch, and the hook :meth:`AdmissionQueue.cancel_pending`
+#: runs instead when it drops the job.
+_PendingJob = tuple[DispatchFn, "Callable[[], None] | None"]
 
 
 class AdmissionQueue:
@@ -361,8 +355,7 @@ class AdmissionQueue:
     Sits between the engine's dedup table and its executor backend: at most
     ``width`` jobs are dispatched (handed to the executor) at a time, and at
     most ``max_pending`` more may wait.  When the wait queue is full,
-    ``policy="shed"`` raises :class:`QueueFullError` and ``policy="block"``
-    makes :meth:`submit` wait for space — explicit backpressure either way,
+    :meth:`submit` raises :class:`QueueFullError` — explicit backpressure,
     never unbounded growth.
 
     Pending work is organised as one FIFO per client identity, drained
@@ -376,20 +369,14 @@ class AdmissionQueue:
         width: int,
         *,
         max_pending: int,
-        policy: str = "shed",
         retry_after: Callable[[], float] | None = None,
     ) -> None:
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
         self.width = int(width)
         self.max_pending = validate_max_pending(max_pending)
-        if policy not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"policy must be one of {OVERFLOW_POLICIES}, got {policy!r}"
-            )
-        self.policy = policy
         self._retry_after = retry_after
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._local = threading.local()
         self._queues: dict[str, deque[_PendingJob]] = {}
         self._rotation: deque[str] = deque()
@@ -397,7 +384,6 @@ class AdmissionQueue:
         self._inflight = 0
         self.admitted_total = 0
         self.rejected_total = 0
-        self.blocked_total = 0
 
     # ------------------------------------------------------------------ API
     def submit(
@@ -409,29 +395,24 @@ class AdmissionQueue:
     ) -> None:
         """Admit one job, dispatching it now or queueing it for a free slot.
 
-        Raises :class:`QueueFullError` under the shed policy when
-        ``max_pending`` jobs are already waiting; blocks under the block
-        policy.  ``dispatch`` runs outside the queue's lock; ``on_cancel``
+        Raises :class:`QueueFullError` when ``max_pending`` jobs are already
+        waiting.  ``dispatch`` runs outside the queue's lock; ``on_cancel``
         runs instead of it if :meth:`cancel_pending` drops the job first.
         """
         client = client or ANONYMOUS_IDENTITY
-        with self._cond:
+        with self._lock:
             if self._pending_count >= self.max_pending:
-                if self.policy == "shed":
-                    self.rejected_total += 1
-                    raise QueueFullError(
-                        f"compile queue is full ({self._pending_count} pending, "
-                        f"bound {self.max_pending}); resubmit later",
-                        retry_after=self._estimate_retry_after(),
-                    )
-                self.blocked_total += 1
-                while self._pending_count >= self.max_pending:
-                    self._cond.wait()
+                self.rejected_total += 1
+                raise QueueFullError(
+                    f"compile queue is full ({self._pending_count} pending, "
+                    f"bound {self.max_pending}); resubmit later",
+                    retry_after=self._estimate_retry_after(),
+                )
             queue = self._queues.get(client)
             if queue is None:
                 queue = self._queues[client] = deque()
                 self._rotation.append(client)
-            queue.append(_PendingJob(client=client, dispatch=dispatch, on_cancel=on_cancel))
+            queue.append((dispatch, on_cancel))
             self._pending_count += 1
             self.admitted_total += 1
         self._pump()
@@ -443,32 +424,29 @@ class AdmissionQueue:
         futures published for those jobs settle with ``CancelledError``
         instead of dangling.  In-flight dispatches are untouched — cancelling
         those is the executor backend's business
-        (:meth:`repro.service.engine.CompileEngine.shutdown` does both).
+        (:meth:`SingleFlight.shutdown` does both).
         """
-        with self._cond:
+        with self._lock:
             dropped = [job for queue in self._queues.values() for job in queue]
             self._queues.clear()
             self._rotation.clear()
             self._pending_count = 0
-            self._cond.notify_all()  # blocked submitters re-check a now-empty queue
-        for job in dropped:
-            if job.on_cancel is not None:
+        for _, on_cancel in dropped:
+            if on_cancel is not None:
                 try:
-                    job.on_cancel()
+                    on_cancel()
                 except Exception:
                     pass  # cancellation is best-effort cleanup
         return len(dropped)
 
     def stats(self) -> dict:
-        with self._cond:
+        with self._lock:
             return {
                 "max_pending": self.max_pending,
-                "overflow": self.policy,
                 "queue_depth": self._pending_count,
                 "inflight": self._inflight,
                 "admitted_total": self.admitted_total,
                 "rejected_total": self.rejected_total,
-                "blocked_total": self.blocked_total,
                 "queued_clients": len(self._queues),
             }
 
@@ -509,20 +487,15 @@ class AdmissionQueue:
         self._local.pumping = True
         try:
             while True:
-                with self._cond:
+                with self._lock:
                     if self._inflight >= self.width or not self._pending_count:
                         return
-                    job = self._next_job_locked()
+                    dispatch, _ = self._next_job_locked()
                     self._inflight += 1
-                    self._cond.notify_all()  # space freed for blocked submitters
-                tracked: Future | None = None
                 try:
-                    tracked = job.dispatch()
+                    tracked = dispatch()
                 except BaseException:
-                    # The dispatch closure settles its own caller-visible
-                    # future; anything escaping must still free the slot,
-                    # not wedge it.
-                    tracked = None
+                    tracked = None  # anything escaping must still free the slot
                 if tracked is None:
                     self._job_done(None)
                 else:
@@ -531,7 +504,131 @@ class AdmissionQueue:
             self._local.pumping = False
 
     def _job_done(self, _future: Future | None) -> None:
-        with self._cond:
+        with self._lock:
             self._inflight -= 1
-            self._cond.notify_all()
         self._pump()
+
+
+# ---------------------------------------------------------------------------
+# Single-flight dispatch
+# ---------------------------------------------------------------------------
+class SingleFlight:
+    """One in-flight table in front of one executor backend.
+
+    :meth:`claim` joins a key's running flight or owns a new one, whose
+    placeholder future forgets the key when it settles; :meth:`dispatch`
+    runs the owner's job on the backend, through a bounded
+    :class:`AdmissionQueue` when ``max_pending`` is set.  The placeholder is
+    marked running before it is published, so a joiner that cancels it (a
+    timed-out :func:`asyncio.wrap_future` wrapper) cannot break the owner.
+    """
+
+    def __init__(
+        self,
+        executor: ExecutorBackend,
+        *,
+        max_pending: int | None,
+        retry_after: Callable[[], float],
+    ) -> None:
+        self.executor = executor
+        # The dispatch width follows the *backend's* fleet: a ready-made
+        # ExecutorBackend instance may size itself apart from the engine.
+        self.queue = (
+            None
+            if max_pending is None
+            else AdmissionQueue(
+                executor.workers, max_pending=max_pending, retry_after=retry_after
+            )
+        )
+        self._lock = threading.Lock()
+        self._inflight: dict[str, Future] = {}
+
+    def claim(
+        self, key: str, recall: Callable[[], object] | None = None
+    ) -> tuple[object, Future | None, bool]:
+        """Join ``key``'s flight or own a new one: ``(recalled, future, owner)``.
+
+        ``recall`` runs first, under the same lock hold as the in-flight
+        lookup.  A flight stores its answer before it settles and forgets
+        its key, so a caller whose own cache read missed just before an
+        identical flight landed finds that answer here: a non-``None``
+        ``recall()`` comes back as ``recalled``, with no future.
+        """
+        with self._lock:
+            if recall is not None:
+                recalled = recall()
+                if recalled is not None:
+                    return recalled, None, False
+            future = self._inflight.get(key)
+            if future is not None:
+                return None, future, False
+            future = self._inflight[key] = Future()
+            future.set_running_or_notify_cancel()
+        future.add_done_callback(lambda _done: self._forget(key, future))
+        return None, future, True
+
+    def _forget(self, key: str, future: Future) -> None:
+        with self._lock:
+            if self._inflight.get(key) is future:
+                del self._inflight[key]
+
+    def dispatch(
+        self, future: Future, job: Callable, target, key: str, *, client: str = ""
+    ) -> None:
+        """Run an owned flight's ``job(target, key)`` on the backend.
+
+        Every outcome lands in ``future``, never in a raise: the job's
+        result, whatever the backend's ``submit`` raises, a full queue's
+        :class:`QueueFullError` (with a ``queue.shed`` event), or
+        ``CancelledError`` when ``shutdown(cancel_pending=True)`` drops the
+        queued job.  So no joiner and no later claim waits on a flight that
+        cannot land.  Without a queue ``submit`` runs now; with one, once a
+        dispatch slot frees, possibly on another thread.
+        """
+
+        def submit() -> Future | None:
+            try:
+                inner = self.executor.submit(job, target, key)
+            except BaseException as exc:
+                future.set_exception(exc)
+                return None
+            inner.add_done_callback(lambda done: relay_future(done, future))
+            return inner
+
+        if self.queue is None:
+            submit()
+            return
+        try:
+            self.queue.submit(
+                submit,
+                client=client,
+                on_cancel=lambda: future.set_exception(CancelledError()),
+            )
+        except BaseException as exc:  # QueueFullError, or a broken queue
+            future.set_exception(exc)
+            if isinstance(exc, QueueFullError):
+                emit_event(
+                    "queue.shed",
+                    identity=client,
+                    fingerprint=key,
+                    retry_after=round(exc.retry_after, 3),
+                )
+
+    def shutdown(self, wait: bool = True, *, cancel_pending: bool = False) -> None:
+        """Stop the backend; ``cancel_pending`` first drops queued flights."""
+        if cancel_pending and self.queue is not None:
+            self.queue.cancel_pending()
+        self.executor.shutdown(wait, cancel_pending=cancel_pending)
+
+    def admission_stats(self) -> dict:
+        """The queue's counters; without a queue, the same keys at zero."""
+        if self.queue is None:
+            return {
+                "max_pending": None,
+                "queue_depth": 0,
+                "inflight": 0,
+                "admitted_total": 0,
+                "rejected_total": 0,
+                "queued_clients": 0,
+            }
+        return self.queue.stats()

@@ -56,10 +56,10 @@ request must carry ``Authorization: Bearer <token>`` or is answered 401;
 without the flag the service stays anonymous (trusted-network mode) and the
 client IP is the identity.  ``--rate-limit rps:burst`` adds a per-identity
 token bucket — throttled requests get 429 with a precise ``Retry-After``.
-``--max-pending``/``--overflow`` bound the engine's submission queue: a
-saturated engine sheds cold submits with 429 (``reason: "queue-full"``)
-while in-flight work completes.  See ``docs/serving.md`` for the full
-semantics and curl examples.
+``--max-pending`` bounds the engine's submission queue: a saturated engine
+sheds cold submits with 429 (``reason: "queue-full"``) while in-flight work
+completes.  See ``docs/serving.md`` for the full semantics and curl
+examples.
 
 Run a server::
 
@@ -481,8 +481,8 @@ class CompileServiceServer(ThreadingHTTPServer):
     default to off, preserving the trusted-network behaviour.
 
     ``verify_engine`` serves ``POST /v1/verify``; when omitted, one is
-    constructed over the shared engine with defaults (unbounded verify
-    queue, verdicts persisted to the engine's disk-cache volume if any).
+    constructed over the shared engine (its queue bound, verdicts persisted
+    to the engine's disk-cache volume if any).
 
     ``access_log`` selects the per-request log style: ``"plain"`` (the
     stdlib's lines), ``"json"`` (one object per request) or ``"none"``
@@ -755,13 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: REPRO_MAX_PENDING or unbounded)",
     )
     parser.add_argument(
-        "--overflow",
-        choices=("shed", "block"),
-        default="shed",
-        help="full-queue policy: shed (429 + Retry-After) or block "
-        "(backpressure the handler thread) (default: %(default)s)",
-    )
-    parser.add_argument(
         "--access-log",
         choices=ACCESS_LOG_MODES,
         default="plain",
@@ -819,7 +812,6 @@ def main(argv=None) -> None:
             cache=cache,
             max_cache_entries=args.max_cache_entries,
             max_pending=max_pending,
-            overflow=args.overflow,
         )
     except (OSError, ValueError) as exc:  # bad flags, env bounds, token file
         parser.error(str(exc))
@@ -836,7 +828,7 @@ def main(argv=None) -> None:
     admission_note = (
         f", auth={'token' if authenticator else 'anonymous'}"
         + (f", rate-limit={args.rate_limit}" if rate_limiter else "")
-        + (f", max-pending={max_pending}({args.overflow})" if max_pending else "")
+        + (f", max-pending={max_pending}" if max_pending else "")
     )
     print(
         f"imagen compile service on http://{args.host}:{server.port} "

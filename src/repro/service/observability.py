@@ -156,12 +156,10 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("workers", "gauge", "workers", "Worker count of the execution backend (1 for inline).", prometheus="repro_workers"),
     # -- admission queue (CompileEngine.admission_stats) ---------------------
     MetricSpec("max_pending", "gauge", "", "Bound on queued-but-undispatched jobs (null when unbounded).", prometheus="repro_max_pending"),
-    MetricSpec("overflow", "info", "", "Full-queue policy, shed or block (label on repro_service_info)."),
     MetricSpec("queue_depth", "gauge", "", "Jobs admitted but not yet dispatched to the executor.", prometheus="repro_queue_depth"),
     MetricSpec("inflight", "gauge", "", "Jobs currently dispatched through the admission queue.", prometheus="repro_inflight"),
     MetricSpec("admitted_total", "counter", "", "Jobs accepted by the admission queue since start.", prometheus="repro_admitted_total"),
     MetricSpec("rejected_total", "counter", "", "Jobs shed by the admission queue since start (authoritative shed count).", prometheus="repro_rejected_total"),
-    MetricSpec("blocked_total", "counter", "", "Submissions that waited for queue space under the block policy.", prometheus="repro_blocked_total"),
     MetricSpec("queued_clients", "gauge", "", "Distinct client identities with work waiting in the queue.", prometheus="repro_queued_clients"),
     # -- verification engine (VerifyEngine.stats) ----------------------------
     MetricSpec("verify_requests", "counter", "", "Verification jobs accounted by the verify engine, all source classes.", prometheus="repro_verify_requests_total"),

@@ -10,11 +10,11 @@ production machinery compiles get:
 
 ``golden``
     Vectorized functional replay (:mod:`repro.sim.batch`): deterministic
-    seeded frames run through both the *request's* DAG (the reference) and
-    the *compiled* DAG (after any generator rewrites — Darkroom relays,
-    coalescing), whole frame-batch per stage.  Passes when the outputs agree
-    within ``tolerance`` (bit-exact by default) and, when the client pinned
-    an ``expected_digest``, when the reference digest matches it.
+    seeded frames run through the *request's* DAG (the reference) and, when
+    the generator rewrote it (Darkroom's linearization relays), through the
+    *compiled* DAG too, whole frame-batch per stage.  Passes when the outputs
+    agree within ``tolerance`` (bit-exact by default) and, when the client
+    pinned an ``expected_digest``, when the reference digest matches it.
 
 ``cycle``
     Reserved-table legality (:func:`repro.sim.cycle.check_schedule_legality`):
@@ -42,14 +42,17 @@ production machinery compiles get:
 Results are keyed by a **verify fingerprint** — SHA-256 over the compile
 fingerprint x input spec (frames, seed, tolerance, expected digest) x check
 kind — and reuse the compile service's production tiers: verdicts live in an
-in-memory LRU plus the engine's shared :class:`~repro.service.cache.DiskCacheStore`
-volume, identical in-flight requests deduplicate onto one execution, cold
-verifies route through a bounded :class:`~repro.service.admission.AdmissionQueue`,
-and the replay itself runs on an in-process executor backend.  Compiles are
-*not* re-done: the engine's ``submit`` answers from its own cache/dedup/queue.
-
-Verify bodies run on the same in-process backends as compiles: the NumPy
-replay releases the GIL, so threads scale.
+in-memory LRU (the engine cache's size) plus the engine's shared
+:class:`~repro.service.cache.DiskCacheStore` volume, and identical in-flight
+requests deduplicate onto one execution through the same
+:class:`~repro.service.admission.SingleFlight` kernel compiles use.  Verify
+bodies run on the engine's executor backend (the NumPy replay releases the
+GIL, so threads scale) behind an admission queue of their own with the
+engine's bound, so verifies and compiles are admitted and counted apart.
+A verify body compiles its target inside its own dispatch slot: queued
+behind that slot, the compile would never start once verify bodies fill
+the pool.  Compiles are *not* re-done: the engine answers from its own
+cache and in-flight table.
 
 Spans (``verify`` > ``verify_compile``/``verify_golden``/``verify_cycle``/
 ``verify_rtl``/``verify_perf``) feed the engine's stage histograms, giving
@@ -64,18 +67,15 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import CancelledError, Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.api.fingerprint import _digest
+from repro.api.fingerprint import _digest, dag_fingerprint
 from repro.api.target import CompileTarget
 from repro.errors import SimulationError
-from repro.service.admission import AdmissionQueue, QueueFullError
+from repro.service.admission import QueueFullError, SingleFlight
 from repro.service.engine import CompileEngine
-from repro.service.events import emit_event
-from repro.service.executor import ExecutorBackend, relay_future, resolve_executor
 from repro.sim.batch import replay_frames
 from repro.sim.cycle import check_schedule_legality
 from repro.trace import Span, collect_spans, trace_span
@@ -314,65 +314,26 @@ class VerifyResult:
         return "; ".join(parts) or "verify failed"
 
 
-_INHERIT = object()
-
-
 class VerifyEngine:
     """Serve verify requests with caching, dedup and admission control.
 
-    Parameters
-    ----------
-    engine:
-        The :class:`CompileEngine` whose compiles, disk-cache volume and
-        metrics this verify tier shares.  Compiling the target goes through
-        ``engine.submit`` — cache hits, dedup and the engine's own admission
-        queue all apply before any replay starts.
-    max_entries:
-        In-memory verdict LRU bound.
-    executor:
-        Backend for verify bodies: an :class:`ExecutorBackend`, a name
-        (``"inline"``/``"thread"``, sized like the engine), or ``None`` to
-        share the engine's backend.
-    max_pending / overflow:
-        Admission bound and policy for cold verifies, defaulting to the
-        engine's settings (``max_pending=None`` disables the queue).
-    tracing:
-        Whether verify executions record spans (default: the engine's flag).
+    ``engine`` is the :class:`CompileEngine` whose compiles, executor
+    backend, queue bound, cache size, disk-cache volume, tracing flag and
+    metrics this verify tier shares.  A verify body compiles its target
+    through the engine's cache and in-flight table on its own thread,
+    inside the dispatch slot the verify queue gave it, not behind it in the
+    compile queue.  ``tracing`` stays settable on the verify engine alone.
     """
 
-    def __init__(
-        self,
-        engine: CompileEngine,
-        *,
-        max_entries: int = 512,
-        executor: ExecutorBackend | str | None = None,
-        max_pending=_INHERIT,
-        overflow: str | None = None,
-        tracing: bool | None = None,
-    ) -> None:
+    def __init__(self, engine: CompileEngine) -> None:
         self.engine = engine
-        self.max_entries = max(1, int(max_entries))
-        self.tracing = engine.tracing if tracing is None else bool(tracing)
-        self._executor = (
-            engine._executor  # noqa: SLF001 - deliberate sharing
-            if executor is None
-            else resolve_executor(executor, workers=engine.workers)
+        self.tracing = engine.tracing
+        self._flight = SingleFlight(
+            engine._flight.executor,  # noqa: SLF001 - deliberate sharing
+            max_pending=engine.max_pending,
+            retry_after=lambda: engine.metrics.mean_seconds or 1.0,
         )
-        if max_pending is _INHERIT:
-            max_pending = engine.max_pending
-        self.max_pending = max_pending
-        self.overflow = overflow or engine.overflow
-        if max_pending is None:
-            self._admission: AdmissionQueue | None = None
-        else:
-            self._admission = AdmissionQueue(
-                self._executor.workers,
-                max_pending=max_pending,
-                policy=self.overflow,
-                retry_after=lambda: self.engine.metrics.mean_seconds or 1.0,
-            )
         self._lock = threading.Lock()
-        self._inflight: dict[str, Future] = {}
         self._verdicts: OrderedDict[str, dict] = OrderedDict()
         self._counters = {
             "requests": 0,
@@ -404,23 +365,14 @@ class VerifyEngine:
         cached = self._lookup(fingerprint)
         owner = False
         if cached is None:
-            with self._lock:
-                # Read the memory tier again under the hold that guards the
-                # in-flight table: an identical request may have been
-                # remembered and forgotten since the lookup above missed.
-                payload = self._recall(fingerprint)
-                if payload is not None:
-                    cached = payload, "memory"
-                else:
-                    future = self._inflight.get(fingerprint)
-                    if future is None:
-                        owner = True
-                        future = Future()
-                        future.set_running_or_notify_cancel()
-                        self._inflight[fingerprint] = future
-                        future.add_done_callback(
-                            lambda _done, fp=fingerprint: self._forget(fp)
-                        )
+            # Recall the memory tier again under the hold that guards the
+            # in-flight table: an identical request may have been remembered
+            # and forgotten since the lookup above missed.
+            recalled, future, owner = self._flight.claim(
+                fingerprint, recall=lambda: self._recall(fingerprint)
+            )
+            if recalled is not None:
+                cached = recalled, "memory"
         if cached is not None:
             payload, tier = cached
             result = self._from_payload(request, fingerprint, payload, tier)
@@ -428,12 +380,15 @@ class VerifyEngine:
             self._count_outcome(result)
             return self._finalize(result)
 
+        if owner:
+            self._flight.dispatch(
+                future,
+                lambda _target, _fingerprint: self._execute(request, fingerprint),
+                request.target,
+                fingerprint,
+                client=client,
+            )
         try:
-            if owner:
-                # A shed raises out of the dispatch itself (the placeholder is
-                # settled with the same error for any joiners), so the counter
-                # must cover both the dispatch and the wait.
-                self._dispatch(request, fingerprint, future, client)
             result: VerifyResult = future.result()
         except QueueFullError:
             self._count(rejected=1)
@@ -448,41 +403,8 @@ class VerifyEngine:
         self._count_outcome(result)
         return self._finalize(result)
 
-    def _dispatch(
-        self, request: VerifyRequest, fingerprint: str, future: Future, client: str
-    ) -> None:
-        def run_local(_target, _fingerprint) -> VerifyResult:
-            return self._execute(request, fingerprint, client)
-
-        def dispatch() -> Future:
-            inner = self._executor.submit(run_local, request.target, fingerprint)
-            inner.add_done_callback(lambda done: relay_future(done, future))
-            return inner
-
-        if self._admission is None:
-            dispatch()
-            return
-        try:
-            self._admission.submit(
-                dispatch,
-                client=client,
-                on_cancel=lambda: future.set_exception(CancelledError()),
-            )
-        except BaseException as exc:  # QueueFullError, or a broken queue
-            future.set_exception(exc)
-            if isinstance(exc, QueueFullError):
-                emit_event(
-                    "queue.shed",
-                    identity=client,
-                    fingerprint=fingerprint,
-                    retry_after=round(exc.retry_after, 3),
-                )
-            raise
-
     # -------------------------------------------------------------- the body
-    def _execute(
-        self, request: VerifyRequest, fingerprint: str, client: str
-    ) -> VerifyResult:
+    def _execute(self, request: VerifyRequest, fingerprint: str) -> VerifyResult:
         started = time.perf_counter()
         target = request.target
         golden = cycle = rtl = perf = None
@@ -493,7 +415,9 @@ class VerifyEngine:
             with trace:
                 with trace_span("verify", check=request.check, frames=request.frames):
                     with trace_span("verify_compile"):
-                        compile_result = self.engine.submit(target, client=client)
+                        compile_result = self.engine._submit_inline(  # noqa: SLF001
+                            target, target.fingerprint
+                        )
                     compile_source = compile_result.source
                     if not compile_result.ok:
                         error = f"compile failed: {compile_result.error}"
@@ -559,7 +483,13 @@ class VerifyEngine:
             frames=request.frames,
             seed=request.seed,
         )
-        if schedule.dag is target.dag:
+        # Only Darkroom rewrites the DAG it schedules; every other generator
+        # schedules the request's own, which replays to the same frames.  A
+        # request decoded off the wire carries an equal DAG, not the same
+        # object, so compare fingerprints.
+        if schedule.dag is target.dag or dag_fingerprint(
+            schedule.dag
+        ) == dag_fingerprint(target.dag):
             compiled = reference
         else:
             compiled = replay_frames(
@@ -682,25 +612,29 @@ class VerifyEngine:
 
     def _remember(self, fingerprint: str, result: VerifyResult) -> None:
         payload = self._payload_of(result)
-        with self._lock:
-            self._verdicts[fingerprint] = payload
-            self._verdicts.move_to_end(fingerprint)
-            while len(self._verdicts) > self.max_entries:
-                self._verdicts.popitem(last=False)
+        self._store(fingerprint, payload)
         store = self.engine.cache.store
         if store is not None:
             store.save(fingerprint, payload)
 
-    def _recall(self, fingerprint: str) -> dict | None:
-        """The memory tier's verdict, marked most recent (lock held)."""
-        payload = self._verdicts.get(fingerprint)
-        if payload is not None:
+    def _store(self, fingerprint: str, payload: dict) -> None:
+        """Put a verdict in the memory tier, most recent, within the bound."""
+        with self._lock:
+            self._verdicts[fingerprint] = payload
             self._verdicts.move_to_end(fingerprint)
+            while len(self._verdicts) > self.engine.cache.max_entries:
+                self._verdicts.popitem(last=False)
+
+    def _recall(self, fingerprint: str) -> dict | None:
+        """The memory tier's verdict, marked most recent."""
+        with self._lock:
+            payload = self._verdicts.get(fingerprint)
+            if payload is not None:
+                self._verdicts.move_to_end(fingerprint)
         return payload
 
     def _lookup(self, fingerprint: str) -> tuple[dict, str] | None:
-        with self._lock:
-            payload = self._recall(fingerprint)
+        payload = self._recall(fingerprint)
         if payload is not None:
             return payload, "memory"
         store = self.engine.cache.store
@@ -710,10 +644,7 @@ class VerifyEngine:
                 isinstance(payload, dict)
                 and payload.get("verify_version") == VERIFY_FORMAT_VERSION
             ):
-                with self._lock:
-                    self._verdicts[fingerprint] = payload
-                    while len(self._verdicts) > self.max_entries:
-                        self._verdicts.popitem(last=False)
+                self._store(fingerprint, payload)
                 return payload, "disk"
         return None
 
@@ -731,10 +662,6 @@ class VerifyEngine:
             perf=payload.get("perf"),
             source=tier,
         )
-
-    def _forget(self, fingerprint: str) -> None:
-        with self._lock:
-            self._inflight.pop(fingerprint, None)
 
     # ------------------------------------------------------------ accounting
     def _count(self, **deltas) -> None:
@@ -774,15 +701,4 @@ class VerifyEngine:
 
     def admission_stats(self) -> dict:
         """The verify admission queue's counters (zero-schema when unbounded)."""
-        if self._admission is None:
-            return {
-                "max_pending": 0,
-                "overflow": self.overflow,
-                "queue_depth": 0,
-                "inflight": 0,
-                "admitted_total": 0,
-                "rejected_total": 0,
-                "blocked_total": 0,
-                "queued_clients": 0,
-            }
-        return self._admission.stats()
+        return self._flight.admission_stats()

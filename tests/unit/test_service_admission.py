@@ -1,7 +1,7 @@
 """Unit tests for the admission-control layer.
 
 Covers the edge cases: expired/garbage tokens, burst-then-refill timing,
-queue-full shed vs block, and round-robin fairness under two competing
+queue-full shedding, and round-robin fairness under two competing
 identities.  Timing-sensitive pieces (rate buckets) use injected fake clocks;
 saturation tests gate the solver on events so nothing here depends on real
 solve latency.
@@ -9,7 +9,6 @@ solve latency.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from concurrent.futures import CancelledError, Future
@@ -195,7 +194,7 @@ def _manual_dispatch(record: list, name: str):
 
 class TestAdmissionQueue:
     def test_shed_raises_queue_full_with_retry_after(self):
-        queue = AdmissionQueue(1, max_pending=1, policy="shed", retry_after=lambda: 2.5)
+        queue = AdmissionQueue(1, max_pending=1, retry_after=lambda: 2.5)
         record: list = []
         queue.submit(_manual_dispatch(record, "running"))  # occupies the slot
         queue.submit(_manual_dispatch(record, "waiting"))  # fills the queue
@@ -205,34 +204,10 @@ class TestAdmissionQueue:
         assert queue.stats()["rejected_total"] == 1
         assert queue.stats()["queue_depth"] == 1
 
-    def test_block_policy_waits_for_space(self):
-        queue = AdmissionQueue(1, max_pending=1, policy="block")
-        record: list = []
-        queue.submit(_manual_dispatch(record, "running"))
-        queue.submit(_manual_dispatch(record, "waiting"))
-        unblocked = threading.Event()
-
-        def blocked_submit():
-            queue.submit(_manual_dispatch(record, "blocked"))
-            unblocked.set()
-
-        thread = threading.Thread(target=blocked_submit)
-        thread.start()
-        assert not unblocked.wait(0.3)  # genuinely blocked while full
-        record[0][1].set_result(None)  # finish the running job -> space frees
-        assert unblocked.wait(5.0)
-        thread.join()
-        assert queue.stats()["blocked_total"] == 1
-        # Drain the rest so no dangling callbacks fire mid-teardown.
-        while record:
-            name, future = record.pop(0)
-            if not future.done():
-                future.set_result(None)
-
     def test_round_robin_fairness_between_two_identities(self):
         """A flooding client's backlog drains interleaved with the other
         client's, not ahead of it."""
-        queue = AdmissionQueue(1, max_pending=10, policy="shed")
+        queue = AdmissionQueue(1, max_pending=10)
         record: list = []
         queue.submit(_manual_dispatch(record, "gate"), client="alice")
         # alice floods 4 more; bob submits 2 afterwards.
@@ -249,7 +224,7 @@ class TestAdmissionQueue:
         assert order == ["alice-0", "bob-0", "alice-1", "bob-1", "alice-2", "alice-3"]
 
     def test_within_one_identity_fifo_order_is_preserved(self):
-        queue = AdmissionQueue(1, max_pending=10, policy="shed")
+        queue = AdmissionQueue(1, max_pending=10)
         record: list = []
         for index in range(4):
             queue.submit(_manual_dispatch(record, f"job-{index}"), client="alice")
@@ -260,7 +235,7 @@ class TestAdmissionQueue:
         assert [name for name, _ in record] == [f"job-{index}" for index in range(4)]
 
     def test_failed_dispatch_frees_the_slot(self):
-        queue = AdmissionQueue(1, max_pending=4, policy="shed")
+        queue = AdmissionQueue(1, max_pending=4)
         record: list = []
 
         def broken_dispatch():
@@ -273,8 +248,6 @@ class TestAdmissionQueue:
         assert queue.stats()["inflight"] == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="policy"):
-            AdmissionQueue(1, max_pending=1, policy="drop")
         with pytest.raises(ValueError, match="max_pending"):
             AdmissionQueue(1, max_pending=0)
         with pytest.raises(ValueError, match="REPRO_MAX_PENDING"):
@@ -282,7 +255,7 @@ class TestAdmissionQueue:
 
 
 # ---------------------------------------------------------------------------
-# Engine integration: saturation, shed vs block, fairness counters
+# Engine integration: saturation, shedding, fairness counters
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def slow_solver(monkeypatch):
@@ -347,26 +320,6 @@ class TestEngineAdmission:
             slow_solver.set()
             engine.shutdown()
 
-    def test_block_policy_backpressures_instead_of_shedding(self, slow_solver):
-        engine = CompileEngine(workers=1, executor="thread", max_pending=1, overflow="block")
-        outcomes: list = []
-        try:
-            first = _submit_in_thread(engine, _target(0), "a", outcomes)
-            assert _wait_for(lambda: engine.admission_stats()["inflight"] == 1)
-            second = _submit_in_thread(engine, _target(1), "a", outcomes)
-            assert _wait_for(lambda: engine.admission_stats()["queue_depth"] == 1)
-            third = _submit_in_thread(engine, _target(2), "a", outcomes)
-            assert _wait_for(lambda: engine.admission_stats()["blocked_total"] == 1)
-            assert len(outcomes) == 0  # nobody shed, nobody done
-            slow_solver.set()
-            for thread in (first, second, third):
-                thread.join(timeout=30)
-            assert all(getattr(result, "ok", False) for result in outcomes)
-            assert engine.admission_stats()["rejected_total"] == 0
-        finally:
-            slow_solver.set()
-            engine.shutdown()
-
     def test_batch_degrades_shed_items_to_rejected_results(self, slow_solver):
         engine = CompileEngine(workers=1, executor="thread", max_pending=2)
         blocker_results: list = []
@@ -413,10 +366,6 @@ class TestEngineAdmission:
     def test_invalid_admission_settings_rejected(self):
         with pytest.raises(ValueError, match="max_pending"):
             CompileEngine(workers=1, max_pending=0)
-        with pytest.raises(ValueError, match="overflow|policy"):
-            CompileEngine(workers=1, max_pending=4, overflow="drop")
-        with pytest.raises(ValueError, match="overflow"):
-            CompileEngine(workers=1, overflow="drop")
 
     def test_width_follows_a_ready_made_backend_instance(self, slow_solver):
         """A passed-in backend's own fleet sizes the dispatch width — an
@@ -494,63 +443,6 @@ class TestEngineAdmission:
             for thread in threads:
                 thread.join(timeout=30)
             assert outcomes.count("cancelled") == 2
-        finally:
-            slow_solver.set()
-            engine.shutdown()
-
-    def test_prewarm_speculation_bypasses_the_admission_queue(self):
-        """Speculative jobs are engine work: they must not consume
-        max_pending slots, bump admitted/rejected counters, or stall the
-        triggering request under the block policy."""
-        engine = CompileEngine(
-            workers=1,
-            executor="inline",
-            max_pending=1,
-            overflow="block",
-            prewarm=True,
-            prewarm_resolutions=((40, 30), (48, 36)),
-        )
-        try:
-            result = engine.submit(_target(0), client="a")
-            assert result.ok
-            assert engine.wait_prewarm(timeout=30)
-            stats = engine.admission_stats()
-            assert stats["admitted_total"] == 1  # just the client's own job
-            assert stats["rejected_total"] == 0
-            assert stats["blocked_total"] == 0
-        finally:
-            engine.shutdown()
-
-    def test_submit_async_block_policy_keeps_the_event_loop_alive(self, slow_solver):
-        """With overflow='block' and a full queue, awaiting submit_async must
-        not freeze the loop: another coroutine has to keep running (it is
-        what releases the solver here)."""
-        engine = CompileEngine(workers=1, executor="thread", max_pending=1, overflow="block")
-        filler_results: list = []
-
-        async def scenario():
-            loop_alive = asyncio.Event()
-
-            async def canary():
-                await asyncio.sleep(0.3)
-                loop_alive.set()
-                slow_solver.set()  # only a live loop can unblock the queue
-
-            result, _ = await asyncio.gather(
-                engine.submit_async(_target(2), client="async"), canary()
-            )
-            return loop_alive.is_set(), result
-
-        try:
-            filler = [
-                _submit_in_thread(engine, _target(i), "filler", filler_results)
-                for i in range(2)  # 1 dispatched + 1 queued = full
-            ]
-            assert _wait_for(lambda: engine.admission_stats()["queue_depth"] == 1)
-            alive, result = asyncio.run(asyncio.wait_for(scenario(), timeout=30))
-            assert alive and result.ok
-            for thread in filler:
-                thread.join(timeout=30)
         finally:
             slow_solver.set()
             engine.shutdown()

@@ -122,7 +122,7 @@ class TestSubmitBatchAsync:
 
         async def run():
             # Saturate the 2-thread pool so the batch stays queued behind it.
-            pool = engine._executor._ensure_pool()
+            pool = engine._flight.executor._ensure_pool()
             release = __import__("threading").Event()
             for _ in range(engine.workers):
                 pool.submit(release.wait)
@@ -151,7 +151,7 @@ class TestAsyncContextManager:
                 return engine
 
         engine = asyncio.run(run())
-        assert engine._executor._pool is None  # pool released by __aexit__
+        assert engine._flight.executor._pool is None  # pool released by __aexit__
 
     def test_sync_and_async_share_cache(self):
         async def run():

@@ -362,7 +362,7 @@ class TestInlineSubmitDedup:
         owner = threading.Thread(target=lambda: results.update(r=engine.submit(target)))
         owner.start()
         assert gated_solver["entered"].wait(timeout=30)
-        future = engine._inflight[target.fingerprint]
+        future = engine._flight._inflight[target.fingerprint]
         assert future.cancel() is False  # joiner cancels are no-ops
         gated_solver["release"].set()
         owner.join(timeout=30)
@@ -375,7 +375,7 @@ class TestInlineSubmitDedup:
         assert engine.submit(target).source == "solver"
         assert engine.submit(target).source == "memory"
         assert engine.metrics.deduplicated == 0
-        assert not engine._inflight  # the inline future was unpublished
+        assert not engine._flight._inflight  # the inline future was unpublished
 
 
 class TestBaselineRequests:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.api import CompileTarget
-from repro.service import CompileEngine, QueueFullError
+from repro.service import CompileEngine, QueueFullError, VerifyEngine, VerifyRequest
 from repro.service.cache import DiskCacheStore, serialize_schedule
 from repro.service.events import EventLog, configure_event_log, get_event_log
 
@@ -87,19 +87,25 @@ class TestEventLog:
 
 
 class TestEngineEventWiring:
-    def test_queue_shed_emits_event(self, clean_default_log):
+    @pytest.mark.parametrize("kind", ["compile", "verify"])
+    def test_queue_shed_emits_event(self, clean_default_log, kind):
         from concurrent.futures import Future
 
-        engine = CompileEngine(workers=1, executor="thread", max_pending=1, overflow="shed")
+        engine = CompileEngine(workers=1, executor="thread", max_pending=1)
+        target = CompileTarget(build_chain(2), image_width=W, image_height=H)
+        if kind == "compile":
+            flight, submit, request = engine._flight, engine.submit, target
+        else:
+            verify = VerifyEngine(engine)
+            flight, submit, request = verify._flight, verify.submit, VerifyRequest(target)
         # Play the executor's role: occupy the single dispatch slot with a
         # never-settling future, and fill the one queue slot behind it.
         hog: Future = Future()
         hog.set_running_or_notify_cancel()
-        engine._admission.submit(lambda: hog, client="hog")
-        engine._admission.submit(lambda: Future(), client="hog")
-        target = CompileTarget(build_chain(2), image_width=W, image_height=H)
+        flight.queue.submit(lambda: hog, client="hog")
+        flight.queue.submit(lambda: Future(), client="hog")
         with pytest.raises(QueueFullError):
-            engine.submit(target, client="alice")
+            submit(request, client="alice")
         events = clean_default_log.recent("queue.shed")
         hog.set_result(None)
         engine.shutdown()

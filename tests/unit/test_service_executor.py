@@ -11,6 +11,8 @@ from repro.service import (
     EXECUTOR_NAMES,
     InlineExecutor,
     ThreadExecutor,
+    VerifyEngine,
+    VerifyRequest,
     default_executor_name,
     validate_worker_count,
 )
@@ -67,7 +69,7 @@ class TestBackendSelection:
     def test_backend_instance_is_used_verbatim(self):
         backend = InlineExecutor()
         engine = CompileEngine(workers=4, executor=backend)
-        assert engine._executor is backend
+        assert engine._flight.executor is backend
         assert engine.executor_name == "inline"
 
     def test_describe_names_the_backend(self):
@@ -164,13 +166,13 @@ class TestThreadBackend:
         with CompileEngine(workers=2, executor="thread") as engine:
             assert engine.submit_batch([_target()]).results[0].ok
             engine.shutdown()
-            assert engine._executor._pool is None
+            assert engine._flight.executor._pool is None
             assert engine.submit_batch([_target(build_chain(4))]).results[0].ok
 
     def test_pool_is_created_on_first_job(self, engine):
-        assert engine._executor._pool is None
+        assert engine._flight.executor._pool is None
         engine.submit_batch([_target()])
-        assert engine._executor._pool is not None
+        assert engine._flight.executor._pool is not None
 
     def test_batch_jobs_run_on_pool_threads(self, engine):
         seen = _track_threads(engine)
@@ -182,7 +184,7 @@ class TestThreadBackend:
         seen = _track_threads(engine)
         assert engine.submit(_target()).source == "solver"
         assert seen == [threading.current_thread().name]
-        assert engine._executor._pool is None
+        assert engine._flight.executor._pool is None
 
     def test_batch_matches_inline_backend(self, engine):
         targets = [
@@ -311,71 +313,45 @@ class TestSubmitFailureRecovery:
         target = _target()
         with pytest.raises(RuntimeError, match="pool is broken"):
             engine.submit_batch([target])
-        assert not engine._inflight  # the fingerprint is not poisoned
+        assert not engine._flight._inflight  # the fingerprint is not poisoned
         backend.broken = False
         batch = engine.submit_batch([target])  # must not hang
         assert batch.results[0].ok
 
-    def test_speculation_failure_never_surfaces_on_the_request(self):
+    @pytest.mark.parametrize("max_pending", [None, 4])
+    def test_failed_verify_submit_clears_inflight_and_unblocks_retries(
+        self, max_pending
+    ):
+        """The verify twin, unbounded and through the admission queue.  Each
+        submit runs in a daemon thread, so a regression fails the test
+        instead of hanging the suite."""
         backend = self._BrokenBackend()
-        engine = CompileEngine(executor=backend, prewarm=True)
-        result = engine.submit(_target(build_paper_example()))  # inline path
-        assert result.ok  # broken speculation backend, fine client result
-        assert not engine._inflight
+        engine = CompileEngine(executor=backend, max_pending=max_pending)
+        verify = VerifyEngine(engine)
+        request = VerifyRequest(target=_target(), check="cycle")
 
+        def submit() -> dict:
+            outcome: dict = {}
 
-class TestSpeculativePrewarm:
-    RESOLUTIONS = ((W, H), (W * 2, H * 2))
+            def run():
+                try:
+                    outcome["result"] = verify.submit(request)
+                except Exception as exc:
+                    outcome["error"] = exc
 
-    @pytest.fixture
-    def engine(self):
-        engine = CompileEngine(
-            workers=2,
-            executor="thread",
-            prewarm=True,
-            prewarm_resolutions=self.RESOLUTIONS,
-        )
-        yield engine
-        engine.shutdown()
+            thread = threading.Thread(target=run, daemon=True)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive(), "verify submit hung"
+            return outcome
 
-    def test_submit_warms_sibling_design_points(self, engine):
-        target = _target(build_paper_example())
-        engine.submit(target)
-        assert engine.wait_prewarm(timeout=60)
-        # The other resolution and the coalescing toggle are already cached.
-        other = target.with_resolution(W * 2, H * 2)
-        toggled = target.with_options(coalescing=True)
-        assert other.fingerprint in engine.cache
-        assert toggled.fingerprint in engine.cache
-        assert engine.submit(other).source == "memory"
-        assert engine.submit(toggled).source == "memory"
-
-    def test_speculation_does_not_pollute_request_metrics(self, engine):
-        engine.submit(_target(build_paper_example()))
-        assert engine.wait_prewarm(timeout=60)
-        assert engine.metrics.requests == 1  # client requests only
-
-    def test_prewarm_off_by_default(self):
-        engine = CompileEngine(workers=1, executor="inline")
-        engine.submit(_target(build_paper_example()))
-        assert len(engine.cache) == 1  # nothing speculative
-
-    def test_baseline_targets_are_not_speculated(self, engine):
-        engine.submit(_target(build_paper_example(), generator="darkroom"))
-        assert engine.wait_prewarm(timeout=60)
-        assert len(engine.cache) == 1
-
-    def test_async_submit_also_speculates(self, engine):
-        import asyncio
-
-        target = _target(build_paper_example())
-
-        async def run():
-            return await engine.submit_async(target)
-
-        asyncio.run(run())
-        assert engine.wait_prewarm(timeout=60)
-        assert target.with_resolution(W * 2, H * 2).fingerprint in engine.cache
+        failed = submit()
+        assert isinstance(failed.get("error"), RuntimeError)
+        assert str(failed["error"]) == "pool is broken"
+        assert not verify._flight._inflight  # the fingerprint is not poisoned
+        backend.broken = False
+        retried = submit()["result"]
+        assert retried.source == "verified" and retried.passed
 
 
 class TestSweepExecutorWiring:

@@ -23,6 +23,8 @@ from repro.service import (
     VerifyRequest,
     start_server,
     verify_fingerprint,
+    target_from_wire,
+    target_to_wire,
     verify_request_from_wire,
     verify_request_to_wire,
     verify_result_to_wire,
@@ -109,15 +111,15 @@ class TestGoldenRoundTrip:
         """A compiled DAG that miscomputes (``b = blur*3``) or drops its second
         output stage fails, though the first output stage matches."""
         engine, verify = engines
-        submit = engine.submit
+        submit = engine._submit_inline
 
-        def submit_with_compiled_dag(target, **kwargs):
-            result = submit(target, **kwargs)
+        def submit_with_compiled_dag(target, fingerprint):
+            result = submit(target, fingerprint)
             accelerator = result.unwrap()
             schedule = replace(accelerator.schedule, dag=_two_outputs(compiled_b_scale))
             return replace(result, accelerator=replace(accelerator, schedule=schedule))
 
-        monkeypatch.setattr(engine, "submit", submit_with_compiled_dag)
+        monkeypatch.setattr(engine, "_submit_inline", submit_with_compiled_dag)
         target = CompileTarget(_two_outputs(2.0), image_width=W, image_height=H)
         result = verify.submit(VerifyRequest(target=target, check="golden"))
         assert result.ok
@@ -128,6 +130,38 @@ class TestGoldenRoundTrip:
         else:
             assert result.golden["max_abs_error"] > 0
         json.dumps(verify_result_to_wire(result), allow_nan=False)
+
+
+class TestGoldenReplayCount:
+    """The golden check replays the compiled DAG apart from the reference
+    only when the generator rewrote it."""
+
+    @pytest.mark.parametrize("generator,replays", [("imagen", 1), ("darkroom", 2)])
+    def test_wire_decoded_target_replays_once_unless_rewritten(
+        self, monkeypatch, generator, replays
+    ):
+        import repro.service.verify as verify_module
+
+        calls = []
+        replay = verify_module.replay_frames
+
+        def counting(dag, *args, **kwargs):
+            calls.append(dag.name)
+            return replay(dag, *args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "replay_frames", counting)
+        target = _target(generator=generator)
+        decoded = target_from_wire(json.loads(json.dumps(target_to_wire(target))))
+        assert decoded.dag is not target.dag
+        with CompileEngine(workers=1, executor="inline") as engine:
+            local = VerifyEngine(engine).submit(VerifyRequest(target=target, check="golden"))
+            calls.clear()
+            # A fresh verdict memory; the compile is the engine's cached one,
+            # whose DAG is the first target's object, as over HTTP.
+            wire = VerifyEngine(engine).submit(VerifyRequest(target=decoded, check="golden"))
+        assert wire.source == "verified"
+        assert len(calls) == replays
+        assert wire.passed and wire.golden == local.golden
 
 
 def _two_outputs(b_scale: float | None):
@@ -275,13 +309,13 @@ class TestVerifyCaching:
 class TestVerifyExecutor:
     def test_verify_bodies_run_on_the_engines_pool(self, engines):
         engine, verify = engines
-        assert verify._executor is engine._executor
+        assert verify._flight.executor is engine._flight.executor
         seen = []
         original = verify._execute
 
-        def tracking(request, fingerprint, client):
+        def tracking(request, fingerprint):
             seen.append(threading.current_thread().name)
-            return original(request, fingerprint, client)
+            return original(request, fingerprint)
 
         verify._execute = tracking
         result = verify.submit(VerifyRequest(target=_target(), check="cycle"))
@@ -301,17 +335,17 @@ class TestVerifyExecutor:
 
 class TestVerifyAdmission:
     def test_bounded_queue_sheds_with_retry_after(self, tmp_path):
-        engine = CompileEngine(workers=1, executor="thread")
-        verify = VerifyEngine(engine, max_pending=1)
+        engine = CompileEngine(workers=1, executor="thread", max_pending=1)
+        verify = VerifyEngine(engine)
         release = threading.Event()
         started = threading.Event()
 
         # Occupy the single verify dispatch slot with a stalled execution.
         original = verify._execute
-        def stalled(request, fingerprint, client):
+        def stalled(request, fingerprint):
             started.set()
             release.wait(30)
-            return original(request, fingerprint, client)
+            return original(request, fingerprint)
         verify._execute = stalled
         try:
             hog = threading.Thread(
@@ -351,6 +385,23 @@ class TestVerifyAdmission:
                     strict=True,
                 )
             )
+
+
+    def test_cold_verify_on_a_one_worker_bounded_engine_completes(self):
+        """The verify body holds the pool's one thread, so its compile runs
+        in that slot: queued behind it, the compile would never start."""
+        engine = CompileEngine(workers=1, executor="thread", max_pending=2)
+        request = VerifyRequest(target=_target(), check="cycle")
+        outcome = {}
+        thread = threading.Thread(
+            target=lambda: outcome.update(result=VerifyEngine(engine).submit(request)),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=10)
+        engine.shutdown(wait=False, cancel_pending=True)  # frees a wedged pool
+        assert not thread.is_alive(), "cold verify hung"
+        assert outcome["result"].passed
 
 
 def _swallow(verify, request):

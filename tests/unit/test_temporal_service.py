@@ -105,7 +105,7 @@ class TestTemporalVerifyService:
     @pytest.fixture
     def verify_engine(self):
         engine = CompileEngine(executor="inline", cache_dir=None)
-        return VerifyEngine(engine, executor="inline", max_pending=None)
+        return VerifyEngine(engine)
 
     @pytest.mark.parametrize("name", TEMPORAL_ALGORITHM_NAMES)
     def test_golden_and_cycle_pass(self, verify_engine, name):
@@ -170,7 +170,7 @@ class TestBareDelayVerify:
         delayed = np.stack([src[max(0, f - 1)] for f in range(frames)])
 
         engine = CompileEngine(executor="inline", cache_dir=None)
-        verify_engine = VerifyEngine(engine, executor="inline", max_pending=None)
+        verify_engine = VerifyEngine(engine)
         try:
             golden = verify_engine.submit(
                 VerifyRequest(

@@ -94,7 +94,7 @@ def render_prometheus_table() -> str:
             "`repro_service_info`",
             "gauge",
             "—",
-            "Always 1; string configuration (executor, overflow, auth) as labels.",
+            "Always 1; string configuration (executor, auth) as labels.",
         ]
     )
     return _table(["Sample", "Type", "JSON key", "Meaning"], rows)
