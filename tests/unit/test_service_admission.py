@@ -23,12 +23,13 @@ from repro.service.admission import (
     AdmissionQueue,
     QueueFullError,
     RateLimiter,
+    SingleFlight,
     TokenAuthenticator,
     parse_rate_limit,
     parse_token_line,
     validate_max_pending,
 )
-from repro.service.executor import ThreadExecutor
+from repro.service.executor import ExecutorBackend, ThreadExecutor
 from repro.service.jobs import SOURCE_REJECTED
 
 from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain
@@ -252,6 +253,109 @@ class TestAdmissionQueue:
             AdmissionQueue(1, max_pending=0)
         with pytest.raises(ValueError, match="REPRO_MAX_PENDING"):
             validate_max_pending("lots", source=MAX_PENDING_ENV_VAR)
+
+
+# ---------------------------------------------------------------------------
+# The single-flight kernel (direct)
+# ---------------------------------------------------------------------------
+class ManualExecutor(ExecutorBackend):
+    """A one-worker backend whose jobs the test settles by hand; ``broken``
+    makes ``submit`` raise instead."""
+
+    name = "manual"
+
+    def __init__(self) -> None:
+        super().__init__(1)
+        self.jobs: list[tuple[str, Future]] = []
+        self.broken = False
+
+    def submit(self, run_local, target, fingerprint):
+        if self.broken:
+            raise RuntimeError("pool is broken")
+        future: Future = Future()
+        future.set_running_or_notify_cancel()
+        self.jobs.append((fingerprint, future))
+        return future
+
+
+def _job(target, key):
+    raise AssertionError("ManualExecutor never runs the job")
+
+
+class TestSingleFlight:
+    def test_identical_key_joins_until_the_flight_settles(self):
+        flight = SingleFlight(ManualExecutor(), max_pending=None, retry_after=lambda: 1.0)
+        recalled, owned, owner = flight.claim("k")
+        assert (recalled, owner) == (None, True)
+        _, joined, joiner_owns = flight.claim("k")
+        assert joined is owned and not joiner_owns
+        # The placeholder is running: a joiner giving up cannot cancel it.
+        assert not joined.cancel()
+        flight.dispatch(owned, _job, None, "k")
+        flight.executor.jobs[0][1].set_result("answer")
+        assert owned.result(timeout=0) == "answer"
+        _, fresh, fresh_owner = flight.claim("k")
+        assert fresh_owner and fresh is not owned
+
+    def test_recall_answers_under_the_claim_lock(self):
+        flight = SingleFlight(ManualExecutor(), max_pending=None, retry_after=lambda: 1.0)
+        assert flight.claim("k", recall=lambda: "remembered") == ("remembered", None, False)
+        assert flight._inflight == {}
+        recalled, future, owner = flight.claim("k", recall=lambda: None)
+        assert recalled is None and owner and flight._inflight == {"k": future}
+
+    @pytest.mark.parametrize("max_pending", [None, 2])
+    def test_failed_backend_submit_settles_and_forgets_the_flight(self, max_pending):
+        executor = ManualExecutor()
+        executor.broken = True
+        flight = SingleFlight(executor, max_pending=max_pending, retry_after=lambda: 1.0)
+        _, future, _ = flight.claim("k")
+        flight.dispatch(future, _job, None, "k")
+        with pytest.raises(RuntimeError, match="pool is broken"):
+            future.result(timeout=0)
+        assert flight._inflight == {}
+        executor.broken = False
+        _, retry, owner = flight.claim("k")
+        assert owner and retry is not future
+        flight.dispatch(retry, _job, None, "k")
+        executor.jobs[0][1].set_result("answer")
+        assert retry.result(timeout=0) == "answer"
+
+    def test_full_queue_sheds_into_the_flight(self):
+        flight = SingleFlight(ManualExecutor(), max_pending=1, retry_after=lambda: 2.5)
+        futures = []
+        for key in ("running", "waiting", "excess"):
+            _, future, _ = flight.claim(key)
+            flight.dispatch(future, _job, None, key)
+            futures.append(future)
+        assert [key for key, _ in flight.executor.jobs] == ["running"]
+        shed = futures[2].exception(timeout=0)
+        assert isinstance(shed, QueueFullError)
+        assert shed.retry_after == pytest.approx(2.5)
+        assert "excess" not in flight._inflight
+        assert flight.admission_stats()["rejected_total"] == 1
+        # A freed slot dispatches the waiting flight.
+        flight.executor.jobs[0][1].set_result("first")
+        assert [key for key, _ in flight.executor.jobs] == ["running", "waiting"]
+
+    def test_shutdown_cancel_pending_settles_queued_flights(self):
+        flight = SingleFlight(ManualExecutor(), max_pending=2, retry_after=lambda: 1.0)
+        _, running, _ = flight.claim("running")
+        flight.dispatch(running, _job, None, "running")
+        _, waiting, _ = flight.claim("waiting")
+        flight.dispatch(waiting, _job, None, "waiting")
+        flight.shutdown(wait=False, cancel_pending=True)
+        with pytest.raises(CancelledError):
+            waiting.result(timeout=0)
+        assert "waiting" not in flight._inflight
+        assert not running.done()  # in-flight work is the backend's business
+
+    def test_admission_stats_share_one_schema(self):
+        unbounded = SingleFlight(ManualExecutor(), max_pending=None, retry_after=lambda: 1.0)
+        bounded = SingleFlight(ManualExecutor(), max_pending=3, retry_after=lambda: 1.0)
+        assert unbounded.admission_stats().keys() == bounded.admission_stats().keys()
+        assert unbounded.admission_stats()["max_pending"] is None
+        assert bounded.admission_stats()["max_pending"] == 3
 
 
 # ---------------------------------------------------------------------------
