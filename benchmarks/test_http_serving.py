@@ -26,8 +26,6 @@ W, H = 480, 320
 
 def test_http_round_trip_matches_in_process_compile(benchmark):
     targets = {
-        # The tie variant goes first: with harris-m already cached, its
-        # compile could be warm-started from that neighbour and skip HiGHS.
         "harris-m:gauss": harris_tie_target(W, H),
         "harris-m": CompileTarget(build_algorithm("harris-m"), image_width=W, image_height=H),
     }

@@ -92,41 +92,23 @@ def _schedule_cached(
 
     Returns the schedule, its source — ``"memory"``/``"disk"`` for cache
     tiers, ``"solver"`` for a fresh ILP solve (which is then recorded in the
-    cache) — and its content fingerprint.
-
-    On a cache miss the cache is additionally asked for a *neighbor*
-    (``fetch_neighbor``): the same DAG solved at another resolution or
-    coalescing selection.  A hit becomes the solver's warm-start hint — the
-    scheduler transfers the neighbor's solution and either certifies it
-    optimal (skipping the ILP) or solves cold.  A certified schedule is a
-    legal optimum with the cold solve's objective, allocated bits, blocks
-    and SRAM (power agrees to within float rounding), but where optima tie
-    it may carry other start cycles, and so other Verilog, than a cold solve.
+    cache) — and its content fingerprint.  A miss solves exactly as an
+    uncached compile does, so the schedule depends only on the target.
     """
     if cache is None:
-        schedule = schedule_pipeline(
-            target.dag,
-            target.image_width,
-            target.image_height,
-            target.memory_spec,
-            target.options,
-        )
-        return schedule, "solver", target.fingerprint
-    schedule, source, fingerprint = cache.fetch(target)
+        schedule, source, fingerprint = None, "solver", target.fingerprint
+    else:
+        schedule, source, fingerprint = cache.fetch(target)
     if schedule is None:
-        warm_hint = None
-        fetch_neighbor = getattr(cache, "fetch_neighbor", None)
-        if fetch_neighbor is not None:
-            warm_hint = fetch_neighbor(target)
         schedule = schedule_pipeline(
             target.dag,
             target.image_width,
             target.image_height,
             target.memory_spec,
             target.options,
-            warm_hint=warm_hint,
         )
-        cache.put(fingerprint, schedule)
+        if cache is not None:
+            cache.put(fingerprint, schedule)
     return schedule, source, fingerprint
 
 

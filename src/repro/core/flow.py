@@ -16,6 +16,11 @@ feasible schedule tight on those arcs is optimal.  The optimal set is
 therefore itself a difference system (all arcs, plus the reverse of each
 flow-carrying arc), hence a lattice, whose least point is the vector of
 longest paths from the anchored root.
+
+The scheduler's constraints reach the kernel through
+:func:`difference_system`, which splits them into the arcs every schedule
+must honour and the true disjunctions, and :func:`branch_arcs`, which fixes
+one candidate of each disjunction per branch.
 """
 
 from __future__ import annotations
@@ -23,8 +28,48 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from collections.abc import Hashable, Iterable, Mapping
+from itertools import product
 
-__all__ = ["earliest_optimum"]
+__all__ = ["branch_arcs", "difference_system", "earliest_optimum"]
+
+
+def difference_system(dependencies, disjunctions):
+    """Collapse the scheduling constraints into (mandatory edges, multis).
+
+    ``mandatory`` maps ``(producer, consumer)`` to the tightest separation
+    every feasible schedule must honour: the dependency and safety
+    constraints plus the sole candidate of each singleton disjunction.
+    ``multis`` are the remaining true disjunctions (one candidate of each
+    must hold).
+    """
+    mandatory: dict[tuple[str, str], int] = {}
+    for dep in dependencies:
+        _tighten(mandatory, (dep.producer, dep.consumer), dep.min_delay)
+    multis = []
+    for disjunction in disjunctions:
+        if disjunction.is_singleton:
+            candidate = disjunction.candidates[0]
+            _tighten(mandatory, (candidate.leading, candidate.trailing), candidate.min_gap)
+        else:
+            multis.append(disjunction)
+    return mandatory, multis
+
+
+def branch_arcs(mandatory, multis):
+    """Yield the difference system of each disjunct combination: the
+    mandatory edges plus one chosen candidate of every true disjunction (a
+    paper sub-problem, Sec. 5.4)."""
+    for choice in product(*(disjunction.candidates for disjunction in multis)):
+        arcs = dict(mandatory)
+        for candidate in choice:
+            _tighten(arcs, (candidate.leading, candidate.trailing), candidate.min_gap)
+        yield arcs
+
+
+def _tighten(arcs, key, rhs: int) -> None:
+    """Keep the largest separation asked of each ordered pair."""
+    if key not in arcs or rhs > arcs[key]:
+        arcs[key] = rhs
 
 
 def earliest_optimum(
@@ -47,18 +92,13 @@ def earliest_optimum(
     index = {name: i for i, name in enumerate(names)}
     root = len(names)
     weights: dict[tuple[int, int], int] = {}
-
-    def tighten(a: int, b: int, w: int) -> None:
-        if w > weights.get((a, b), w - 1):
-            weights[(a, b)] = w
-
     for (a, b), w in arcs.items():
-        tighten(index[a], index[b], w)
+        _tighten(weights, (index[a], index[b]), w)
     for v in range(root):
-        tighten(root, v, 0)
-        tighten(v, root, -horizon)
+        _tighten(weights, (root, v), 0)
+        _tighten(weights, (v, root), -horizon)
     for name in anchored:
-        tighten(index[name], root, 0)
+        _tighten(weights, (index[name], root), 0)
 
     size = root + 1
     tail, head, weight = [], [], []

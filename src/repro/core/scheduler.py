@@ -23,13 +23,8 @@ exactly whenever it can:
   branch-and-bound stands in when SciPy is missing; see
   :mod:`repro.ilp.solver`).
 
-A warm certificate sits in front of the ILP: :func:`schedule_pipeline`
-accepts a :class:`~repro.core.warmstart.WarmHint` (a solved neighbor design).
-The neighbor's binding constraint edges are re-imposed at the target
-width/options (:mod:`repro.core.warmstart`); when the transferred candidate is
-legal and its objective matches the disjunctive lower bound, the ILP is
-skipped entirely (the ``ilp`` span reports ``backend="warmstart"``).
-Otherwise the solve runs cold on one of the two paths above.
+Every solve starts from the target alone, so a target's schedule does not
+depend on what was solved before it.
 """
 
 from __future__ import annotations
@@ -47,17 +42,9 @@ from repro.core.constraints import (
     schedule_horizon,
 )
 from repro.core.coalescing import coalescing_factors
-from repro.core.flow import earliest_optimum
+from repro.core.flow import branch_arcs, difference_system, earliest_optimum
 from repro.core.pruning import count_subproblems, prune_disjunctions
 from repro.core.schedule import PipelineSchedule
-from repro.core.warmstart import (
-    WarmHint,
-    branch_arcs,
-    difference_system,
-    disjunctive_lower_bound,
-    schedule_objective,
-    try_warm_transfer,
-)
 from repro.errors import SchedulingError
 from repro.ilp.expr import linear_sum
 from repro.ilp.model import Model, SolveStatus
@@ -116,7 +103,6 @@ class _Prologue:
 
     ports: int
     factors: dict[str, int]
-    order: dict
     dependencies: list[DependencyConstraint]
     disjunctions: list[Disjunction]
     raw_candidates: int
@@ -163,7 +149,6 @@ def _constraint_prologue(
     return _Prologue(
         ports=ports,
         factors=factors,
-        order=order,
         dependencies=dependencies,
         disjunctions=disjunctions,
         raw_candidates=raw_candidate_count,
@@ -172,66 +157,16 @@ def _constraint_prologue(
     )
 
 
-def _attempt_warm_start(
-    dag: PipelineDAG,
-    image_width: int,
-    prologue: _Prologue,
-    options: SchedulerOptions,
-    warm_hint: WarmHint,
-) -> tuple[dict[str, int] | None, str]:
-    """Transfer and certify a warm hint: (certified cycles or ``None``, detail)."""
-    mandatory, multis = difference_system(prologue.dependencies, prologue.disjunctions)
-    cycles, detail = try_warm_transfer(
-        dag,
-        warm_hint,
-        image_width=image_width,
-        mandatory=mandatory,
-        multis=multis,
-        pruning=options.pruning,
-        order=prologue.order,
-    )
-    if cycles is None:
-        return None, detail
-    if schedule_objective(dag, cycles) == disjunctive_lower_bound(dag, mandatory, multis):
-        return cycles, "certificate"
-    return None, "uncertified"
-
-
-def _certificate_stats() -> dict:
-    # Mirror the _solve_big_m stats shape so downstream consumers (reports,
-    # serialization) see a uniform schema; zero solves is the whole point.
-    return {
-        "backend": "warmstart",
-        "ilp_variables": 0,
-        "ilp_constraints": 0,
-        "lp_iterations": 0,
-        "solves": 0,
-    }
-
-
 def schedule_pipeline(
     dag: PipelineDAG,
     image_width: int,
     image_height: int,
     memory_spec: MemorySpec,
     options: SchedulerOptions | None = None,
-    *,
-    warm_hint: WarmHint | None = None,
 ) -> PipelineSchedule:
-    """Solve the scheduling ILP and return the resulting accelerator design.
-
-    ``warm_hint`` offers a solved neighbor design.  When its transfer is
-    certified optimal the ILP is skipped; otherwise the solve runs cold.  The
-    returned schedule is a legal optimum either way.  When several optima tie,
-    a certified schedule may pick different start cycles (and so emit
-    different Verilog) than the cold solve would; its objective, allocated
-    bits, block count and SRAM are the same, and its power agrees to within
-    float rounding.
-    """
+    """Solve the scheduling ILP and return the resulting accelerator design."""
     _validate_request(dag, image_width, image_height)
-    return _schedule(
-        dag, image_width, image_height, memory_spec, options or SchedulerOptions(), warm_hint
-    )
+    return _schedule(dag, image_width, image_height, memory_spec, options or SchedulerOptions())
 
 
 def _schedule(
@@ -240,40 +175,19 @@ def _schedule(
     image_height: int,
     memory_spec: MemorySpec,
     options: SchedulerOptions,
-    warm_hint: WarmHint | None,
 ) -> PipelineSchedule:
     """:func:`schedule_pipeline` for a request whose DAG and size are already
     validated: the DSE sweep validates once for all of its variants."""
     started = time.perf_counter()
     with trace_span("solve", coalescing=bool(options.coalescing)):
         prologue = _constraint_prologue(dag, image_width, memory_spec, options)
-
-        certified: dict[str, int] | None = None
-        if warm_hint is not None:
-            certified, warm_detail = _attempt_warm_start(
-                dag, image_width, prologue, options, warm_hint
-            )
-
-        if certified is not None:
-            # Provably optimal without a model: record a zero-cost "ilp" span
-            # so warm wins are measurable alongside real backend calls.
-            with trace_span("ilp", backend="warmstart"):
-                span_attr(status="optimal", lp_iterations=0, bnb_pruned=0, warm_start="certificate")
-            start_cycles = certified
-            objective = float(schedule_objective(dag, certified))
-            solver_stats = _certificate_stats()
-        else:
-            # One span per solve: a deferred flow attempt is billed to the
-            # big-M solve that follows it, which reports its own backend.
-            with trace_span("ilp", backend="flow"):
-                solved = _solve_flow(dag, prologue)
-                if solved is None:  # no least optimum, or too many branches
-                    solved = _solve_big_m(dag, image_width, prologue)
-            start_cycles, objective, solver_stats = solved
-
-        if warm_hint is not None:
-            solver_stats["warm_start"] = warm_detail
-            span_attr(warm=warm_detail)
+        # One span per solve: a deferred flow attempt is billed to the big-M
+        # solve that follows it, which reports its own backend.
+        with trace_span("ilp", backend="flow"):
+            solved = _solve_flow(dag, prologue)
+            if solved is None:  # no least optimum, or too many branches
+                solved = _solve_big_m(dag, image_width, prologue)
+        start_cycles, objective, solver_stats = solved
         span_attr(
             objective=objective,
             solves=int(solver_stats["solves"]),

@@ -23,9 +23,9 @@ point instead of aborting the sweep, and the all-DP configuration is served
 from the cache entry the baseline compile warmed.
 
 A serial sweep (no engine) schedules each variant as
-:func:`repro.core.scheduler.schedule_pipeline` does, with the baseline's
-solution as its warm hint: most variants are certified optimal from the
-transfer alone and never build an ILP, and the rest solve cold.
+:func:`repro.core.scheduler.schedule_pipeline` does, skipping only the graph
+checks the baseline compile already ran.  Either way every variant is
+solved from its own target, so both paths return the same designs.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from repro.api.target import CompileTarget, require_target
 from repro.core.compiler import CompiledAccelerator, compile_target
 from repro.core.scheduler import _schedule
-from repro.core.warmstart import hint_from_schedule
 from repro.errors import ReproError
 from repro.estimate.report import AcceleratorReport, accelerator_report
 from repro.estimate.sram_model import SramTechModel
@@ -138,10 +137,8 @@ def sweep_memory_configurations(
         engine was built with), repeated design points are served from its
         cache, and a design point that fails to compile is skipped (the
         sweep only raises when *every* point fails).  Results come back in
-        the serial path's order, with the same labels, objectives and
-        memory; the engine may warm-start a variant from a different cached
-        neighbor, so where optima tie its start cycles can differ.  Build it
-        with ``CompileEngine(workers=N)`` to pick the fan-out width.
+        the serial path's order, with the same designs.  Build it with
+        ``CompileEngine(workers=N)`` to pick the fan-out width.
     """
     if not require_target(base).is_imagen:
         raise ReproError(
@@ -186,7 +183,6 @@ def _compile_serially(
     configurations: list[dict[str, str]],
     baseline: CompiledAccelerator,
 ):
-    hint = hint_from_schedule(baseline.schedule)
     compiled = []
     for configuration in configurations:
         if all(choice == "DP" for choice in configuration.values()):
@@ -202,7 +198,6 @@ def _compile_serially(
             target.image_height,
             target.memory_spec,
             target.options,
-            hint,
         )
         accelerator = CompiledAccelerator(
             schedule=schedule,

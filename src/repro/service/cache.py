@@ -34,7 +34,6 @@ exceed the bound.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import threading
@@ -43,11 +42,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.api.fingerprint import dag_fingerprint
 from repro.api.target import CompileTarget
 from repro.core.schedule import PipelineSchedule
 from repro.core.scheduler import realize_line_buffers
-from repro.core.warmstart import WarmHint, hint_from_schedule
 from repro.ir.dag import PipelineDAG
 from repro.memory.linebuffer import LineBufferConfig
 from repro.memory.spec import MemorySpec
@@ -380,10 +377,6 @@ class CacheStats:
     stores: int = 0
     disk_hits: int = 0
     disk_stores: int = 0
-    #: Nearest-neighbor warm-start lookups (:meth:`CompileCache.fetch_neighbor`)
-    #: that found / failed to find a same-DAG schedule to seed the solver with.
-    neighbor_hits: int = 0
-    neighbor_misses: int = 0
 
     @property
     def requests(self) -> int:
@@ -404,8 +397,6 @@ class CacheStats:
             "stores": self.stores,
             "disk_hits": self.disk_hits,
             "disk_stores": self.disk_stores,
-            "neighbor_hits": self.neighbor_hits,
-            "neighbor_misses": self.neighbor_misses,
             "hit_rate": round(self.hit_rate, 4),
         }
 
@@ -425,10 +416,6 @@ class CompileCache:
         self.store = store
         self.stats = CacheStats()
         self._entries: OrderedDict[str, PipelineSchedule] = OrderedDict()
-        # Secondary index for warm-start lookups: DAG fingerprint -> the
-        # memory-tier entry fingerprints of that pipeline (insertion order).
-        self._dag_index: dict[str, OrderedDict[str, None]] = {}
-        self._dag_of: dict[str, str] = {}
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ reads
@@ -468,46 +455,6 @@ class CompileCache:
             span_attr(tier="miss")
             return None, SOURCE_SOLVER, fingerprint
 
-    def fetch_neighbor(self, target: CompileTarget) -> WarmHint | None:
-        """Nearest cached solve of the same pipeline, as a warm-start hint.
-
-        Called by the compiler after :meth:`fetch` missed: an exact entry does
-        not exist, but the memory tier may hold the *same DAG* solved at
-        another resolution or coalescing selection, whose solution can seed
-        (often outright certify — see :mod:`repro.core.warmstart`) the new
-        solve.  Only ImaGen-family schedules qualify; baselines are built by
-        construction, not solved, and transfer nothing.  Ranking prefers a
-        same-width neighbor (options-only distance), then the closest width by
-        resolution ratio.  Returns ``None`` when no neighbor exists.
-        """
-        fingerprint = target.fingerprint
-        dag_key = dag_fingerprint(target.dag)
-        best: PipelineSchedule | None = None
-        best_fingerprint = ""
-        best_rank: tuple | None = None
-        with self._lock:
-            for candidate in self._dag_index.get(dag_key, ()):
-                if candidate == fingerprint:
-                    continue
-                schedule = self._entries.get(candidate)
-                if (
-                    schedule is None
-                    or schedule.generator not in REALIZABLE_GENERATORS
-                    or schedule.image_width < 2
-                ):
-                    continue
-                rank = (
-                    schedule.image_width != target.image_width,
-                    abs(math.log(schedule.image_width / target.image_width)),
-                )
-                if best_rank is None or rank < best_rank:
-                    best, best_fingerprint, best_rank = schedule, candidate, rank
-            if best is None:
-                self.stats.neighbor_misses += 1
-                return None
-            self.stats.neighbor_hits += 1
-        return replace(hint_from_schedule(best), fingerprint=best_fingerprint)
-
     # ----------------------------------------------------------------- writes
     def put(self, fingerprint: str, schedule: PipelineSchedule) -> None:
         """Record a freshly solved schedule under its fingerprint.
@@ -528,19 +475,8 @@ class CompileCache:
     def _insert(self, fingerprint: str, schedule: PipelineSchedule) -> None:
         self._entries[fingerprint] = schedule
         self._entries.move_to_end(fingerprint)
-        if fingerprint not in self._dag_of:
-            dag_key = dag_fingerprint(schedule.dag)
-            self._dag_of[fingerprint] = dag_key
-            self._dag_index.setdefault(dag_key, OrderedDict())[fingerprint] = None
         while len(self._entries) > self.max_entries:
-            evicted, _ = self._entries.popitem(last=False)
-            dag_key = self._dag_of.pop(evicted, None)
-            if dag_key is not None:
-                siblings = self._dag_index.get(dag_key)
-                if siblings is not None:
-                    siblings.pop(evicted, None)
-                    if not siblings:
-                        del self._dag_index[dag_key]
+            self._entries.popitem(last=False)
             self.stats.evictions += 1
 
     # ------------------------------------------------------------------ admin
@@ -555,8 +491,6 @@ class CompileCache:
     def clear(self, *, disk: bool = False) -> None:
         with self._lock:
             self._entries.clear()
-            self._dag_index.clear()
-            self._dag_of.clear()
             self.stats = CacheStats()
         if disk and self.store is not None:
             self.store.clear()

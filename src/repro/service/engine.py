@@ -9,20 +9,17 @@ the :class:`repro.api.CompileTarget`; every submission path wraps
 * every generator run goes through a shared :class:`CompileCache`, so
   repeated targets (interactive clients, DSE sweeps, the auto-coalescing
   fallback, baseline comparisons) are answered without re-running anything;
-  on a miss the cache still helps: its nearest same-DAG entry
-  (:meth:`CompileCache.fetch_neighbor`) warm-starts the scheduling ILP,
-  which certifies most resolution/option neighbors outright and solves cold
-  otherwise (``ilp_warm_certificates`` on ``/v1/metrics``, ``neighbor_*``
-  on ``/v1/cache/stats``);
+  a miss solves exactly as an uncached compile does, so what the engine
+  serves for a target never depends on what its cache held before;
 * identical in-flight targets are deduplicated — concurrent batches that
   contain the same design point trigger exactly one run (the in-flight
   table is a :class:`repro.service.admission.SingleFlight`, the kernel the
   verify engine runs on too);
 * batches fan out over a pluggable :class:`repro.service.executor`
   backend — ``inline`` (deterministic, for tests) or ``thread`` (the
-  default; HiGHS, which solves the systems with a true disjunction,
+  default; HiGHS, which solves the systems the flow kernel defers,
   releases the GIL, so those solves overlap on multi-core hosts, and the
-  pure-Python flow kernel that solves the rest takes under 1 ms) —
+  pure-Python flow kernel that solves the rest takes about 1 ms) —
   selected via
   ``CompileEngine(executor=...)`` or the ``REPRO_EXECUTOR`` environment
   variable;

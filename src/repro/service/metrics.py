@@ -138,10 +138,9 @@ class EngineMetrics:
     batches: int = 0
     total_seconds: float = 0.0
     # ILP solver effectiveness, aggregated from ``ilp`` span attrs by
-    # observe_spans: how many solves ran, how many were avoided outright by a
-    # warm-start certificate, and how much the branch-and-bound pruned.
+    # observe_spans: how many solves ran and how much the branch-and-bound
+    # pruned.
     ilp_solves: int = 0
-    ilp_warm_certificates: int = 0
     ilp_pruned_nodes: int = 0
     recent: deque = field(default_factory=lambda: deque(maxlen=256))
     stages: dict = field(
@@ -178,8 +177,8 @@ class EngineMetrics:
         Every span in the forest — children included — is counted under its
         own name, so nested stages (``ilp`` inside ``solve``) each get their
         own histogram.  Unknown stage names create histograms on demand.
-        ``ilp`` spans additionally feed the solver counters (warm-start
-        certificates, pruned nodes).
+        ``ilp`` spans additionally feed the solver counters (solves, pruned
+        nodes).
         """
         if not spans:
             return
@@ -196,8 +195,6 @@ class EngineMetrics:
     def _observe_ilp(self, attrs: dict) -> None:
         """Fold one ``ilp`` span's attrs into the solver counters (lock held)."""
         self.ilp_solves += 1
-        if attrs.get("warm_start") == "certificate":
-            self.ilp_warm_certificates += 1
         try:
             self.ilp_pruned_nodes += int(attrs.get("bnb_pruned", 0) or 0)
         except (TypeError, ValueError):
@@ -273,7 +270,6 @@ class EngineMetrics:
                 "p50_seconds_served_from_cache": round(self._percentile_of(cached, 0.50), 6),
                 "p95_seconds_served_from_cache": round(self._percentile_of(cached, 0.95), 6),
                 "ilp_solves": self.ilp_solves,
-                "ilp_warm_certificates": self.ilp_warm_certificates,
                 "ilp_pruned_nodes": self.ilp_pruned_nodes,
                 "stage_seconds": stage_seconds,
             }

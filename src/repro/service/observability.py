@@ -148,8 +148,7 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     # -- per-stage spans -----------------------------------------------------
     MetricSpec("stage_seconds", "histogram", "seconds", "Per-stage span durations (cache/solve/allocate/rtl and nested stages); JSON carries count/sum/mean per stage, the exposition carries full histograms.", prometheus=STAGE_HISTOGRAM_FAMILY + '{stage="..."}'),
     # -- ILP solver effectiveness (EngineMetrics, from ilp spans) ----------
-    MetricSpec("ilp_solves", "counter", "", "Scheduling solves observed in request spans, one `ilp` span each whichever path answered, with warm-start certificates included as zero-cost solves.", prometheus="repro_ilp_solves_total"),
-    MetricSpec("ilp_warm_certificates", "counter", "", "Solves short-circuited by a warm-start transfer certified optimal (no model built).", prometheus="repro_ilp_warm_certificates_total"),
+    MetricSpec("ilp_solves", "counter", "", "Scheduling solves observed in request spans, one `ilp` span each whichever path answered (the flow kernel or the big-M model).", prometheus="repro_ilp_solves_total"),
     MetricSpec("ilp_pruned_nodes", "counter", "", "Branch-and-bound nodes pruned by bound across observed solves.", prometheus="repro_ilp_pruned_nodes_total"),
     # -- executor backend (ExecutorBackend.stats) ----------------------------
     MetricSpec("executor", "info", "", "Active execution backend name (label on repro_service_info)."),
@@ -188,8 +187,6 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("stores", "counter", "", "Freshly solved schedules recorded in the cache.", prometheus="repro_cache_stores_total", endpoint="/v1/cache/stats"),
     MetricSpec("disk_hits", "counter", "", "Hits served by the disk tier (promoted into memory).", prometheus="repro_cache_disk_hits_total", endpoint="/v1/cache/stats"),
     MetricSpec("disk_stores", "counter", "", "Schedules persisted to the disk tier.", prometheus="repro_cache_disk_stores_total", endpoint="/v1/cache/stats"),
-    MetricSpec("neighbor_hits", "counter", "", "Warm-start neighbor lookups that found a same-DAG schedule to seed the solver.", prometheus="repro_cache_neighbor_hits_total", endpoint="/v1/cache/stats"),
-    MetricSpec("neighbor_misses", "counter", "", "Warm-start neighbor lookups that found no usable same-DAG schedule.", prometheus="repro_cache_neighbor_misses_total", endpoint="/v1/cache/stats"),
     MetricSpec("hit_rate", "gauge", "", "hits / (hits + misses) since start.", prometheus="repro_cache_hit_rate", endpoint="/v1/cache/stats"),
     MetricSpec("disk_entries", "gauge", "", "Entries in the disk tier (present with --cache-dir).", prometheus="repro_cache_disk_entries", endpoint="/v1/cache/stats"),
     MetricSpec("disk_directory", "info", "", "Disk-tier directory (present with --cache-dir).", endpoint="/v1/cache/stats"),

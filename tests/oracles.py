@@ -6,7 +6,10 @@
   of the whole-frame :func:`repro.rtl.sim.simulate_design`;
 * :func:`lint_verilog_regex` is the structural linter as it stood before
   its scans were made literal-first, the oracle of
-  :func:`repro.rtl.lint.lint_verilog`.
+  :func:`repro.rtl.lint.lint_verilog`;
+* :func:`schedule_is_legal` and :func:`schedule_objective` check a schedule
+  against the scheduler's difference system and score it by Eq. 1a, edge by
+  edge, for the flow kernel's properties.
 
 The first two share the evaluator and the stage walker with the paths they
 check; only the dispatch differs (frames, pixels), and the pixel oracle works
@@ -257,3 +260,24 @@ def _instance_text(body: str, start: int) -> str:
     """The text of one instantiation, from its start to the closing ');'."""
     end = body.find(");", start)
     return body[start : end if end != -1 else len(body)]
+
+
+def schedule_is_legal(cycles, mandatory, multis) -> bool:
+    """Does ``cycles`` satisfy every mandatory edge and cover every disjunction?"""
+    for (a, b), rhs in mandatory.items():
+        if cycles[b] - cycles[a] < rhs:
+            return False
+    return all(
+        any(cycles[c.trailing] - cycles[c.leading] >= c.min_gap for c in disjunction.candidates)
+        for disjunction in multis
+    )
+
+
+def schedule_objective(dag, cycles) -> int:
+    """The ILP objective (Eq. 1a): per-producer maximum consumer delay."""
+    total = 0
+    for producer in dag.stage_names():
+        consumers = dag.consumers_of(producer)
+        if consumers:
+            total += max(cycles[c] - cycles[producer] for c in consumers)
+    return total

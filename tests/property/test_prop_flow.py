@@ -31,7 +31,7 @@ from hypothesis import (
     HealthCheck, Phase, assume, event, example, given, settings, strategies as st,
 )
 
-from repro.core.flow import earliest_optimum
+from repro.core.flow import difference_system, earliest_optimum
 from repro.core.pruning import count_subproblems
 from repro.core.scheduler import (
     MAX_FLOW_BRANCHES,
@@ -41,13 +41,13 @@ from repro.core.scheduler import (
     _solve_flow,
     schedule_pipeline,
 )
-from repro.core.warmstart import difference_system, schedule_is_legal, schedule_objective
 from repro.errors import SchedulingError
 from repro.ilp.expr import linear_sum
 from repro.ilp.model import SolveStatus
 from repro.ilp.solver import solve
 from repro.memory.spec import asic_dual_port, asic_single_port
 
+from oracles import schedule_is_legal, schedule_objective
 from test_prop_core import random_pipeline
 from tests.conftest import harris_tie_target
 
