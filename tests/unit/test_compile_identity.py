@@ -2,10 +2,10 @@
 
 A cache miss solves exactly as an uncached compile does, so what a cache or
 an engine held before never shows in what it serves.  These tests pin that
-for every generator family, for the DSE sweep, and for the mirror-tie
-canny-m/harris-m variants where two optima have the same objective and a
-history-dependent solve could pick either; on HiGHS and on the pure-Python
-fallback.
+for every catalog algorithm across resolutions, for every generator family,
+for the DSE sweep, and for the mirror-tie canny-m/harris-m variants where two
+optima have the same objective and a history-dependent solve could pick
+either; on HiGHS and on the pure-Python fallback.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.baselines.base import BASELINE_NAMES
 from repro.core.compiler import compile_target
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
 from repro.dse.sweep import _design_target, sweep_memory_configurations
+from repro.ilp import highs
 from repro.memory.spec import asic_dual_port
 from repro.service import CompileEngine
 from repro.service.cache import CompileCache, serialize_schedule
@@ -39,6 +40,50 @@ def schedule_payload(schedule) -> str:
 @pytest.fixture(scope="module")
 def spec():
     return asic_dual_port()
+
+
+def _compile_after_neighbor(dag, spec, options):
+    """Compile ``dag`` at ``TARGET_RES`` through a cache that already holds
+    it at ``NEIGHBOR_RES``: (the target's schedule, the cache)."""
+    cache = CompileCache(max_entries=64)
+    for width, height in (NEIGHBOR_RES, TARGET_RES):
+        compiled = compile_target(
+            CompileTarget(dag, width, height, memory_spec=spec, options=options),
+            cache=cache,
+        )
+    return compiled.schedule, cache
+
+
+class TestResolutionIdentity:
+    """A cache miss beside the same pipeline at another resolution is the
+    scheduler's cold solve, byte for byte, for every catalog algorithm."""
+
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_cache_miss_is_byte_identical_to_cold(self, name, spec):
+        dag = build_algorithm(name)
+        options = SchedulerOptions()
+        cached, _ = _compile_after_neighbor(dag, spec, options)
+        cold = schedule_pipeline(dag, *TARGET_RES, spec, options)
+        assert schedule_payload(cached) == schedule_payload(cold)
+
+    @pytest.mark.parametrize("name", ("canny-s", "harris-m"))
+    def test_cache_miss_matches_cold_without_coalescing(self, name, spec):
+        dag = build_algorithm(name)
+        options = SchedulerOptions(coalescing=False)
+        cached, _ = _compile_after_neighbor(dag, spec, options)
+        cold = schedule_pipeline(dag, *TARGET_RES, spec, options)
+        assert schedule_payload(cached) == schedule_payload(cold)
+
+
+class TestCompilerWiring:
+    def test_cache_miss_solves_beside_a_neighbor(self, spec):
+        """The neighbour is no hit: the target misses, solves, and is stored."""
+        cached, cache = _compile_after_neighbor(
+            build_algorithm("canny-s"), spec, SchedulerOptions()
+        )
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.stores) == (0, 2, 2)
+        assert "warm_start" not in cached.solver_stats
+        assert cached.solver_stats["solves"] == 1
 
 
 class TestGeneratorIdentity:
@@ -79,6 +124,11 @@ class TestSweepIdentity:
 
 
 @pytest.mark.usefixtures("no_highs")
+class TestResolutionIdentityWithoutHighs(TestResolutionIdentity):
+    """``TestResolutionIdentity`` on the pure-Python branch-and-bound fallback."""
+
+
+@pytest.mark.usefixtures("no_highs")
 class TestGeneratorIdentityWithoutHighs(TestGeneratorIdentity):
     """``TestGeneratorIdentity`` on the pure-Python branch-and-bound fallback."""
 
@@ -104,9 +154,15 @@ def _variant_target(name: str, label: str) -> CompileTarget:
     return _design_target(base, configuration)
 
 
-@functools.lru_cache(maxsize=None)
 def _plain_compile(name: str, label: str):
     """``compile_target`` of one variant with no cache: (start cycles, Verilog)."""
+    return _plain_compile_on(name, label, highs.is_available())
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_compile_on(name: str, label: str, with_highs: bool):
+    # Keyed by the backend: where optima tie, HiGHS and the fallback may
+    # each pick another one.
     compiled = compile_target(_variant_target(name, label))
     return dict(compiled.schedule.start_cycles), compiled.generate_verilog()
 
@@ -165,6 +221,11 @@ class TestHistoryIndependence:
         start_cycles, verilog = _plain_compile(name, target)
         assert dict(served.schedule.start_cycles) == start_cycles
         assert served.generate_verilog() == verilog
+
+
+@pytest.mark.usefixtures("no_highs")
+class TestHistoryIndependenceWithoutHighs(TestHistoryIndependence):
+    """``TestHistoryIndependence`` on the pure-Python branch-and-bound fallback."""
 
 
 class TestIlpMetrics:

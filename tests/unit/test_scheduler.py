@@ -13,6 +13,7 @@ from repro.algorithms import (
     ALGORITHM_NAMES, TEMPORAL_ALGORITHM_NAMES, build_algorithm, build_synthetic_pipeline,
 )
 from repro.core import scheduler
+from repro.core.flow import branch_arcs, difference_system
 from repro.core.pruning import count_subproblems
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
 from repro.dsl.builder import PipelineBuilder, window_sum
@@ -22,6 +23,7 @@ from repro.memory.spec import asic_dual_port, asic_single_port
 from repro.sim.cycle import check_schedule_legality
 from repro.trace import collect_spans, flatten_spans
 
+from oracles import schedule_is_legal, schedule_objective
 from tests.conftest import (
     TEST_HEIGHT,
     TEST_WIDTH,
@@ -276,6 +278,28 @@ class TestLeastOptimum:
             assert spans[0].attrs["branches"] == 2
             assert spans[0].attrs["status"] == "optimal"
         assert schedule.solver_stats["backend"] != "flow"
+
+
+class TestDifferenceSystem:
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_solved_optimum_satisfies_the_difference_system(self, name):
+        """The scheduled start cycles honour every mandatory edge and one
+        candidate of every true disjunction, so one branch's system holds,
+        and Eq. 1a scores them at the solver's objective."""
+        dag = build_algorithm(name)
+        options = SchedulerOptions()
+        prologue = scheduler._constraint_prologue(dag, W, asic_dual_port(), options)
+        mandatory, multis = difference_system(prologue.dependencies, prologue.disjunctions)
+        schedule = schedule_pipeline(dag, W, H, asic_dual_port(), options)
+        cycles = dict(schedule.start_cycles)
+        assert schedule_is_legal(cycles, mandatory, multis)
+        branches = list(branch_arcs(mandatory, multis))
+        assert len(branches) == count_subproblems(prologue.disjunctions)
+        assert any(
+            all(cycles[b] - cycles[a] >= rhs for (a, b), rhs in arcs.items())
+            for arcs in branches
+        )
+        assert schedule_objective(dag, cycles) == schedule.solver_stats["objective"]
 
 
 class TestStartUp:
