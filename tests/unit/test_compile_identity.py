@@ -10,11 +10,16 @@ either; on HiGHS and on the pure-Python fallback.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.algorithms import build_synthetic_pipeline
 from repro.algorithms.catalog import ALGORITHM_NAMES, build_algorithm
 from repro.api.target import CompileTarget
 from repro.baselines.base import BASELINE_NAMES
@@ -228,6 +233,114 @@ class TestHistoryIndependenceWithoutHighs(TestHistoryIndependence):
     """``TestHistoryIndependence`` on the pure-Python branch-and-bound fallback."""
 
 
+BIG_M_INPUTS_PATH = Path(__file__).parent.parent / "data" / "big_m_inputs.json"
+
+#: The 480x320 DSE variants whose two optima are mirror images, so the flow
+#: kernel defers and HiGHS picks one: every canny-m variant that coalesces
+#: ``gauss_h`` and every harris-m variant that coalesces ``gauss``.
+MIRROR_TIES = [
+    ("canny-m", label)
+    for label in (
+        "gauss_h", "K0+gauss_h", "gauss_h+magnitude", "gauss_h+high_threshold",
+        "K0+gauss_h+magnitude", "K0+gauss_h+high_threshold",
+        "gauss_h+magnitude+high_threshold", "K0+gauss_h+magnitude+high_threshold",
+    )
+] + [
+    ("harris-m", label)
+    for label in (
+        "gauss", "K0+gauss", "gauss+products", "gauss+structure",
+        "K0+gauss+products", "K0+gauss+structure", "gauss+products+structure",
+        "K0+gauss+products+structure",
+    )
+]
+
+
+def milp_input_digest(c, integrality=None, bounds=None, constraints=None, options=None) -> str:
+    """sha256 of one ``scipy.optimize.milp`` call's arrays and options.
+
+    Every array is hashed dense as float64 with its shape, and a zero hashes
+    the same whatever its sign (``-0.0 == 0.0`` to HiGHS), so the digest
+    names the numbers HiGHS reads, not how the caller stored them.
+    """
+    from scipy.optimize import Bounds, LinearConstraint
+
+    if isinstance(constraints, LinearConstraint):
+        constraints = [constraints]
+    if not isinstance(bounds, Bounds):
+        bounds = Bounds(*bounds)
+    parts = [c, integrality, bounds.lb, bounds.ub]
+    for constraint in constraints:
+        if not isinstance(constraint, LinearConstraint):
+            constraint = LinearConstraint(*constraint)
+        parts += [constraint.A, constraint.lb, constraint.ub]
+    digest = hashlib.sha256(json.dumps(options, sort_keys=True).encode())
+    for part in parts:
+        dense = part.toarray() if hasattr(part, "toarray") else part
+        dense = np.asarray(dense, dtype=np.float64) + 0.0
+        digest.update(repr(dense.shape).encode())
+        digest.update(dense.tobytes())
+    return digest.hexdigest()
+
+
+@contextlib.contextmanager
+def recorded_milp_inputs():
+    """Digests of the ``scipy.optimize.milp`` calls made inside the block."""
+    import scipy.optimize
+
+    digests: list[str] = []
+    solve = scipy.optimize.milp
+
+    def recording(c, **kwargs):
+        digests.append(milp_input_digest(c, **kwargs))
+        return solve(c, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scipy.optimize, "milp", recording)
+        yield digests
+
+
+def big_m_input_digests() -> dict[str, str]:
+    """The digest of HiGHS's one input for each mirror tie, and for the
+    18-stage synthetic pipeline (32 branches) at width 32, dual-port."""
+    solves = {
+        f"{name}:{label}": lambda name=name, label=label: compile_target(
+            _variant_target(name, label)
+        )
+        for name, label in MIRROR_TIES
+    }
+    solves["synthetic-18@32"] = lambda: schedule_pipeline(
+        build_synthetic_pipeline(18), 32, 24, asic_dual_port(), SchedulerOptions()
+    )
+    digests = {}
+    for key, solve in solves.items():
+        with recorded_milp_inputs() as calls:
+            solve()
+        assert len(calls) == 1, (key, len(calls))
+        digests[key] = calls[0]
+    return digests
+
+
+class TestBigMInputs:
+    """HiGHS answers deterministically for a given input, so pinning its
+    input pins its picks between mirror-image optima (grad_x first on 8 of
+    8 canny-m ties and on 2 of 8 harris-m ties).
+
+    Regenerate ``tests/data/big_m_inputs.json`` only on a deliberate change
+    to the big-M model: ``PYTHONPATH=src python tests/unit/test_compile_identity.py``.
+    """
+
+    def test_pins_cover_the_mirror_ties(self):
+        pinned = json.loads(BIG_M_INPUTS_PATH.read_text())
+        assert len(MIRROR_TIES) == 16
+        assert sorted(pinned) == sorted(
+            [f"{name}:{label}" for name, label in MIRROR_TIES] + ["synthetic-18@32"]
+        )
+
+    def test_highs_reads_the_pinned_input(self):
+        assert big_m_input_digests() == json.loads(BIG_M_INPUTS_PATH.read_text())
+
+
+
 class TestIlpMetrics:
     def test_observe_spans_aggregates_solver_counters(self):
         from repro.service.metrics import EngineMetrics
@@ -265,3 +378,7 @@ class TestIlpMetrics:
         for key in summary:
             if key.startswith("ilp_"):
                 assert key in registered
+
+
+if __name__ == "__main__":
+    BIG_M_INPUTS_PATH.write_text(json.dumps(big_m_input_digests(), indent=2, sort_keys=True) + "\n")
