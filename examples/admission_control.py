@@ -87,9 +87,10 @@ def main() -> None:
         )
         print("  401: anonymous and garbage tokens rejected (healthz stays open)")
 
-        # bob pays the process's cold solve (and the lazy scipy import) first,
-        # so alice's burst is three back-to-back warm hits: a cold solve inside
-        # it would refill her bucket by a token and admit her third request.
+        # bob pays the process's cold solve first (unsharp-m solves on the
+        # flow kernel and imports no SciPy), so alice's burst is three
+        # back-to-back warm hits: a cold solve inside it would refill her
+        # bucket by a token and admit her third request.
         assert bob.compile(target)["ok"]
         assert alice.compile(target)["ok"]
         assert alice.compile(target)["source"] in ("memory", "disk")

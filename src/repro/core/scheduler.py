@@ -19,9 +19,8 @@ exactly whenever it can:
   least optimal schedule of the whole system (``backend="flow"`` in the
   ``ilp`` span).  A system with no true disjunction is the one-branch case;
 * a system without a least optimum (mirror-image optima) or with more
-  branches goes to the big-M model, solved by HiGHS (the pure-Python
-  branch-and-bound stands in when SciPy is missing; see
-  :mod:`repro.ilp.solver`).
+  branches goes to the big-M model, built as plain arrays and solved by
+  HiGHS (:func:`repro.ilp.highs.solve_highs`).
 
 Every solve starts from the target alone, so a target's schedule does not
 depend on what was solved before it.
@@ -31,6 +30,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.core import access
 from repro.core.constraints import (
@@ -46,9 +47,7 @@ from repro.core.flow import branch_arcs, difference_system, earliest_optimum
 from repro.core.pruning import count_subproblems, prune_disjunctions
 from repro.core.schedule import PipelineSchedule
 from repro.errors import SchedulingError
-from repro.ilp.expr import linear_sum
-from repro.ilp.model import Model, SolveStatus
-from repro.ilp.solver import solve
+from repro.ilp.highs import MILP, solve_highs
 from repro.ir.dag import PipelineDAG
 from repro.ir.traversal import partial_order
 from repro.memory.allocator import (
@@ -67,6 +66,15 @@ from repro.trace import span_attr, trace_span
 #: 32-64 and 3-4.3x at 480-1920; at 32 it lost at widths 32-64; at 64 it
 #: lost 2-3.5x everywhere.  Every catalog design has at most 2.
 MAX_FLOW_BRANCHES = 16
+
+#: Wall-clock cap, in seconds, on one HiGHS solve of the big-M model.  Far
+#: above every measured scheduling solve that reaches it: 30-95 ms for the
+#: 16 Fig. 10 variants of canny-m and harris-m with mirror-image optima
+#: (every catalog design itself solves on the flow kernel) and about 120 ms
+#: for the 60-stage synthetic pipeline.  Some systems with many true
+#: disjunctions keep HiGHS from closing its gap for minutes; at the cap the
+#: scheduler raises a ``SchedulingError`` that gives the gap left.
+SOLVE_TIME_LIMIT_S = 60.0
 
 
 @dataclass
@@ -274,88 +282,95 @@ def _effective_factors(
     return factors
 
 
-def _build_big_m(dag: PipelineDAG, image_width: int, prologue: _Prologue):
-    """Build the big-M model (Eq. 1a/1b plus indicator-relaxed Eq. 12).
+def _build_big_m(dag: PipelineDAG, image_width: int, prologue: _Prologue) -> MILP:
+    """Build the big-M model (Eq. 1a/1b plus indicator-relaxed Eq. 12) as the
+    arrays ``scipy.optimize.milp`` reads, every column integer.
 
-    Returns the model and the start-cycle variable of each stage.
+    Columns: ``S`` per stage in ``dag.stage_names()`` order, then ``D`` per
+    producer (its largest consumer delay), then one indicator ``y`` per
+    candidate of each non-singleton disjunction.  Rows: input anchors, data
+    dependencies, max-delay rows, then per disjunction its separation row or
+    its big-M rows followed by its cover row.
     """
     horizon = prologue.horizon
-    model = Model(name=f"{dag.name}-bigm", sense="min")
-    start_vars = {
-        stage: model.add_integer_var(f"S[{stage}]", lb=0, ub=horizon)
-        for stage in dag.stage_names()
-    }
-    for stage in dag.input_stages():
-        model.add_constraint(
-            (start_vars[stage.name] + 0.0).eq(0.0), name=f"anchor[{stage.name}]"
-        )
-    for dep in prologue.dependencies:
-        model.add_constraint(
-            start_vars[dep.consumer] - start_vars[dep.producer] >= dep.min_delay,
-            name=f"dep[{dep.producer}->{dep.consumer}]",
-        )
+    start = {stage: index for index, stage in enumerate(dag.stage_names())}
+    producers = [stage for stage in start if dag.consumers_of(stage)]
+    delay = {producer: len(start) + index for index, producer in enumerate(producers)}
+    columns = len(start) + len(delay)
+    terms: list[tuple[int, int, float]] = []  # (row, column, coefficient)
+    lower: list[float] = []
+    upper: list[float] = []
 
+    def add_row(coefficients, low, high=np.inf):
+        terms.extend((len(lower), column, coeff) for column, coeff in coefficients)
+        lower.append(low)
+        upper.append(high)
+
+    def separation(candidate):  # S_trailing - S_leading
+        return [(start[candidate.trailing], 1.0), (start[candidate.leading], -1.0)]
+
+    for stage in dag.input_stages():
+        add_row([(start[stage.name], 1.0)], 0.0, 0.0)
+    for dep in prologue.dependencies:
+        add_row([(start[dep.consumer], 1.0), (start[dep.producer], -1.0)], dep.min_delay)
     # Objective: sum over producers of the maximum consumer delay (Eq. 1a with
     # the ceiling dropped, which the paper shows preserves optimality).
-    delay_vars = []
-    for producer in dag.stage_names():
-        consumers = dag.consumers_of(producer)
-        if not consumers:
-            continue
-        delay = model.add_integer_var(f"D[{producer}]", lb=0, ub=horizon)
-        delay_vars.append(delay)
-        for consumer in consumers:
-            model.add_constraint(
-                delay - (start_vars[consumer] - start_vars[producer]) >= 0,
-                name=f"maxdelay[{producer}->{consumer}]",
+    for producer in producers:
+        for consumer in dag.consumers_of(producer):
+            add_row(
+                [(delay[producer], 1.0), (start[consumer], -1.0), (start[producer], 1.0)], 0.0
             )
-    model.set_objective(linear_sum(delay_vars))
 
     big_m = 2 * horizon + image_width
-    for index, disjunction in enumerate(prologue.disjunctions):
+    for disjunction in prologue.disjunctions:
         if disjunction.is_singleton:
             candidate = disjunction.candidates[0]
-            model.add_constraint(
-                start_vars[candidate.trailing] - start_vars[candidate.leading]
-                >= candidate.min_gap,
-                name=f"sep[{disjunction.buffer}:{index}]",
-            )
+            add_row(separation(candidate), candidate.min_gap)
             continue
-        indicators = []
-        for cand_index, candidate in enumerate(disjunction.candidates):
-            indicator = model.add_binary_var(f"y[{disjunction.buffer}:{index}:{cand_index}]")
-            indicators.append(indicator)
+        indicators = range(columns, columns + len(disjunction.candidates))
+        columns += len(indicators)
+        for indicator, candidate in zip(indicators, disjunction.candidates):
             # S_t - S_l >= gap - M*(1 - y): enforced when the indicator y is 1.
-            model.add_constraint(
-                start_vars[candidate.trailing]
-                - start_vars[candidate.leading]
-                - big_m * indicator
-                >= candidate.min_gap - big_m,
-                name=f"sepM[{disjunction.buffer}:{index}:{cand_index}]",
+            add_row(
+                separation(candidate) + [(indicator, -float(big_m))],
+                candidate.min_gap - big_m,
             )
-        model.add_constraint(
-            linear_sum(indicators) >= 1, name=f"cover[{disjunction.buffer}:{index}]"
-        )
-    return model, start_vars
+        add_row([(indicator, 1.0) for indicator in indicators], 1.0)
+
+    rows = np.zeros((len(lower), columns))
+    at_row, at_column, coefficients = zip(*terms)
+    np.add.at(rows, (list(at_row), list(at_column)), coefficients)
+    c = np.zeros(columns)
+    c[len(start) : len(start) + len(delay)] = 1.0
+    bound = np.full(columns, float(horizon))
+    bound[len(start) + len(delay) :] = 1.0
+    return MILP(
+        c=c,
+        rows=rows,
+        row_lower=np.array(lower, dtype=np.float64),
+        row_upper=np.array(upper, dtype=np.float64),
+        lower=np.zeros(columns),
+        upper=bound,
+        integrality=np.ones(columns, dtype=np.int64),
+    )
 
 
 def _solve_big_m(dag: PipelineDAG, image_width: int, prologue: _Prologue):
-    model, start_vars = _build_big_m(dag, image_width, prologue)
-    result = solve(model, raise_on_failure=False)
-    if result.status is not SolveStatus.OPTIMAL:
+    problem = _build_big_m(dag, image_width, prologue)
+    status, x, message, nodes = solve_highs(problem, SOLVE_TIME_LIMIT_S)
+    span_attr(backend="highs", status=status, bnb_nodes=nodes)
+    if x is None:
         raise SchedulingError(
-            f"Scheduling ILP for {dag.name!r} is {result.status.value} "
-            f"(backend {result.backend}, {result.message})"
+            f"Scheduling ILP for {dag.name!r} is {status} (backend highs, {message})"
         )
-    start_cycles = {stage: int(round(result.value(var))) for stage, var in start_vars.items()}
+    start_cycles = {stage: int(x[index]) for index, stage in enumerate(dag.stage_names())}
     stats = {
-        "backend": result.backend,
-        "ilp_variables": model.num_variables,
-        "ilp_constraints": model.num_constraints,
-        "lp_iterations": result.iterations,
+        "backend": "highs",
+        "ilp_variables": len(problem.c),
+        "ilp_constraints": len(problem.rows),
         "solves": 1,
     }
-    return start_cycles, float(result.objective or 0.0), stats
+    return start_cycles, float(problem.c @ x), stats
 
 
 def _solve_flow(dag: PipelineDAG, prologue: _Prologue):
@@ -405,19 +420,18 @@ def _solve_flow(dag: PipelineDAG, prologue: _Prologue):
         if objective == best:
             optimal.append({stage: values[stage] for stage in stages})
     if best is None:
-        span_attr(status="infeasible", lp_iterations=0, bnb_pruned=0)
+        span_attr(status="infeasible")
         raise SchedulingError(
             f"Scheduling ILP for {dag.name!r} is infeasible (backend flow, positive cycle)"
         )
     least = {stage: min(values[stage] for values in optimal) for stage in stages}
     if least not in optimal:
         return None
-    span_attr(status="optimal", lp_iterations=0, bnb_pruned=0)
+    span_attr(status="optimal")
     stats = {
         "backend": "flow",
         "ilp_variables": len(nodes),
         "ilp_constraints": len(mandatory) + len(multis) + len(anchored),
-        "lp_iterations": 0,
         "solves": 1,
     }
     return least, float(best), stats

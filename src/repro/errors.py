@@ -1,7 +1,7 @@
 """Exception hierarchy shared by every subsystem of the ImaGen reproduction.
 
 Keeping all exceptions in a single module lets callers catch broad classes
-(``ReproError``) or precise failures (``InfeasibleError``) without importing
+(``ReproError``) or precise failures (``SchedulingError``) without importing
 deep into implementation packages.
 """
 
@@ -34,22 +34,6 @@ class DSLSemanticError(DSLError):
 
 class GraphError(ReproError):
     """The pipeline DAG is malformed (cycles, dangling stages, bad stencils)."""
-
-
-class ILPError(ReproError):
-    """Base class for errors raised by the ILP substrate."""
-
-
-class InfeasibleError(ILPError):
-    """The (integer) program has no feasible solution."""
-
-
-class UnboundedError(ILPError):
-    """The (integer) program is unbounded."""
-
-
-class SolverError(ILPError):
-    """A backend failed for a reason other than infeasibility/unboundedness."""
 
 
 class SchedulingError(ReproError):

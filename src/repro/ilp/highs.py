@@ -1,15 +1,31 @@
-"""SciPy/HiGHS backend for the ILP modeling layer.
+"""HiGHS, through ``scipy.optimize.milp``, on a MILP given as plain arrays.
 
-``scipy.optimize.milp`` wraps the HiGHS solver, which plays the role OR-Tools
-plays in the paper's artifact.
+HiGHS plays the role OR-Tools plays in the paper's artifact.  The scheduler
+builds its big-M model as the arrays ``milp`` reads
+(:func:`repro.core.scheduler._build_big_m`); SciPy's optimiser is imported
+only when a solve reaches HiGHS.
 """
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.errors import SolverError
-from repro.ilp.model import Model, SolveResult, SolveStatus, time_limit_message
+
+class MILP(NamedTuple):
+    """Minimise ``c @ x`` subject to ``row_lower <= rows @ x <= row_upper``
+    and ``lower <= x <= upper``, with ``x[j]`` integer where
+    ``integrality[j]`` is 1.  ``rows`` is a dense float64 matrix."""
+
+    c: np.ndarray
+    rows: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    integrality: np.ndarray
 
 
 def is_available() -> bool:
@@ -21,75 +37,36 @@ def is_available() -> bool:
         return False
 
 
-def solve_highs(model: Model, time_limit: float | None = None) -> SolveResult:
-    """Solve ``model`` with ``scipy.optimize.milp`` (HiGHS), for at most
-    ``time_limit`` seconds when one is given."""
-    try:
-        from scipy.optimize import Bounds, LinearConstraint, milp
-    except Exception as exc:  # pragma: no cover - exercised only without scipy
-        raise SolverError(f"SciPy HiGHS backend unavailable: {exc}") from exc
+def solve_highs(problem: MILP, time_limit: float) -> tuple[str, np.ndarray | None, str, int]:
+    """Solve ``problem`` on HiGHS for at most ``time_limit`` seconds.
 
-    n = model.num_variables
-    c = np.zeros(n)
-    for var, coeff in model.objective.coeffs.items():
-        c[var.index] += coeff
-    if model.sense == "max":
-        c = -c
-
-    constraints = []
-    if model.constraints:
-        rows = np.zeros((len(model.constraints), n))
-        lower = np.full(len(model.constraints), -np.inf)
-        upper = np.full(len(model.constraints), np.inf)
-        for row_index, constraint in enumerate(model.constraints):
-            for var, coeff in constraint.expr.coeffs.items():
-                rows[row_index, var.index] += coeff
-            if constraint.sense == "<=":
-                upper[row_index] = constraint.rhs
-            elif constraint.sense == ">=":
-                lower[row_index] = constraint.rhs
-            else:
-                lower[row_index] = constraint.rhs
-                upper[row_index] = constraint.rhs
-        constraints.append(LinearConstraint(rows, lower, upper))
-
-    lb = np.array([v.lb if v.lb is not None else -np.inf for v in model.variables])
-    ub = np.array([v.ub if v.ub is not None else np.inf for v in model.variables])
-    integrality = np.array([1 if v.integer else 0 for v in model.variables])
+    Returns ``(status, x, message, nodes)``: ``status`` is ``"optimal"``
+    (``x`` the solution, integer columns rounded), ``"infeasible"``,
+    ``"unbounded"`` or ``"error"`` (``x`` is ``None``; at the time limit the
+    message gives the gap left), and ``nodes`` HiGHS's branch-and-bound node
+    count.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     result = milp(
-        c=c,
-        constraints=constraints,
-        bounds=Bounds(lb, ub),
-        integrality=integrality,
-        options=None if time_limit is None else {"time_limit": time_limit},
+        c=problem.c,
+        constraints=[LinearConstraint(problem.rows, problem.row_lower, problem.row_upper)],
+        bounds=Bounds(problem.lower, problem.upper),
+        integrality=problem.integrality,
+        options={"time_limit": time_limit},
     )
-
+    nodes = int(getattr(result, "mip_node_count", 0) or 0)
     # scipy status codes: 0 optimal, 1 iteration/time limit, 2 infeasible, 3 unbounded.
-    if result.status == 1 and time_limit is not None:
-        return SolveResult(
-            status=SolveStatus.ERROR,
-            backend="highs",
-            message=time_limit_message(time_limit, getattr(result, "mip_gap", None)),
-        )
-    if result.status == 2:
-        return SolveResult(status=SolveStatus.INFEASIBLE, backend="highs", message=result.message)
-    if result.status == 3:
-        return SolveResult(status=SolveStatus.UNBOUNDED, backend="highs", message=result.message)
-    if not result.success or result.x is None:
-        return SolveResult(status=SolveStatus.ERROR, backend="highs", message=result.message)
-
-    values = {}
-    for var in model.variables:
-        value = float(result.x[var.index])
-        if var.integer:
-            value = float(round(value))
-        values[var] = value
-    objective = model.objective.evaluate(values)
-    return SolveResult(
-        status=SolveStatus.OPTIMAL,
-        objective=objective,
-        values=values,
-        backend="highs",
-        message=result.message,
-    )
+    if result.status == 1:
+        # The relative gap left between the incumbent and the best bound.
+        gap = getattr(result, "mip_gap", None)
+        if gap is None or not math.isfinite(gap):
+            message = f"time limit of {time_limit:g} s reached with no feasible solution"
+        else:
+            message = f"time limit of {time_limit:g} s reached at a {gap:.1%} gap"
+        return "error", None, message, nodes
+    if result.status != 0 or result.x is None:
+        status = {2: "infeasible", 3: "unbounded"}.get(result.status, "error")
+        return status, None, result.message, nodes
+    x = np.where(problem.integrality == 1, np.round(result.x), result.x)
+    return "optimal", x, result.message, nodes

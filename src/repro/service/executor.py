@@ -12,7 +12,7 @@ environment variable:
     ordering and zero concurrency — the backend for tests and debugging.
 ``thread``
     A lazily-created :class:`~concurrent.futures.ThreadPoolExecutor` (the
-    default).  Solves of systems with a true disjunction overlap on
+    default).  Solves of the systems the flow kernel defers overlap on
     multi-core hosts because HiGHS releases the GIL; the others take the
     pure-Python flow kernel, which holds the GIL for under 1 ms.
 

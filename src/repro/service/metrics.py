@@ -137,11 +137,8 @@ class EngineMetrics:
     errors: int = 0
     batches: int = 0
     total_seconds: float = 0.0
-    # ILP solver effectiveness, aggregated from ``ilp`` span attrs by
-    # observe_spans: how many solves ran and how much the branch-and-bound
-    # pruned.
+    # Scheduling solves, one per ``ilp`` span seen by observe_spans.
     ilp_solves: int = 0
-    ilp_pruned_nodes: int = 0
     recent: deque = field(default_factory=lambda: deque(maxlen=256))
     stages: dict = field(
         default_factory=lambda: {name: StageHistogram() for name in DEFAULT_STAGES}
@@ -177,8 +174,7 @@ class EngineMetrics:
         Every span in the forest — children included — is counted under its
         own name, so nested stages (``ilp`` inside ``solve``) each get their
         own histogram.  Unknown stage names create histograms on demand.
-        ``ilp`` spans additionally feed the solver counters (solves, pruned
-        nodes).
+        ``ilp`` spans additionally count as solves.
         """
         if not spans:
             return
@@ -190,15 +186,7 @@ class EngineMetrics:
                     histogram = self.stages[span.name] = StageHistogram()
                 histogram.observe(span.seconds)
                 if span.name == "ilp":
-                    self._observe_ilp(span.attrs)
-
-    def _observe_ilp(self, attrs: dict) -> None:
-        """Fold one ``ilp`` span's attrs into the solver counters (lock held)."""
-        self.ilp_solves += 1
-        try:
-            self.ilp_pruned_nodes += int(attrs.get("bnb_pruned", 0) or 0)
-        except (TypeError, ValueError):
-            pass
+                    self.ilp_solves += 1
 
     def stage_histograms(self) -> dict[str, dict]:
         """Snapshot of every stage histogram (cumulative-bucket form)."""
@@ -270,6 +258,5 @@ class EngineMetrics:
                 "p50_seconds_served_from_cache": round(self._percentile_of(cached, 0.50), 6),
                 "p95_seconds_served_from_cache": round(self._percentile_of(cached, 0.95), 6),
                 "ilp_solves": self.ilp_solves,
-                "ilp_pruned_nodes": self.ilp_pruned_nodes,
                 "stage_seconds": stage_seconds,
             }

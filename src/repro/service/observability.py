@@ -147,9 +147,8 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("p95_seconds_served_from_cache", "gauge", "seconds", _LATENCY_HELP, prometheus='repro_latency_seconds{stat="p95",class="served_from_cache"}'),
     # -- per-stage spans -----------------------------------------------------
     MetricSpec("stage_seconds", "histogram", "seconds", "Per-stage span durations (cache/solve/allocate/rtl and nested stages); JSON carries count/sum/mean per stage, the exposition carries full histograms.", prometheus=STAGE_HISTOGRAM_FAMILY + '{stage="..."}'),
-    # -- ILP solver effectiveness (EngineMetrics, from ilp spans) ----------
+    # -- ILP solves (EngineMetrics, from ilp spans) -------------------------
     MetricSpec("ilp_solves", "counter", "", "Scheduling solves observed in request spans, one `ilp` span each whichever path answered (the flow kernel or the big-M model).", prometheus="repro_ilp_solves_total"),
-    MetricSpec("ilp_pruned_nodes", "counter", "", "Branch-and-bound nodes pruned by bound across observed solves.", prometheus="repro_ilp_pruned_nodes_total"),
     # -- executor backend (ExecutorBackend.stats) ----------------------------
     MetricSpec("executor", "info", "", "Active execution backend name (label on repro_service_info)."),
     MetricSpec("workers", "gauge", "workers", "Worker count of the execution backend (1 for inline).", prometheus="repro_workers"),

@@ -4,8 +4,8 @@ Stability: public.  (The service-facing surface — metric registry, stage
 histograms, Prometheus exposition — lives in
 :mod:`repro.service.observability`, which re-exports everything here.  This
 module is deliberately stdlib-only and import-cycle-free so the hot path —
-:mod:`repro.core.scheduler`, :mod:`repro.ilp.solver`,
-:mod:`repro.service.cache`, :mod:`repro.rtl.generator` — can instrument
+:mod:`repro.core.scheduler`, :mod:`repro.service.cache`,
+:mod:`repro.rtl.generator` — can instrument
 itself without pulling in the serving layer.)
 
 The model is a conventional span tree:
@@ -13,9 +13,9 @@ The model is a conventional span tree:
 * :func:`trace_span` opens one named span as a context manager; spans nest
   lexically, and each records ``{name, start, seconds, attrs}`` plus its
   children.  ``start`` is seconds since the enclosing trace began.
-* :func:`span_attr` annotates the innermost open span (e.g. the ILP backend
-  reports its iteration count into the ``ilp`` span without the scheduler
-  having to thread a handle through).
+* :func:`span_attr` annotates the innermost open span (e.g. the flow
+  kernel reports its branch count into the ``ilp`` span without the
+  scheduler having to thread a handle through).
 * :class:`collect_spans` activates tracing on the *current thread* and
   collects the top-level spans.  Without an active collector — the default —
   :func:`trace_span` returns a shared no-op context manager: one thread-local
@@ -211,8 +211,8 @@ def span_attr(**attrs) -> None:
     """Merge attributes into the innermost open span (no-op when not tracing).
 
     This is how deep layers report facts upward without plumbing: the
-    branch-and-bound solver calls ``span_attr(bnb_nodes=...)`` and the
-    annotation lands on whatever span the caller opened around it.
+    flow kernel calls ``span_attr(branches=...)`` and the annotation lands
+    on whatever span the caller opened around it.
     """
     open_spans = _STATE.open
     if open_spans:

@@ -30,8 +30,7 @@ def harris_tie_target(width: int, height: int) -> CompileTarget:
     At 64x48 and 480x320 (not at 1920x1080) its two optima are mirror
     images (grad_x and grad_y start cycles swapped), so no least optimum
     exists, the flow kernel defers, and the scheduler solves the big-M
-    model: a catalog target that still reaches HiGHS (or the pure-Python
-    fallback).
+    model: a catalog target that still reaches HiGHS.
     """
     base = CompileTarget(build_algorithm("harris-m"), image_width=width, image_height=height)
     return _design_target(
@@ -42,13 +41,6 @@ def harris_tie_target(width: int, height: int) -> CompileTarget:
 @pytest.fixture
 def image_size() -> tuple[int, int]:
     return TEST_WIDTH, TEST_HEIGHT
-
-
-@pytest.fixture
-def no_highs(monkeypatch):
-    """Hide SciPy's HiGHS, so every ``"auto"`` solve in the test takes the
-    pure-Python branch-and-bound fallback, as on a machine without SciPy."""
-    monkeypatch.setattr("repro.ilp.highs.is_available", lambda: False)
 
 
 @pytest.fixture

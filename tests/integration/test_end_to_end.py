@@ -8,13 +8,10 @@ from repro.api import CompileTarget
 from repro.baselines import generate_baseline
 from repro.core.compiler import compile_pipeline
 from repro.dsl.parser import parse_pipeline
-from repro.ilp import highs
 from repro.estimate.report import accelerator_report
 from repro.rtl.lint import lint_verilog
 from repro.sim.cycle import simulate_schedule
 from repro.sim.functional import run_functional
-
-from tests.conftest import harris_tie_target
 
 W, H = 64, 48
 
@@ -99,27 +96,6 @@ class TestAllAlgorithmsAllGenerators:
         assert reports["ours"].sram_kbytes < reports["fixynn"].sram_kbytes
         assert reports["ours+lc"].sram_kbytes <= reports["ours"].sram_kbytes
         assert reports["ours"].memory_power_mw < reports["fixynn"].memory_power_mw
-
-
-@pytest.fixture(scope="module")
-def highs_harris():
-    """harris-m's mirror-tie variant (no least optimum, so the big-M model
-    solves it) compiled with HiGHS; module scope, so it is built before any
-    function-scoped ``no_highs`` fixture hides the backend."""
-    if not highs.is_available():
-        pytest.skip("SciPy HiGHS not available")
-    return compile_pipeline(harris_tie_target(W, H))
-
-
-class TestIlpBackendsAgree:
-    def test_backends_reach_same_objective(self, highs_harris, no_highs):
-        python = compile_pipeline(harris_tie_target(W, H))
-        assert highs_harris.schedule.solver_stats["backend"] == "highs"
-        assert python.schedule.solver_stats["backend"] == "python"
-        assert highs_harris.schedule.solver_stats["objective"] == pytest.approx(
-            python.schedule.solver_stats["objective"]
-        )
-        assert highs_harris.schedule.total_blocks == python.schedule.total_blocks
 
 
 class TestRtlForAlgorithms:

@@ -9,7 +9,9 @@
   :func:`repro.rtl.lint.lint_verilog`;
 * :func:`schedule_is_legal` and :func:`schedule_objective` check a schedule
   against the scheduler's difference system and score it by Eq. 1a, edge by
-  edge, for the flow kernel's properties.
+  edge, for the flow kernel's properties;
+* :func:`big_m_milp` solves the scheduler's big-M model with
+  ``scipy.optimize.milp`` (HiGHS), the flow kernel's exact oracle.
 
 The first two share the evaluator and the stage walker with the paths they
 check; only the dispatch differs (frames, pixels), and the pixel oracle works
@@ -28,6 +30,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.core.scheduler import _build_big_m
 from repro.dsl import ast
 from repro.rtl import sim as rtl_sim
 from repro.rtl.lint import LintReport
@@ -281,3 +284,31 @@ def schedule_objective(dag, cycles) -> int:
         if consumers:
             total += max(cycles[c] - cycles[producer] for c in consumers)
     return total
+
+
+def big_m_milp(dag, width: int, prologue, *, minimise=None, optimum=None):
+    """``scipy.optimize.milp`` (HiGHS) on the scheduler's big-M arrays.
+
+    It minimises the model's own objective (Eq. 1a), or, with ``minimise``,
+    the summed start cycles of those stages.  With ``optimum`` the Eq. 1a
+    objective is held at or below it.  Returns SciPy's result: ``status`` 0
+    optimal or 2 infeasible, ``fun``, and ``x``, whose first columns are the
+    start cycles in ``dag.stage_names()`` order.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    problem = _build_big_m(dag, width, prologue)
+    constraints = [LinearConstraint(problem.rows, problem.row_lower, problem.row_upper)]
+    if optimum is not None:
+        constraints.append(LinearConstraint(problem.c, -np.inf, optimum))
+    c = problem.c
+    if minimise is not None:
+        stages = dag.stage_names()
+        c = np.zeros_like(problem.c)
+        c[[stages.index(stage) for stage in minimise]] = 1.0
+    return milp(
+        c,
+        constraints=constraints,
+        bounds=Bounds(problem.lower, problem.upper),
+        integrality=problem.integrality,
+    )

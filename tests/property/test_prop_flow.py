@@ -1,6 +1,7 @@
 """Property tests of the min-cost-flow kernel (:mod:`repro.core.flow`).
 
-Three oracles, all HiGHS:
+Three oracles, all HiGHS (SciPy's ``linprog``, and ``oracles.big_m_milp`` on the
+scheduler's big-M arrays):
 
 * on random difference systems, including infeasible ones (a positive cycle
   or a longest path past the horizon), the kernel reaches SciPy's verdict and
@@ -30,28 +31,23 @@ import pytest
 from hypothesis import (
     HealthCheck, Phase, assume, event, example, given, settings, strategies as st,
 )
+from scipy.optimize import linprog
 
 from repro.core.flow import difference_system, earliest_optimum
 from repro.core.pruning import count_subproblems
 from repro.core.scheduler import (
     MAX_FLOW_BRANCHES,
     SchedulerOptions,
-    _build_big_m,
     _constraint_prologue,
     _solve_flow,
     schedule_pipeline,
 )
 from repro.errors import SchedulingError
-from repro.ilp.expr import linear_sum
-from repro.ilp.model import SolveStatus
-from repro.ilp.solver import solve
 from repro.memory.spec import asic_dual_port, asic_single_port
 
-from oracles import schedule_is_legal, schedule_objective
+from oracles import big_m_milp, schedule_is_legal, schedule_objective
 from test_prop_core import random_pipeline
 from tests.conftest import harris_tie_target
-
-optimize = pytest.importorskip("scipy.optimize")
 
 W, H = 32, 24
 
@@ -82,7 +78,7 @@ def _linprog(size, arcs, costs, anchored, horizon, objective, cap=None):
         rows.append(np.array([costs.get(v, 0) for v in range(size)], dtype=float))
         rhs.append(cap)
     bounds = [(0, 0) if v in anchored else (0, horizon) for v in range(size)]
-    return optimize.linprog(
+    return linprog(
         objective,
         A_ub=np.array(rows) if rows else None,
         b_ub=rhs if rows else None,
@@ -147,15 +143,12 @@ def _has_true_disjunction(dag, spec, options) -> bool:
 def _earliest_big_m_optimum(dag, spec, options) -> dict[str, int]:
     """The least start cycles on the big-M model's optimal face (HiGHS)."""
     prologue = _constraint_prologue(dag, W, spec, options)
-    model, _ = _build_big_m(dag, W, prologue)
-    best = solve(model, backend="highs")
-    assert best.status is SolveStatus.OPTIMAL
-    model, start_vars = _build_big_m(dag, W, prologue)
-    model.add_constraint(model.objective <= best.objective, name="optimal-face")
-    model.set_objective(linear_sum(start_vars.values()))
-    earliest = solve(model, backend="highs")
-    assert earliest.status is SolveStatus.OPTIMAL
-    return {stage: int(round(earliest.value(var))) for stage, var in start_vars.items()}
+    best = big_m_milp(dag, W, prologue)
+    assert best.status == 0, best.message
+    stages = dag.stage_names()
+    earliest = big_m_milp(dag, W, prologue, minimise=stages, optimum=round(best.fun))
+    assert earliest.status == 0, earliest.message
+    return {stage: int(round(value)) for stage, value in zip(stages, earliest.x)}
 
 
 class TestDisjunctionFreePipelines:
@@ -180,12 +173,9 @@ def _stage_minima(dag, prologue, optimum: float, width: int = W) -> dict[str, in
     per stage, with the objective held at ``optimum``."""
     minima = {}
     for stage in dag.stage_names():
-        model, start_vars = _build_big_m(dag, width, prologue)
-        model.add_constraint(model.objective <= optimum, name="optimal-set")
-        model.set_objective(start_vars[stage])
-        result = solve(model, backend="highs")
-        assert result.status is SolveStatus.OPTIMAL, result.message
-        minima[stage] = int(round(result.objective))
+        result = big_m_milp(dag, width, prologue, minimise=[stage], optimum=optimum)
+        assert result.status == 0, result.message
+        minima[stage] = int(round(result.fun))
     return minima
 
 
@@ -211,17 +201,16 @@ class TestBranchedPipelines:
         # candidate whose indicator is off.
         gaps = [c.min_gap for d in prologue.disjunctions for c in d.candidates]
         prologue.horizon = max(max(gaps), int(prologue.horizon * cut))
-        model, _ = _build_big_m(dag, W, prologue)
-        oracle = solve(model, backend="highs")
+        oracle = big_m_milp(dag, W, prologue)
         try:
             solved = _solve_flow(dag, prologue)
         except SchedulingError as error:
             event("infeasible")
             assert "is infeasible (backend flow" in str(error)
-            assert oracle.status is SolveStatus.INFEASIBLE
+            assert oracle.status == 2, oracle.message
             return
-        assert oracle.status is SolveStatus.OPTIMAL, oracle.message
-        optimum = round(oracle.objective)
+        assert oracle.status == 0, oracle.message
+        optimum = round(oracle.fun)
         minima = _stage_minima(dag, prologue, optimum)
         event("deferred" if solved is None else "answered")
         if solved is None:

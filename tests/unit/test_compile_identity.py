@@ -5,7 +5,8 @@ an engine held before never shows in what it serves.  These tests pin that
 for every catalog algorithm across resolutions, for every generator family,
 for the DSE sweep, and for the mirror-tie canny-m/harris-m variants where two
 optima have the same objective and a history-dependent solve could pick
-either; on HiGHS and on the pure-Python fallback.
+either.  HiGHS picks between those two by its input alone, which is pinned
+too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.baselines.base import BASELINE_NAMES
 from repro.core.compiler import compile_target
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
 from repro.dse.sweep import _design_target, sweep_memory_configurations
-from repro.ilp import highs
 from repro.memory.spec import asic_dual_port
 from repro.service import CompileEngine
 from repro.service.cache import CompileCache, serialize_schedule
@@ -128,21 +128,6 @@ class TestSweepIdentity:
             assert schedule_payload(point.accelerator.schedule) == schedule_payload(solo)
 
 
-@pytest.mark.usefixtures("no_highs")
-class TestResolutionIdentityWithoutHighs(TestResolutionIdentity):
-    """``TestResolutionIdentity`` on the pure-Python branch-and-bound fallback."""
-
-
-@pytest.mark.usefixtures("no_highs")
-class TestGeneratorIdentityWithoutHighs(TestGeneratorIdentity):
-    """``TestGeneratorIdentity`` on the pure-Python branch-and-bound fallback."""
-
-
-@pytest.mark.usefixtures("no_highs")
-class TestSweepIdentityWithoutHighs(TestSweepIdentity):
-    """``TestSweepIdentity`` on the pure-Python branch-and-bound fallback."""
-
-
 @functools.lru_cache(maxsize=None)
 def _configurable(name: str) -> tuple[str, ...]:
     baseline = schedule_pipeline(
@@ -159,15 +144,9 @@ def _variant_target(name: str, label: str) -> CompileTarget:
     return _design_target(base, configuration)
 
 
+@functools.lru_cache(maxsize=None)
 def _plain_compile(name: str, label: str):
     """``compile_target`` of one variant with no cache: (start cycles, Verilog)."""
-    return _plain_compile_on(name, label, highs.is_available())
-
-
-@functools.lru_cache(maxsize=None)
-def _plain_compile_on(name: str, label: str, with_highs: bool):
-    # Keyed by the backend: where optima tie, HiGHS and the fallback may
-    # each pick another one.
     compiled = compile_target(_variant_target(name, label))
     return dict(compiled.schedule.start_cycles), compiled.generate_verilog()
 
@@ -228,11 +207,6 @@ class TestHistoryIndependence:
         assert served.generate_verilog() == verilog
 
 
-@pytest.mark.usefixtures("no_highs")
-class TestHistoryIndependenceWithoutHighs(TestHistoryIndependence):
-    """``TestHistoryIndependence`` on the pure-Python branch-and-bound fallback."""
-
-
 BIG_M_INPUTS_PATH = Path(__file__).parent.parent / "data" / "big_m_inputs.json"
 
 #: The 480x320 DSE variants whose two optima are mirror images, so the flow
@@ -255,23 +229,16 @@ MIRROR_TIES = [
 ]
 
 
-def milp_input_digest(c, integrality=None, bounds=None, constraints=None, options=None) -> str:
-    """sha256 of one ``scipy.optimize.milp`` call's arrays and options.
+def milp_input_digest(c, integrality, bounds, constraints, options) -> str:
+    """sha256 of one ``scipy.optimize.milp`` call's arrays and options
+    (``bounds`` a ``Bounds``, ``constraints`` a list of ``LinearConstraint``).
 
     Every array is hashed dense as float64 with its shape, and a zero hashes
     the same whatever its sign (``-0.0 == 0.0`` to HiGHS), so the digest
     names the numbers HiGHS reads, not how the caller stored them.
     """
-    from scipy.optimize import Bounds, LinearConstraint
-
-    if isinstance(constraints, LinearConstraint):
-        constraints = [constraints]
-    if not isinstance(bounds, Bounds):
-        bounds = Bounds(*bounds)
     parts = [c, integrality, bounds.lb, bounds.ub]
     for constraint in constraints:
-        if not isinstance(constraint, LinearConstraint):
-            constraint = LinearConstraint(*constraint)
         parts += [constraint.A, constraint.lb, constraint.ub]
     digest = hashlib.sha256(json.dumps(options, sort_keys=True).encode())
     for part in parts:
@@ -290,9 +257,11 @@ def recorded_milp_inputs():
     digests: list[str] = []
     solve = scipy.optimize.milp
 
-    def recording(c, **kwargs):
-        digests.append(milp_input_digest(c, **kwargs))
-        return solve(c, **kwargs)
+    def recording(c, *, integrality, bounds, constraints, options):
+        digests.append(milp_input_digest(c, integrality, bounds, constraints, options))
+        return solve(
+            c, integrality=integrality, bounds=bounds, constraints=constraints, options=options
+        )
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scipy.optimize, "milp", recording)
@@ -340,7 +309,6 @@ class TestBigMInputs:
         assert big_m_input_digests() == json.loads(BIG_M_INPUTS_PATH.read_text())
 
 
-
 class TestIlpMetrics:
     def test_observe_spans_aggregates_solver_counters(self):
         from repro.service.metrics import EngineMetrics
@@ -350,22 +318,22 @@ class TestIlpMetrics:
         spans = [
             Span.from_payload({
                 "name": "ilp", "start": 0.0, "seconds": 0.001,
-                "attrs": {"backend": "flow", "bnb_pruned": 0},
+                "attrs": {"backend": "flow"},
             }),
             Span.from_payload({
                 "name": "ilp", "start": 0.0, "seconds": 0.01,
-                "attrs": {"backend": "python", "bnb_pruned": 4},
+                "attrs": {"backend": "highs", "bnb_nodes": 1},
             }),
         ]
         metrics.observe_spans(spans)
         summary = metrics.summary()
         assert summary["ilp_solves"] == 2
-        assert summary["ilp_pruned_nodes"] == 4
         for retired in (
             "ilp_warm_seeded",
             "ilp_compound_solves",
             "ilp_compound_blocks",
             "ilp_warm_certificates",
+            "ilp_pruned_nodes",
         ):
             assert retired not in summary
 

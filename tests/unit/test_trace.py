@@ -52,7 +52,7 @@ class TestCollection:
             assert tracing_active()
             with trace_span("solve", strategy="bigm"):
                 with trace_span("ilp"):
-                    span_attr(lp_iterations=42)
+                    span_attr(bnb_nodes=42)
             with trace_span("rtl"):
                 pass
         assert not tracing_active()
@@ -62,7 +62,7 @@ class TestCollection:
         assert solve.attrs["strategy"] == "bigm"
         (ilp,) = solve.children
         assert ilp.name == "ilp"
-        assert ilp.attrs["lp_iterations"] == 42
+        assert ilp.attrs["bnb_nodes"] == 42
         assert rtl.name == "rtl" and rtl.children == ()
         # Children start after (and run within) their parent.
         assert ilp.start >= solve.start
@@ -132,12 +132,12 @@ class TestPayloadCodec:
         with collect_spans() as trace:
             with trace_span("solve", strategy="bigm"):
                 with trace_span("ilp"):
-                    span_attr(backend="python", lp_iterations=7)
+                    span_attr(backend="highs", bnb_nodes=7)
         payload = spans_to_payload(trace.spans)
         decoded = spans_from_payload(payload)
         assert [span.name for span in decoded] == ["solve"]
         assert decoded[0].attrs == {"strategy": "bigm"}
-        assert decoded[0].children[0].attrs == {"backend": "python", "lp_iterations": 7}
+        assert decoded[0].children[0].attrs == {"backend": "highs", "bnb_nodes": 7}
         # Idempotent: encoding the decoded tree reproduces the payload.
         assert spans_to_payload(decoded) == payload
 
