@@ -71,7 +71,7 @@ def test_warm_rtl_verify_is_5x_faster_than_cold(benchmark):
     """Acceptance: a cached rtl verdict >= 5x faster than the cold run."""
 
     def cold_and_warm():
-        engine = CompileEngine(workers=2, executor="thread")
+        engine = CompileEngine(workers=2)
         try:
             verify = VerifyEngine(engine)
             request = VerifyRequest(

@@ -34,7 +34,7 @@ def test_temporal_denoise_reports_frame_sram(benchmark):
                     image_height=H,
                     generator=generator,
                 )
-                engine = CompileEngine(executor="inline")
+                engine = CompileEngine()
                 schedule = engine.compile(target).schedule
                 rows[(name, generator)] = accelerator_report(schedule).row()
         return rows

@@ -25,7 +25,7 @@ WARM_CALLS = 200
 
 def _warm_hit_seconds(tracing: bool) -> list[float]:
     """Per-call warm cache-hit latencies on a dedicated engine."""
-    engine = CompileEngine(executor="inline", tracing=tracing)
+    engine = CompileEngine(tracing=tracing)
     target = CompileTarget(build_algorithm("canny-m"), image_width=W, image_height=H)
     engine.compile(target)  # cold solve, populates the cache
     samples = []

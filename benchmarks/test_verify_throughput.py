@@ -62,7 +62,7 @@ def test_warm_verify_is_5x_faster_than_cold(benchmark):
     """Acceptance: a cached verdict >= 5x faster than the cold verification."""
 
     def cold_and_warm():
-        engine = CompileEngine(workers=2, executor="thread")
+        engine = CompileEngine(workers=2)
         try:
             verify = VerifyEngine(engine)
             request = VerifyRequest(

@@ -69,7 +69,7 @@ def main() -> None:
         ]
     )
     limiter = RateLimiter(rate=2.0, burst=2.0)  # 2 rps sustained, bursts of 2
-    engine = CompileEngine(workers=1, executor="thread", max_pending=1)
+    engine = CompileEngine(workers=1, max_pending=1)
     server = start_server(engine, authenticator=authenticator, rate_limiter=limiter)
     try:
         anonymous = ServiceClient(port=server.port)

@@ -13,12 +13,10 @@ Public API
 * :mod:`repro.rtl` — Verilog generation.
 * :mod:`repro.algorithms` — the Table-3 algorithm suite.
 * :mod:`repro.dse` — design-space exploration (Fig. 10), via ``target.with_options(...)``.
-* :mod:`repro.service` — compile cache + batch/parallel engine with sync,
-  asyncio and HTTP/JSON serving fronts (``python -m repro.service.http``)
-  and pluggable execution backends (``CompileEngine(executor=...)`` /
-  ``REPRO_EXECUTOR``: ``inline`` or ``thread``).  Its names re-exported
-  here load on first use, so ``import repro`` does not pay for the service
-  layer.
+* :mod:`repro.service` — compile cache + batch/parallel engine, whose
+  batches run on a thread pool, with an HTTP/JSON serving front
+  (``python -m repro.service.http``).  Its names re-exported here load on
+  first use, so ``import repro`` does not pay for the service layer.
 """
 
 from repro.api.fingerprint import compile_fingerprint, dag_fingerprint
@@ -44,7 +42,6 @@ __version__ = "1.2.0"
 #: :mod:`repro.service` names re-exported here, imported when first read.
 _SERVICE_NAMES = frozenset(
     {
-        "EXECUTOR_NAMES",
         "CompileCache",
         "CompileEngine",
         "CompileResult",
@@ -88,7 +85,6 @@ __all__ = [
     "CompileEngine",
     "CompileResult",
     "DiskCacheStore",
-    "EXECUTOR_NAMES",
     "ExecutorBackend",
     "__version__",
 ]

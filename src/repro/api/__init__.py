@@ -6,9 +6,8 @@ every layer consumes and produces:
 
 * :func:`repro.core.compile_pipeline` compiles a target (ImaGen ILP or a
   baseline generator, chosen by ``target.generator``);
-* :class:`repro.service.CompileEngine` serves targets synchronously
-  (``submit`` / ``submit_batch``) and asynchronously (``submit_async`` /
-  ``submit_batch_async``);
+* :class:`repro.service.CompileEngine` serves targets one at a time
+  (``submit``) and in batches (``submit_batch``);
 * :func:`repro.baselines.generate_baseline` compiles baseline-flavoured
   targets through the same cache;
 * :func:`repro.dse.sweep_memory_configurations` enumerates

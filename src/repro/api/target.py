@@ -5,7 +5,7 @@ image resolution, on-chip memory structure, scheduler options, and the design
 generator ("imagen" for the ILP optimizer, or a baseline name such as
 "darkroom"/"soda"/"fixynn").  Every layer of the library consumes and produces
 targets: :func:`repro.core.compile_pipeline` compiles one,
-:meth:`repro.service.CompileEngine.submit` serves one (sync or async),
+:meth:`repro.service.CompileEngine.submit` serves one,
 :func:`repro.baselines.generate_baseline` compiles a baseline-flavoured one,
 and the DSE sweep enumerates :meth:`with_options` derivations of one.
 

@@ -7,8 +7,8 @@ generator-aware fingerprints, cached in *both* tiers of
 configurations serialize via
 :meth:`repro.memory.linebuffer.LineBufferConfig.to_payload`, so Darkroom /
 SODA / FixyNN designs persist through ``DiskCacheStore`` and across process
-boundaries exactly like optimized ones), and compiled on any engine executor
-backend, including the process pool.
+boundaries exactly like optimized ones), and compiled on the engine's thread
+pool like any other target.
 """
 
 from __future__ import annotations

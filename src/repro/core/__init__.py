@@ -2,14 +2,13 @@
 
 from repro.core.schedule import PipelineSchedule
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
-from repro.core.coalescing import coalesce_dag, coalescing_factors
+from repro.core.coalescing import coalescing_factors
 from repro.core.compiler import CompiledAccelerator, compile_pipeline
 
 __all__ = [
     "PipelineSchedule",
     "SchedulerOptions",
     "schedule_pipeline",
-    "coalesce_dag",
     "coalescing_factors",
     "CompiledAccelerator",
     "compile_pipeline",

@@ -7,25 +7,17 @@ this as a DAG rewrite: a consumer with stencil height ``SH`` becomes
 block of the coalesced buffer; virtual stages of the same physical stage must
 share a start cycle.
 
-Two entry points are provided:
-
-* :func:`coalescing_factors` — the per-producer coalescing factor actually
-  achievable for a given image width and memory spec (what the scheduler and
-  allocator consume).
-* :func:`coalesce_dag` — the faithful Algorithm-1 rewrite, producing the
-  virtual-stage DAG plus the grouping metadata (used by the RTL generator to
-  assign per-virtual-stage read offsets, and by tests that validate the
-  transformation itself).
+The scheduler realises the same constraints without rewriting the DAG:
+:func:`coalescing_factors` gives the per-producer coalescing factor actually
+achievable for a given image width and memory spec (what the scheduler and
+allocator consume), and
+:func:`repro.core.constraints.coalescing_safety_constraints` turns the
+factors into scheduling constraints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.access import ceil_div
-from repro.ir.dag import PipelineDAG, Stage
-from repro.ir.stencil import StencilWindow
-from repro.ir.traversal import topological_order
+from repro.ir.dag import PipelineDAG
 from repro.memory.spec import MemorySpec
 
 
@@ -45,124 +37,3 @@ def coalescing_factors(
         edges = dag.out_edges(producer)
         factors[producer] = base if edges and base > 1 else 1
     return factors
-
-
-@dataclass
-class VirtualGroup:
-    """Bookkeeping for one physical consumer split into virtual stages."""
-
-    physical: str
-    producer: str
-    virtual_stages: list[str] = field(default_factory=list)
-    #: per virtual stage: (line offset within the window, stencil height in lines)
-    line_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
-
-
-@dataclass
-class CoalescedDAG:
-    """Result of the Algorithm-1 rewrite."""
-
-    dag: PipelineDAG
-    groups: list[VirtualGroup]
-    factors: dict[str, int]
-
-    def virtual_groups_of(self, physical: str) -> list[VirtualGroup]:
-        return [g for g in self.groups if g.physical == physical]
-
-    def synchronized_sets(self) -> list[list[str]]:
-        """Sets of stage names that must share one start cycle."""
-        sets: dict[str, list[str]] = {}
-        for group in self.groups:
-            sets.setdefault(group.physical, [group.physical])
-        for group in self.groups:
-            sets[group.physical].extend(
-                v for v in group.virtual_stages if v not in sets[group.physical]
-            )
-        return [members for members in sets.values() if len(members) > 1]
-
-
-def _split_heights(stencil_height: int, factor: int) -> list[int]:
-    """Partition a stencil of ``stencil_height`` lines into per-block heights.
-
-    With a coalescing factor ``F`` the window's lines group into blocks of
-    ``F`` consecutive lines; the first groups are full (height ``F``) and the
-    last group holds the remainder (the paper's example: SH=3, F=2 -> [2, 1]).
-    """
-    heights = []
-    remaining = stencil_height
-    while remaining > 0:
-        take = min(factor, remaining)
-        heights.append(take)
-        remaining -= take
-    return heights
-
-
-def coalesce_dag(
-    dag: PipelineDAG, image_width: int, spec: MemorySpec
-) -> CoalescedDAG:
-    """Rewrite the DAG per Algorithm 1 of the paper.
-
-    Every edge whose producer's buffer is coalesced with factor ``F > 1`` and
-    whose stencil height exceeds ``F`` has its consumer split (with respect to
-    that producer) into ``ceil(SH / F)`` virtual readers; each virtual reader
-    keeps the original consumer's producers/consumers, and all virtual
-    readers of one physical stage are recorded as requiring a common start
-    cycle.  Producers, stencil windows of untouched edges and input/output
-    roles are preserved.
-    """
-    factors = coalescing_factors(dag, image_width, spec)
-    if all(f <= 1 for f in factors.values()):
-        return CoalescedDAG(dag=dag.copy(f"{dag.name}-coalesced"), groups=[], factors=factors)
-
-    rewritten = PipelineDAG(f"{dag.name}-coalesced")
-    for stage in dag.stages():
-        rewritten.add_stage(
-            Stage(
-                name=stage.name,
-                is_input=stage.is_input,
-                is_output=stage.is_output,
-                expression=stage.expression,
-                metadata=dict(stage.metadata),
-            )
-        )
-
-    groups: list[VirtualGroup] = []
-    for node in topological_order(dag):
-        for edge in dag.out_edges(node):
-            factor = factors[edge.producer]
-            height = edge.window.height
-            if factor <= 1 or height <= factor:
-                rewritten.add_edge(edge.producer, edge.consumer, edge.window)
-                continue
-            group = VirtualGroup(physical=edge.consumer, producer=edge.producer)
-            offset = 0
-            for split_index, split_height in enumerate(_split_heights(height, factor)):
-                if split_index == 0:
-                    # The physical stage itself plays the role of the first
-                    # virtual reader so downstream consumers stay connected.
-                    virtual_name = edge.consumer
-                else:
-                    virtual_name = f"{edge.consumer}__v{split_index}__{edge.producer}"
-                    rewritten.add_stage(
-                        Stage(
-                            name=virtual_name,
-                            is_input=False,
-                            is_output=False,
-                            expression=None,
-                            virtual_of=edge.consumer,
-                        )
-                    )
-                    # Virtual readers inherit the physical stage's consumers so
-                    # the graph stays connected for validation purposes.
-                    for downstream in dag.out_edges(edge.consumer):
-                        rewritten.add_edge(
-                            virtual_name, downstream.consumer, StencilWindow.point()
-                        )
-                window = StencilWindow.from_extent(edge.window.width, split_height)
-                rewritten.add_edge(edge.producer, virtual_name, window)
-                group.virtual_stages.append(virtual_name)
-                group.line_ranges[virtual_name] = (offset, split_height)
-                offset += split_height
-            groups.append(group)
-
-    return CoalescedDAG(dag=rewritten, groups=groups, factors=factors)

@@ -18,7 +18,7 @@ target's memory spec and scheduler knobs.  The baseline compile that
 discovers the configurable buffers doubles as the all-DP design point, so it
 is never solved twice.  Passing an ``engine`` routes every configuration
 through a :class:`repro.service.engine.CompileEngine`: designs compile
-concurrently on the engine's executor backend, failures are captured per
+concurrently on the engine's thread pool, failures are captured per
 point instead of aborting the sweep, and the all-DP configuration is served
 from the cache entry the baseline compile warmed.
 
@@ -133,8 +133,7 @@ def sweep_memory_configurations(
     engine:
         Optional :class:`repro.service.engine.CompileEngine`.  All ``2^k``
         configurations are submitted as one batch: compiles fan out over the
-        engine's executor backend (``thread`` or ``inline``, whatever the
-        engine was built with), repeated design points are served from its
+        engine's thread pool, repeated design points are served from its
         cache, and a design point that fails to compile is skipped (the
         sweep only raises when *every* point fails).  Results come back in
         the serial path's order, with the same designs.  Build it with

@@ -32,8 +32,10 @@ class Stage:
         arithmetic.  The scheduler does not need it; the functional simulator
         and RTL generator do.
     virtual_of:
-        Name of the physical stage this stage was split from by the
-        line-coalescing rewrite (Sec. 6); ``None`` for physical stages.
+        Name of the physical stage this stage was split from by the paper's
+        line-coalescing rewrite (Sec. 6); ``None`` for physical stages.  No
+        compile rewrites the DAG, but the wire codec and the fingerprint
+        carry the field, so a decoded DAG may set it.
     metadata:
         Free-form annotations (e.g. per-stage memory configuration chosen by
         the DSE driver).
@@ -45,10 +47,6 @@ class Stage:
     expression: Any | None = None
     virtual_of: str | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def is_virtual(self) -> bool:
-        return self.virtual_of is not None
 
     def __hash__(self) -> int:
         return hash(self.name)

@@ -6,12 +6,14 @@ are packed into memory blocks, and how it is accessed.  It is produced by the
 allocator from a schedule, and consumed by the area/power estimators, the
 cycle simulator and the RTL generator.
 
-Both records (de)serialize through ``to_payload``/``from_payload``: plain
-JSON-compatible dictionaries that capture *every* physical field — block
-assignments, DFF pixels, FIFO chains, reader heights and the (possibly
-generator-adapted) memory spec.  This is what lets baseline designs, whose
-buffers cannot be re-derived by the ImaGen allocator, round-trip losslessly
-through the disk cache that several processes may share.
+A :class:`LineBufferConfig` (de)serializes through
+``to_payload``/``from_payload``: plain JSON-compatible dictionaries that
+capture *every* physical field — block assignments, DFF pixels, FIFO chains,
+reader heights and the (possibly generator-adapted) memory spec.  This is
+what lets baseline designs, whose buffers cannot be re-derived by the ImaGen
+allocator, round-trip losslessly through the disk cache that several
+processes may share.  A :class:`FrameBufferConfig` is never serialized:
+its size is a function of the DAG alone, so it is re-derived on load.
 """
 
 from __future__ import annotations
@@ -117,32 +119,6 @@ class FrameBufferConfig:
             f"FB[{self.producer}]: {self.depth} frame(s) x "
             f"{self.image_height}x{self.image_width}px, "
             f"{self.num_blocks} block(s) ({self.spec.name})"
-        )
-
-    # --------------------------------------------------------------- payload
-    def to_payload(self) -> dict:
-        """Flatten into a JSON-compatible dictionary (lossless round-trip)."""
-        return {
-            "producer": self.producer,
-            "image_width": self.image_width,
-            "image_height": self.image_height,
-            "depth": self.depth,
-            "spec": asdict(self.spec),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "FrameBufferConfig":
-        spec_payload = dict(payload["spec"])
-        known = {f.name for f in fields(MemorySpec)}
-        unknown = set(spec_payload) - known
-        if unknown:
-            raise ValueError(f"Unknown memory spec fields in payload: {sorted(unknown)}")
-        return cls(
-            producer=str(payload["producer"]),
-            image_width=int(payload["image_width"]),
-            image_height=int(payload["image_height"]),
-            depth=int(payload["depth"]),
-            spec=MemorySpec(**spec_payload),
         )
 
 

@@ -35,6 +35,7 @@ wire/reg widths are read only in a module whose width check needs them.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -104,14 +105,14 @@ def _word_starts(text: str, word: str) -> list[int]:
     return starts
 
 
-def _count_words(text: str, word: str) -> int:
-    """Matches of ``\\bword\\b`` in ``text``."""
+def _words(text: str, word: str) -> list[int]:
+    """Offsets of the matches of ``\\bword\\b`` in ``text``."""
     end = len(word)
-    return sum(
-        1
+    return [
+        at
         for at in _word_starts(text, word)
         if at + end == len(text) or not _is_word(text[at + end])
-    )
+    ]
 
 
 def _line_starts(text: str, low: int, high: int):
@@ -176,7 +177,8 @@ def _range_width(range_text: str | None) -> int | None:
 
 
 class _Body:
-    """One module's text, from its ``module`` keyword to the next ``endmodule``."""
+    """One module's text, from its ``module`` keyword to the next whole-word
+    ``endmodule``."""
 
     def __init__(self, text: str):
         self.text = text
@@ -230,25 +232,29 @@ def lint_verilog(source: str) -> LintReport:
 def _lint(source: str) -> LintReport:
     report = LintReport()
     headers = _module_headers(source)
+    endmodules = _words(source, "endmodule")
     bodies: dict[str, _Body] = {}
     for header in headers:
         name = header.group(1)
         if name in bodies:
             report.errors.append(f"Duplicate module definition: {name}")
-        # A body runs from its ``module`` keyword: the blanks before it that
-        # ``^\s*`` would add change no scan.
-        stop = source.find("endmodule", header.end())
-        bodies[name] = _Body(source[header.start() : stop if stop != -1 else len(source)])
+        # A body runs from its ``module`` keyword (the blanks before it that
+        # ``^\s*`` would add change no scan) to the first whole-word
+        # ``endmodule`` after its header: an identifier containing the word
+        # does not end it.
+        at = bisect_left(endmodules, header.end())
+        stop = endmodules[at] if at < len(endmodules) else len(source)
+        bodies[name] = _Body(source[header.start() : stop])
     report.modules = list(bodies)
 
-    endmodule_count = _count_words(source, "endmodule")
+    endmodule_count = len(endmodules)
     if len(headers) != endmodule_count:
         report.errors.append(
             f"Unbalanced module/endmodule: {len(headers)} module(s), {endmodule_count} endmodule(s)"
         )
 
-    begin_count = _count_words(source, "begin")
-    end_count = _count_words(source, "end")
+    begin_count = len(_words(source, "begin"))
+    end_count = len(_words(source, "end"))
     if begin_count != end_count:
         report.errors.append(f"Unbalanced begin/end: {begin_count} begin(s), {end_count} end(s)")
 

@@ -10,9 +10,8 @@ unified :class:`repro.api.CompileTarget` request object:
 * :mod:`repro.service.cache` — two-tier (LRU + sharded disk) schedule cache
   with optional size/age GC for shared volumes;
 * :mod:`repro.service.jobs` — typed result/batch records;
-* :mod:`repro.service.executor` — the ``inline`` and ``thread`` execution
-  backends, selected via ``CompileEngine(executor=...)`` or
-  ``REPRO_EXECUTOR``;
+* :mod:`repro.service.executor` — the thread pool that batch items,
+  verify bodies and queue-admitted submits run on;
 * :mod:`repro.service.metrics` — per-request latency/hit-rate metrics and
   the per-stage span histograms;
 * :mod:`repro.service.observability` — the span tracer (re-exported from
@@ -23,9 +22,8 @@ unified :class:`repro.api.CompileTarget` request object:
   authentication, per-identity token-bucket rate limiting, the bounded
   fair submission queue behind ``CompileEngine(max_pending=...)``, and the
   single-flight in-flight table both engines dispatch through;
-* :mod:`repro.service.engine` — the :class:`CompileEngine` front door, with
-  synchronous (``submit``/``submit_batch``) and asyncio
-  (``submit_async``/``submit_batch_async``) serving fronts;
+* :mod:`repro.service.engine` — the :class:`CompileEngine` front door
+  (``submit``/``submit_batch``);
 * :mod:`repro.service.verify` — verification-as-a-service: the
   :class:`VerifyEngine` answering golden-replay and cycle-legality checks
   with cached, deduplicated, admission-controlled verdicts
@@ -45,7 +43,7 @@ Fingerprinting lives in :mod:`repro.api.fingerprint`.
 The prose documentation lives in ``docs/``: ``docs/architecture.md`` (layer
 map), ``docs/serving.md`` (HTTP API + admission semantics),
 ``docs/wire-protocol.md`` (payload formats and versioning) and
-``docs/tuning.md`` (executor/cache/admission sizing).
+``docs/tuning.md`` (pool/cache/admission sizing).
 
 Quickstart::
 
@@ -99,12 +97,8 @@ from repro.service.events import (
     get_event_log,
 )
 from repro.service.executor import (
-    EXECUTOR_ENV_VAR,
-    EXECUTOR_NAMES,
     ExecutorBackend,
-    InlineExecutor,
     ThreadExecutor,
-    default_executor_name,
     validate_worker_count,
 )
 from repro.service.jobs import (
@@ -160,13 +154,10 @@ __all__ = [
     "CompileTarget",
     "DiskCacheStore",
     "EVENT_LOG_ENV_VAR",
-    "EXECUTOR_ENV_VAR",
-    "EXECUTOR_NAMES",
     "EngineMetrics",
     "EventLog",
     "ExecutorBackend",
     "FINGERPRINT_VERSION",
-    "InlineExecutor",
     "MAX_PENDING_ENV_VAR",
     "METRIC_SPECS",
     "MetricSpec",
@@ -194,7 +185,6 @@ __all__ = [
     "compile_fingerprint",
     "configure_event_log",
     "dag_fingerprint",
-    "default_executor_name",
     "default_worker_count",
     "deserialize_schedule",
     "emit_event",

@@ -476,10 +476,11 @@ class AdmissionQueue:
     def _pump(self) -> None:
         """Dispatch queued jobs while slots are free (dispatch outside the lock).
 
-        Re-entrancy guard: with a synchronous backend (``inline``), a
-        dispatched job completes inside ``dispatch()`` and its done-callback
-        calls back into ``_pump`` on this very thread; the guard makes that
-        inner call a no-op so the outer ``while`` loop drains the queue
+        Re-entrancy guard: a dispatch can settle on this very thread (a
+        backend ``submit`` that raises, or a job that finishes before its
+        done-callback is attached, which then runs at once), and its
+        completion calls back into ``_pump``; the guard makes that inner
+        call a no-op so the outer ``while`` loop drains the queue
         iteratively instead of recursing once per queued job.
         """
         if getattr(self._local, "pumping", False):
@@ -519,8 +520,8 @@ class SingleFlight:
     placeholder future forgets the key when it settles; :meth:`dispatch`
     runs the owner's job on the backend, through a bounded
     :class:`AdmissionQueue` when ``max_pending`` is set.  The placeholder is
-    marked running before it is published, so a joiner that cancels it (a
-    timed-out :func:`asyncio.wrap_future` wrapper) cannot break the owner.
+    marked running before it is published, so a joiner that calls its
+    ``cancel()`` cannot break the owner.
     """
 
     def __init__(

@@ -73,15 +73,11 @@ REALIZABLE_GENERATORS = ("imagen", "imagen+lc")
 # ---------------------------------------------------------------------------
 # Schedule (de)serialization
 # ---------------------------------------------------------------------------
-def serialize_schedule(
-    schedule: PipelineSchedule, *, include_line_buffers: bool | None = None
-) -> dict:
+def serialize_schedule(schedule: PipelineSchedule) -> dict:
     """Flatten a solved schedule into a JSON-serializable payload.
 
-    ``include_line_buffers`` controls whether the physical line-buffer
-    configurations are embedded verbatim: the default (``None``) embeds them
-    only for schedules the allocator cannot re-derive (baseline generators);
-    ``True`` embeds them for every generator.
+    The physical line-buffer configurations are embedded verbatim only for
+    schedules the allocator cannot re-derive (baseline generators).
     """
     stats = {
         key: value
@@ -106,9 +102,7 @@ def serialize_schedule(
         "ports": int(stats.get("ports", schedule.memory_spec.ports)),
         "solver_stats": stats,
     }
-    if include_line_buffers is None:
-        include_line_buffers = schedule.generator not in REALIZABLE_GENERATORS
-    if include_line_buffers:
+    if schedule.generator not in REALIZABLE_GENERATORS:
         payload["line_buffers"] = {
             name: config.to_payload() for name, config in schedule.line_buffers.items()
         }

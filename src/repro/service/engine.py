@@ -15,20 +15,17 @@ the :class:`repro.api.CompileTarget`; every submission path wraps
   contain the same design point trigger exactly one run (the in-flight
   table is a :class:`repro.service.admission.SingleFlight`, the kernel the
   verify engine runs on too);
-* batches fan out over a pluggable :class:`repro.service.executor`
-  backend — ``inline`` (deterministic, for tests) or ``thread`` (the
-  default; HiGHS, which solves the systems the flow kernel defers,
-  releases the GIL, so those solves overlap on multi-core hosts, and the
-  pure-Python flow kernel that solves the rest takes about 1 ms) —
-  selected via
-  ``CompileEngine(executor=...)`` or the ``REPRO_EXECUTOR`` environment
-  variable;
+* batch items run on the engine's thread pool
+  (:class:`repro.service.executor.ThreadExecutor`, ``workers`` threads,
+  ``REPRO_WORKERS``): HiGHS, which solves the systems the flow kernel
+  defers, releases the GIL, so those solves overlap on multi-core hosts,
+  and the pure-Python flow kernel that solves the rest takes about 1 ms;
 * per-request latency and hit-rate metrics are recorded
   (:class:`repro.service.metrics.EngineMetrics`).
 
 Single targets submitted through :meth:`CompileEngine.submit` (or the
-:meth:`CompileEngine.compile` convenience wrapper) run inline on the calling
-thread — pools are created lazily, so a cache-only engine costs nothing to
+:meth:`CompileEngine.compile` convenience wrapper) run on the calling
+thread; the pool is created lazily, so a cache-only engine costs nothing to
 construct.
 
 Admission control
@@ -44,26 +41,10 @@ instead).  Every submission path accepts a ``client=`` identity; pending
 work drains round-robin across identities, so one flooding client cannot
 starve the rest.  Cache-answerable submits bypass the queue entirely —
 admission control prices solver work, not dictionary lookups.
-
-Async front
------------
-For services that await compile jobs instead of dedicating a thread per
-request, the engine exposes an :mod:`asyncio` front over the same worker
-pool: :meth:`submit_async` and :meth:`submit_batch_async` wrap the pool's
-futures with :func:`asyncio.wrap_future`, and the engine is an async context
-manager::
-
-    async with CompileEngine(workers=4) as engine:
-        batch = await engine.submit_batch_async(targets)
-
-Results are identical to the synchronous paths for the same targets, and the
-cache, dedup and metrics machinery is shared — an async client and a sync
-batch racing on the same design point still trigger exactly one solve.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import time
 from concurrent.futures import Future
@@ -82,7 +63,7 @@ from repro.service.cache import CompileCache, DiskCacheStore
 from repro.service.executor import (
     WORKERS_ENV_VAR,
     ExecutorBackend,
-    resolve_executor,
+    ThreadExecutor,
     validate_worker_count,
 )
 from repro.service.jobs import (
@@ -119,11 +100,11 @@ class CompileEngine:
         Pool size for batch submissions (default:
         :func:`default_worker_count`, overridable via ``REPRO_WORKERS``).
     executor:
-        Execution backend for batch/async fan-out: ``"inline"``,
-        ``"thread"`` (default), or a ready-made
-        :class:`repro.service.executor.ExecutorBackend` instance (which may
-        be shared between engines).  ``None`` consults the
-        ``REPRO_EXECUTOR`` environment variable.
+        A ready-made :class:`repro.service.executor.ExecutorBackend` to run
+        batch items on (it may be shared between engines, and its own
+        worker count wins).  ``None`` (default) creates a
+        :class:`repro.service.executor.ThreadExecutor` of ``workers``
+        threads.
     cache:
         A :class:`CompileCache` to share between engines; one is created when
         omitted.
@@ -150,7 +131,7 @@ class CompileEngine:
         self,
         workers: int | None = None,
         *,
-        executor: str | ExecutorBackend | None = None,
+        executor: ExecutorBackend | None = None,
         cache: CompileCache | None = None,
         cache_dir: str | os.PathLike | None = None,
         max_cache_entries: int = 512,
@@ -160,6 +141,12 @@ class CompileEngine:
         if workers is not None:
             workers = validate_worker_count(workers)
         self.workers = workers or default_worker_count()
+        if executor is None:
+            executor = ThreadExecutor(self.workers)
+        elif not isinstance(executor, ExecutorBackend):
+            raise TypeError(
+                f"executor must be an ExecutorBackend instance, got {executor!r}"
+            )
         if cache is None:
             store = DiskCacheStore(cache_dir) if cache_dir is not None else None
             cache = CompileCache(max_entries=max_cache_entries, store=store)
@@ -174,14 +161,14 @@ class CompileEngine:
         # Retry-After for shed jobs: roughly one mean solve, so clients back
         # off in proportion to how expensive this workload is.
         self._flight = SingleFlight(
-            resolve_executor(executor, workers=self.workers),
+            executor,
             max_pending=self.max_pending,
             retry_after=lambda: self.metrics.mean_seconds or 1.0,
         )
 
     @property
     def executor_name(self) -> str:
-        """Name of the active execution backend (``inline``/``thread``)."""
+        """Name of the execution backend (``thread`` unless one was passed)."""
         return self._flight.executor.name
 
     # ------------------------------------------------------------- lifecycle
@@ -191,23 +178,16 @@ class CompileEngine:
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
-    async def __aenter__(self) -> "CompileEngine":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        # Pool shutdown joins worker threads; keep that off the event loop.
-        await asyncio.get_running_loop().run_in_executor(None, self.shutdown)
-
     def shutdown(self, wait: bool = True, *, cancel_pending: bool = False) -> None:
         """Stop the executor backend (the cache and its disk store stay usable).
 
         ``cancel_pending=True`` additionally cancels queued-but-unstarted
         jobs — both those waiting in the admission queue (dropped before
         they ever reach a backend, so they cannot be pumped into a recreated
-        pool) and those queued inside the backend: their futures (and any
-        :func:`asyncio.wrap_future` wrappers awaiting them) resolve with
-        ``CancelledError``.  The engine stays usable — the next batch
-        submission transparently recreates the pool.
+        pool) and those queued inside the backend: the ``submit`` or
+        ``submit_batch`` waiting on them raises ``CancelledError``.  The
+        engine stays usable — the next batch submission transparently
+        recreates the pool.
         """
         self._flight.shutdown(wait, cancel_pending=cancel_pending)
 
@@ -227,10 +207,10 @@ class CompileEngine:
         Without an admission queue the job runs on the calling thread.
         Either way the submit takes part in the engine-wide in-flight
         deduplication: if an identical fingerprint is already being solved
-        (by a batch, an async client, or another thread's submit), this call
-        waits for that solve and reports ``source="deduplicated"`` instead of
-        running a second one; otherwise it publishes its own future so
-        concurrent submitters of the same target join it.
+        (by a batch or another thread's submit), this call waits for that
+        solve and reports ``source="deduplicated"`` instead of running a
+        second one; otherwise it publishes its own future so concurrent
+        submitters of the same target join it.
 
         When the engine has a bounded admission queue
         (``max_pending=``/``REPRO_MAX_PENDING``), cold submits route through
@@ -268,22 +248,6 @@ class CompileEngine:
         future.set_result(result)
         return self._collect(target, result, owner=True)
 
-    async def submit_async(
-        self, target: CompileTarget, *, client: str = ""
-    ) -> CompileResult:
-        """Await one target on the worker pool without blocking the event loop.
-
-        The result is identical to :meth:`submit` for the same target; the
-        job shares the engine's cache, in-flight dedup and admission queue,
-        so awaiting a design point that a concurrent batch is already solving
-        costs nothing extra — and a saturated engine sheds exactly as it
-        would for a synchronous submitter.
-        """
-        target = require_target(target)
-        future, owner = self._enqueue(target, target.fingerprint, {}, client=client)
-        outcome: CompileResult = await asyncio.wrap_future(future)
-        return self._collect(target, outcome, owner)
-
     # ----------------------------------------------------------------- batch
     def submit_batch(
         self,
@@ -303,33 +267,33 @@ class CompileEngine:
         """
         targets = [require_target(request) for request in requests]
         started = time.perf_counter()
-        slots = self._enqueue_all(targets, client=client)
+        # Batch-local duplicates always share one execution (deterministic,
+        # immune to the owner finishing before the twin is enqueued).
+        local: dict[str, Future] = {}
+        slots = [
+            (target, *self._enqueue(target, target.fingerprint, local, client=client))
+            for target in targets
+        ]
         outcomes = [future.exception() or future.result() for _, future, _ in slots]
-        return self._finish_batch(slots, outcomes, started)
-
-    async def submit_batch_async(
-        self,
-        requests: Iterable[CompileTarget],
-        *,
-        client: str = "",
-    ) -> BatchResult:
-        """Async twin of :meth:`submit_batch`: await a whole batch at once.
-
-        Jobs fan out over the same worker pool, dedup and admission machinery
-        as the synchronous path, and the returned :class:`BatchResult` is
-        equal to what :meth:`submit_batch` would produce for the same
-        targets.  If the engine is shut down with ``cancel_pending=True``
-        while the batch is queued, the await raises
-        :class:`asyncio.CancelledError`.
-        """
-        targets = [require_target(request) for request in requests]
-        started = time.perf_counter()
-        slots = self._enqueue_all(targets, client=client)
-        outcomes = await asyncio.gather(
-            *(asyncio.wrap_future(future) for _, future, _ in slots),
-            return_exceptions=True,
+        # A shed item, or a dedup sharer of one, becomes an error result with
+        # source="rejected"; any other raised outcome (cancellation, a fatal
+        # error) propagates.
+        results = []
+        for (target, _, owner), outcome in zip(slots, outcomes):
+            if isinstance(outcome, QueueFullError):
+                result = rejected_result(target, str(outcome))
+                self.metrics.record(self._trace(result))
+            elif isinstance(outcome, BaseException):
+                raise outcome
+            else:
+                result = self._collect(target, outcome, owner)
+            results.append(result)
+        self.metrics.record_batch()
+        return BatchResult(
+            results=results,
+            seconds=time.perf_counter() - started,
+            cache_stats=self.cache.stats.snapshot(),
         )
-        return self._finish_batch(slots, outcomes, started)
 
     # ------------------------------------------------------------- internals
     def _answerable_inline(self, target: CompileTarget, fingerprint: str) -> bool:
@@ -375,44 +339,6 @@ class CompileEngine:
         local[fingerprint] = future
         return future, owner
 
-    def _enqueue_all(
-        self, targets: list[CompileTarget], *, client: str = ""
-    ) -> list[tuple[CompileTarget, Future, bool]]:
-        # Batch-local duplicates always share one execution (deterministic,
-        # immune to the owner finishing before the twin is enqueued).
-        local: dict[str, Future] = {}
-        return [
-            (target, *self._enqueue(target, target.fingerprint, local, client=client))
-            for target in targets
-        ]
-
-    def _finish_batch(
-        self,
-        slots: list[tuple[CompileTarget, Future, bool]],
-        outcomes: list,
-        started: float,
-    ) -> BatchResult:
-        """Finalize settled batch slots in order.  A shed item, or a dedup
-        sharer of one, becomes an error result with ``source="rejected"``
-        rather than killing the batch; any other raised outcome (cancellation,
-        a fatal error) propagates."""
-        results = []
-        for (target, _, owner), outcome in zip(slots, outcomes):
-            if isinstance(outcome, QueueFullError):
-                result = rejected_result(target, str(outcome))
-                self.metrics.record(self._trace(result))
-            elif isinstance(outcome, BaseException):
-                raise outcome
-            else:
-                result = self._collect(target, outcome, owner)
-            results.append(result)
-        self.metrics.record_batch()
-        return BatchResult(
-            results=results,
-            seconds=time.perf_counter() - started,
-            cache_stats=self.cache.stats.snapshot(),
-        )
-
     def _collect(
         self, target: CompileTarget, outcome: CompileResult, owner: bool
     ) -> CompileResult:
@@ -432,7 +358,8 @@ class CompileEngine:
         return result
 
     def _execute(self, target: CompileTarget, fingerprint: str) -> CompileResult:
-        # The job body every backend runs.  It calls the module-level
+        # The job body the pool runs, and a single submit on its caller's
+        # thread.  It calls the module-level
         # compile_pipeline, which stays the single patch point for
         # instrumenting solves.
         trace = collect_spans(enabled=self.tracing)

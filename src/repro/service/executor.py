@@ -1,32 +1,25 @@
-"""Pluggable execution backends for the compile engine.
+"""The thread pool that batch, verify and queue-admitted jobs run on.
 
 Stability: public.
 
-:class:`repro.service.engine.CompileEngine` fans batch and async submissions
-out over an :class:`ExecutorBackend`.  The two interchangeable backends are
-selected with ``CompileEngine(executor=...)`` or the ``REPRO_EXECUTOR``
-environment variable:
+:class:`repro.service.engine.CompileEngine` runs a single ``submit`` on its
+caller's thread.  Batch items, verify bodies and queue-admitted submits run
+on an :class:`ExecutorBackend`, by default a :class:`ThreadExecutor`: a
+lazily created :class:`~concurrent.futures.ThreadPoolExecutor`.  Solves of
+the systems the flow kernel defers overlap on multi-core hosts because HiGHS
+releases the GIL; the others take the pure-Python flow kernel, which holds
+the GIL for under 1 ms.
 
-``inline``
-    Runs every job synchronously on the submitting thread.  Deterministic
-    ordering and zero concurrency — the backend for tests and debugging.
-``thread``
-    A lazily-created :class:`~concurrent.futures.ThreadPoolExecutor` (the
-    default).  Solves of the systems the flow kernel defers overlap on
-    multi-core hosts because HiGHS releases the GIL; the others take the
-    pure-Python flow kernel, which holds the GIL for under 1 ms.
-
-Both backends present one interface: ``submit(run_local, target, fingerprint)``
-returning a :class:`concurrent.futures.Future` that resolves to a
-:class:`repro.service.jobs.CompileResult`.  ``run_local`` is the engine's
-in-process job body.  Futures from either backend work with
-:func:`asyncio.wrap_future`, so the engine's asyncio front is backend-neutral.
+A backend's ``submit(run_local, target, fingerprint)`` returns a
+:class:`concurrent.futures.Future` that resolves to a
+:class:`repro.service.jobs.CompileResult`; ``run_local`` is the engine's
+in-process job body.  ``CompileEngine(executor=...)`` takes a ready-made
+backend instance, for example one shared between engines.
 """
 
 from __future__ import annotations
 
 import abc
-import os
 import threading
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from typing import Callable
@@ -39,9 +32,9 @@ def relay_future(source: Future, destination: Future) -> None:
     """Copy a settled future's outcome onto another (already-running) future.
 
     Cancellation arrives as a ``CancelledError`` *exception* on the
-    destination — it was marked running at publication so joiners' ``cancel()``
-    calls are no-ops, and ``asyncio.wrap_future`` surfaces the exception as a
-    normal await-side ``CancelledError``.
+    destination: it was marked running at publication, so joiners'
+    ``cancel()`` calls are no-ops, and ``result()`` raises the
+    ``CancelledError`` to every waiter.
     """
     if source.cancelled():
         destination.set_exception(CancelledError())
@@ -52,19 +45,9 @@ def relay_future(source: Future, destination: Future) -> None:
         return
     destination.set_result(source.result())
 
-#: Environment variable that selects the default backend for engines that are
-#: constructed without an explicit ``executor=`` argument.
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
-
 #: Environment variable that overrides the default worker count (shared with
 #: :func:`repro.service.engine.default_worker_count`).
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Valid backend names, in documentation order.
-EXECUTOR_NAMES = ("inline", "thread")
-
-#: Backend used when neither ``executor=`` nor ``REPRO_EXECUTOR`` is given.
-DEFAULT_EXECUTOR = "thread"
 
 
 def validate_worker_count(value, *, source: str = "workers") -> int:
@@ -90,31 +73,18 @@ def validate_worker_count(value, *, source: str = "workers") -> int:
 
 
 def default_executor_name() -> str:
-    """Backend name used when the caller does not specify one.
-
-    ``REPRO_EXECUTOR``, when set, must name a known backend; anything else
-    raises :class:`ValueError` (misspelling a deployment knob should fail
-    loudly, not silently serialize a fleet onto the wrong backend).
-    """
-    override = os.environ.get(EXECUTOR_ENV_VAR, "").strip().lower()
-    if not override:
-        return DEFAULT_EXECUTOR
-    if override not in EXECUTOR_NAMES:
-        raise ValueError(
-            f"Invalid {EXECUTOR_ENV_VAR}={override!r}; expected one of {EXECUTOR_NAMES}"
-        )
-    return override
+    """The one backend's name; ``perfbench``'s machine metadata reads it."""
+    return "thread"
 
 
 class ExecutorBackend(abc.ABC):
-    """How compile jobs run: inline, or on a thread pool.
+    """Where compile jobs run.
 
     Backends are lazy (no pool exists until the first job) and reusable after
-    :meth:`shutdown` (the next job recreates the pool), mirroring the
-    engine's historical lifecycle.
+    :meth:`shutdown` (the next job recreates the pool).
     """
 
-    #: Backend name as used by ``CompileEngine(executor=...)``.
+    #: Backend name, reported as the ``executor`` metric.
     name: str = "?"
 
     def __init__(self, workers: int = 1) -> None:
@@ -135,31 +105,6 @@ class ExecutorBackend(abc.ABC):
     def stats(self) -> dict:
         """Operational snapshot for metrics endpoints (``/v1/metrics``)."""
         return {"executor": self.name, "workers": self.workers}
-
-    def describe(self) -> str:
-        return f"{self.name}(workers={self.workers})"
-
-
-class InlineExecutor(ExecutorBackend):
-    """Run every job synchronously on the submitting thread.
-
-    Batches execute strictly in submission order with no concurrency — the
-    deterministic backend for tests, debugging and single-core deployments.
-    """
-
-    name = "inline"
-
-    def __init__(self, workers: int = 1) -> None:
-        super().__init__(workers)
-
-    def submit(self, run_local, target, fingerprint):
-        future: Future = Future()
-        future.set_running_or_notify_cancel()
-        try:
-            future.set_result(run_local(target, fingerprint))
-        except BaseException as exc:  # run_local captures compile errors;
-            future.set_exception(exc)  # anything escaping is fatal — carry it
-        return future
 
 
 class ThreadExecutor(ExecutorBackend):
@@ -188,23 +133,3 @@ class ThreadExecutor(ExecutorBackend):
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=wait, cancel_futures=cancel_pending)
-
-
-def resolve_executor(
-    executor: str | ExecutorBackend | None, *, workers: int
-) -> ExecutorBackend:
-    """Turn an ``executor=`` argument into a live backend.
-
-    ``None`` consults ``REPRO_EXECUTOR`` and falls back to ``"thread"``; a
-    string must be one of :data:`EXECUTOR_NAMES`; a ready-made
-    :class:`ExecutorBackend` instance is used as-is (its own worker count
-    wins — sharing one backend between engines is allowed).
-    """
-    if isinstance(executor, ExecutorBackend):
-        return executor
-    name = executor if executor is not None else default_executor_name()
-    if name == "inline":
-        return InlineExecutor()
-    if name == "thread":
-        return ThreadExecutor(workers)
-    raise ValueError(f"Unknown executor {executor!r}; expected one of {EXECUTOR_NAMES}")

@@ -69,8 +69,6 @@ Run a server::
 
 or embed one (tests, examples) with :func:`start_server`, and talk to it with
 the :class:`ServiceClient` helper (stdlib ``http.client``, no dependencies).
-``--executor`` selects the engine's execution backend (default: the
-``REPRO_EXECUTOR`` environment variable, falling back to ``thread``).
 ``--cache-max-bytes``/``--cache-max-age-seconds`` bound a shared disk cache
 volume (LRU-by-mtime eviction on save).
 """
@@ -99,7 +97,7 @@ from repro.service.admission import (
 from repro.service.cache import CompileCache, DiskCacheStore
 from repro.service.engine import CompileEngine
 from repro.service.events import configure_event_log
-from repro.service.executor import EXECUTOR_NAMES, validate_worker_count
+from repro.service.executor import validate_worker_count
 from repro.service.observability import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.service.verify import VerifyEngine, VerifyRequest
 from repro.service.wire import (
@@ -727,12 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", default=None, help="engine pool size (default: REPRO_WORKERS or auto)"
     )
     parser.add_argument(
-        "--executor",
-        choices=EXECUTOR_NAMES,
-        default=None,
-        help="execution backend for batch fan-out (default: REPRO_EXECUTOR or thread)",
-    )
-    parser.add_argument(
         "--max-cache-entries", type=int, default=512, help="in-memory LRU capacity (default: %(default)s)"
     )
     parser.add_argument(
@@ -808,7 +800,6 @@ def main(argv=None) -> None:
             parser.error("--cache-max-bytes/--cache-max-age-seconds require --cache-dir")
         engine = CompileEngine(
             workers=workers,
-            executor=args.executor,
             cache=cache,
             max_cache_entries=args.max_cache_entries,
             max_pending=max_pending,

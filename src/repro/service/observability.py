@@ -151,7 +151,7 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("ilp_solves", "counter", "", "Scheduling solves observed in request spans, one `ilp` span each whichever path answered (the flow kernel or the big-M model).", prometheus="repro_ilp_solves_total"),
     # -- executor backend (ExecutorBackend.stats) ----------------------------
     MetricSpec("executor", "info", "", "Active execution backend name (label on repro_service_info)."),
-    MetricSpec("workers", "gauge", "workers", "Worker count of the execution backend (1 for inline).", prometheus="repro_workers"),
+    MetricSpec("workers", "gauge", "workers", "Worker count of the execution backend's thread pool.", prometheus="repro_workers"),
     # -- admission queue (CompileEngine.admission_stats) ---------------------
     MetricSpec("max_pending", "gauge", "", "Bound on queued-but-undispatched jobs (null when unbounded).", prometheus="repro_max_pending"),
     MetricSpec("queue_depth", "gauge", "", "Jobs admitted but not yet dispatched to the executor.", prometheus="repro_queue_depth"),

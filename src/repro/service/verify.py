@@ -46,7 +46,7 @@ in-memory LRU (the engine cache's size) plus the engine's shared
 :class:`~repro.service.cache.DiskCacheStore` volume, and identical in-flight
 requests deduplicate onto one execution through the same
 :class:`~repro.service.admission.SingleFlight` kernel compiles use.  Verify
-bodies run on the engine's executor backend (the NumPy replay releases the
+bodies run on the engine's thread pool (the NumPy replay releases the
 GIL, so threads scale) behind an admission queue of their own with the
 engine's bound, so verifies and compiles are admitted and counted apart.
 A verify body compiles its target inside its own dispatch slot: queued

@@ -133,7 +133,6 @@ def simulate_schedule(
     schedule: PipelineSchedule,
     *,
     max_rows: int | None = None,
-    extra_cycles: int | None = None,
     raise_on_violation: bool = False,
     max_violations: int = 16,
 ) -> SimulationReport:
@@ -153,8 +152,6 @@ def simulate_schedule(
     frame_pixels = width * rows
 
     end_cycle = max_start + frame_pixels
-    if extra_cycles is not None:
-        end_cycle = min(end_cycle, max_start + extra_cycles)
 
     buffer_stats = {name: BufferStats(producer=name) for name in schedule.line_buffers}
     violations: list[str] = []

@@ -22,13 +22,13 @@ The model is a conventional span tree:
   attribute read and no allocation, so instrumented code costs effectively
   nothing when nobody is tracing.
 
-Tracing state is thread-local: each executor worker (thread or process)
-collects its own tree, and the engine ships it back on the
-:class:`repro.service.jobs.CompileResult`.  Collectors nest — an inner
-:class:`collect_spans` shadows the outer one and restores it on exit.
+Tracing state is thread-local: each pool thread collects its own tree, and
+the engine ships it back on the :class:`repro.service.jobs.CompileResult`.
+Collectors nest — an inner :class:`collect_spans` shadows the outer one and
+restores it on exit.
 
-The global default (honoured by the engine and by process-pool workers) is
-controlled by the ``REPRO_TRACE`` environment variable:
+The global default (honoured by the engine) is controlled by the
+``REPRO_TRACE`` environment variable:
 ``REPRO_TRACE=0|false|off|no`` disables tracing everywhere.
 
 Example::

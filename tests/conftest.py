@@ -17,7 +17,8 @@ from repro.core.constraints import pair_gap
 from repro.dse.sweep import _design_target
 from repro.dsl import ast
 from repro.dsl.builder import PipelineBuilder, window_sum
-from repro.ir.dag import PipelineDAG
+from repro.ir.dag import PipelineDAG, Stage
+from repro.ir.stencil import StencilWindow
 from repro.memory.spec import asic_dual_port, asic_fifo, asic_single_port
 
 TEST_WIDTH = 64
@@ -91,6 +92,17 @@ def build_paper_example() -> PipelineDAG:
     )
     builder.output("K2", k2_expr)
     return builder.build()
+
+
+def build_virtual_reader(virtual_of: str | None = "K1") -> PipelineDAG:
+    """``build_chain(3)`` plus a stage that reads two lines of K0 on K1's
+    behalf, as the paper's coalescing rewrite (Sec. 6) would split K1.  No
+    compile makes such a stage; a wire-decoded DAG may carry one."""
+    dag = build_chain(3)
+    dag.add_stage(Stage("K1_v1", virtual_of=virtual_of))
+    dag.add_edge("K0", "K1_v1", StencilWindow.from_extent(3, 2))
+    dag.add_edge("K1_v1", "K2", StencilWindow.point())
+    return dag.validated()
 
 
 def build_two_consumer(stencil_a: int = 3, stencil_b: int = 3) -> PipelineDAG:

@@ -1,10 +1,11 @@
-"""Inline-vs-thread executor parity over the algorithm catalog.
+"""Pool-vs-direct compile parity over the algorithm catalog.
 
-``CompileEngine(executor="thread")`` must compile the full catalog with
-fingerprints and area/power report rows *identical* to the deterministic
-``inline`` backend — where a job ran never changes what it produced — and a
-baseline design saved by one process must be loaded warm from the shared
-:class:`DiskCacheStore` by a second process.
+A batch on the engine's thread pool must compile the full catalog with
+fingerprints and area/power report rows *identical* to direct
+:func:`repro.core.compile_pipeline` calls on this thread — where a job ran
+never changes what it produced — and a baseline design saved by one process
+must be loaded warm from the shared :class:`DiskCacheStore` by a second
+process.
 """
 
 import multiprocessing
@@ -13,6 +14,7 @@ import pytest
 
 from repro.algorithms import algorithm_names, build_algorithm
 from repro.api import CompileTarget
+from repro.core.compiler import compile_pipeline
 from repro.estimate.report import accelerator_report
 from repro.service import CompileCache, CompileEngine, DiskCacheStore
 
@@ -28,31 +30,31 @@ def _catalog_targets() -> list[CompileTarget]:
     ]
 
 
-def _rows(batch):
+def _rows(targets, accelerators):
     return [
-        (result.fingerprint, accelerator_report(result.accelerator).row())
-        for result in batch.results
+        (target.fingerprint, accelerator_report(accelerator).row())
+        for target, accelerator in zip(targets, accelerators)
     ]
 
 
-def _inline_and_thread(targets):
-    """Compile ``targets`` on the inline backend and on a 2-thread pool."""
-    with CompileEngine(executor="inline") as inline_engine:
-        inline_batch = inline_engine.submit_batch(targets)
-    with CompileEngine(workers=2, executor="thread") as thread_engine:
-        thread_batch = thread_engine.submit_batch(targets)
-    return inline_batch, thread_batch
+def _direct_and_pool(targets):
+    """Compile ``targets`` directly, one by one, and as a 2-thread pool batch."""
+    direct = [compile_pipeline(target) for target in targets]
+    with CompileEngine(workers=2) as engine:
+        batch = engine.submit_batch(targets)
+    assert all(r.ok for r in batch.results)
+    assert [r.fingerprint for r in batch.results] == [t.fingerprint for t in targets]
+    return direct, [r.accelerator for r in batch.results]
 
 
-class TestInlineThreadParity:
-    def test_catalog_identical_across_backends(self):
+class TestPoolDirectParity:
+    def test_catalog_identical_to_direct_compiles(self):
         """Same fingerprints, same area/power rows, algorithm by algorithm."""
-        inline_batch, thread_batch = _inline_and_thread(_catalog_targets())
-        assert all(r.ok for r in inline_batch.results)
-        assert all(r.ok for r in thread_batch.results)
-        assert _rows(inline_batch) == _rows(thread_batch)
+        targets = _catalog_targets()
+        direct, pooled = _direct_and_pool(targets)
+        assert _rows(targets, direct) == _rows(targets, pooled)
 
-    def test_baseline_generators_identical_across_backends(self):
+    def test_baseline_generators_identical_to_direct_compiles(self):
         dag_name = algorithm_names()[0]
         targets = [
             CompileTarget(
@@ -60,34 +62,27 @@ class TestInlineThreadParity:
             )
             for gen in ("darkroom", "soda", "fixynn")
         ]
-        inline_batch, thread_batch = _inline_and_thread(targets)
-        assert _rows(inline_batch) == _rows(thread_batch)
-        for ours, theirs in zip(thread_batch.results, inline_batch.results):
-            assert (
-                ours.accelerator.schedule.start_cycles
-                == theirs.accelerator.schedule.start_cycles
-            )
-            for name, config in theirs.accelerator.schedule.line_buffers.items():
+        direct, pooled = _direct_and_pool(targets)
+        assert _rows(targets, direct) == _rows(targets, pooled)
+        for ours, theirs in zip(pooled, direct):
+            assert ours.schedule.start_cycles == theirs.schedule.start_cycles
+            for name, config in theirs.schedule.line_buffers.items():
                 assert (
-                    ours.accelerator.schedule.line_buffers[name].to_payload()
+                    ours.schedule.line_buffers[name].to_payload()
                     == config.to_payload()
                 )
 
-    def test_coalescing_fallback_identical_across_backends(self):
-        """The two-solve auto-coalescing path agrees across backends."""
+    def test_coalescing_fallback_identical_to_a_direct_compile(self):
+        """The two-solve auto-coalescing path agrees with a direct compile."""
         target = CompileTarget(
             build_algorithm("unsharp-m"), image_width=W, image_height=H
         ).with_options(coalescing=True)
-        inline_batch, thread_batch = _inline_and_thread([target])
-        theirs, ours = inline_batch.results[0], thread_batch.results[0]
-        assert ours.ok and theirs.ok
-        assert ours.accelerator.schedule.generator == theirs.accelerator.schedule.generator
-        assert ours.accelerator.metadata["schedule_fingerprints"] == (
-            theirs.accelerator.metadata["schedule_fingerprints"]
+        [theirs], [ours] = _direct_and_pool([target])
+        assert ours.schedule.generator == theirs.schedule.generator
+        assert ours.metadata["schedule_fingerprints"] == (
+            theirs.metadata["schedule_fingerprints"]
         )
-        assert accelerator_report(ours.accelerator).row() == accelerator_report(
-            theirs.accelerator
-        ).row()
+        assert accelerator_report(ours).row() == accelerator_report(theirs).row()
 
 
 def _compile_baseline_in_child(cache_dir: str, width: int, height: int) -> None:

@@ -128,7 +128,7 @@ class TestCoalescedPortOccupancy:
         assert check_schedule_legality(schedule).ok
         assert simulate_schedule(schedule).ok
 
-        engine = CompileEngine(workers=1, executor="inline", cache_dir=tmp_path / "cache")
+        engine = CompileEngine(workers=1, cache_dir=tmp_path / "cache")
         try:
             result = VerifyEngine(engine).submit(VerifyRequest(target=target, check="cycle"))
         finally:

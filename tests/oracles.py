@@ -133,6 +133,7 @@ def _pixel(frames, consumer: str, ref: ast.StageRef, *, y: int, x: int) -> np.fl
 # Structural lint, one regex search per check
 # ---------------------------------------------------------------------------
 _MODULE_RE = re.compile(r"^\s*module\s+([A-Za-z_][A-Za-z0-9_$]*)", re.MULTILINE)
+_ENDMODULE_RE = re.compile(r"\bendmodule\b")
 _INSTANCE_RE = re.compile(
     r"^\s*([A-Za-z_][A-Za-z0-9_$]*)\s+(?:#\s*\([^;]*?\)\s*)?(u_[A-Za-z0-9_$]*)\s*\(",
     re.MULTILINE,
@@ -153,12 +154,14 @@ _RANGE_RE = re.compile(r"\[\s*(\d+)\s*:\s*(\d+)\s*\]")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 
 
-def _module_bodies(source: str) -> dict[str, str]:
+def _module_bodies(source: str, endmodules: list[int]) -> dict[str, str]:
+    """Each module's text up to the first whole-word ``endmodule`` after its
+    header (``endmodules``: the offsets of every one)."""
     bodies: dict[str, str] = {}
     for match in _MODULE_RE.finditer(source):
         name = match.group(1)
-        end = source.find("endmodule", match.end())
-        bodies[name] = source[match.start() : end if end != -1 else len(source)]
+        end = next((at for at in endmodules if at >= match.end()), len(source))
+        bodies[name] = source[match.start() : end]
     return bodies
 
 
@@ -193,7 +196,8 @@ def _declared_widths(body: str) -> dict[str, int | None]:
 def lint_verilog_regex(source: str) -> LintReport:
     """Run the structural checks and return a :class:`LintReport`."""
     report = LintReport()
-    bodies = _module_bodies(source)
+    endmodules = [match.start() for match in _ENDMODULE_RE.finditer(source)]
+    bodies = _module_bodies(source, endmodules)
     report.modules = list(bodies)
 
     seen: set[str] = set()
@@ -203,7 +207,7 @@ def lint_verilog_regex(source: str) -> LintReport:
         seen.add(name)
 
     module_count = len(_MODULE_RE.findall(source))
-    endmodule_count = len(re.findall(r"\bendmodule\b", source))
+    endmodule_count = len(endmodules)
     if module_count != endmodule_count:
         report.errors.append(
             f"Unbalanced module/endmodule: {module_count} module(s), {endmodule_count} endmodule(s)"

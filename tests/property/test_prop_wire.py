@@ -5,9 +5,10 @@ The invariants that make disk-persistable designs safe: an arbitrary
 physical line-buffer configuration survives ``to_payload``/``from_payload``
 bit-identically, and any schedule a real generator (ImaGen or a baseline)
 produces survives :func:`repro.service.cache.serialize_schedule` /
-:func:`repro.service.cache.deserialize_schedule` with identical reports —
-both as the default payload (decisions-only for ImaGen, line buffers
-re-derived on load) and with ``include_line_buffers=True``.
+:func:`repro.service.cache.deserialize_schedule` with identical reports:
+decisions-only for ImaGen (line buffers re-derived on load), line buffers
+embedded for the baselines, frame buffers re-derived for every generator.
+A payload that embeds ImaGen's line buffers too restores them verbatim.
 """
 
 from __future__ import annotations
@@ -143,14 +144,31 @@ def generator_schedules(draw, temporal: bool = False):
     return compile_target(target).schedule, target
 
 
-def _round_trip(schedule, dag, include_line_buffers):
+def _payload(schedule, embed: bool) -> dict:
+    """The disk cache's payload; with ``embed`` it carries every generator's
+    line buffers, as the baselines' payloads always do."""
+    payload = serialize_schedule(schedule)
+    if embed:
+        payload["line_buffers"] = {
+            name: config.to_payload() for name, config in schedule.line_buffers.items()
+        }
+    return payload
+
+
+def _round_trip(schedule, dag, embed: bool):
     """Serialize through JSON and back, as a disk-cache entry would be."""
-    payload = serialize_schedule(schedule, include_line_buffers=include_line_buffers)
+    payload = _payload(schedule, embed)
     return deserialize_schedule(json.loads(json.dumps(payload)), dag)
 
 
+#: ``derived`` is the disk cache's own payload (decisions-only for ImaGen,
+#: line buffers re-derived on load); ``embedded`` carries them for every
+#: generator and is restored verbatim.
+LINE_BUFFERS = pytest.mark.parametrize("embed", [False, True], ids=["derived", "embedded"])
+
+
 def _assert_same_design(restored, schedule):
-    """Reports, start cycles and every buffer payload match."""
+    """Reports, start cycles and every buffer match."""
     assert restored.generator == schedule.generator
     assert restored.start_cycles == schedule.start_cycles
     assert restored.coalesce_factors == schedule.coalesce_factors
@@ -159,32 +177,27 @@ def _assert_same_design(restored, schedule):
         assert restored.line_buffers[name].to_payload() == config.to_payload()
     assert set(restored.frame_buffers) == set(schedule.frame_buffers)
     for name, config in schedule.frame_buffers.items():
-        assert restored.frame_buffers[name].to_payload() == config.to_payload()
+        assert restored.frame_buffers[name] == config
     assert accelerator_report(restored).row() == accelerator_report(schedule).row()
 
 
-#: ``None`` is the disk cache's default payload (decisions-only for ImaGen,
-#: line buffers re-derived on load); ``True`` embeds them for every generator.
-INCLUDE_LINE_BUFFERS = pytest.mark.parametrize("include_line_buffers", [None, True])
-
-
 class TestGeneratorScheduleRoundTrip:
-    @INCLUDE_LINE_BUFFERS
+    @LINE_BUFFERS
     @given(data=generator_schedules())
     @settings(max_examples=25, deadline=None)
-    def test_schedule_round_trip_preserves_reports(self, data, include_line_buffers):
+    def test_schedule_round_trip_preserves_reports(self, data, embed):
         schedule, target = data
-        restored = _round_trip(schedule, target.dag, include_line_buffers)
+        restored = _round_trip(schedule, target.dag, embed)
         _assert_same_design(restored, schedule)
 
-    @INCLUDE_LINE_BUFFERS
+    @LINE_BUFFERS
     @given(data=generator_schedules())
     @settings(max_examples=10, deadline=None)
-    def test_payload_is_json_serializable(self, data, include_line_buffers):
+    def test_payload_is_json_serializable(self, data, embed):
         schedule, _ = data
-        payload = serialize_schedule(schedule, include_line_buffers=include_line_buffers)
+        payload = _payload(schedule, embed)
         assert json.loads(json.dumps(payload)) == payload
-        embedded = include_line_buffers or schedule.generator not in ("imagen", "imagen+lc")
+        embedded = embed or schedule.generator not in ("imagen", "imagen+lc")
         assert ("line_buffers" in payload) == embedded
 
 
@@ -215,14 +228,12 @@ class TestTargetPayloadVersions:
         assert restored.fingerprint == target.fingerprint
         assert restored.dag.canonical_form() == target.dag.canonical_form()
 
-    @INCLUDE_LINE_BUFFERS
+    @LINE_BUFFERS
     @given(data=generator_schedules(temporal=True))
     @settings(max_examples=10, deadline=None)
-    def test_temporal_schedule_round_trip_preserves_frame_buffers(
-        self, data, include_line_buffers
-    ):
+    def test_temporal_schedule_round_trip_preserves_frame_buffers(self, data, embed):
         schedule, target = data
-        restored = _round_trip(schedule, target.dag, include_line_buffers)
+        restored = _round_trip(schedule, target.dag, embed)
         assert restored.frame_buffers == schedule.frame_buffers
         assert all(
             isinstance(config, FrameBufferConfig)

@@ -1,7 +1,11 @@
-"""Unit tests for the line-coalescing DAG rewrite (Algorithm 1)."""
+"""Unit tests for the achievable line-coalescing factors (Sec. 6)."""
 
-from repro.core.coalescing import coalesce_dag, coalescing_factors, _split_heights
-from repro.memory.spec import asic_dual_port, asic_single_port
+from dataclasses import replace
+
+import pytest
+
+from repro.core.coalescing import coalescing_factors
+from repro.memory.spec import asic_dual_port, asic_fifo, asic_single_port
 
 from tests.conftest import TEST_WIDTH, build_chain, build_paper_example
 
@@ -23,65 +27,25 @@ class TestFactors:
         factors = coalescing_factors(build_chain(3), 1920, asic_dual_port())
         assert all(f == 1 for f in factors.values())
 
+    def test_paper_example_factors(self):
+        # K0 feeds K1 and K2, K1 feeds K2; K2 is the output.
+        factors = coalescing_factors(build_paper_example(), W, asic_dual_port())
+        assert factors == {"K0": 2, "K1": 2, "K2": 1}
 
-class TestSplitHeights:
-    def test_paper_example_split(self):
-        assert _split_heights(3, 2) == [2, 1]
+    # A 32 Kbit block holds 32 lines of 64 pixels, 2 of 1024 and 1 of 2048.
+    @pytest.mark.parametrize(
+        "ports,width,expected", [(2, 64, 2), (4, 64, 4), (4, 1024, 2), (4, 2048, 1)]
+    )
+    def test_factor_bounded_by_ports_and_block_capacity(self, ports, width, expected):
+        spec = asic_dual_port().with_ports(ports)
+        factors = coalescing_factors(build_chain(3), width, spec)
+        assert factors == {"K0": expected, "K1": expected, "K2": 1}
 
-    def test_exact_split(self):
-        assert _split_heights(4, 2) == [2, 2]
+    def test_fifo_memory_disables_coalescing(self):
+        factors = coalescing_factors(build_chain(3), W, asic_fifo())
+        assert all(f == 1 for f in factors.values())
 
-    def test_no_split_needed(self):
-        assert _split_heights(2, 3) == [2]
-
-
-class TestRewrite:
-    def test_no_rewrite_when_factor_one(self):
-        original = build_chain(3)
-        result = coalesce_dag(original, 1920, asic_dual_port())
-        assert result.groups == []
-        assert len(result.dag) == len(original)
-
-    def test_tall_consumer_is_split(self):
-        dag = build_chain(2, stencil=5)  # K1 reads 5 lines of K0
-        result = coalesce_dag(dag, W, asic_dual_port())
-        groups = result.virtual_groups_of("K1")
-        assert len(groups) == 1
-        group = groups[0]
-        # ceil(5 / 2) = 3 virtual readers; the physical stage is the first.
-        assert len(group.virtual_stages) == 3
-        assert group.virtual_stages[0] == "K1"
-        heights = [group.line_ranges[v][1] for v in group.virtual_stages]
-        assert heights == [2, 2, 1]
-        assert sum(heights) == 5
-
-    def test_virtual_stages_marked(self):
-        dag = build_chain(3, stencil=3)
-        result = coalesce_dag(dag, W, asic_dual_port())
-        virtual = [s for s in result.dag.stages() if s.is_virtual]
-        assert virtual, "3-line windows with factor 2 must create virtual readers"
-        for stage in virtual:
-            assert stage.virtual_of is not None
-
-    def test_virtual_edges_read_producer(self):
-        dag = build_chain(2, stencil=4)
-        result = coalesce_dag(dag, W, asic_dual_port())
-        group = result.virtual_groups_of("K1")[0]
-        for virtual_name in group.virtual_stages[1:]:
-            edge = result.dag.edge("K0", virtual_name)
-            offset, height = group.line_ranges[virtual_name]
-            assert edge.window.height == height
-            assert offset >= 2
-
-    def test_synchronized_sets(self):
-        dag = build_chain(2, stencil=5)
-        result = coalesce_dag(dag, W, asic_dual_port())
-        sets = result.synchronized_sets()
-        assert len(sets) == 1
-        assert set(sets[0]) == {"K1", *result.virtual_groups_of("K1")[0].virtual_stages[1:]}
-
-    def test_paper_example_rewrite_keeps_stage_count_of_originals(self):
-        dag = build_paper_example()
-        result = coalesce_dag(dag, W, asic_dual_port())
-        original_names = set(dag.stage_names())
-        assert original_names <= set(result.dag.stage_names())
+    def test_spec_can_forbid_coalescing(self):
+        spec = replace(asic_dual_port(), allow_coalescing=False)
+        factors = coalescing_factors(build_chain(3), W, spec)
+        assert all(f == 1 for f in factors.values())

@@ -35,11 +35,13 @@ NEIGHBOR_RES = (480, 320)
 TARGET_RES = (960, 540)
 
 
-def schedule_payload(schedule) -> str:
-    """Canonical byte form of a schedule, solver bookkeeping stripped."""
-    payload = serialize_schedule(schedule, include_line_buffers=True)
+def schedule_payload(schedule) -> tuple[str, dict]:
+    """Canonical byte form of a schedule's decisions, solver bookkeeping
+    stripped, and its physical line buffers."""
+    payload = serialize_schedule(schedule)
     payload.pop("solver_stats", None)
-    return json.dumps(payload, sort_keys=True)
+    payload.pop("line_buffers", None)
+    return json.dumps(payload, sort_keys=True), schedule.line_buffers
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +201,7 @@ class TestHistoryIndependence:
         """An engine that has compiled another variant first serves the
         target with ``compile_target``'s start cycles and Verilog."""
         name, target, earlier, resolution = pair
-        with CompileEngine(workers=1, executor="inline") as engine:
+        with CompileEngine(workers=1) as engine:
             engine.submit(_variant_target(name, earlier).with_resolution(*resolution)).unwrap()
             served = engine.submit(_variant_target(name, target)).unwrap()
         start_cycles, verilog = _plain_compile(name, target)

@@ -6,6 +6,8 @@ from repro.errors import GraphError
 from repro.ir.dag import Edge, PipelineDAG, Stage, merge_parallel_edges
 from repro.ir.stencil import StencilWindow
 
+from tests.conftest import build_virtual_reader
+
 
 def make_simple() -> PipelineDAG:
     dag = PipelineDAG("simple")
@@ -111,6 +113,20 @@ class TestCopy:
         assert clone.stage("K0").is_input
         assert clone.stage("K2").is_output
         assert clone.stage("K1").metadata == {"tag": 1}
+
+
+class TestVirtualOf:
+    """``Stage.virtual_of`` survives copies and enters the canonical form."""
+
+    def test_copy_keeps_virtual_of(self):
+        clone = build_virtual_reader().copy()
+        assert clone.stage("K1_v1").virtual_of == "K1"
+        assert clone.stage("K1").virtual_of is None
+
+    def test_canonical_form_distinguishes_virtual_of(self):
+        marked, plain = build_virtual_reader(), build_virtual_reader(None)
+        assert marked.canonical_form() != plain.canonical_form()
+        assert marked.canonical_form() == build_virtual_reader().canonical_form()
 
 
 class TestMergeParallelEdges:

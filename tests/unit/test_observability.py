@@ -55,8 +55,8 @@ W, H = TEST_WIDTH, TEST_HEIGHT
 
 @pytest.fixture(scope="module")
 def live_service():
-    """One compiled-and-scraped inline service shared by the surface tests."""
-    engine = CompileEngine(workers=1, executor="inline", tracing=True)
+    """One compiled-and-scraped service shared by the surface tests."""
+    engine = CompileEngine(workers=1, tracing=True)
     server = start_server(engine)
     client = ServiceClient(port=server.port)
     target = CompileTarget(build_algorithm("unsharp-m"), image_width=W, image_height=H)

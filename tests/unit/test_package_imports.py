@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 
 
@@ -34,3 +36,23 @@ def test_http_module_runs_without_a_runtime_warning():
     completed = _run("-W", "error::RuntimeWarning", "-m", "repro.service.http", "--help")
     assert completed.returncode == 0, completed.stderr
     assert "--max-pending" in completed.stdout
+
+
+def test_service_http_imports_no_asyncio():
+    script = (
+        "import sys\n"
+        "import repro.service.http\n"
+        "print('asyncio' in sys.modules)\n"
+    )
+    completed = _run("-c", script)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.service", "repro.service.engine", "repro.service.verify"]
+)
+def test_engine_and_verify_modules_import_no_asyncio(module):
+    completed = _run("-c", f"import sys, {module}; print('asyncio' in sys.modules)")
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"

@@ -7,7 +7,7 @@ import pytest
 from repro.api import CompileTarget
 from repro.core.compiler import compile_pipeline
 from repro.dsl import ast
-from repro.dsl.builder import PipelineBuilder, window_sum
+from repro.dsl.builder import PipelineBuilder, window_average, window_sum
 from repro.errors import RTLError
 from repro.rtl.expressions import (
     DATA_WIDTH,
@@ -18,8 +18,16 @@ from repro.rtl.expressions import (
 )
 from repro.rtl.generator import generate_design
 from repro.rtl.lint import lint_verilog
+from repro.rtl.sim import _carries
 
-from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain, build_paper_example
+from tests.conftest import (
+    TEST_HEIGHT,
+    TEST_WIDTH,
+    build_chain,
+    build_paper_example,
+    build_virtual_reader,
+)
+from tests.oracles import lint_verilog_regex
 
 W, H = TEST_WIDTH, TEST_HEIGHT
 
@@ -333,3 +341,61 @@ endmodule
         )
         assert ("stage_module", "u_stage_module") in report.instances
         assert report.top_modules == ["imagen_sram", "accelerator_keywords"]
+
+    def test_stage_named_endmodule_keeps_every_instance(self):
+        """A stage named ``endmodule`` does not end a module body early."""
+
+        def lint(name):
+            builder = PipelineBuilder("chain")
+            source = builder.input("K0")
+            middle = builder.stage(name, window_average(source, 3, 3))
+            builder.stage("out", window_average(middle, 3, 3))
+            builder.dag.stage("out").is_output = True
+            accelerator = compile_pipeline(
+                CompileTarget(builder.dag.validated(), image_width=32, image_height=24),
+            )
+            return lint_verilog(accelerator.generate_verilog())
+
+        named, plain = lint("endmodule"), lint("mid")
+        assert named.ok and plain.ok, (named.errors, plain.errors)
+        assert len(plain.instances) == 6
+        assert len(named.instances) == len(plain.instances)
+        assert ("stage_endmodule", "u_stage_endmodule") in named.instances
+        assert named.top_modules == plain.top_modules == ["imagen_sram", "accelerator_chain"]
+
+    @pytest.mark.parametrize(
+        "identifier", ["endmodule_q", "q_endmodule", "my_endmodule_q", "endmodules"]
+    )
+    def test_identifier_containing_endmodule_does_not_end_the_body(self, identifier):
+        """The linter and the regex oracle both end a body at a whole-word
+        ``endmodule`` only."""
+        source = f"""module leaf (input wire clk, input wire [7:0] a, output wire [7:0] q);
+    wire [7:0] {identifier};
+    assign {identifier} = a;
+    assign q = {identifier};
+endmodule
+module top (input wire clk, input wire [7:0] a, output wire [7:0] q);
+    wire [7:0] {identifier};
+    leaf u_leaf (.clk(clk), .a(a), .q({identifier}));
+    assign q = {identifier};
+endmodule
+"""
+        for report in (lint_verilog(source), lint_verilog_regex(source)):
+            assert report.ok, report.errors
+            assert report.modules == ["leaf", "top"]
+            assert report.instances == [("leaf", "u_leaf")]
+            assert report.top_modules == ["top"]
+
+
+class TestSimRouting:
+    """The RTL simulator's routing walk (``_carries``) on ``virtual_of`` links,
+    which only a wire-decoded DAG carries."""
+
+    def test_virtual_reader_carries_its_physical_stage(self):
+        dag = build_virtual_reader()
+        assert _carries(dag, "K1_v1", "K1")
+        assert not _carries(dag, "K1_v1", "K0")  # K1 computes, it does not relay
+
+    def test_virtual_of_cycle_ends_the_walk(self):
+        dag = build_virtual_reader(virtual_of="K1_v1")
+        assert not _carries(dag, "K1_v1", "K0")

@@ -401,7 +401,7 @@ class TestEngineAdmission:
     def test_saturated_engine_sheds_excess_while_inflight_completes(self, slow_solver):
         """Acceptance: max_pending=4 + slow solves -> excess submits shed,
         admitted work still completes once the solver unblocks."""
-        engine = CompileEngine(workers=1, executor="thread", max_pending=4)
+        engine = CompileEngine(workers=1, max_pending=4)
         outcomes: list = []
         try:
             threads = [
@@ -425,7 +425,7 @@ class TestEngineAdmission:
             engine.shutdown()
 
     def test_batch_degrades_shed_items_to_rejected_results(self, slow_solver):
-        engine = CompileEngine(workers=1, executor="thread", max_pending=2)
+        engine = CompileEngine(workers=1, max_pending=2)
         blocker_results: list = []
         try:
             blocker = _submit_in_thread(engine, _target(0), "other", blocker_results)
@@ -444,7 +444,7 @@ class TestEngineAdmission:
 
     def test_cache_answerable_submits_bypass_admission(self, slow_solver):
         slow_solver.set()
-        engine = CompileEngine(workers=1, executor="thread", max_pending=1)
+        engine = CompileEngine(workers=1, max_pending=1)
         try:
             target = _target(0)
             assert engine.submit(target, client="a").source == "solver"
@@ -457,7 +457,7 @@ class TestEngineAdmission:
 
     def test_env_var_enables_admission(self, monkeypatch):
         monkeypatch.setenv(MAX_PENDING_ENV_VAR, "7")
-        engine = CompileEngine(workers=1, executor="inline")
+        engine = CompileEngine(workers=1)
         try:
             assert engine.max_pending == 7
             assert engine.admission_stats()["max_pending"] == 7
@@ -465,7 +465,7 @@ class TestEngineAdmission:
             engine.shutdown()
         monkeypatch.setenv(MAX_PENDING_ENV_VAR, "zero")
         with pytest.raises(ValueError, match=MAX_PENDING_ENV_VAR):
-            CompileEngine(workers=1, executor="inline")
+            CompileEngine(workers=1)
 
     def test_invalid_admission_settings_rejected(self):
         with pytest.raises(ValueError, match="max_pending"):
@@ -496,7 +496,7 @@ class TestEngineAdmission:
     def test_admission_and_a_two_thread_pool_compose(self, slow_solver):
         """max_pending bounds the wait queue while the pool runs width-many
         dispatches."""
-        engine = CompileEngine(workers=2, executor="thread", max_pending=2)
+        engine = CompileEngine(workers=2, max_pending=2)
         outcomes: list = []
         try:
             threads = [
@@ -522,7 +522,7 @@ class TestEngineAdmission:
         """Jobs still waiting in the admission queue must resolve with
         CancelledError on shutdown(cancel_pending=True), not get pumped into
         a transparently recreated pool afterwards."""
-        engine = CompileEngine(workers=1, executor="thread", max_pending=2)
+        engine = CompileEngine(workers=1, max_pending=2)
         outcomes: list = []
 
         def run(target):

@@ -24,10 +24,7 @@ W, H = TEST_WIDTH, TEST_HEIGHT
 
 @pytest.fixture
 def engine():
-    # Pinned to the thread backend so REPRO_EXECUTOR cannot change it;
-    # cross-backend behaviour lives in test_service_executor and the
-    # integration parity suite.
-    engine = CompileEngine(workers=2, executor="thread")
+    engine = CompileEngine(workers=2)
     yield engine
     engine.shutdown()
 
@@ -49,14 +46,6 @@ class TestSingleRequests:
             engine.submit(build_chain(3))
         with pytest.raises(TypeError, match="CompileTarget"):
             engine.submit_batch([build_chain(3)])
-
-    def test_async_non_target_input_is_a_type_error(self, engine):
-        import asyncio
-
-        with pytest.raises(TypeError, match="CompileTarget"):
-            asyncio.run(engine.submit_async(build_chain(3)))
-        with pytest.raises(TypeError, match="CompileTarget"):
-            asyncio.run(engine.submit_batch_async([build_chain(3)]))
 
     def test_compile_takes_only_a_target(self, engine):
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
@@ -178,6 +167,37 @@ class TestBatches:
         with pytest.raises(ReproError, match="1/3"):
             batch.raise_on_error()
 
+    def test_batch_item_identical_to_single_submit(self, engine):
+        """A pool-run batch item and a caller-thread submit of the same
+        target share one cached schedule."""
+        target = CompileTarget(build_paper_example(), image_width=W, image_height=H)
+        single = engine.submit(target)
+        batch = engine.submit_batch([target])
+        assert batch.results[0].ok
+        assert batch.results[0].fingerprint == single.fingerprint
+        assert batch.results[0].source == "memory"  # the submit warmed the cache
+        assert batch.results[0].accelerator.schedule is single.accelerator.schedule
+
+    def test_batch_is_independent_of_pool_size(self):
+        targets = [
+            CompileTarget(build_chain(3), image_width=W, image_height=H, label="a"),
+            CompileTarget(build_chain(4), image_width=W, image_height=H, label="b"),
+            CompileTarget(build_chain(3), image_width=W, image_height=H, label="c"),
+            CompileTarget(
+                build_paper_example(), image_width=W, image_height=H
+            ).with_options(coalescing=True),
+        ]
+        with CompileEngine(workers=1) as narrow, CompileEngine(workers=3) as wide:
+            one, many = narrow.submit_batch(targets), wide.submit_batch(targets)
+        assert [r.target.label for r in many] == [r.target.label for r in one]
+        assert [r.fingerprint for r in many] == [r.fingerprint for r in one]
+        assert [r.source for r in many] == [r.source for r in one]
+        for ours, theirs in zip(many.results, one.results):
+            assert ours.ok and theirs.ok
+            ours, theirs = ours.accelerator.schedule, theirs.accelerator.schedule
+            assert ours.start_cycles == theirs.start_cycles
+            assert ours.total_allocated_bits == theirs.total_allocated_bits
+
     def test_accelerators_helper_skips_failures(self, engine):
         batch = engine.submit_batch(
             [
@@ -257,8 +277,8 @@ class TestSweepIntegration:
 class TestInlineSubmitDedup:
     """Regression: inline ``submit`` must join the in-flight dedup table.
 
-    It used to call ``_execute`` directly, so a sync submit racing an
-    async/batch submit of the same fingerprint ran two solves — breaking the
+    It used to call ``_execute`` directly, so a submit racing a batch or
+    another submit of the same fingerprint ran two solves — breaking the
     engine's "exactly one solve" guarantee.
     """
 
@@ -353,9 +373,9 @@ class TestInlineSubmitDedup:
     def test_inline_owner_future_is_cancel_proof(self, engine, gated_solver):
         """A joiner cancelling the published future must not break the owner.
 
-        The inline future is marked running before publication, so cancel()
-        from e.g. a timed-out asyncio wrapper is a no-op instead of flipping
-        the future into a state where the owner's set_result() raises.
+        The inline future is marked running before publication, so a
+        joiner's cancel() is a no-op instead of flipping the future into a
+        state where the owner's set_result() raises.
         """
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         results = {}

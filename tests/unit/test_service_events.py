@@ -91,7 +91,7 @@ class TestEngineEventWiring:
     def test_queue_shed_emits_event(self, clean_default_log, kind):
         from concurrent.futures import Future
 
-        engine = CompileEngine(workers=1, executor="thread", max_pending=1)
+        engine = CompileEngine(workers=1, max_pending=1)
         target = CompileTarget(build_chain(2), image_width=W, image_height=H)
         if kind == "compile":
             flight, submit, request = engine._flight, engine.submit, target
@@ -135,7 +135,7 @@ class TestEngineEventWiring:
             CompileTarget(build_chain(n), image_width=W, image_height=H)
             for n in (2, 3)
         ]
-        with CompileEngine(workers=2, executor="thread", cache=cache) as engine:
+        with CompileEngine(workers=2, cache=cache) as engine:
             engine.submit_batch(targets).raise_on_error()
         events = clean_default_log.recent("cache.gc")
         assert events

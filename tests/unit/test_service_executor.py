@@ -1,4 +1,4 @@
-"""Unit tests for the pluggable execution backends and engine wiring."""
+"""Unit tests for the engine's thread pool and its wiring."""
 
 import threading
 from concurrent.futures import CancelledError, Future
@@ -6,17 +6,15 @@ from concurrent.futures import CancelledError, Future
 import pytest
 
 from repro.api import CompileTarget
+from repro.core.compiler import compile_pipeline
 from repro.service import (
     CompileEngine,
-    EXECUTOR_NAMES,
-    InlineExecutor,
     ThreadExecutor,
     VerifyEngine,
     VerifyRequest,
-    default_executor_name,
     validate_worker_count,
 )
-from repro.service.executor import relay_future
+from repro.service.executor import default_executor_name, relay_future
 
 from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain, build_paper_example
 
@@ -28,53 +26,62 @@ def _target(dag=None, **kwargs) -> CompileTarget:
 
 
 class TestBackendSelection:
-    def test_default_is_thread(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    def test_default_is_thread(self):
         assert default_executor_name() == "thread"
         engine = CompileEngine(workers=1)
         assert engine.executor_name == "thread"
 
-    def test_backend_names(self):
-        assert EXECUTOR_NAMES == ("inline", "thread")
-
-    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
-    def test_env_selects_backend(self, monkeypatch, name):
-        monkeypatch.setenv("REPRO_EXECUTOR", name)
-        engine = CompileEngine(workers=1)
-        assert engine.executor_name == name
-        engine.shutdown()
-
-    def test_explicit_executor_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        engine = CompileEngine(workers=1, executor="inline")
-        assert engine.executor_name == "inline"
-
-    # "threads" is a typo; the rest name backends that no longer exist, so a
-    # stale deployment setting fails loudly too.
+    # The removed string form (the old backend names, a typo, backends that
+    # no longer exist), the backend class where an instance belongs, and a
+    # worker count in the wrong slot: a stale setting fails loudly.
     @pytest.mark.parametrize(
-        "name",
-        ["threads", "process", *(f"{mode}:auto" for mode in ("process", "thread"))],
+        "value",
+        [
+            "thread",
+            "inline",
+            "threads",
+            "process",
+            "process:auto",
+            "thread:auto",
+            ThreadExecutor,
+            2,
+        ],
+        ids=lambda value: getattr(value, "__name__", str(value)),
     )
-    def test_invalid_env_rejected(self, monkeypatch, name):
-        monkeypatch.setenv("REPRO_EXECUTOR", name)
-        with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-            default_executor_name()
-        with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-            CompileEngine(workers=1)
+    def test_invalid_executor_argument_rejected(self, value):
+        with pytest.raises(TypeError, match="ExecutorBackend"):
+            CompileEngine(workers=1, executor=value)
 
-    def test_invalid_executor_argument_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            CompileEngine(workers=1, executor="fork-bomb")
+    def test_none_builds_a_pool_of_the_engines_workers(self):
+        engine = CompileEngine(workers=3, executor=None)
+        assert type(engine._flight.executor) is ThreadExecutor
+        assert engine.executor_stats() == {"executor": "thread", "workers": 3}
 
     def test_backend_instance_is_used_verbatim(self):
-        backend = InlineExecutor()
+        backend = ThreadExecutor(3)
         engine = CompileEngine(workers=4, executor=backend)
         assert engine._flight.executor is backend
-        assert engine.executor_name == "inline"
+        assert engine.executor_stats() == {"executor": "thread", "workers": 3}
 
     def test_describe_names_the_backend(self):
-        engine = CompileEngine(workers=1, executor="inline")
-        assert "executor=inline" in engine.describe()
+        engine = CompileEngine(workers=1)
+        assert "executor=thread" in engine.describe()
+
+    def test_backend_shared_between_engines(self):
+        """One backend instance serves two engines from one pool; each engine
+        keeps its own cache."""
+        backend = ThreadExecutor(2)
+        first = CompileEngine(executor=backend)
+        second = CompileEngine(executor=backend)
+        try:
+            assert first.submit_batch([_target()]).results[0].source == "solver"
+            pool = backend._pool
+            assert pool is not None
+            assert second.submit_batch([_target()]).results[0].source == "solver"
+            assert backend._pool is pool
+            assert first.executor_stats() == second.executor_stats()
+        finally:
+            backend.shutdown()
 
 
 class TestWorkerValidation:
@@ -103,45 +110,6 @@ class TestWorkerValidation:
         assert "--workers" in capsys.readouterr().err
 
 
-class TestInlineBackend:
-    def test_batch_is_deterministic_and_ordered(self):
-        engine = CompileEngine(executor="inline")
-        targets = [_target(build_chain(n), label=str(n)) for n in (2, 3, 4)]
-        batch = engine.submit_batch(targets)
-        assert [r.target.label for r in batch.results] == ["2", "3", "4"]
-        assert all(r.ok for r in batch.results)
-        assert [r.source for r in batch.results] == ["solver"] * 3
-
-    def test_no_threads_involved(self):
-        import threading
-
-        seen = []
-        engine = CompileEngine(executor="inline")
-        original = engine._execute
-
-        def tracking(target, fingerprint):
-            seen.append(threading.current_thread())
-            return original(target, fingerprint)
-
-        engine._execute = tracking
-        engine.submit_batch([_target()])
-        assert seen == [threading.main_thread()]
-
-    def test_errors_still_captured_per_item(self):
-        engine = CompileEngine(executor="inline")
-        batch = engine.submit_batch([_target().with_resolution(1, H), _target()])
-        assert not batch.results[0].ok and batch.results[1].ok
-
-    def test_escaping_exception_settles_the_future(self):
-        def explode(target, fingerprint):
-            raise RuntimeError("boom")
-
-        future = InlineExecutor().submit(explode, _target(), "fp")
-        assert future.done()
-        with pytest.raises(RuntimeError, match="boom"):
-            future.result()
-
-
 def _track_threads(engine) -> list:
     """Record the name of every thread that runs one of ``engine``'s jobs."""
     seen = []
@@ -158,16 +126,27 @@ def _track_threads(engine) -> list:
 class TestThreadBackend:
     @pytest.fixture
     def engine(self):
-        engine = CompileEngine(workers=2, executor="thread")
+        engine = CompileEngine(workers=2)
         yield engine
         engine.shutdown()
 
     def test_shutdown_then_resubmit_recreates_pool(self):
-        with CompileEngine(workers=2, executor="thread") as engine:
+        with CompileEngine(workers=2) as engine:
             assert engine.submit_batch([_target()]).results[0].ok
             engine.shutdown()
             assert engine._flight.executor._pool is None
             assert engine.submit_batch([_target(build_chain(4))]).results[0].ok
+        assert engine._flight.executor._pool is None  # __exit__ released it
+
+    def test_enter_returns_engine_and_exit_shuts_down(self):
+        engine = CompileEngine(workers=2)
+        with engine as entered:
+            assert entered is engine
+            assert engine.submit_batch([_target()]).results[0].ok
+            assert engine._flight.executor._pool is not None
+        assert engine._flight.executor._pool is None
+        # The cache outlives the pool: a later submit is a memory hit.
+        assert engine.submit(_target()).source == "memory"
 
     def test_pool_is_created_on_first_job(self, engine):
         assert engine._flight.executor._pool is None
@@ -186,25 +165,122 @@ class TestThreadBackend:
         assert seen == [threading.current_thread().name]
         assert engine._flight.executor._pool is None
 
-    def test_batch_matches_inline_backend(self, engine):
+    def test_batch_is_deterministic_and_ordered(self):
+        """Results come back in submission order even when the pool finishes
+        the jobs in reverse."""
+        targets = [_target(build_chain(n), label=str(n)) for n in (2, 3, 4)]
+        turn = {target.fingerprint: index for index, target in enumerate(targets)}
+        done = [threading.Event() for _ in targets]
+        finished = []
+        with CompileEngine(workers=len(targets)) as engine:
+            original = engine._execute
+
+            def finish_in_reverse(target, fingerprint):
+                index = turn[fingerprint]
+                if index + 1 < len(done):
+                    assert done[index + 1].wait(timeout=30)
+                try:
+                    return original(target, fingerprint)
+                finally:
+                    finished.append(target.label)
+                    done[index].set()
+
+            engine._execute = finish_in_reverse
+            batch = engine.submit_batch(targets)
+        assert finished == ["4", "3", "2"]
+        assert [r.target.label for r in batch.results] == ["2", "3", "4"]
+        assert all(r.ok for r in batch.results)
+        assert [r.source for r in batch.results] == ["solver"] * 3
+
+    def test_escaping_exception_settles_the_future(self):
+        def explode(target, fingerprint):
+            raise RuntimeError("boom")
+
+        backend = ThreadExecutor(1)
+        try:
+            future = backend.submit(explode, _target(), "fp")
+            with pytest.raises(RuntimeError, match="boom"):
+                future.result(timeout=10)
+            assert future.done()
+        finally:
+            backend.shutdown()
+
+    def test_single_submit_is_not_queued_behind_a_saturated_pool(self, engine):
+        """A single submit runs on its caller's thread, so a pool busy with
+        other work does not delay it."""
+        pool = engine._flight.executor._ensure_pool()
+        release = threading.Event()
+        blockers = [pool.submit(release.wait) for _ in range(engine.workers)]
+        outcome: dict = {}
+        caller = threading.Thread(
+            target=lambda: outcome.update(result=engine.submit(_target())),
+            daemon=True,
+        )
+        caller.start()
+        try:
+            caller.join(timeout=30)
+            assert not caller.is_alive(), "single submit waited for the pool"
+        finally:
+            release.set()
+        assert outcome["result"].ok and outcome["result"].source == "solver"
+        assert all(blocker.result(timeout=10) for blocker in blockers)
+
+    def test_batch_matches_direct_compiles(self, engine):
         targets = [
             _target(build_paper_example(), label="imagen"),
             _target(build_paper_example(), generator="darkroom", label="dk"),
             _target(build_paper_example(), generator="soda", label="soda"),
         ]
-        expected = CompileEngine(executor="inline").submit_batch(targets)
         actual = engine.submit_batch(targets)
-        assert [r.fingerprint for r in actual] == [r.fingerprint for r in expected]
-        for ours, theirs in zip(actual.results, expected.results):
-            assert ours.ok and theirs.ok
-            assert (
-                ours.accelerator.schedule.start_cycles
-                == theirs.accelerator.schedule.start_cycles
-            )
+        assert [r.fingerprint for r in actual] == [t.fingerprint for t in targets]
+        for ours, target in zip(actual.results, targets):
+            theirs = compile_pipeline(target)
+            assert ours.ok
+            assert ours.accelerator.schedule.start_cycles == theirs.schedule.start_cycles
             assert (
                 ours.accelerator.schedule.total_allocated_bits
-                == theirs.accelerator.schedule.total_allocated_bits
+                == theirs.schedule.total_allocated_bits
             )
+
+    def test_shutdown_cancel_pending_cancels_a_pool_queued_batch(
+        self, engine, monkeypatch
+    ):
+        """A batch queued behind a saturated pool raises CancelledError on
+        shutdown(cancel_pending=True), and its job never runs."""
+        backend = engine._flight.executor
+        pool = backend._ensure_pool()
+        release = threading.Event()
+        for _ in range(engine.workers):
+            pool.submit(release.wait)
+        queued = threading.Event()
+        real_submit = backend.submit
+
+        def submit(*args):
+            future = real_submit(*args)
+            queued.set()
+            return future
+
+        monkeypatch.setattr(backend, "submit", submit)
+        outcome: dict = {}
+
+        def run():
+            try:
+                outcome["batch"] = engine.submit_batch([_target()])
+            except CancelledError as exc:
+                outcome["error"] = exc
+
+        waiter = threading.Thread(target=run, daemon=True)
+        waiter.start()
+        try:
+            assert queued.wait(timeout=10)  # the job waits behind the blockers
+            engine.shutdown(wait=False, cancel_pending=True)
+            waiter.join(timeout=10)
+            assert not waiter.is_alive(), "cancelled batch still waiting"
+        finally:
+            release.set()
+        assert isinstance(outcome.get("error"), CancelledError)
+        # The cancelled job never ran: no result was recorded.
+        assert engine.metrics.requests == 0
 
     def test_in_batch_dedup_shares_one_future(self, engine):
         batch = engine.submit_batch([_target(), _target()])
@@ -232,12 +308,12 @@ class TestThreadBackend:
 
     def test_pool_solves_persist_to_the_shared_volume(self, tmp_path):
         targets = [_target(build_chain(n)) for n in (2, 3, 4)]
-        with CompileEngine(workers=2, executor="thread", cache_dir=tmp_path) as engine:
+        with CompileEngine(workers=2, cache_dir=tmp_path) as engine:
             engine.submit_batch(targets).raise_on_error()
         assert len(engine.cache.store) >= len(targets)
         # A fresh engine on the same volume (another server process, say)
         # answers every target from disk.
-        with CompileEngine(workers=2, executor="thread", cache_dir=tmp_path) as fresh:
+        with CompileEngine(workers=2, cache_dir=tmp_path) as fresh:
             batch = fresh.submit_batch(targets)
         assert [r.source for r in batch.results] == ["disk"] * len(targets)
 
@@ -247,21 +323,21 @@ class TestThreadBackend:
         store = DiskCacheStore(tmp_path, max_bytes=2_000)  # ~1-2 entries
         cache = CompileCache(store=store)
         targets = [_target(build_chain(n)) for n in (2, 3, 4, 5)]
-        with CompileEngine(workers=2, executor="thread", cache=cache) as engine:
+        with CompileEngine(workers=2, cache=cache) as engine:
             engine.submit_batch(targets).raise_on_error()
         assert store.total_bytes() <= 2_000
 
 
 class TestBackendStats:
-    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
-    def test_stats_report_only_name_and_workers(self, name):
-        with CompileEngine(workers=2, executor=name) as engine:
+    def test_stats_report_only_name_and_workers(self):
+        with CompileEngine(workers=2) as engine:
             engine.submit_batch([_target()])
-            expected_workers = 1 if name == "inline" else 2
-            assert engine.executor_stats() == {
-                "executor": name,
-                "workers": expected_workers,
-            }
+            assert engine.executor_stats() == {"executor": "thread", "workers": 2}
+
+    def test_stats_create_no_pool(self):
+        engine = CompileEngine(workers=3)
+        assert engine.executor_stats() == {"executor": "thread", "workers": 3}
+        assert engine._flight.executor._pool is None
 
 
 def _running_future() -> Future:
@@ -297,9 +373,9 @@ class TestSubmitFailureRecovery:
     published placeholder future in ``_inflight`` forever, so every later
     submission of that fingerprint deduped against a dead future and hung."""
 
-    class _BrokenBackend(InlineExecutor):
+    class _BrokenBackend(ThreadExecutor):
         def __init__(self):
-            super().__init__()
+            super().__init__(2)
             self.broken = True
 
         def submit(self, run_local, target, fingerprint):
@@ -311,12 +387,15 @@ class TestSubmitFailureRecovery:
         backend = self._BrokenBackend()
         engine = CompileEngine(executor=backend)
         target = _target()
-        with pytest.raises(RuntimeError, match="pool is broken"):
-            engine.submit_batch([target])
-        assert not engine._flight._inflight  # the fingerprint is not poisoned
-        backend.broken = False
-        batch = engine.submit_batch([target])  # must not hang
-        assert batch.results[0].ok
+        try:
+            with pytest.raises(RuntimeError, match="pool is broken"):
+                engine.submit_batch([target])
+            assert not engine._flight._inflight  # the fingerprint is not poisoned
+            backend.broken = False
+            batch = engine.submit_batch([target])  # must not hang
+            assert batch.results[0].ok
+        finally:
+            engine.shutdown()
 
     @pytest.mark.parametrize("max_pending", [None, 4])
     def test_failed_verify_submit_clears_inflight_and_unblocks_retries(
@@ -345,22 +424,25 @@ class TestSubmitFailureRecovery:
             assert not thread.is_alive(), "verify submit hung"
             return outcome
 
-        failed = submit()
-        assert isinstance(failed.get("error"), RuntimeError)
-        assert str(failed["error"]) == "pool is broken"
-        assert not verify._flight._inflight  # the fingerprint is not poisoned
-        backend.broken = False
-        retried = submit()["result"]
-        assert retried.source == "verified" and retried.passed
+        try:
+            failed = submit()
+            assert isinstance(failed.get("error"), RuntimeError)
+            assert str(failed["error"]) == "pool is broken"
+            assert not verify._flight._inflight  # the fingerprint is not poisoned
+            backend.broken = False
+            retried = submit()["result"]
+            assert retried.source == "verified" and retried.passed
+        finally:
+            engine.shutdown()
 
 
 class TestSweepExecutorWiring:
-    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
-    def test_engine_sweep_matches_serial(self, executor):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_sweep_matches_serial(self, workers):
         from repro.dse.sweep import sweep_memory_configurations
 
         serial = sweep_memory_configurations(_target(build_paper_example()))
-        with CompileEngine(workers=2, executor=executor) as engine:
+        with CompileEngine(workers=workers) as engine:
             fanned = sweep_memory_configurations(
                 _target(build_paper_example()), engine=engine
             )
@@ -369,8 +451,16 @@ class TestSweepExecutorWiring:
         assert [p.power_mw for p in fanned] == [p.power_mw for p in serial]
 
     def test_sweep_uses_the_engines_backend(self):
-        engine = CompileEngine(workers=2, executor="inline")
+        """The baseline compiles on the caller's thread; every configuration
+        it fans out runs on the engine's pool."""
         from repro.dse.sweep import sweep_memory_configurations
 
-        points = sweep_memory_configurations(_target(build_paper_example()), engine=engine)
+        with CompileEngine(workers=2) as engine:
+            seen = _track_threads(engine)
+            points = sweep_memory_configurations(
+                _target(build_paper_example()), engine=engine
+            )
         assert points and all(p.area_mm2 > 0 for p in points)
+        assert seen[0] == threading.current_thread().name
+        assert len(seen) > 1
+        assert all(name.startswith("repro-compile") for name in seen[1:])

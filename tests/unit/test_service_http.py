@@ -30,7 +30,7 @@ W, H = TEST_WIDTH, TEST_HEIGHT
 @pytest.fixture
 def service(tmp_path):
     """A live server on an ephemeral port + its engine + a client."""
-    engine = CompileEngine(workers=2, executor="thread", cache_dir=tmp_path / "cache")
+    engine = CompileEngine(workers=2, cache_dir=tmp_path / "cache")
     server = start_server(engine)
     yield ServiceClient(port=server.port), engine, server
     server.stop()
@@ -370,7 +370,7 @@ class TestAccessLog:
     """One spelling per log style: ``access_log=`` / ``--access-log``."""
 
     def _serve_one_health_check(self, **server_kwargs):
-        engine = CompileEngine(workers=1, executor="inline")
+        engine = CompileEngine(workers=1)
         server = start_server(engine, **server_kwargs)
         try:
             assert ServiceClient(port=server.port).health() == {"status": "ok"}
@@ -396,7 +396,7 @@ class TestAccessLog:
     def test_unknown_mode_rejected(self):
         from repro.service.http import CompileServiceServer
 
-        engine = CompileEngine(workers=1, executor="inline")
+        engine = CompileEngine(workers=1)
         with pytest.raises(ValueError, match="access_log"):
             CompileServiceServer(("127.0.0.1", 0), engine, access_log="verbose")
         engine.shutdown()
@@ -440,7 +440,7 @@ def secured_service():
         clock=clock,
     )
     limiter = RateLimiter(rate=2.0, burst=2.0, clock=clock)
-    engine = CompileEngine(workers=1, executor="thread", max_pending=2)
+    engine = CompileEngine(workers=1, max_pending=2)
     server = start_server(engine, authenticator=authenticator, rate_limiter=limiter)
     yield server, engine, clock
     server.stop()
@@ -545,7 +545,7 @@ class TestQueueFullOverHTTP:
         authenticator = TokenAuthenticator(
             [TokenRecord("alice", "alice-secret"), TokenRecord("bob", "bob-secret")]
         )
-        engine = CompileEngine(workers=1, executor="thread", max_pending=2)
+        engine = CompileEngine(workers=1, max_pending=2)
         server = start_server(engine, authenticator=authenticator)
         gate = threading.Event()
         real = engine_module.compile_pipeline

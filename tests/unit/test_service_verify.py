@@ -30,6 +30,7 @@ from repro.service import (
     verify_result_to_wire,
 )
 from repro.service.wire import WireFormatError
+from repro.sim.batch import replay_frames
 
 from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain
 
@@ -40,7 +41,7 @@ ALL_GENERATORS = ("imagen",) + BASELINE_NAMES
 
 @pytest.fixture
 def engines(tmp_path):
-    engine = CompileEngine(workers=2, executor="thread", cache_dir=tmp_path / "cache")
+    engine = CompileEngine(workers=2, cache_dir=tmp_path / "cache")
     verify = VerifyEngine(engine)
     yield engine, verify
     engine.shutdown()
@@ -153,7 +154,7 @@ class TestGoldenReplayCount:
         target = _target(generator=generator)
         decoded = target_from_wire(json.loads(json.dumps(target_to_wire(target))))
         assert decoded.dag is not target.dag
-        with CompileEngine(workers=1, executor="inline") as engine:
+        with CompileEngine(workers=1) as engine:
             local = VerifyEngine(engine).submit(VerifyRequest(target=target, check="golden"))
             calls.clear()
             # A fresh verdict memory; the compile is the engine's cached one,
@@ -186,7 +187,7 @@ class TestNarrowFrames:
         target = CompileTarget(
             builder.build(), image_width=7, image_height=5, generator=generator
         )
-        with CompileEngine(workers=1, executor="inline") as engine:
+        with CompileEngine(workers=1) as engine:
             buffer = engine.submit(target).unwrap().schedule.line_buffers["K0"]
             assert (buffer.style, buffer.lines) == ("sram", 2)
             verify = VerifyEngine(engine)
@@ -210,7 +211,7 @@ output K\u00e4 = im(x,y) K\u00f6(x-1,y) + K\u00f6(x+1,y) end
         target = CompileTarget(
             parse_pipeline(self.PROGRAM, name="umlaut"), image_width=W, image_height=H
         )
-        with CompileEngine(workers=1, executor="inline") as engine:
+        with CompileEngine(workers=1) as engine:
             source = generate_verilog(engine.submit(target).unwrap().schedule)
             assert source.isascii()
             report = lint_verilog(source)
@@ -234,12 +235,12 @@ class TestVerifyCaching:
         assert warm.passed == cold.passed
 
     def test_fresh_engine_hits_the_disk_tier(self, tmp_path):
-        engine = CompileEngine(workers=2, executor="thread", cache_dir=tmp_path / "c")
+        engine = CompileEngine(workers=2, cache_dir=tmp_path / "c")
         try:
             VerifyEngine(engine).submit(VerifyRequest(target=_target()))
         finally:
             engine.shutdown()
-        engine2 = CompileEngine(workers=2, executor="thread", cache_dir=tmp_path / "c")
+        engine2 = CompileEngine(workers=2, cache_dir=tmp_path / "c")
         try:
             warm = VerifyEngine(engine2).submit(VerifyRequest(target=_target()))
             assert warm.source == "disk"
@@ -276,7 +277,7 @@ class TestVerifyCaching:
         """A request whose cache lookup missed, and that reaches the
         in-flight table only after an identical request was remembered and
         forgotten, is served that verdict instead of verifying again."""
-        with CompileEngine(workers=1, executor="inline") as engine:
+        with CompileEngine(workers=1) as engine:
             verify = VerifyEngine(engine)
             request = VerifyRequest(target=_target(), check="cycle")
             missed, release = threading.Event(), threading.Event()
@@ -296,7 +297,7 @@ class TestVerifyCaching:
             )
             thread.start()
             assert missed.wait(10)
-            first = verify.submit(request)  # inline: settled and forgotten on return
+            first = verify.submit(request)  # its verdict is remembered on return
             release.set()
             thread.join(10)
         assert not thread.is_alive()
@@ -322,20 +323,20 @@ class TestVerifyExecutor:
         assert result.ok and result.passed
         assert len(seen) == 1 and seen[0].startswith("repro-compile")
 
-    def test_inline_backend_gives_the_same_verdict(self, engines):
+    def test_pooled_verdict_matches_a_direct_replay(self, engines):
         _, verify = engines
         request = VerifyRequest(target=_target(), check="golden", frames=1)
         pooled = verify.submit(request)
-        with CompileEngine(executor="inline") as engine:
-            inline = VerifyEngine(engine).submit(request)
-        assert pooled.source == inline.source == "verified"
-        assert pooled.passed and inline.passed
-        assert pooled.golden["digest"] == inline.golden["digest"]
+        direct = replay_frames(
+            request.target.dag, W, H, frames=request.frames, seed=request.seed
+        )
+        assert pooled.source == "verified" and pooled.passed
+        assert pooled.golden["digest"] == direct.digest
 
 
 class TestVerifyAdmission:
     def test_bounded_queue_sheds_with_retry_after(self, tmp_path):
-        engine = CompileEngine(workers=1, executor="thread", max_pending=1)
+        engine = CompileEngine(workers=1, max_pending=1)
         verify = VerifyEngine(engine)
         release = threading.Event()
         started = threading.Event()
@@ -390,7 +391,7 @@ class TestVerifyAdmission:
     def test_cold_verify_on_a_one_worker_bounded_engine_completes(self):
         """The verify body holds the pool's one thread, so its compile runs
         in that slot: queued behind it, the compile would never start."""
-        engine = CompileEngine(workers=1, executor="thread", max_pending=2)
+        engine = CompileEngine(workers=1, max_pending=2)
         request = VerifyRequest(target=_target(), check="cycle")
         outcome = {}
         thread = threading.Thread(
@@ -653,7 +654,7 @@ class TestVerifyWireVersions:
 class TestVerifyHTTP:
     @pytest.fixture
     def service(self, tmp_path):
-        engine = CompileEngine(workers=2, executor="thread", cache_dir=tmp_path / "cache")
+        engine = CompileEngine(workers=2, cache_dir=tmp_path / "cache")
         server = start_server(engine)
         yield ServiceClient(port=server.port), engine, server
         server.stop()

@@ -22,7 +22,13 @@ from repro.service.wire import (
     target_to_wire,
 )
 
-from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain, build_paper_example
+from tests.conftest import (
+    TEST_HEIGHT,
+    TEST_WIDTH,
+    build_chain,
+    build_paper_example,
+    build_virtual_reader,
+)
 
 W, H = TEST_WIDTH, TEST_HEIGHT
 
@@ -92,6 +98,14 @@ class TestTargetRoundTrip:
         assert restored.label == "wire-test"
         assert restored.metadata == {"sweep_id": 7}
         assert restored.fingerprint == target.fingerprint
+
+    def test_virtual_of_survives_and_keys_the_fingerprint(self):
+        target = CompileTarget(build_virtual_reader(), image_width=W, image_height=H)
+        restored = _round_trip(target)
+        assert restored.dag.stage("K1_v1").virtual_of == "K1"
+        assert restored.fingerprint == target.fingerprint
+        plain = CompileTarget(build_virtual_reader(None), image_width=W, image_height=H)
+        assert plain.fingerprint != target.fingerprint
 
     def test_to_wire_from_wire_methods_on_target(self):
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
@@ -285,7 +299,7 @@ class TestResultCodec:
             CompileTarget(build_chain(3), image_width=1, image_height=H, label="bad"),
             CompileTarget(build_chain(4), image_width=W, image_height=H, label="b"),
         ]
-        with CompileEngine(workers=2, executor="thread") as engine:
+        with CompileEngine(workers=2) as engine:
             wire = batch_result_to_wire(engine.submit_batch(targets))
         assert [r["label"] for r in wire["results"]] == ["a", "bad", "b"]
         assert [r["ok"] for r in wire["results"]] == [True, False, True]

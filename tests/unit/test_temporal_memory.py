@@ -41,16 +41,6 @@ class TestFrameBufferConfig:
         blocks_per_frame = -(-frame_bits // spec.block_bits)
         assert config.num_blocks == 3 * blocks_per_frame
 
-    def test_payload_round_trip(self):
-        config = FrameBufferConfig("B0", 64, 48, 2, asic_dual_port())
-        assert FrameBufferConfig.from_payload(config.to_payload()) == config
-
-    def test_payload_rejects_unknown_spec_fields(self):
-        payload = FrameBufferConfig("B0", 64, 48, 1, asic_dual_port()).to_payload()
-        payload["spec"]["bogus"] = 1
-        with pytest.raises(ValueError, match="bogus"):
-            FrameBufferConfig.from_payload(payload)
-
 
 class TestAllocator:
     def test_allocate_validates_arguments(self):

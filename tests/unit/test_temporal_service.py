@@ -104,8 +104,9 @@ class TestTemporalGoldenRoundTrip:
 class TestTemporalVerifyService:
     @pytest.fixture
     def verify_engine(self):
-        engine = CompileEngine(executor="inline", cache_dir=None)
-        return VerifyEngine(engine)
+        engine = CompileEngine(workers=1)
+        yield VerifyEngine(engine)
+        engine.shutdown()
 
     @pytest.mark.parametrize("name", TEMPORAL_ALGORITHM_NAMES)
     def test_golden_and_cycle_pass(self, verify_engine, name):
@@ -121,7 +122,7 @@ class TestTemporalVerifyService:
         """POST /v1/verify accepts a v2 target payload end to end."""
         from repro.service import ServiceClient, start_server
 
-        engine = CompileEngine(workers=2, executor="thread", cache_dir=tmp_path / "c")
+        engine = CompileEngine(workers=2, cache_dir=tmp_path / "c")
         server = start_server(engine)
         try:
             client = ServiceClient(port=server.port)
@@ -169,7 +170,7 @@ class TestBareDelayVerify:
         src = golden_frames(target.dag, TEST_WIDTH, TEST_HEIGHT, frames=frames)["src"]
         delayed = np.stack([src[max(0, f - 1)] for f in range(frames)])
 
-        engine = CompileEngine(executor="inline", cache_dir=None)
+        engine = CompileEngine(workers=1)
         verify_engine = VerifyEngine(engine)
         try:
             golden = verify_engine.submit(

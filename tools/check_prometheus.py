@@ -105,12 +105,12 @@ def validate_exposition(text: str) -> list[str]:
 
 
 def _scrape_local_server() -> str:
-    """Boot a service inline, compile one target, return its exposition."""
+    """Boot an in-process service, compile one target, return its exposition."""
     from repro.algorithms import build_algorithm
     from repro.api.target import CompileTarget
     from repro.service import CompileEngine, ServiceClient, start_server
 
-    engine = CompileEngine(workers=1, executor="inline", tracing=True)
+    engine = CompileEngine(workers=1, tracing=True)
     server = start_server(engine)
     try:
         client = ServiceClient(port=server.port)
