@@ -5,7 +5,7 @@ it evaluates all five design styles (FixyNN, Darkroom, SODA, Ours, Ours+LC)
 on the Table-3 algorithm suite at the paper's two resolutions and prints the
 rows/series.  Absolute values differ from the paper (our SRAM/power models are
 analytic, not silicon-calibrated); the comparisons of interest are the ratios
-between generators, which EXPERIMENTS.md tracks against the paper's claims.
+between generators, which the benchmarks print next to their assertions.
 """
 
 from __future__ import annotations

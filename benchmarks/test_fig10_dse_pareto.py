@@ -58,7 +58,7 @@ def test_fig10_design_space_exploration(benchmark):
     assert canny_all_dplc not in canny_front
 
     # The Pareto-optimal configurations differ between algorithms (the paper's
-    # key DSE observation); report the frontier composition for EXPERIMENTS.md.
+    # key DSE observation); print the frontier composition.
     canny_front = sorted(p.label for p in outcomes["canny-m"][1])
     denoise_front = sorted(p.label for p in outcomes["denoise-m"][1])
     print(f"\n  Canny-m Pareto set:   {canny_front}")

@@ -5,8 +5,7 @@ ImaGen-generated designs use less on-chip memory than FixyNN and Darkroom and
 less power than every baseline, and line coalescing (Ours+LC) extends the
 memory savings further.  Absolute KB/mW values depend on the analytic SRAM
 model; the assertions below check the orderings / sign of every headline
-comparison, and EXPERIMENTS.md records the measured ratios next to the
-paper's.
+comparison, and the benchmark prints the measured ratios.
 """
 
 from __future__ import annotations

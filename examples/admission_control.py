@@ -119,11 +119,14 @@ def main() -> None:
                 threading.Thread(
                     target=lambda t=t: inflight.append(carol.compile(t))
                 )
-                for t in cold[:2]  # 1 dispatched + 1 queued = saturation
+                for t in cold[:2]  # 1 running + 1 queued = saturation
             ]
             for worker in workers:
                 worker.start()
-            while engine.admission_stats()["queue_depth"] < 1:
+            while (
+                engine.admission_stats()["inflight"],
+                engine.admission_stats()["queue_depth"],
+            ) != (1, 1):  # one running and one waiting
                 time.sleep(0.01)
             time.sleep(1.0)  # refill carol's bucket so only the *queue* rejects
             shed = expect_rejection(

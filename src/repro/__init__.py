@@ -14,7 +14,7 @@ Public API
 * :mod:`repro.algorithms` — the Table-3 algorithm suite.
 * :mod:`repro.dse` — design-space exploration (Fig. 10), via ``target.with_options(...)``.
 * :mod:`repro.service` — compile cache + batch/parallel engine, whose
-  batches run on a thread pool, with an HTTP/JSON serving front
+  batches run on the workers of one job queue, with an HTTP/JSON serving front
   (``python -m repro.service.http``).  Its names re-exported here load on
   first use, so ``import repro`` does not pay for the service layer.
 """
@@ -46,7 +46,6 @@ _SERVICE_NAMES = frozenset(
         "CompileEngine",
         "CompileResult",
         "DiskCacheStore",
-        "ExecutorBackend",
     }
 )
 
@@ -85,6 +84,5 @@ __all__ = [
     "CompileEngine",
     "CompileResult",
     "DiskCacheStore",
-    "ExecutorBackend",
     "__version__",
 ]

@@ -270,7 +270,7 @@ def _lint(source: str) -> LintReport:
                 )
                 continue
             # Check the named connections of this instance against the target's ports.
-            instance_text = _instance_text(body.text, match.start())
+            instance_text = _instance_text(body.text, match.start(2))
             for port in _PORT_CONNECT_RE.findall(instance_text):
                 if port not in bodies[target].ports:
                     report.errors.append(

@@ -10,8 +10,8 @@ unified :class:`repro.api.CompileTarget` request object:
 * :mod:`repro.service.cache` — two-tier (LRU + sharded disk) schedule cache
   with optional size/age GC for shared volumes;
 * :mod:`repro.service.jobs` — typed result/batch records;
-* :mod:`repro.service.executor` — the thread pool that batch items,
-  verify bodies and queue-admitted submits run on;
+* :mod:`repro.service.executor` — the worker-count settings of the job
+  queue that batch items, verify bodies and queue-admitted submits run on;
 * :mod:`repro.service.metrics` — per-request latency/hit-rate metrics and
   the per-stage span histograms;
 * :mod:`repro.service.observability` — the span tracer (re-exported from
@@ -19,9 +19,9 @@ unified :class:`repro.api.CompileTarget` request object:
   exposed metric key, and the Prometheus text-exposition renderer behind
   ``GET /v1/metrics?format=prometheus``;
 * :mod:`repro.service.admission` — admission control: bearer-token
-  authentication, per-identity token-bucket rate limiting, the bounded
-  fair submission queue behind ``CompileEngine(max_pending=...)``, and the
-  single-flight in-flight table both engines dispatch through;
+  authentication, per-identity token-bucket rate limiting, the fair job
+  queue and its workers (bounded by ``CompileEngine(max_pending=...)``),
+  and the in-flight table each engine deduplicates through;
 * :mod:`repro.service.engine` — the :class:`CompileEngine` front door
   (``submit``/``submit_batch``);
 * :mod:`repro.service.verify` — verification-as-a-service: the
@@ -66,7 +66,6 @@ from repro.api.target import CompileTarget
 from repro.service.admission import (
     MAX_PENDING_ENV_VAR,
     AdmissionError,
-    AdmissionQueue,
     AuthenticationError,
     QueueFullError,
     RateDecision,
@@ -96,11 +95,7 @@ from repro.service.events import (
     emit_event,
     get_event_log,
 )
-from repro.service.executor import (
-    ExecutorBackend,
-    ThreadExecutor,
-    validate_worker_count,
-)
+from repro.service.executor import validate_worker_count
 from repro.service.jobs import (
     BatchResult,
     CompileResult,
@@ -141,7 +136,6 @@ from repro.service.wire import (
 
 __all__ = [
     "AdmissionError",
-    "AdmissionQueue",
     "AuthenticationError",
     "BatchResult",
     "CHECK_KINDS",
@@ -156,7 +150,6 @@ __all__ = [
     "EVENT_LOG_ENV_VAR",
     "EngineMetrics",
     "EventLog",
-    "ExecutorBackend",
     "FINGERPRINT_VERSION",
     "MAX_PENDING_ENV_VAR",
     "METRIC_SPECS",
@@ -170,7 +163,6 @@ __all__ = [
     "ServiceError",
     "Span",
     "StageHistogram",
-    "ThreadExecutor",
     "TokenAuthenticator",
     "TokenRecord",
     "VERIFY_FORMAT_VERSION",

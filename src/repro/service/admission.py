@@ -1,13 +1,11 @@
-"""Admission control for the compilation service.
+"""Admission control and the job queue of the compilation service.
 
 Stability: public.
 
 The serving stack (``repro.service.http`` in front of
-:class:`repro.service.engine.CompileEngine`) historically trusted every
-client and accepted unbounded work.  This module is the layer that lets a
-shared deployment degrade *predictably* instead: every request is
-authenticated, rate-limited and queued under an explicit bound before any
-solver runs.  Three independent pieces compose:
+:class:`repro.service.engine.CompileEngine`) lets a shared deployment
+degrade *predictably*: every request is authenticated, rate-limited and
+queued under an explicit bound before any solver runs.  Four pieces:
 
 * :class:`TokenAuthenticator` — static bearer-token authentication.  Tokens
   are loaded from a text file (one per line, ``identity:token`` or bare
@@ -20,35 +18,33 @@ solver runs.  Three independent pieces compose:
   target, so the limit tracks solver cost rather than HTTP request count; a
   denied request carries the exact ``retry_after`` seconds until the bucket
   can pay for it.
-* :class:`AdmissionQueue` — a bounded submission queue between the engine's
-  dedup table and its executor backend.  At most ``width`` jobs are
-  dispatched concurrently; at most ``max_pending`` more may wait, and a
-  submission beyond that is shed with :class:`QueueFullError` (mapped to
-  HTTP 429 with ``Retry-After``).  Pending work drains **round-robin across
-  client identities**, so one flooding client cannot starve the others —
-  with two competing identities each gets every other worker slot regardless
-  of how deep the flooder's backlog is.
+* :class:`JobQueue` — the jobs that have not started, and the engine's
+  ``workers`` threads that run them.  Jobs drain **round-robin across
+  client identities**, so one flooding client cannot starve the others.
+  With ``max_pending`` set, at most that many jobs wait beyond the free
+  workers, and a job beyond that is shed with :class:`QueueFullError`
+  (mapped to HTTP 429 with ``Retry-After``).  A worker that waits for a
+  job still queued runs it itself.
+* :class:`SingleFlight` — an in-flight table: an identical key joins the
+  running flight instead of starting a second one.
 
-:class:`SingleFlight` is the one in-flight table both
-:class:`repro.service.engine.CompileEngine` and
-:class:`repro.service.verify.VerifyEngine` run their jobs through: an
-identical key joins the running flight instead of starting a second one,
-and the owner's job reaches the executor backend directly or through an
-:class:`AdmissionQueue`.
-
-The engine enables the queue with ``CompileEngine(max_pending=...)`` (or the
-``REPRO_MAX_PENDING`` environment variable) and threads the client identity
-through ``submit(..., client=...)``; the HTTP front wires all three pieces
-together (``--auth-token-file``, ``--rate-limit``, ``--max-pending``) and
-surfaces their counters on ``GET /v1/metrics`` (``rejected_total``,
-``throttled_total``, ``queue_depth``).  See ``docs/serving.md`` for the
-end-to-end semantics and ``docs/tuning.md`` for sizing guidance.
+:class:`repro.service.engine.CompileEngine` owns one queue, which its
+:class:`repro.service.verify.VerifyEngine` shares, and each engine keeps an
+in-flight table of its own.  The bound comes from
+``CompileEngine(max_pending=...)`` or the ``REPRO_MAX_PENDING`` environment
+variable, and the client identity from ``submit(..., client=...)``; the
+HTTP front wires the pieces together (``--auth-token-file``,
+``--rate-limit``, ``--max-pending``) and surfaces their counters on
+``GET /v1/metrics`` (``rejected_total``, ``throttled_total``,
+``queue_depth``).  See ``docs/serving.md`` for the end-to-end semantics and
+``docs/tuning.md`` for sizing guidance.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+import itertools
 import os
 import threading
 import time
@@ -61,13 +57,9 @@ from concurrent.futures import CancelledError, Future
 
 from repro.errors import ReproError
 from repro.service.events import emit_event
-from repro.service.executor import (
-    ExecutorBackend,
-    relay_future,
-    validate_worker_count,
-)
+from repro.service.executor import validate_worker_count
 
-#: Environment variable enabling the engine's bounded submission queue when
+#: Environment variable that bounds the engine's job queue when
 #: ``CompileEngine(max_pending=...)`` is not passed explicitly.
 MAX_PENDING_ENV_VAR = "REPRO_MAX_PENDING"
 
@@ -81,7 +73,7 @@ class AdmissionError(ReproError):
 
 
 class QueueFullError(AdmissionError):
-    """The engine's bounded submission queue rejected (shed) a job.
+    """The engine's bounded job queue rejected (shed) a job.
 
     ``retry_after`` is the service's best estimate, in seconds, of when
     resubmitting is worthwhile (the HTTP front forwards it as a
@@ -337,113 +329,166 @@ class RateLimiter:
 
 
 # ---------------------------------------------------------------------------
-# Bounded, fair submission queue
+# The job queue
 # ---------------------------------------------------------------------------
-#: A queued dispatch: calling it performs the real executor submission and
-#: returns the backend future to track, or ``None`` if submission failed (in
-#: which case the dispatch itself settled the caller-visible future).
-DispatchFn = Callable[[], "Future | None"]
+def settle(future: Future, job: Callable[[], object]) -> None:
+    """Run ``job`` and land its result, or whatever it raises, in ``future``."""
+    try:
+        result = job()
+    except BaseException as exc:
+        future.set_exception(exc)
+    else:
+        future.set_result(result)
 
-#: A waiting job: its dispatch, and the hook :meth:`AdmissionQueue.cancel_pending`
-#: runs instead when it drops the job.
-_PendingJob = tuple[DispatchFn, "Callable[[], None] | None"]
 
+class JobQueue:
+    """The jobs that have not started, and up to ``workers`` threads to run them.
 
-class AdmissionQueue:
-    """Bounded submission queue with per-client round-robin fairness.
+    An idle worker takes the next job round-robin across client identities,
+    FIFO within one, so one flooding client cannot starve the others.
+    Workers are daemon threads named ``repro-compile-N``, started one per
+    job that no idle worker is about to take.  With ``max_pending`` set, a
+    job that would leave more than ``max_pending`` jobs queued beyond those
+    free workers is shed with :class:`QueueFullError`.
 
-    Sits between the engine's dedup table and its executor backend: at most
-    ``width`` jobs are dispatched (handed to the executor) at a time, and at
-    most ``max_pending`` more may wait.  When the wait queue is full,
-    :meth:`submit` raises :class:`QueueFullError` — explicit backpressure,
-    never unbounded growth.
-
-    Pending work is organised as one FIFO per client identity, drained
-    round-robin: each time a slot frees, the next *identity* in rotation runs
-    its oldest job.  Within one client, order is preserved; across clients, a
-    flood from one identity cannot starve another.
+    A worker that waits for a job still queued (:meth:`wait`) takes it out
+    and runs it itself, so jobs that wait on other jobs cannot starve the
+    workers.  Any other waiter blocks, so at most ``workers`` threads run
+    queued jobs.
     """
 
     def __init__(
         self,
-        width: int,
+        workers: int,
         *,
-        max_pending: int,
+        max_pending: int | None = None,
         retry_after: Callable[[], float] | None = None,
     ) -> None:
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
-        self.width = int(width)
-        self.max_pending = validate_max_pending(max_pending)
+        self.workers = validate_worker_count(workers)
+        self.max_pending = (
+            None if max_pending is None else validate_max_pending(max_pending)
+        )
         self._retry_after = retry_after
-        self._lock = threading.Lock()
+        # Re-entrant: an owner's finalizer may call shutdown() on a worker
+        # that holds the lock, when a garbage collection runs there.
+        self._lock = threading.RLock()
+        # Idle workers wait for a job; workers in wait() for their flight.
+        self._job_queued = threading.Condition(self._lock)
+        self._flight_moved = threading.Condition(self._lock)
         self._local = threading.local()
-        self._queues: dict[str, deque[_PendingJob]] = {}
+        self._jobs: dict[Future, tuple[Callable[[], object], str]] = {}
+        self._queues: dict[str, deque[Future]] = {}
         self._rotation: deque[str] = deque()
-        self._pending_count = 0
+        self._threads: set[threading.Thread] = set()
+        self._names = itertools.count()
+        self._generation = 0  # bumped by shutdown: older workers drain and exit
+        self._idle = 0
         self._inflight = 0
         self.admitted_total = 0
         self.rejected_total = 0
 
-    # ------------------------------------------------------------------ API
     def submit(
-        self,
-        dispatch: DispatchFn,
-        *,
-        client: str = "",
-        on_cancel: Callable[[], None] | None = None,
+        self, future: Future, job: Callable[[], object], *, client: str = "", key: str = ""
     ) -> None:
-        """Admit one job, dispatching it now or queueing it for a free slot.
+        """Queue ``job`` to land its outcome in ``future``; never raises.
 
-        Raises :class:`QueueFullError` when ``max_pending`` jobs are already
-        waiting.  ``dispatch`` runs outside the queue's lock; ``on_cancel``
-        runs instead of it if :meth:`cancel_pending` drops the job first.
+        A shed lands :class:`QueueFullError` (with a ``queue.shed`` event
+        naming ``client`` and ``key``), and a worker thread that fails to
+        start lands its error, so no waiter is left on a job that cannot run.
         """
         client = client or ANONYMOUS_IDENTITY
+        error: BaseException | None = None
         with self._lock:
-            if self._pending_count >= self.max_pending:
+            waiting = len(self._jobs)
+            free = self._idle + self.workers - len(self._threads)
+            if self.max_pending is not None and waiting - free >= self.max_pending:
                 self.rejected_total += 1
-                raise QueueFullError(
-                    f"compile queue is full ({self._pending_count} pending, "
-                    f"bound {self.max_pending}); resubmit later",
-                    retry_after=self._estimate_retry_after(),
-                )
-            queue = self._queues.get(client)
-            if queue is None:
-                queue = self._queues[client] = deque()
-                self._rotation.append(client)
-            queue.append((dispatch, on_cancel))
-            self._pending_count += 1
-            self.admitted_total += 1
-        self._pump()
+            else:
+                try:
+                    if waiting >= self._idle and len(self._threads) < self.workers:
+                        self._start_worker_locked()
+                except BaseException as exc:  # no worker, so nothing may queue
+                    error = exc
+                else:
+                    self._jobs[future] = job, client
+                    queue = self._queues.get(client)
+                    if queue is None:
+                        queue = self._queues[client] = deque()
+                        self._rotation.append(client)
+                    queue.append(future)
+                    self.admitted_total += 1
+                    self._job_queued.notify()
+                    self._flight_moved.notify_all()
+                    return
+        if error is None:
+            error = QueueFullError(
+                f"job queue is full ({waiting - free} waiting beyond the free "
+                f"workers, bound {self.max_pending}); resubmit later",
+                retry_after=self._estimate_retry_after(),
+            )
+            emit_event(
+                "queue.shed",
+                identity=client,
+                fingerprint=key,
+                retry_after=round(error.retry_after, 3),
+            )
+        future.set_exception(error)
 
-    def cancel_pending(self) -> int:
-        """Drop every queued-but-undispatched job; returns how many.
+    def wait(self, future: Future) -> Future:
+        """Return ``future`` for its ``result()``; a worker first runs or awaits it.
 
-        Each dropped job's ``on_cancel`` hook runs (outside the lock), so
-        futures published for those jobs settle with ``CancelledError``
-        instead of dangling.  In-flight dispatches are untouched — cancelling
-        those is the executor backend's business
-        (:meth:`SingleFlight.shutdown` does both).
+        On one of this queue's workers, a job still queued for ``future``,
+        or queued while the worker waits, is taken out and run on this
+        thread; else the worker waits until ``future`` settles.  On any
+        other thread this returns at once, and ``future.result()`` blocks.
+        """
+        if not self.on_worker() or future.done():
+            return future
+        future.add_done_callback(self._wake)
+        job = None
+        with self._lock:
+            while not future.done():
+                if future in self._jobs:
+                    job = self._take_locked(future)
+                    break
+                self._flight_moved.wait()
+        if job is not None:
+            settle(future, job)
+            with self._lock:
+                self._inflight -= 1
+        return future
+
+    def on_worker(self) -> bool:
+        """Whether the calling thread is one of this queue's workers."""
+        return getattr(self._local, "worker", False)
+
+    def shutdown(self, wait: bool = True, *, cancel_pending: bool = False) -> None:
+        """Let the workers run out the queue and exit; a later job starts new ones.
+
+        ``cancel_pending`` first settles every queued job with
+        ``CancelledError``; ``wait`` joins the workers.
         """
         with self._lock:
-            dropped = [job for queue in self._queues.values() for job in queue]
-            self._queues.clear()
-            self._rotation.clear()
-            self._pending_count = 0
-        for _, on_cancel in dropped:
-            if on_cancel is not None:
-                try:
-                    on_cancel()
-                except Exception:
-                    pass  # cancellation is best-effort cleanup
-        return len(dropped)
+            self._generation += 1
+            cancelled = list(self._jobs) if cancel_pending else []
+            if cancel_pending:
+                self._jobs.clear()
+                self._queues.clear()
+                self._rotation.clear()
+            threads = list(self._threads)
+            self._job_queued.notify_all()
+        for future in cancelled:
+            future.set_exception(CancelledError())
+        if wait:
+            for thread in threads:
+                if thread is not threading.current_thread():
+                    thread.join()
 
     def stats(self) -> dict:
         with self._lock:
             return {
                 "max_pending": self.max_pending,
-                "queue_depth": self._pending_count,
+                "queue_depth": len(self._jobs),
                 "inflight": self._inflight,
                 "admitted_total": self.admitted_total,
                 "rejected_total": self.rejected_total,
@@ -459,88 +504,70 @@ class AdmissionQueue:
         except Exception:
             return 1.0
 
-    def _next_job_locked(self) -> _PendingJob:
-        # Round-robin across identities: take the head identity's oldest job,
-        # then move that identity to the back of the rotation (or retire it
-        # when its queue drains).
-        client = self._rotation.popleft()
+    def _start_worker_locked(self) -> None:
+        thread = threading.Thread(
+            target=self._work,
+            args=(self._generation,),
+            name=f"repro-compile-{next(self._names)}",
+            daemon=True,
+        )
+        thread.start()
+        self._threads.add(thread)
+        self._idle += 1
+
+    def _work(self, generation: int) -> None:
+        self._local.worker = True
+        busy = False
+        while True:
+            with self._lock:
+                if busy:
+                    self._inflight -= 1
+                    self._idle += 1
+                while not self._jobs and generation == self._generation:
+                    self._job_queued.wait()
+                if not self._jobs:  # shut down, and the queue has run out
+                    self._idle -= 1
+                    self._threads.discard(threading.current_thread())
+                    return
+                # Round-robin: the head identity's oldest job, and that
+                # identity to the back of the rotation.
+                client = self._rotation[0]
+                self._rotation.rotate(-1)
+                future = self._queues[client][0]
+                job = self._take_locked(future)
+                self._idle -= 1
+            busy = True
+            settle(future, job)
+            del future, job  # hold no outcome while idle
+
+    def _take_locked(self, future: Future) -> Callable[[], object]:
+        job, client = self._jobs.pop(future)
         queue = self._queues[client]
-        job = queue.popleft()
-        if queue:
-            self._rotation.append(client)
-        else:
+        queue.remove(future)
+        if not queue:
             del self._queues[client]
-        self._pending_count -= 1
+            self._rotation.remove(client)
+        self._inflight += 1
         return job
 
-    def _pump(self) -> None:
-        """Dispatch queued jobs while slots are free (dispatch outside the lock).
-
-        Re-entrancy guard: a dispatch can settle on this very thread (a
-        backend ``submit`` that raises, or a job that finishes before its
-        done-callback is attached, which then runs at once), and its
-        completion calls back into ``_pump``; the guard makes that inner
-        call a no-op so the outer ``while`` loop drains the queue
-        iteratively instead of recursing once per queued job.
-        """
-        if getattr(self._local, "pumping", False):
-            return
-        self._local.pumping = True
-        try:
-            while True:
-                with self._lock:
-                    if self._inflight >= self.width or not self._pending_count:
-                        return
-                    dispatch, _ = self._next_job_locked()
-                    self._inflight += 1
-                try:
-                    tracked = dispatch()
-                except BaseException:
-                    tracked = None  # anything escaping must still free the slot
-                if tracked is None:
-                    self._job_done(None)
-                else:
-                    tracked.add_done_callback(self._job_done)
-        finally:
-            self._local.pumping = False
-
-    def _job_done(self, _future: Future | None) -> None:
+    def _wake(self, _future: Future) -> None:
         with self._lock:
-            self._inflight -= 1
-        self._pump()
+            self._flight_moved.notify_all()
 
 
 # ---------------------------------------------------------------------------
-# Single-flight dispatch
+# The in-flight table
 # ---------------------------------------------------------------------------
 class SingleFlight:
-    """One in-flight table in front of one executor backend.
+    """One future per key that is being answered.
 
-    :meth:`claim` joins a key's running flight or owns a new one, whose
-    placeholder future forgets the key when it settles; :meth:`dispatch`
-    runs the owner's job on the backend, through a bounded
-    :class:`AdmissionQueue` when ``max_pending`` is set.  The placeholder is
-    marked running before it is published, so a joiner that calls its
-    ``cancel()`` cannot break the owner.
+    :meth:`claim` joins a key's flight or owns a new one, whose future
+    forgets the key when it settles.  The future is marked running before it
+    is published, so a joiner that calls its ``cancel()`` cannot break the
+    owner.
     """
 
-    def __init__(
-        self,
-        executor: ExecutorBackend,
-        *,
-        max_pending: int | None,
-        retry_after: Callable[[], float],
-    ) -> None:
-        self.executor = executor
-        # The dispatch width follows the *backend's* fleet: a ready-made
-        # ExecutorBackend instance may size itself apart from the engine.
-        self.queue = (
-            None
-            if max_pending is None
-            else AdmissionQueue(
-                executor.workers, max_pending=max_pending, retry_after=retry_after
-            )
-        )
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
 
@@ -572,64 +599,3 @@ class SingleFlight:
         with self._lock:
             if self._inflight.get(key) is future:
                 del self._inflight[key]
-
-    def dispatch(
-        self, future: Future, job: Callable, target, key: str, *, client: str = ""
-    ) -> None:
-        """Run an owned flight's ``job(target, key)`` on the backend.
-
-        Every outcome lands in ``future``, never in a raise: the job's
-        result, whatever the backend's ``submit`` raises, a full queue's
-        :class:`QueueFullError` (with a ``queue.shed`` event), or
-        ``CancelledError`` when ``shutdown(cancel_pending=True)`` drops the
-        queued job.  So no joiner and no later claim waits on a flight that
-        cannot land.  Without a queue ``submit`` runs now; with one, once a
-        dispatch slot frees, possibly on another thread.
-        """
-
-        def submit() -> Future | None:
-            try:
-                inner = self.executor.submit(job, target, key)
-            except BaseException as exc:
-                future.set_exception(exc)
-                return None
-            inner.add_done_callback(lambda done: relay_future(done, future))
-            return inner
-
-        if self.queue is None:
-            submit()
-            return
-        try:
-            self.queue.submit(
-                submit,
-                client=client,
-                on_cancel=lambda: future.set_exception(CancelledError()),
-            )
-        except BaseException as exc:  # QueueFullError, or a broken queue
-            future.set_exception(exc)
-            if isinstance(exc, QueueFullError):
-                emit_event(
-                    "queue.shed",
-                    identity=client,
-                    fingerprint=key,
-                    retry_after=round(exc.retry_after, 3),
-                )
-
-    def shutdown(self, wait: bool = True, *, cancel_pending: bool = False) -> None:
-        """Stop the backend; ``cancel_pending`` first drops queued flights."""
-        if cancel_pending and self.queue is not None:
-            self.queue.cancel_pending()
-        self.executor.shutdown(wait, cancel_pending=cancel_pending)
-
-    def admission_stats(self) -> dict:
-        """The queue's counters; without a queue, the same keys at zero."""
-        if self.queue is None:
-            return {
-                "max_pending": None,
-                "queue_depth": 0,
-                "inflight": 0,
-                "admitted_total": 0,
-                "rejected_total": 0,
-                "queued_clients": 0,
-            }
-        return self.queue.stats()

@@ -13,40 +13,39 @@ the :class:`repro.api.CompileTarget`; every submission path wraps
   serves for a target never depends on what its cache held before;
 * identical in-flight targets are deduplicated — concurrent batches that
   contain the same design point trigger exactly one run (the in-flight
-  table is a :class:`repro.service.admission.SingleFlight`, the kernel the
-  verify engine runs on too);
-* batch items run on the engine's thread pool
-  (:class:`repro.service.executor.ThreadExecutor`, ``workers`` threads,
-  ``REPRO_WORKERS``): HiGHS, which solves the systems the flow kernel
-  defers, releases the GIL, so those solves overlap on multi-core hosts,
-  and the pure-Python flow kernel that solves the rest takes about 1 ms;
+  table is a :class:`repro.service.admission.SingleFlight`);
+* batch items run on the ``workers`` threads (``REPRO_WORKERS``) of the
+  engine's :class:`repro.service.admission.JobQueue`, which its
+  :class:`repro.service.verify.VerifyEngine` shares: HiGHS, which solves
+  the systems the flow kernel defers, releases the GIL, so those solves
+  overlap on multi-core hosts, and the pure-Python flow kernel that solves
+  the rest takes about 1 ms;
 * per-request latency and hit-rate metrics are recorded
   (:class:`repro.service.metrics.EngineMetrics`).
 
-Single targets submitted through :meth:`CompileEngine.submit` (or the
-:meth:`CompileEngine.compile` convenience wrapper) run on the calling
-thread; the pool is created lazily, so a cache-only engine costs nothing to
-construct.
+A single :meth:`CompileEngine.submit` (or the :meth:`CompileEngine.compile`
+convenience wrapper) runs on the calling thread unless the queue is bounded.
+Workers start lazily, so a cache-only engine costs nothing to construct.
 
 Admission control
 -----------------
 ``CompileEngine(max_pending=...)`` (or the ``REPRO_MAX_PENDING`` environment
-variable) inserts a bounded :class:`repro.service.admission.AdmissionQueue`
-between the dedup table and the executor backend: at most ``workers`` jobs
-are dispatched at a time and at most ``max_pending`` more may wait.  Beyond
-that a submission is shed with
+variable) bounds the queue: at most ``max_pending`` jobs wait beyond the
+free workers.  Beyond that a submission is shed with
 :class:`repro.service.admission.QueueFullError` (batch submissions degrade
 the shed items to error-carrying results with ``source="rejected"``
-instead).  Every submission path accepts a ``client=`` identity; pending
+instead).  Every submission path accepts a ``client=`` identity; queued
 work drains round-robin across identities, so one flooding client cannot
-starve the rest.  Cache-answerable submits bypass the queue entirely —
-admission control prices solver work, not dictionary lookups.
+starve the rest.  Cache-answerable submits, and submits from a worker,
+bypass the queue — admission control prices solver work, not dictionary
+lookups.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import weakref
 from concurrent.futures import Future
 from dataclasses import replace
 from typing import Iterable
@@ -54,16 +53,17 @@ from typing import Iterable
 from repro.api.target import CompileTarget, require_target
 from repro.core.compiler import CompiledAccelerator, compile_pipeline
 from repro.service.admission import (
+    JobQueue,
     QueueFullError,
     SingleFlight,
     default_max_pending,
+    settle,
     validate_max_pending,
 )
 from repro.service.cache import CompileCache, DiskCacheStore
 from repro.service.executor import (
     WORKERS_ENV_VAR,
-    ExecutorBackend,
-    ThreadExecutor,
+    default_executor_name,
     validate_worker_count,
 )
 from repro.service.jobs import (
@@ -92,19 +92,13 @@ def default_worker_count() -> int:
 
 
 class CompileEngine:
-    """A compilation service instance: cache + executor backend + metrics.
+    """A compilation service instance: cache + job queue + metrics.
 
     Parameters
     ----------
     workers:
-        Pool size for batch submissions (default:
+        Threads that run queued jobs (default:
         :func:`default_worker_count`, overridable via ``REPRO_WORKERS``).
-    executor:
-        A ready-made :class:`repro.service.executor.ExecutorBackend` to run
-        batch items on (it may be shared between engines, and its own
-        worker count wins).  ``None`` (default) creates a
-        :class:`repro.service.executor.ThreadExecutor` of ``workers``
-        threads.
     cache:
         A :class:`CompileCache` to share between engines; one is created when
         omitted.
@@ -115,12 +109,12 @@ class CompileEngine:
     max_cache_entries:
         LRU capacity of the created cache.
     max_pending:
-        Bound on the number of admitted-but-undispatched jobs (default:
-        ``REPRO_MAX_PENDING``, else unbounded).  Enables the admission queue:
-        submissions beyond ``workers`` in-flight + ``max_pending`` waiting
-        are shed with :class:`repro.service.admission.QueueFullError` — the
-        HTTP front maps it to 429 with ``Retry-After`` — and pending work
-        drains round-robin across ``client=`` identities.
+        Bound on the jobs that wait beyond the free workers (default:
+        ``REPRO_MAX_PENDING``, else unbounded).  A job beyond it is shed
+        with :class:`repro.service.admission.QueueFullError` — the HTTP
+        front maps it to 429 with ``Retry-After`` — and cold single submits
+        queue under their ``client=`` identity instead of running on the
+        caller's thread.
     tracing:
         Whether compiles record per-stage spans (:mod:`repro.trace`) onto
         their results and into the engine's stage histograms.  ``None``
@@ -131,7 +125,6 @@ class CompileEngine:
         self,
         workers: int | None = None,
         *,
-        executor: ExecutorBackend | None = None,
         cache: CompileCache | None = None,
         cache_dir: str | os.PathLike | None = None,
         max_cache_entries: int = 512,
@@ -141,35 +134,34 @@ class CompileEngine:
         if workers is not None:
             workers = validate_worker_count(workers)
         self.workers = workers or default_worker_count()
-        if executor is None:
-            executor = ThreadExecutor(self.workers)
-        elif not isinstance(executor, ExecutorBackend):
-            raise TypeError(
-                f"executor must be an ExecutorBackend instance, got {executor!r}"
-            )
         if cache is None:
             store = DiskCacheStore(cache_dir) if cache_dir is not None else None
             cache = CompileCache(max_entries=max_cache_entries, store=store)
         self.cache = cache
         self.tracing = default_tracing() if tracing is None else bool(tracing)
-        self.metrics = EngineMetrics()
+        self.metrics = metrics = EngineMetrics()
         self.max_pending = (
             default_max_pending()
             if max_pending is None
             else validate_max_pending(max_pending)
         )
+        self._flight = SingleFlight()
         # Retry-After for shed jobs: roughly one mean solve, so clients back
-        # off in proportion to how expensive this workload is.
-        self._flight = SingleFlight(
-            executor,
+        # off in proportion to how expensive this workload is.  The queue
+        # holds no reference to the engine, so an engine dropped without
+        # shutdown() is collected, and its finalizer lets the idle workers
+        # exit.
+        self._queue = JobQueue(
+            self.workers,
             max_pending=self.max_pending,
-            retry_after=lambda: self.metrics.mean_seconds or 1.0,
+            retry_after=lambda: metrics.mean_seconds or 1.0,
         )
+        weakref.finalize(self, self._queue.shutdown, False)
 
     @property
     def executor_name(self) -> str:
-        """Name of the execution backend (``thread`` unless one was passed)."""
-        return self._flight.executor.name
+        """Name of the execution backend: always ``thread``."""
+        return default_executor_name()
 
     # ------------------------------------------------------------- lifecycle
     def __enter__(self) -> "CompileEngine":
@@ -179,17 +171,14 @@ class CompileEngine:
         self.shutdown()
 
     def shutdown(self, wait: bool = True, *, cancel_pending: bool = False) -> None:
-        """Stop the executor backend (the cache and its disk store stay usable).
+        """Stop the workers once the queue runs out; ``wait`` joins them.
 
-        ``cancel_pending=True`` additionally cancels queued-but-unstarted
-        jobs — both those waiting in the admission queue (dropped before
-        they ever reach a backend, so they cannot be pumped into a recreated
-        pool) and those queued inside the backend: the ``submit`` or
-        ``submit_batch`` waiting on them raises ``CancelledError``.  The
-        engine stays usable — the next batch submission transparently
-        recreates the pool.
+        ``cancel_pending=True`` first cancels every queued job: the
+        ``submit`` or ``submit_batch`` waiting on one raises
+        ``CancelledError``.  The cache and its disk store stay usable, and
+        the next queued job starts new workers.
         """
-        self._flight.shutdown(wait, cancel_pending=cancel_pending)
+        self._queue.shutdown(wait, cancel_pending=cancel_pending)
 
     # ------------------------------------------------------------ single job
     def compile(self, target: CompileTarget) -> CompiledAccelerator:
@@ -204,49 +193,32 @@ class CompileEngine:
     ) -> CompileResult:
         """Run one target synchronously, via the cache.
 
-        Without an admission queue the job runs on the calling thread.
-        Either way the submit takes part in the engine-wide in-flight
-        deduplication: if an identical fingerprint is already being solved
-        (by a batch or another thread's submit), this call waits for that
-        solve and reports ``source="deduplicated"`` instead of running a
-        second one; otherwise it publishes its own future so concurrent
-        submitters of the same target join it.
+        The submit takes part in the engine-wide in-flight deduplication: if
+        an identical fingerprint is already being solved (by a batch or
+        another thread's submit), this call waits for that solve and
+        reports ``source="deduplicated"`` instead of running a second one;
+        otherwise it publishes its own future so concurrent submitters of
+        the same target join it.
 
-        When the engine has a bounded admission queue
-        (``max_pending=``/``REPRO_MAX_PENDING``), cold submits route through
-        it under the ``client=`` identity: a saturated engine sheds them with
-        :class:`repro.service.admission.QueueFullError`, while
-        cache-answerable submits stay inline.
+        The job runs on the calling thread when the engine is unbounded,
+        when the memory tier answers it, or when the caller is one of the
+        engine's workers (a verify body, say).  Otherwise it queues under
+        the ``client=`` identity, and a saturated engine sheds it with
+        :class:`repro.service.admission.QueueFullError`.
         """
         target = require_target(target)
         fingerprint = target.fingerprint
-        if self._flight.queue is not None and not self._answerable_inline(
-            target, fingerprint
+        if (
+            self.max_pending is None
+            or self._queue.on_worker()
+            or self._answerable_inline(target, fingerprint)
         ):
+            _, future, owner = self._flight.claim(fingerprint)
+            if owner:
+                settle(future, lambda: self._execute(target, fingerprint))
+        else:
             future, owner = self._enqueue(target, fingerprint, {}, client=client)
-            return self._collect(target, future.result(), owner)
-        return self._submit_inline(target, fingerprint)
-
-    def _submit_inline(self, target: CompileTarget, fingerprint: str) -> CompileResult:
-        """Join the target's flight, or own it and run it on this thread.
-
-        A verify body compiles through here: it already holds a dispatch
-        slot on the backend it shares with compiles, and a compile queued
-        behind that slot would never start once verify bodies fill the pool.
-        """
-        _, future, owner = self._flight.claim(fingerprint)
-        if not owner:
-            return self._collect(target, future.result(), owner=False)
-        try:
-            result = self._execute(target, fingerprint)
-        except BaseException as exc:
-            # _execute captures compile errors in the result; anything that
-            # still escapes is fatal — settle the flight with it, so joiners
-            # never re-run the solve obliviously.
-            future.set_exception(exc)
-            raise
-        future.set_result(result)
-        return self._collect(target, result, owner=True)
+        return self._collect(target, self._queue.wait(future).result(), owner)
 
     # ----------------------------------------------------------------- batch
     def submit_batch(
@@ -274,7 +246,10 @@ class CompileEngine:
             (target, *self._enqueue(target, target.fingerprint, local, client=client))
             for target in targets
         ]
-        outcomes = [future.exception() or future.result() for _, future, _ in slots]
+        outcomes = [
+            self._queue.wait(future).exception() or future.result()
+            for _, future, _ in slots
+        ]
         # A shed item, or a dedup sharer of one, becomes an error result with
         # source="rejected"; any other raised outcome (cancellation, a fatal
         # error) propagates.
@@ -299,7 +274,7 @@ class CompileEngine:
     def _answerable_inline(self, target: CompileTarget, fingerprint: str) -> bool:
         """Whether a submit can be served from the memory tier alone.
 
-        Gated submits use it to bypass the admission queue: when every
+        A bounded engine's submits use it to bypass the queue: when every
         schedule the compile would consult is already in the memory LRU,
         running it inline is a dictionary lookup, not solver work.
         """
@@ -324,7 +299,7 @@ class CompileEngine:
         client: str = "",
     ) -> tuple[Future, bool]:
         """Join or own one target's flight, deduplicating against ``local``
-        first, and dispatch it when this call owns it.  Returns
+        first, and queue it when this call owns it.  Returns
         ``(future, owner)``; a shed settles the future with the
         :class:`QueueFullError`, so dedup joiners observe the same rejection.
         """
@@ -333,8 +308,11 @@ class CompileEngine:
             return future, False
         _, future, owner = self._flight.claim(fingerprint)
         if owner:
-            self._flight.dispatch(
-                future, self._execute, target, fingerprint, client=client
+            self._queue.submit(
+                future,
+                lambda: self._execute(target, fingerprint),
+                client=client,
+                key=fingerprint,
             )
         local[fingerprint] = future
         return future, owner
@@ -358,10 +336,9 @@ class CompileEngine:
         return result
 
     def _execute(self, target: CompileTarget, fingerprint: str) -> CompileResult:
-        # The job body the pool runs, and a single submit on its caller's
-        # thread.  It calls the module-level
-        # compile_pipeline, which stays the single patch point for
-        # instrumenting solves.
+        # The job body a worker runs, and a single submit on its caller's
+        # thread.  It calls the module-level compile_pipeline, which stays
+        # the single patch point for instrumenting solves.
         trace = collect_spans(enabled=self.tracing)
         started = time.perf_counter()
         try:
@@ -399,19 +376,16 @@ class CompileEngine:
         return self.cache.stats.hit_rate
 
     def executor_stats(self) -> dict:
-        """Executor-backend snapshot (``executor`` name and ``workers``).
-
-        Republished on ``GET /v1/metrics``.
-        """
-        return self._flight.executor.stats()
+        """The ``executor`` name and ``workers``, republished on ``GET /v1/metrics``."""
+        return {"executor": self.executor_name, "workers": self.workers}
 
     def admission_stats(self) -> dict:
-        """Admission-queue snapshot (``queue_depth``, ``rejected_total``, ...).
+        """The job queue's counters (``queue_depth``, ``rejected_total``, ...).
 
-        Engines without a bounded queue report the same schema with zero
-        counters, so metrics consumers never branch on configuration.
+        They cover compiles and verifies, bounded or not; ``max_pending`` is
+        ``None`` when unbounded.
         """
-        return self._flight.admission_stats()
+        return self._queue.stats()
 
     def describe(self) -> str:
         stats = self.cache.stats

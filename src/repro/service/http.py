@@ -722,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="age bound for disk cache entries; stale entries are evicted on save",
     )
     parser.add_argument(
-        "--workers", default=None, help="engine pool size (default: REPRO_WORKERS or auto)"
+        "--workers", default=None, help="engine worker threads (default: REPRO_WORKERS or auto)"
     )
     parser.add_argument(
         "--max-cache-entries", type=int, default=512, help="in-memory LRU capacity (default: %(default)s)"
@@ -743,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-pending",
         default=None,
-        help="bound on queued-but-undispatched compile jobs "
+        help="bound on compile and verify jobs waiting beyond the free workers "
         "(default: REPRO_MAX_PENDING or unbounded)",
     )
     parser.add_argument(

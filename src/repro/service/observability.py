@@ -133,7 +133,7 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("compiled", "counter", "", "Jobs answered by a fresh generator run (at least one solve).", prometheus="repro_compiled_total"),
     MetricSpec("served_from_cache", "counter", "", "Jobs answered entirely from the memory or disk cache tier.", prometheus="repro_served_from_cache_total"),
     MetricSpec("deduplicated", "counter", "", "Jobs that joined an identical in-flight request instead of running.", prometheus="repro_deduplicated_total"),
-    MetricSpec("rejected", "counter", "", "Jobs shed by the admission queue, as seen in the engine's request traces (the queue's rejected_total is authoritative).", prometheus="repro_rejected_results_total"),
+    MetricSpec("rejected", "counter", "", "Compile jobs shed by the job queue, as seen in the engine's request traces (the queue's rejected_total, which counts verifies too, is authoritative).", prometheus="repro_rejected_results_total"),
     MetricSpec("errors", "counter", "", "Jobs that failed (infeasible design points, internal errors, sheds).", prometheus="repro_errors_total"),
     MetricSpec("batches", "counter", "", "Batch submissions (each containing many jobs).", prometheus="repro_batches_total"),
     MetricSpec("total_seconds", "counter", "seconds", "Wall-clock seconds spent answering requests, summed over jobs.", prometheus="repro_request_seconds_total"),
@@ -149,15 +149,15 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("stage_seconds", "histogram", "seconds", "Per-stage span durations (cache/solve/allocate/rtl and nested stages); JSON carries count/sum/mean per stage, the exposition carries full histograms.", prometheus=STAGE_HISTOGRAM_FAMILY + '{stage="..."}'),
     # -- ILP solves (EngineMetrics, from ilp spans) -------------------------
     MetricSpec("ilp_solves", "counter", "", "Scheduling solves observed in request spans, one `ilp` span each whichever path answered (the flow kernel or the big-M model).", prometheus="repro_ilp_solves_total"),
-    # -- executor backend (ExecutorBackend.stats) ----------------------------
+    # -- workers (CompileEngine.executor_stats) ------------------------------
     MetricSpec("executor", "info", "", "Active execution backend name (label on repro_service_info)."),
-    MetricSpec("workers", "gauge", "workers", "Worker count of the execution backend's thread pool.", prometheus="repro_workers"),
-    # -- admission queue (CompileEngine.admission_stats) ---------------------
-    MetricSpec("max_pending", "gauge", "", "Bound on queued-but-undispatched jobs (null when unbounded).", prometheus="repro_max_pending"),
-    MetricSpec("queue_depth", "gauge", "", "Jobs admitted but not yet dispatched to the executor.", prometheus="repro_queue_depth"),
-    MetricSpec("inflight", "gauge", "", "Jobs currently dispatched through the admission queue.", prometheus="repro_inflight"),
-    MetricSpec("admitted_total", "counter", "", "Jobs accepted by the admission queue since start.", prometheus="repro_admitted_total"),
-    MetricSpec("rejected_total", "counter", "", "Jobs shed by the admission queue since start (authoritative shed count).", prometheus="repro_rejected_total"),
+    MetricSpec("workers", "gauge", "workers", "Threads that run the job queue's compiles and verifies.", prometheus="repro_workers"),
+    # -- job queue (CompileEngine.admission_stats) ---------------------------
+    MetricSpec("max_pending", "gauge", "", "Bound on jobs waiting beyond the free workers (null when unbounded).", prometheus="repro_max_pending"),
+    MetricSpec("queue_depth", "gauge", "", "Compile and verify jobs queued and not yet started, bounded or not.", prometheus="repro_queue_depth"),
+    MetricSpec("inflight", "gauge", "", "Queued compile and verify jobs that have started and not finished.", prometheus="repro_inflight"),
+    MetricSpec("admitted_total", "counter", "", "Compile and verify jobs the queue accepted since start.", prometheus="repro_admitted_total"),
+    MetricSpec("rejected_total", "counter", "", "Compile and verify jobs the bounded queue shed since start (authoritative shed count).", prometheus="repro_rejected_total"),
     MetricSpec("queued_clients", "gauge", "", "Distinct client identities with work waiting in the queue.", prometheus="repro_queued_clients"),
     # -- verification engine (VerifyEngine.stats) ----------------------------
     MetricSpec("verify_requests", "counter", "", "Verification jobs accounted by the verify engine, all source classes.", prometheus="repro_verify_requests_total"),
@@ -165,7 +165,7 @@ METRIC_SPECS: tuple[MetricSpec, ...] = (
     MetricSpec("verify_passed", "counter", "", "Completed verifications whose checks all passed.", prometheus="repro_verify_passed_total"),
     MetricSpec("verify_failed", "counter", "", "Completed verifications with at least one failed check (mismatch or violation).", prometheus="repro_verify_failed_total"),
     MetricSpec("verify_errors", "counter", "", "Verification jobs that errored before producing a verdict (infeasible compiles, internal errors).", prometheus="repro_verify_errors_total"),
-    MetricSpec("verify_rejected", "counter", "", "Verification jobs shed by the verify admission queue.", prometheus="repro_verify_rejected_total"),
+    MetricSpec("verify_rejected", "counter", "", "Verification jobs shed by the engine's bounded job queue, the one compiles share.", prometheus="repro_verify_rejected_total"),
     MetricSpec("verify_served_from_memory", "counter", "", "Verdicts answered from the in-memory verdict cache.", prometheus="repro_verify_served_from_memory_total"),
     MetricSpec("verify_served_from_disk", "counter", "", "Verdicts answered from the disk verdict tier.", prometheus="repro_verify_served_from_disk_total"),
     MetricSpec("verify_deduplicated", "counter", "", "Verification jobs that joined an identical in-flight verification.", prometheus="repro_verify_deduplicated_total"),

@@ -44,14 +44,14 @@ fingerprint x input spec (frames, seed, tolerance, expected digest) x check
 kind — and reuse the compile service's production tiers: verdicts live in an
 in-memory LRU (the engine cache's size) plus the engine's shared
 :class:`~repro.service.cache.DiskCacheStore` volume, and identical in-flight
-requests deduplicate onto one execution through the same
-:class:`~repro.service.admission.SingleFlight` kernel compiles use.  Verify
-bodies run on the engine's thread pool (the NumPy replay releases the
-GIL, so threads scale) behind an admission queue of their own with the
-engine's bound, so verifies and compiles are admitted and counted apart.
-A verify body compiles its target inside its own dispatch slot: queued
-behind that slot, the compile would never start once verify bodies fill
-the pool.  Compiles are *not* re-done: the engine answers from its own
+requests deduplicate onto one execution through a
+:class:`~repro.service.admission.SingleFlight` table like the one compiles
+use.  Verify bodies run on the workers of the engine's
+:class:`~repro.service.admission.JobQueue` (the NumPy replay releases the
+GIL, so threads scale), so verifies and compiles share one queue and one
+bound.  A verify body compiles its target with ``engine.submit`` on its own
+worker thread; if that compile is still queued, the worker takes it out
+and runs it.  Compiles are *not* re-done: the engine answers from its own
 cache and in-flight table.
 
 Spans (``verify`` > ``verify_compile``/``verify_golden``/``verify_cycle``/
@@ -317,22 +317,18 @@ class VerifyResult:
 class VerifyEngine:
     """Serve verify requests with caching, dedup and admission control.
 
-    ``engine`` is the :class:`CompileEngine` whose compiles, executor
-    backend, queue bound, cache size, disk-cache volume, tracing flag and
-    metrics this verify tier shares.  A verify body compiles its target
-    through the engine's cache and in-flight table on its own thread,
-    inside the dispatch slot the verify queue gave it, not behind it in the
-    compile queue.  ``tracing`` stays settable on the verify engine alone.
+    ``engine`` is the :class:`CompileEngine` whose compiles, job queue,
+    cache size, disk-cache volume, tracing flag and metrics this verify tier
+    shares.  A verify body compiles its target with ``engine.submit`` on the
+    worker that runs it.  ``tracing`` stays settable on the verify engine
+    alone.
     """
 
     def __init__(self, engine: CompileEngine) -> None:
         self.engine = engine
         self.tracing = engine.tracing
-        self._flight = SingleFlight(
-            engine._flight.executor,  # noqa: SLF001 - deliberate sharing
-            max_pending=engine.max_pending,
-            retry_after=lambda: engine.metrics.mean_seconds or 1.0,
-        )
+        self._flight = SingleFlight()
+        self._queue = engine._queue  # noqa: SLF001 - one queue for both engines
         self._lock = threading.Lock()
         self._verdicts: OrderedDict[str, dict] = OrderedDict()
         self._counters = {
@@ -355,7 +351,7 @@ class VerifyEngine:
         """Verify one request; cached, deduplicated and admission-controlled.
 
         Raises :class:`~repro.service.admission.QueueFullError` when the
-        verify (or underlying compile) queue sheds the job, and
+        engine's bounded queue sheds the job, and
         :class:`~repro.errors.SimulationError` when ``request.strict`` and
         the check fails.
         """
@@ -381,15 +377,14 @@ class VerifyEngine:
             return self._finalize(result)
 
         if owner:
-            self._flight.dispatch(
+            self._queue.submit(
                 future,
-                lambda _target, _fingerprint: self._execute(request, fingerprint),
-                request.target,
-                fingerprint,
+                lambda: self._execute(request, fingerprint),
                 client=client,
+                key=fingerprint,
             )
         try:
-            result: VerifyResult = future.result()
+            result: VerifyResult = self._queue.wait(future).result()
         except QueueFullError:
             self._count(rejected=1)
             raise
@@ -415,9 +410,7 @@ class VerifyEngine:
             with trace:
                 with trace_span("verify", check=request.check, frames=request.frames):
                     with trace_span("verify_compile"):
-                        compile_result = self.engine._submit_inline(  # noqa: SLF001
-                            target, target.fingerprint
-                        )
+                        compile_result = self.engine.submit(target)
                     compile_source = compile_result.source
                     if not compile_result.ok:
                         error = f"compile failed: {compile_result.error}"
@@ -439,8 +432,6 @@ class VerifyEngine:
                             with trace_span("verify_perf"):
                                 perf = self._perf_check(schedule)
                             self._count(perf_measurements=1)
-        except QueueFullError:
-            raise  # the *compile* was shed; surface it as such, not as a verdict
         except SimulationError as exc:
             error, error_kind = str(exc), "SimulationError"
         except Exception as exc:  # noqa: BLE001 - a verdict, not a crash
@@ -644,6 +635,11 @@ class VerifyEngine:
                 isinstance(payload, dict)
                 and payload.get("verify_version") == VERIFY_FORMAT_VERSION
             ):
+                # _remember stores in memory before it saves to disk, so a
+                # verdict this process made since the miss above is there.
+                remembered = self._recall(fingerprint)
+                if remembered is not None:
+                    return remembered, "memory"
                 self._store(fingerprint, payload)
                 return payload, "disk"
         return None
@@ -698,7 +694,3 @@ class VerifyEngine:
             stats["cache_entries"] = len(self._verdicts)
             stats["seconds_total"] = round(stats["seconds_total"], 6)
         return stats
-
-    def admission_stats(self) -> dict:
-        """The verify admission queue's counters (zero-schema when unbounded)."""
-        return self._flight.admission_stats()

@@ -7,6 +7,8 @@ lost relative to 320p/1080p other than absolute KB numbers.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,19 @@ def two_consumer_dag() -> PipelineDAG:
 def small_image() -> np.ndarray:
     rng = np.random.default_rng(7)
     return rng.integers(0, 256, size=(TEST_HEIGHT, TEST_WIDTH)).astype(np.float64)
+
+
+@pytest.fixture
+def broken_worker_start(monkeypatch) -> dict:
+    """Make every ``repro-compile`` worker thread fail to start; set
+    ``["on"]`` to False to mend it."""
+    real_start = threading.Thread.start
+    broken = {"on": True}
+
+    def start(thread):
+        if broken["on"] and thread.name.startswith("repro-compile"):
+            raise RuntimeError("can't start new thread")
+        return real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return broken

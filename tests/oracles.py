@@ -233,7 +233,7 @@ def lint_verilog_regex(source: str) -> LintReport:
                 )
                 continue
             # Check the named connections of this instance against the target's ports.
-            instance_text = _instance_text(body, match.start())
+            instance_text = _instance_text(body, match.start(2))
             for port in _PORT_CONNECT_RE.findall(instance_text):
                 if port not in port_map[target]:
                     report.errors.append(

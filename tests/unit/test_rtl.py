@@ -243,9 +243,9 @@ endmodule
         assert report.top_modules == []
 
     def test_parameterised_instance_named_on_the_next_line(self):
-        """The instance is found across the line break.  Its text starts at
-        ``leaf``, so the override ``.W(8)`` is checked like a port
-        connection; the generator emits no parameter overrides."""
+        """The instance is found across the line break, and its connections
+        are read from the instance name on: the override ``.W(8)`` is not a
+        port connection."""
         source = """
 module leaf #(parameter W = 4) (input wire [W-1:0] a);
 endmodule
@@ -257,7 +257,20 @@ endmodule
         report = lint_verilog(source)
         assert report.instances == [("leaf", "u_leaf")]
         assert report.top_modules == ["top"]
-        assert report.errors == ["Instance u_leaf connects unknown port .W of module leaf"]
+        assert report.errors == []
+        assert lint_verilog_regex(source).errors == []
+
+    def test_parameterised_instance_checks_only_its_port_connections(self):
+        source = """
+module leaf #(parameter W = 4) (input wire [W-1:0] a);
+endmodule
+module top (input wire [7:0] a);
+    leaf #(.W(8)) u_leaf (.b(a));
+endmodule
+"""
+        errors = ["Instance u_leaf connects unknown port .b of module leaf"]
+        assert lint_verilog(source).errors == errors
+        assert lint_verilog_regex(source).errors == errors
 
     def test_ports_declared_in_the_body(self):
         """Non-ANSI ports: the header lists names, the body declares them."""

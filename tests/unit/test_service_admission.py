@@ -9,9 +9,13 @@ solve latency.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import CancelledError, Future
+from pathlib import Path
 
 import pytest
 
@@ -20,16 +24,16 @@ from repro.api import CompileTarget
 from repro.service import CompileEngine
 from repro.service.admission import (
     MAX_PENDING_ENV_VAR,
-    AdmissionQueue,
+    JobQueue,
     QueueFullError,
     RateLimiter,
     SingleFlight,
     TokenAuthenticator,
     parse_rate_limit,
     parse_token_line,
+    settle,
     validate_max_pending,
 )
-from repro.service.executor import ExecutorBackend, ThreadExecutor
 from repro.service.jobs import SOURCE_REJECTED
 
 from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain
@@ -178,184 +182,270 @@ class TestRateLimiter:
 
 
 # ---------------------------------------------------------------------------
-# The bounded fair queue (direct)
+# The job queue (direct), on gated jobs
 # ---------------------------------------------------------------------------
-def _manual_dispatch(record: list, name: str):
-    """A dispatch closure that records its order and hands back a settleable
-    future (the test plays the role of the executor)."""
+def _running() -> Future:
     future: Future = Future()
     future.set_running_or_notify_cancel()
-
-    def dispatch():
-        record.append((name, future))
-        return future
-
-    return dispatch
+    return future
 
 
-class TestAdmissionQueue:
-    def test_shed_raises_queue_full_with_retry_after(self):
-        queue = AdmissionQueue(1, max_pending=1, retry_after=lambda: 2.5)
-        record: list = []
-        queue.submit(_manual_dispatch(record, "running"))  # occupies the slot
-        queue.submit(_manual_dispatch(record, "waiting"))  # fills the queue
-        with pytest.raises(QueueFullError) as info:
-            queue.submit(_manual_dispatch(record, "excess"))
-        assert info.value.retry_after == pytest.approx(2.5)
+def _hold(queue: JobQueue, gate: threading.Event) -> Future:
+    """Occupy a 1-worker queue's worker until ``gate`` is set."""
+    held = threading.Event()
+    future = _running()
+    queue.submit(future, lambda: held.set() or gate.wait(30), client="hold")
+    assert held.wait(10)
+    return future
+
+
+def _recorded(queue: JobQueue, order: list, name: str, client: str = "") -> Future:
+    """Queue a job that appends ``name`` to ``order`` when it runs."""
+    future = _running()
+    queue.submit(future, lambda: order.append(name) or name, client=client, key=name)
+    return future
+
+
+@pytest.fixture
+def gate():
+    gate = threading.Event()
+    yield gate
+    gate.set()
+
+
+class TestJobQueue:
+    def test_shed_raises_queue_full_with_retry_after(self, gate):
+        queue = JobQueue(1, max_pending=1, retry_after=lambda: 2.5)
+        order: list = []
+        _hold(queue, gate)
+        waiting = _recorded(queue, order, "waiting")  # fills the queue
+        excess = _recorded(queue, order, "excess")
+        shed = excess.exception(timeout=0)
+        assert isinstance(shed, QueueFullError)
+        assert shed.retry_after == pytest.approx(2.5)
         assert queue.stats()["rejected_total"] == 1
         assert queue.stats()["queue_depth"] == 1
+        gate.set()
+        assert waiting.result(timeout=10) == "waiting"
+        assert order == ["waiting"]
+        queue.shutdown()
 
-    def test_round_robin_fairness_between_two_identities(self):
+    def test_round_robin_fairness_between_two_identities(self, gate):
         """A flooding client's backlog drains interleaved with the other
         client's, not ahead of it."""
-        queue = AdmissionQueue(1, max_pending=10)
-        record: list = []
-        queue.submit(_manual_dispatch(record, "gate"), client="alice")
-        # alice floods 4 more; bob submits 2 afterwards.
-        for index in range(4):
-            queue.submit(_manual_dispatch(record, f"alice-{index}"), client="alice")
-        for index in range(2):
-            queue.submit(_manual_dispatch(record, f"bob-{index}"), client="bob")
-        # Drain: settle each dispatched job, which pumps the next one.
-        position = 0
-        while position < len(record):
-            record[position][1].set_result(None)
-            position += 1
-        order = [name for name, _ in record[1:]]
+        queue = JobQueue(1)
+        order: list = []
+        _hold(queue, gate)
+        # alice floods 4; bob submits 2 afterwards.
+        futures = [_recorded(queue, order, f"alice-{i}", "alice") for i in range(4)]
+        futures += [_recorded(queue, order, f"bob-{i}", "bob") for i in range(2)]
+        gate.set()
+        for future in futures:
+            future.result(timeout=10)
         assert order == ["alice-0", "bob-0", "alice-1", "bob-1", "alice-2", "alice-3"]
+        queue.shutdown()
 
-    def test_within_one_identity_fifo_order_is_preserved(self):
-        queue = AdmissionQueue(1, max_pending=10)
-        record: list = []
-        for index in range(4):
-            queue.submit(_manual_dispatch(record, f"job-{index}"), client="alice")
-        position = 0
-        while position < len(record):
-            record[position][1].set_result(None)
-            position += 1
-        assert [name for name, _ in record] == [f"job-{index}" for index in range(4)]
+    def test_within_one_identity_fifo_order_is_preserved(self, gate):
+        queue = JobQueue(1)
+        order: list = []
+        _hold(queue, gate)
+        futures = [_recorded(queue, order, f"job-{i}", "alice") for i in range(4)]
+        gate.set()
+        for future in futures:
+            future.result(timeout=10)
+        assert order == [f"job-{i}" for i in range(4)]
+        queue.shutdown()
 
-    def test_failed_dispatch_frees_the_slot(self):
-        queue = AdmissionQueue(1, max_pending=4)
-        record: list = []
+    def test_a_worker_that_fails_to_start_lands_its_error(self, broken_worker_start):
+        queue = JobQueue(1, max_pending=4)
+        order: list = []
+        failed = _recorded(queue, order, "first")
+        with pytest.raises(RuntimeError, match="can't start"):
+            failed.result(timeout=0)
+        assert queue.stats()["queue_depth"] == 0  # nothing queued without a worker
+        broken_worker_start["on"] = False
+        assert _recorded(queue, order, "after").result(timeout=10) == "after"
+        assert order == ["after"]
+        queue.shutdown()
 
-        def broken_dispatch():
-            raise RuntimeError("executor exploded")
+    @pytest.mark.parametrize("queued", ["before", "while"])
+    def test_a_waiting_worker_runs_the_queued_job_on_its_own_thread(self, queued):
+        """The only worker waits for a job queued behind its own, before or
+        while it waits, and runs that job itself."""
+        queue = JobQueue(1)
+        inner = _running()
+        threads = []
 
-        queue.submit(broken_dispatch)
-        # The slot must be free again: the next job dispatches immediately.
-        queue.submit(_manual_dispatch(record, "after"))
-        assert [name for name, _ in record] == ["after"]
-        assert queue.stats()["inflight"] == 1
+        def job():
+            threads.append(threading.current_thread())
+
+        def outer():
+            if queued == "before":
+                queue.submit(inner, job)
+            queue.wait(inner).result()
+            return threading.current_thread()
+
+        future = _running()
+        queue.submit(future, outer)
+        if queued == "while":
+            assert _wait_for(lambda: queue._flight_moved._waiters)  # it waits
+            queue.submit(inner, job)
+        runner = future.result(timeout=10)
+        assert threads == [runner]
+        assert runner.name.startswith("repro-compile")
+        assert queue.stats()["queue_depth"] == 0
+        queue.shutdown()
+
+    @pytest.mark.parametrize("max_pending", [None, 8])
+    def test_stress_clients_and_nested_waits(self, max_pending):
+        """Four workers on a tiny switch interval, six clients, and jobs that
+        queue a job and wait for it: every future settles, no job runs
+        twice, every submit is admitted or shed, and the queue comes to rest."""
+        queue = JobQueue(4, max_pending=max_pending)
+        lock = threading.Lock()
+        runs: dict[str, int] = {}
+        submits = [0]
+
+        def submit(name, job, client):
+            future = _running()
+            with lock:
+                submits[0] += 1
+            queue.submit(future, job, client=client, key=name)
+            return future
+
+        def leaf(name):
+            with lock:
+                runs[name] = runs.get(name, 0) + 1
+            return name
+
+        def nested(name, client):
+            leaf(name)
+            inner = submit(name + "/inner", lambda: leaf(name + "/inner"), client)
+            return queue.wait(inner).result()
+
+        futures: dict[str, Future] = {}
+
+        def client(label):
+            for index in range(40):
+                name = f"{label}-{index}"
+                job = (lambda n=name: nested(n, label)) if index % 2 else (lambda n=name: leaf(n))
+                futures[name] = submit(name, job, label)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client, args=(label,)) for label in "abcdef"]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            for name, future in futures.items():
+                error = future.exception(timeout=30)
+                if error is None:
+                    assert runs[name] == 1
+                else:
+                    assert isinstance(error, QueueFullError) and max_pending is not None
+        finally:
+            sys.setswitchinterval(interval)
+            queue.shutdown()
+        assert all(count == 1 for count in runs.values())
+        stats = queue.stats()
+        assert stats["admitted_total"] + stats["rejected_total"] == submits[0]
+        assert (stats["queue_depth"], stats["inflight"], stats["queued_clients"]) == (0, 0, 0)
+        if max_pending is None:
+            assert len(runs) == 6 * 40 + 6 * 20
+
+    def test_stats_share_one_schema(self):
+        unbounded, bounded = JobQueue(1), JobQueue(1, max_pending=3)
+        assert unbounded.stats().keys() == bounded.stats().keys()
+        assert unbounded.stats()["max_pending"] is None
+        assert bounded.stats()["max_pending"] == 3
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_pending"):
-            AdmissionQueue(1, max_pending=0)
+            JobQueue(1, max_pending=0)
+        with pytest.raises(ValueError, match="workers"):
+            JobQueue(0)
         with pytest.raises(ValueError, match="REPRO_MAX_PENDING"):
             validate_max_pending("lots", source=MAX_PENDING_ENV_VAR)
 
 
 # ---------------------------------------------------------------------------
-# The single-flight kernel (direct)
+# The in-flight table (direct)
 # ---------------------------------------------------------------------------
-class ManualExecutor(ExecutorBackend):
-    """A one-worker backend whose jobs the test settles by hand; ``broken``
-    makes ``submit`` raise instead."""
-
-    name = "manual"
-
-    def __init__(self) -> None:
-        super().__init__(1)
-        self.jobs: list[tuple[str, Future]] = []
-        self.broken = False
-
-    def submit(self, run_local, target, fingerprint):
-        if self.broken:
-            raise RuntimeError("pool is broken")
-        future: Future = Future()
-        future.set_running_or_notify_cancel()
-        self.jobs.append((fingerprint, future))
-        return future
-
-
-def _job(target, key):
-    raise AssertionError("ManualExecutor never runs the job")
-
-
 class TestSingleFlight:
     def test_identical_key_joins_until_the_flight_settles(self):
-        flight = SingleFlight(ManualExecutor(), max_pending=None, retry_after=lambda: 1.0)
+        flight = SingleFlight()
         recalled, owned, owner = flight.claim("k")
         assert (recalled, owner) == (None, True)
         _, joined, joiner_owns = flight.claim("k")
         assert joined is owned and not joiner_owns
         # The placeholder is running: a joiner giving up cannot cancel it.
         assert not joined.cancel()
-        flight.dispatch(owned, _job, None, "k")
-        flight.executor.jobs[0][1].set_result("answer")
+        settle(owned, lambda: "answer")
         assert owned.result(timeout=0) == "answer"
         _, fresh, fresh_owner = flight.claim("k")
         assert fresh_owner and fresh is not owned
 
     def test_recall_answers_under_the_claim_lock(self):
-        flight = SingleFlight(ManualExecutor(), max_pending=None, retry_after=lambda: 1.0)
+        flight = SingleFlight()
         assert flight.claim("k", recall=lambda: "remembered") == ("remembered", None, False)
         assert flight._inflight == {}
         recalled, future, owner = flight.claim("k", recall=lambda: None)
         assert recalled is None and owner and flight._inflight == {"k": future}
 
     @pytest.mark.parametrize("max_pending", [None, 2])
-    def test_failed_backend_submit_settles_and_forgets_the_flight(self, max_pending):
-        executor = ManualExecutor()
-        executor.broken = True
-        flight = SingleFlight(executor, max_pending=max_pending, retry_after=lambda: 1.0)
+    def test_a_failed_worker_start_settles_and_forgets_the_flight(
+        self, broken_worker_start, max_pending
+    ):
+        flight, queue = SingleFlight(), JobQueue(1, max_pending=max_pending)
         _, future, _ = flight.claim("k")
-        flight.dispatch(future, _job, None, "k")
-        with pytest.raises(RuntimeError, match="pool is broken"):
+        queue.submit(future, lambda: "answer", key="k")
+        with pytest.raises(RuntimeError, match="can't start"):
             future.result(timeout=0)
         assert flight._inflight == {}
-        executor.broken = False
+        broken_worker_start["on"] = False
         _, retry, owner = flight.claim("k")
         assert owner and retry is not future
-        flight.dispatch(retry, _job, None, "k")
-        executor.jobs[0][1].set_result("answer")
-        assert retry.result(timeout=0) == "answer"
+        queue.submit(retry, lambda: "answer", key="k")
+        assert retry.result(timeout=10) == "answer"
+        queue.shutdown()
 
-    def test_full_queue_sheds_into_the_flight(self):
-        flight = SingleFlight(ManualExecutor(), max_pending=1, retry_after=lambda: 2.5)
-        futures = []
-        for key in ("running", "waiting", "excess"):
-            _, future, _ = flight.claim(key)
-            flight.dispatch(future, _job, None, key)
-            futures.append(future)
-        assert [key for key, _ in flight.executor.jobs] == ["running"]
-        shed = futures[2].exception(timeout=0)
+    def test_full_queue_sheds_into_the_flight(self, gate):
+        flight, queue = SingleFlight(), JobQueue(1, max_pending=1, retry_after=lambda: 2.5)
+        order: list = []
+        _hold(queue, gate)
+        futures = {}
+        for key in ("waiting", "excess"):
+            _, futures[key], _ = flight.claim(key)
+            queue.submit(futures[key], lambda key=key: order.append(key), key=key)
+        shed = futures["excess"].exception(timeout=0)
         assert isinstance(shed, QueueFullError)
         assert shed.retry_after == pytest.approx(2.5)
         assert "excess" not in flight._inflight
-        assert flight.admission_stats()["rejected_total"] == 1
-        # A freed slot dispatches the waiting flight.
-        flight.executor.jobs[0][1].set_result("first")
-        assert [key for key, _ in flight.executor.jobs] == ["running", "waiting"]
+        assert queue.stats()["rejected_total"] == 1
+        # A freed worker runs the waiting flight.
+        gate.set()
+        futures["waiting"].result(timeout=10)
+        assert order == ["waiting"]
+        queue.shutdown()
 
-    def test_shutdown_cancel_pending_settles_queued_flights(self):
-        flight = SingleFlight(ManualExecutor(), max_pending=2, retry_after=lambda: 1.0)
+    def test_shutdown_cancel_pending_settles_queued_flights(self, gate):
+        flight, queue = SingleFlight(), JobQueue(1, max_pending=2)
         _, running, _ = flight.claim("running")
-        flight.dispatch(running, _job, None, "running")
+        held = threading.Event()
+        queue.submit(running, lambda: held.set() or gate.wait(30), key="running")
+        assert held.wait(10)
         _, waiting, _ = flight.claim("waiting")
-        flight.dispatch(waiting, _job, None, "waiting")
-        flight.shutdown(wait=False, cancel_pending=True)
+        queue.submit(waiting, lambda: "never", key="waiting")
+        queue.shutdown(wait=False, cancel_pending=True)
         with pytest.raises(CancelledError):
             waiting.result(timeout=0)
         assert "waiting" not in flight._inflight
-        assert not running.done()  # in-flight work is the backend's business
-
-    def test_admission_stats_share_one_schema(self):
-        unbounded = SingleFlight(ManualExecutor(), max_pending=None, retry_after=lambda: 1.0)
-        bounded = SingleFlight(ManualExecutor(), max_pending=3, retry_after=lambda: 1.0)
-        assert unbounded.admission_stats().keys() == bounded.admission_stats().keys()
-        assert unbounded.admission_stats()["max_pending"] is None
-        assert bounded.admission_stats()["max_pending"] == 3
+        assert not running.done()  # a started job runs to the end
+        gate.set()
+        assert running.result(timeout=10) is True
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +478,13 @@ def _submit_in_thread(engine, target, client, outcomes):
     return thread
 
 
+def _running_and_waiting(engine) -> tuple[int, int]:
+    """``inflight`` and ``queue_depth``: a wait on ``queue_depth`` alone also
+    counts a job that an idle worker is about to take."""
+    stats = engine.admission_stats()
+    return stats["inflight"], stats["queue_depth"]
+
+
 def _wait_for(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -406,9 +503,9 @@ class TestEngineAdmission:
         try:
             threads = [
                 _submit_in_thread(engine, _target(i), "flood", outcomes)
-                for i in range(5)  # 1 dispatched + 4 queued
+                for i in range(5)  # 1 running + 4 queued
             ]
-            assert _wait_for(lambda: engine.admission_stats()["queue_depth"] == 4)
+            assert _wait_for(lambda: _running_and_waiting(engine) == (1, 4))
             with pytest.raises(QueueFullError):
                 engine.submit(_target(5), client="flood")
             stats = engine.admission_stats()
@@ -471,41 +568,15 @@ class TestEngineAdmission:
         with pytest.raises(ValueError, match="max_pending"):
             CompileEngine(workers=1, max_pending=0)
 
-    def test_width_follows_a_ready_made_backend_instance(self, slow_solver):
-        """A passed-in backend's own fleet sizes the dispatch width — an
-        8-worker pool behind a 1-worker engine default must still see
-        3 concurrent dispatches, not 1."""
-        engine = CompileEngine(
-            workers=1, executor=ThreadExecutor(3), max_pending=4
-        )
-        outcomes: list = []
-        try:
-            threads = [
-                _submit_in_thread(engine, _target(i), "a", outcomes) for i in range(3)
-            ]
-            assert _wait_for(lambda: engine.admission_stats()["inflight"] == 3)
-            assert engine.admission_stats()["queue_depth"] == 0
-            slow_solver.set()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert all(getattr(result, "ok", False) for result in outcomes)
-        finally:
-            slow_solver.set()
-            engine.shutdown()
-
     def test_admission_and_a_two_thread_pool_compose(self, slow_solver):
-        """max_pending bounds the wait queue while the pool runs width-many
-        dispatches."""
+        """max_pending bounds the wait queue while both workers run jobs."""
         engine = CompileEngine(workers=2, max_pending=2)
         outcomes: list = []
         try:
             threads = [
                 _submit_in_thread(engine, _target(i), "a", outcomes) for i in range(4)
             ]
-            assert _wait_for(
-                lambda: engine.admission_stats()["inflight"] == 2
-                and engine.admission_stats()["queue_depth"] == 2
-            )
+            assert _wait_for(lambda: _running_and_waiting(engine) == (2, 2))
             with pytest.raises(QueueFullError):
                 engine.submit(_target(9), client="a")
             slow_solver.set()
@@ -519,9 +590,9 @@ class TestEngineAdmission:
             engine.shutdown()
 
     def test_shutdown_cancel_pending_cancels_admission_queued_jobs(self, slow_solver):
-        """Jobs still waiting in the admission queue must resolve with
-        CancelledError on shutdown(cancel_pending=True), not get pumped into
-        a transparently recreated pool afterwards."""
+        """Jobs still waiting in the queue must resolve with CancelledError
+        on shutdown(cancel_pending=True), not run on workers started
+        afterwards."""
         engine = CompileEngine(workers=1, max_pending=2)
         outcomes: list = []
 
@@ -537,7 +608,7 @@ class TestEngineAdmission:
         for thread in threads:
             thread.start()
         try:
-            assert _wait_for(lambda: engine.admission_stats()["queue_depth"] == 2)
+            assert _wait_for(lambda: _running_and_waiting(engine) == (1, 2))
             engine.shutdown(wait=False, cancel_pending=True)
             assert _wait_for(
                 lambda: outcomes.count("cancelled") == 2
@@ -550,3 +621,138 @@ class TestEngineAdmission:
         finally:
             slow_solver.set()
             engine.shutdown()
+
+    def test_a_burst_of_workers_plus_max_pending_sheds_none(self, slow_solver):
+        """Jobs that free workers are about to take do not count against the
+        bound: an idle engine admits workers + max_pending gated submits at
+        once, and sheds the next."""
+        engine = CompileEngine(workers=2, max_pending=2)
+        outcomes: list = []
+        try:
+            threads = [
+                _submit_in_thread(engine, _target(i), "a", outcomes) for i in range(4)
+            ]
+            assert _wait_for(lambda: engine.admission_stats()["admitted_total"] == 4)
+            assert engine.admission_stats()["rejected_total"] == 0
+            with pytest.raises(QueueFullError):
+                engine.submit(_target(4), client="a")
+            assert engine.admission_stats()["rejected_total"] == 1
+            slow_solver.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert len(outcomes) == 4
+            assert all(getattr(result, "ok", False) for result in outcomes)
+        finally:
+            slow_solver.set()
+            engine.shutdown()
+
+    def test_an_unbounded_engine_counts_its_queue(self, slow_solver):
+        engine = CompileEngine(workers=1)
+        batches: list = []
+        batch = threading.Thread(
+            target=lambda: batches.append(
+                engine.submit_batch([_target(i) for i in range(3)])
+            )
+        )
+        batch.start()
+        try:
+            assert _wait_for(lambda: _running_and_waiting(engine) == (1, 2))
+            assert engine.admission_stats()["max_pending"] is None
+            assert engine.admission_stats()["queued_clients"] == 1
+            slow_solver.set()
+            batch.join(timeout=30)
+        finally:
+            slow_solver.set()
+            engine.shutdown()
+        assert all(result.ok for result in batches[0].results)
+        stats = engine.admission_stats()
+        assert (stats["admitted_total"], stats["queue_depth"], stats["inflight"]) == (3, 0, 0)
+
+    @pytest.mark.parametrize("stop", ["shutdown", "drop"])
+    def test_no_worker_outlives_its_engine(self, stop):
+        before = set(threading.enumerate())
+        engine = CompileEngine(workers=2)
+        assert all(r.ok for r in engine.submit_batch([_target(i) for i in range(3)]))
+        spawned = [
+            thread
+            for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("repro-compile")
+        ]
+        assert spawned
+        if stop == "shutdown":
+            engine.shutdown(wait=True)  # joins them
+        else:
+            del engine  # never shut down: its finalizer lets them exit
+            for thread in spawned:
+                thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in spawned)
+
+# ---------------------------------------------------------------------------
+# Verify bodies that wait on queued compiles
+# ---------------------------------------------------------------------------
+#: Holds a cold ``cycle`` verify body on every worker, queues the target's
+#: compile with ``submit_batch`` behind them, then releases the verifies,
+#: which join that compile.  Run in a child interpreter: a hang would also
+#: stall this interpreter at exit on stuck pool threads.
+_VERIFIES_JOIN_A_QUEUED_COMPILE = """
+import sys, threading
+from repro.api import CompileTarget
+from repro.service import CompileEngine, VerifyEngine, VerifyRequest
+from tests.conftest import build_chain
+
+workers = int(sys.argv[1])
+max_pending = None if sys.argv[2] == "None" else int(sys.argv[2])
+engine = CompileEngine(workers=workers, max_pending=max_pending)
+verify = VerifyEngine(engine)
+target = CompileTarget(build_chain(3), image_width=32, image_height=24)
+entered, release = threading.Semaphore(0), threading.Event()
+body = verify._execute
+
+def held(request, fingerprint):
+    entered.release()
+    release.wait()
+    return body(request, fingerprint)
+
+verify._execute = held
+verdicts, batches = [], []
+holders = [
+    threading.Thread(target=lambda seed=seed: verdicts.append(
+        verify.submit(VerifyRequest(target=target, check="cycle", seed=seed))
+    ))
+    for seed in range(workers)
+]
+for thread in holders:
+    thread.start()
+for _ in holders:
+    entered.acquire()
+batch = threading.Thread(target=lambda: batches.append(engine.submit_batch([target])))
+batch.start()
+while target.fingerprint not in engine._flight._inflight:
+    pass
+release.set()
+for thread in holders + [batch]:
+    thread.join()
+print(all(verdict.passed for verdict in verdicts), batches[0].results[0].ok)
+"""
+
+
+@pytest.mark.parametrize("max_pending", [None, 2])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_bodies_on_every_worker_run_the_compile_they_join(workers, max_pending):
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root), env.get("PYTHONPATH")])
+    )
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-c", _VERIFIES_JOIN_A_QUEUED_COMPILE, str(workers), repr(max_pending)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("verify bodies joining a queued compile hung")
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == ["True", "True"]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import threading
 
 import pytest
 
@@ -94,20 +95,19 @@ class TestEngineEventWiring:
         engine = CompileEngine(workers=1, max_pending=1)
         target = CompileTarget(build_chain(2), image_width=W, image_height=H)
         if kind == "compile":
-            flight, submit, request = engine._flight, engine.submit, target
+            submit, request = engine.submit, target
         else:
-            verify = VerifyEngine(engine)
-            flight, submit, request = verify._flight, verify.submit, VerifyRequest(target)
-        # Play the executor's role: occupy the single dispatch slot with a
-        # never-settling future, and fill the one queue slot behind it.
-        hog: Future = Future()
-        hog.set_running_or_notify_cancel()
-        flight.queue.submit(lambda: hog, client="hog")
-        flight.queue.submit(lambda: Future(), client="hog")
+            submit, request = VerifyEngine(engine).submit, VerifyRequest(target)
+        # Hold the one worker on a gated job, and fill the one queue slot
+        # behind it.
+        held, release = threading.Event(), threading.Event()
+        for job in (lambda: held.set() or release.wait(30), lambda: None):
+            engine._queue.submit(Future(), job, client="hog")
+            assert held.wait(10)
         with pytest.raises(QueueFullError):
             submit(request, client="alice")
         events = clean_default_log.recent("queue.shed")
-        hog.set_result(None)
+        release.set()
         engine.shutdown()
         assert events
         assert events[-1]["identity"] == "alice"

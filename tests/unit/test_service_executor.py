@@ -1,6 +1,7 @@
-"""Unit tests for the engine's thread pool and its wiring."""
+"""Unit tests for the engine's workers and their wiring."""
 
 import threading
+import time
 from concurrent.futures import CancelledError, Future
 
 import pytest
@@ -9,12 +10,12 @@ from repro.api import CompileTarget
 from repro.core.compiler import compile_pipeline
 from repro.service import (
     CompileEngine,
-    ThreadExecutor,
     VerifyEngine,
     VerifyRequest,
     validate_worker_count,
 )
-from repro.service.executor import default_executor_name, relay_future
+from repro.service.admission import JobQueue
+from repro.service.executor import default_executor_name
 
 from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain, build_paper_example
 
@@ -31,57 +32,9 @@ class TestBackendSelection:
         engine = CompileEngine(workers=1)
         assert engine.executor_name == "thread"
 
-    # The removed string form (the old backend names, a typo, backends that
-    # no longer exist), the backend class where an instance belongs, and a
-    # worker count in the wrong slot: a stale setting fails loudly.
-    @pytest.mark.parametrize(
-        "value",
-        [
-            "thread",
-            "inline",
-            "threads",
-            "process",
-            "process:auto",
-            "thread:auto",
-            ThreadExecutor,
-            2,
-        ],
-        ids=lambda value: getattr(value, "__name__", str(value)),
-    )
-    def test_invalid_executor_argument_rejected(self, value):
-        with pytest.raises(TypeError, match="ExecutorBackend"):
-            CompileEngine(workers=1, executor=value)
-
-    def test_none_builds_a_pool_of_the_engines_workers(self):
-        engine = CompileEngine(workers=3, executor=None)
-        assert type(engine._flight.executor) is ThreadExecutor
-        assert engine.executor_stats() == {"executor": "thread", "workers": 3}
-
-    def test_backend_instance_is_used_verbatim(self):
-        backend = ThreadExecutor(3)
-        engine = CompileEngine(workers=4, executor=backend)
-        assert engine._flight.executor is backend
-        assert engine.executor_stats() == {"executor": "thread", "workers": 3}
-
     def test_describe_names_the_backend(self):
         engine = CompileEngine(workers=1)
         assert "executor=thread" in engine.describe()
-
-    def test_backend_shared_between_engines(self):
-        """One backend instance serves two engines from one pool; each engine
-        keeps its own cache."""
-        backend = ThreadExecutor(2)
-        first = CompileEngine(executor=backend)
-        second = CompileEngine(executor=backend)
-        try:
-            assert first.submit_batch([_target()]).results[0].source == "solver"
-            pool = backend._pool
-            assert pool is not None
-            assert second.submit_batch([_target()]).results[0].source == "solver"
-            assert backend._pool is pool
-            assert first.executor_stats() == second.executor_stats()
-        finally:
-            backend.shutdown()
 
 
 class TestWorkerValidation:
@@ -97,10 +50,6 @@ class TestWorkerValidation:
     @pytest.mark.parametrize("good,expected", [(1, 1), ("8", 8), (3, 3)])
     def test_valid_counts_pass(self, good, expected):
         assert validate_worker_count(good) == expected
-
-    def test_thread_backend_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            ThreadExecutor(0)
 
     def test_http_cli_rejects_bad_workers(self, capsys):
         from repro.service.http import main
@@ -123,6 +72,17 @@ def _track_threads(engine) -> list:
     return seen
 
 
+def _hold_workers(engine, release: threading.Event) -> None:
+    """Occupy every one of ``engine``'s workers until ``release`` is set."""
+    held = threading.Semaphore(0)
+    for _ in range(engine.workers):
+        future: Future = Future()
+        future.set_running_or_notify_cancel()
+        engine._queue.submit(future, lambda: held.release() or release.wait(30))
+    for _ in range(engine.workers):
+        assert held.acquire(timeout=10)
+
+
 class TestThreadBackend:
     @pytest.fixture
     def engine(self):
@@ -134,24 +94,25 @@ class TestThreadBackend:
         with CompileEngine(workers=2) as engine:
             assert engine.submit_batch([_target()]).results[0].ok
             engine.shutdown()
-            assert engine._flight.executor._pool is None
+            assert not engine._queue._threads
             assert engine.submit_batch([_target(build_chain(4))]).results[0].ok
-        assert engine._flight.executor._pool is None  # __exit__ released it
+            assert engine._queue._threads
+        assert not engine._queue._threads  # __exit__ joined them
 
     def test_enter_returns_engine_and_exit_shuts_down(self):
         engine = CompileEngine(workers=2)
         with engine as entered:
             assert entered is engine
             assert engine.submit_batch([_target()]).results[0].ok
-            assert engine._flight.executor._pool is not None
-        assert engine._flight.executor._pool is None
-        # The cache outlives the pool: a later submit is a memory hit.
+            assert engine._queue._threads
+        assert not engine._queue._threads
+        # The cache outlives the workers: a later submit is a memory hit.
         assert engine.submit(_target()).source == "memory"
 
     def test_pool_is_created_on_first_job(self, engine):
-        assert engine._flight.executor._pool is None
+        assert not engine._queue._threads
         engine.submit_batch([_target()])
-        assert engine._flight.executor._pool is not None
+        assert engine._queue._threads
 
     def test_batch_jobs_run_on_pool_threads(self, engine):
         seen = _track_threads(engine)
@@ -163,11 +124,11 @@ class TestThreadBackend:
         seen = _track_threads(engine)
         assert engine.submit(_target()).source == "solver"
         assert seen == [threading.current_thread().name]
-        assert engine._flight.executor._pool is None
+        assert not engine._queue._threads
 
     def test_batch_is_deterministic_and_ordered(self):
-        """Results come back in submission order even when the pool finishes
-        the jobs in reverse."""
+        """Results come back in submission order even when the workers
+        finish the jobs in reverse."""
         targets = [_target(build_chain(n), label=str(n)) for n in (2, 3, 4)]
         turn = {target.fingerprint: index for index, target in enumerate(targets)}
         done = [threading.Event() for _ in targets]
@@ -193,24 +154,21 @@ class TestThreadBackend:
         assert [r.source for r in batch.results] == ["solver"] * 3
 
     def test_escaping_exception_settles_the_future(self):
-        def explode(target, fingerprint):
+        def explode():
             raise RuntimeError("boom")
 
-        backend = ThreadExecutor(1)
-        try:
-            future = backend.submit(explode, _target(), "fp")
-            with pytest.raises(RuntimeError, match="boom"):
-                future.result(timeout=10)
-            assert future.done()
-        finally:
-            backend.shutdown()
+        queue = JobQueue(1)
+        future: Future = Future()
+        queue.submit(future, explode)
+        with pytest.raises(RuntimeError, match="boom"):
+            future.result(timeout=10)
+        queue.shutdown()
 
     def test_single_submit_is_not_queued_behind_a_saturated_pool(self, engine):
-        """A single submit runs on its caller's thread, so a pool busy with
-        other work does not delay it."""
-        pool = engine._flight.executor._ensure_pool()
+        """A single submit on an unbounded engine runs on its caller's
+        thread, so workers busy with other jobs do not delay it."""
         release = threading.Event()
-        blockers = [pool.submit(release.wait) for _ in range(engine.workers)]
+        _hold_workers(engine, release)
         outcome: dict = {}
         caller = threading.Thread(
             target=lambda: outcome.update(result=engine.submit(_target())),
@@ -219,11 +177,10 @@ class TestThreadBackend:
         caller.start()
         try:
             caller.join(timeout=30)
-            assert not caller.is_alive(), "single submit waited for the pool"
+            assert not caller.is_alive(), "single submit waited for a worker"
         finally:
             release.set()
         assert outcome["result"].ok and outcome["result"].source == "solver"
-        assert all(blocker.result(timeout=10) for blocker in blockers)
 
     def test_batch_matches_direct_compiles(self, engine):
         targets = [
@@ -242,25 +199,11 @@ class TestThreadBackend:
                 == theirs.schedule.total_allocated_bits
             )
 
-    def test_shutdown_cancel_pending_cancels_a_pool_queued_batch(
-        self, engine, monkeypatch
-    ):
-        """A batch queued behind a saturated pool raises CancelledError on
+    def test_shutdown_cancel_pending_cancels_a_pool_queued_batch(self, engine):
+        """A batch queued behind busy workers raises CancelledError on
         shutdown(cancel_pending=True), and its job never runs."""
-        backend = engine._flight.executor
-        pool = backend._ensure_pool()
         release = threading.Event()
-        for _ in range(engine.workers):
-            pool.submit(release.wait)
-        queued = threading.Event()
-        real_submit = backend.submit
-
-        def submit(*args):
-            future = real_submit(*args)
-            queued.set()
-            return future
-
-        monkeypatch.setattr(backend, "submit", submit)
+        _hold_workers(engine, release)
         outcome: dict = {}
 
         def run():
@@ -272,7 +215,10 @@ class TestThreadBackend:
         waiter = threading.Thread(target=run, daemon=True)
         waiter.start()
         try:
-            assert queued.wait(timeout=10)  # the job waits behind the blockers
+            deadline = time.monotonic() + 10
+            while engine.admission_stats()["queue_depth"] < 1:
+                assert time.monotonic() < deadline, "the batch never queued"
+                time.sleep(0.01)
             engine.shutdown(wait=False, cancel_pending=True)
             waiter.join(timeout=10)
             assert not waiter.is_alive(), "cancelled batch still waiting"
@@ -337,61 +283,24 @@ class TestBackendStats:
     def test_stats_create_no_pool(self):
         engine = CompileEngine(workers=3)
         assert engine.executor_stats() == {"executor": "thread", "workers": 3}
-        assert engine._flight.executor._pool is None
-
-
-def _running_future() -> Future:
-    future: Future = Future()
-    future.set_running_or_notify_cancel()
-    return future
-
-
-class TestRelayFuture:
-    def test_result_is_copied(self):
-        source, destination = Future(), _running_future()
-        source.set_result("compiled")
-        relay_future(source, destination)
-        assert destination.result() == "compiled"
-
-    def test_exception_is_copied(self):
-        source, destination = Future(), _running_future()
-        error = RuntimeError("solver crashed")
-        source.set_exception(error)
-        relay_future(source, destination)
-        assert destination.exception() is error
-
-    def test_cancellation_arrives_as_an_exception(self):
-        source, destination = Future(), _running_future()
-        source.cancel()
-        relay_future(source, destination)
-        assert not destination.cancelled()
-        assert isinstance(destination.exception(), CancelledError)
+        assert not engine._queue._threads
 
 
 class TestSubmitFailureRecovery:
-    """Regression: a backend whose ``submit`` raises used to leave the
-    published placeholder future in ``_inflight`` forever, so every later
+    """Regression: a job that could not be handed to a worker used to leave
+    the published placeholder future in ``_inflight`` forever, so every later
     submission of that fingerprint deduped against a dead future and hung."""
 
-    class _BrokenBackend(ThreadExecutor):
-        def __init__(self):
-            super().__init__(2)
-            self.broken = True
-
-        def submit(self, run_local, target, fingerprint):
-            if self.broken:
-                raise RuntimeError("pool is broken")
-            return super().submit(run_local, target, fingerprint)
-
-    def test_failed_submit_clears_inflight_and_unblocks_retries(self):
-        backend = self._BrokenBackend()
-        engine = CompileEngine(executor=backend)
+    def test_failed_submit_clears_inflight_and_unblocks_retries(
+        self, broken_worker_start
+    ):
+        engine = CompileEngine(workers=2)
         target = _target()
         try:
-            with pytest.raises(RuntimeError, match="pool is broken"):
+            with pytest.raises(RuntimeError, match="can't start"):
                 engine.submit_batch([target])
             assert not engine._flight._inflight  # the fingerprint is not poisoned
-            backend.broken = False
+            broken_worker_start["on"] = False
             batch = engine.submit_batch([target])  # must not hang
             assert batch.results[0].ok
         finally:
@@ -399,13 +308,12 @@ class TestSubmitFailureRecovery:
 
     @pytest.mark.parametrize("max_pending", [None, 4])
     def test_failed_verify_submit_clears_inflight_and_unblocks_retries(
-        self, max_pending
+        self, broken_worker_start, max_pending
     ):
-        """The verify twin, unbounded and through the admission queue.  Each
-        submit runs in a daemon thread, so a regression fails the test
-        instead of hanging the suite."""
-        backend = self._BrokenBackend()
-        engine = CompileEngine(executor=backend, max_pending=max_pending)
+        """The verify twin, unbounded and bounded.  Each submit runs in a
+        daemon thread, so a regression fails the test instead of hanging the
+        suite."""
+        engine = CompileEngine(workers=2, max_pending=max_pending)
         verify = VerifyEngine(engine)
         request = VerifyRequest(target=_target(), check="cycle")
 
@@ -427,9 +335,9 @@ class TestSubmitFailureRecovery:
         try:
             failed = submit()
             assert isinstance(failed.get("error"), RuntimeError)
-            assert str(failed["error"]) == "pool is broken"
+            assert str(failed["error"]) == "can't start new thread"
             assert not verify._flight._inflight  # the fingerprint is not poisoned
-            backend.broken = False
+            broken_worker_start["on"] = False
             retried = submit()["result"]
             assert retried.source == "verified" and retried.passed
         finally:
@@ -452,7 +360,7 @@ class TestSweepExecutorWiring:
 
     def test_sweep_uses_the_engines_backend(self):
         """The baseline compiles on the caller's thread; every configuration
-        it fans out runs on the engine's pool."""
+        it fans out runs on the engine's workers."""
         from repro.dse.sweep import sweep_memory_configurations
 
         with CompileEngine(workers=2) as engine:

@@ -575,9 +575,12 @@ class TestQueueFullOverHTTP:
         for thread in threads:
             thread.start()
         try:
+            # One running and two waiting: queue_depth alone also counts a
+            # job the idle worker is about to take.
             deadline = time.monotonic() + 5
             while time.monotonic() < deadline:
-                if engine.admission_stats()["queue_depth"] == 2:
+                stats = engine.admission_stats()
+                if (stats["inflight"], stats["queue_depth"]) == (1, 2):
                     break
                 time.sleep(0.01)
             assert engine.admission_stats()["queue_depth"] == 2

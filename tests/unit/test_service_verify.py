@@ -112,15 +112,15 @@ class TestGoldenRoundTrip:
         """A compiled DAG that miscomputes (``b = blur*3``) or drops its second
         output stage fails, though the first output stage matches."""
         engine, verify = engines
-        submit = engine._submit_inline
+        submit = engine.submit
 
-        def submit_with_compiled_dag(target, fingerprint):
-            result = submit(target, fingerprint)
+        def submit_with_compiled_dag(target):
+            result = submit(target)
             accelerator = result.unwrap()
             schedule = replace(accelerator.schedule, dag=_two_outputs(compiled_b_scale))
             return replace(result, accelerator=replace(accelerator, schedule=schedule))
 
-        monkeypatch.setattr(engine, "_submit_inline", submit_with_compiled_dag)
+        monkeypatch.setattr(engine, "submit", submit_with_compiled_dag)
         target = CompileTarget(_two_outputs(2.0), image_width=W, image_height=H)
         result = verify.submit(VerifyRequest(target=target, check="golden"))
         assert result.ok
@@ -306,11 +306,43 @@ class TestVerifyCaching:
         assert second["result"].passed
         assert verify.stats()["verified"] == 1
 
+    def test_request_that_missed_memory_as_its_twin_was_saved_reads_memory(
+        self, engines
+    ):
+        """A request whose memory lookup missed, and whose disk lookup runs
+        after an identical request in this process stored and saved its
+        verdict, reports the memory tier, not the disk."""
+        engine, verify = engines
+        request = VerifyRequest(target=_target(), check="cycle")
+        store = engine.cache.store
+        load, missed, release = store.load, threading.Event(), threading.Event()
+
+        def held_load(fingerprint):
+            if not missed.is_set():  # only the first caller waits
+                missed.set()
+                release.wait(10)
+            return load(fingerprint)
+
+        store.load = held_load
+        second = {}
+        thread = threading.Thread(
+            target=lambda: second.update(result=verify.submit(request))
+        )
+        thread.start()
+        assert missed.wait(10)
+        first = verify.submit(request)  # stored in memory, then saved to disk
+        release.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert first.source == "verified"
+        assert second["result"].source == "memory"
+        assert verify.stats()["verified"] == 1
+
 
 class TestVerifyExecutor:
     def test_verify_bodies_run_on_the_engines_pool(self, engines):
         engine, verify = engines
-        assert verify._flight.executor is engine._flight.executor
+        assert verify._queue is engine._queue
         seen = []
         original = verify._execute
 
@@ -341,7 +373,7 @@ class TestVerifyAdmission:
         release = threading.Event()
         started = threading.Event()
 
-        # Occupy the single verify dispatch slot with a stalled execution.
+        # Hold the one worker with a stalled verify body.
         original = verify._execute
         def stalled(request, fingerprint):
             started.set()
@@ -354,7 +386,7 @@ class TestVerifyAdmission:
             )
             hog.start()
             assert started.wait(10)
-            # Slot busy; one more fills the queue, a third is shed.
+            # Worker busy; one more fills the queue, a third is shed.
             t2 = threading.Thread(
                 target=lambda: _swallow(
                     verify, VerifyRequest(target=_target("canny-s"))
@@ -362,7 +394,7 @@ class TestVerifyAdmission:
             )
             t2.start()
             deadline = 50
-            while verify.admission_stats()["queue_depth"] < 1 and deadline:
+            while engine.admission_stats()["queue_depth"] < 1 and deadline:
                 deadline -= 1
                 threading.Event().wait(0.1)
             with pytest.raises(QueueFullError) as info:
@@ -389,8 +421,8 @@ class TestVerifyAdmission:
 
 
     def test_cold_verify_on_a_one_worker_bounded_engine_completes(self):
-        """The verify body holds the pool's one thread, so its compile runs
-        in that slot: queued behind it, the compile would never start."""
+        """The verify body holds the one worker, so its compile runs on that
+        worker: queued behind it, the compile would never start."""
         engine = CompileEngine(workers=1, max_pending=2)
         request = VerifyRequest(target=_target(), check="cycle")
         outcome = {}
@@ -400,7 +432,7 @@ class TestVerifyAdmission:
         )
         thread.start()
         thread.join(timeout=10)
-        engine.shutdown(wait=False, cancel_pending=True)  # frees a wedged pool
+        engine.shutdown(wait=False, cancel_pending=True)  # frees a wedged worker
         assert not thread.is_alive(), "cold verify hung"
         assert outcome["result"].passed
 
