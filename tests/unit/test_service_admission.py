@@ -268,6 +268,84 @@ class TestJobQueue:
         assert order == ["after"]
         queue.shutdown()
 
+    def test_a_failed_worker_start_takes_no_slot_of_the_bound(
+        self, broken_worker_start, gate
+    ):
+        queue = JobQueue(1, max_pending=1)
+        order: list = []
+        for name in ("first", "second"):
+            with pytest.raises(RuntimeError, match="can't start"):
+                _recorded(queue, order, name).result(timeout=0)
+        assert (queue.stats()["admitted_total"], queue.stats()["rejected_total"]) == (0, 0)
+        broken_worker_start["on"] = False
+        _hold(queue, gate)
+        waiting = _recorded(queue, order, "waiting")  # the bound's one slot
+        assert isinstance(_recorded(queue, order, "excess").exception(timeout=0), QueueFullError)
+        gate.set()
+        assert waiting.result(timeout=10) == "waiting"
+        assert order == ["waiting"]
+        queue.shutdown()
+
+    def test_never_starts_more_workers_than_its_count(self, gate):
+        """Five held jobs on a 2-worker queue: two run, on two
+        ``repro-compile`` threads, and three wait for a free worker."""
+        queue = JobQueue(2)
+        entered = threading.Semaphore(0)
+        runners = []
+
+        def held():
+            runners.append(threading.current_thread())
+            entered.release()
+            return gate.wait(30)
+
+        futures = []
+        for _ in range(5):
+            futures.append(_running())
+            queue.submit(futures[-1], held)
+        for _ in range(2):
+            assert entered.acquire(timeout=10)
+        assert len(queue._threads) == 2
+        assert (queue.stats()["inflight"], queue.stats()["queue_depth"]) == (2, 3)
+        gate.set()
+        assert all(future.result(timeout=10) for future in futures)
+        assert set(runners) == queue._threads
+        assert all(runner.name.startswith("repro-compile") for runner in runners)
+        queue.shutdown()
+
+    def test_a_job_that_raises_leaves_its_worker_running(self):
+        """Even a ``BaseException`` lands in the job's future; the worker
+        lives on and runs the next job."""
+        queue = JobQueue(1)
+
+        def leave():
+            raise SystemExit("a job asked to exit")
+
+        failed = _running()
+        queue.submit(failed, leave)
+        assert isinstance(failed.exception(timeout=10), SystemExit)
+        (worker,) = queue._threads
+        after = _running()
+        queue.submit(after, threading.current_thread)
+        assert after.result(timeout=10) is worker
+        queue.shutdown()
+
+    def test_cancel_pending_settles_a_queued_job_and_a_later_one_runs(self, gate):
+        """A queued job cancelled by ``shutdown(cancel_pending=True)`` never
+        runs: its running future is not ``cancelled()`` but carries
+        ``CancelledError``.  The queue takes jobs again afterwards."""
+        queue = JobQueue(1)
+        order: list = []
+        held = _hold(queue, gate)
+        waiting = _recorded(queue, order, "waiting")
+        queue.shutdown(wait=False, cancel_pending=True)
+        assert not waiting.cancelled()
+        assert isinstance(waiting.exception(timeout=0), CancelledError)
+        gate.set()
+        assert held.result(timeout=10) is True
+        assert _recorded(queue, order, "later").result(timeout=10) == "later"
+        assert order == ["later"]
+        queue.shutdown()
+
     @pytest.mark.parametrize("queued", ["before", "while"])
     def test_a_waiting_worker_runs_the_queued_job_on_its_own_thread(self, queued):
         """The only worker waits for a job queued behind its own, before or

@@ -2,6 +2,8 @@
 
 import json
 import threading
+import time
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
@@ -406,6 +408,37 @@ class TestVerifyAdmission:
             hog.join()
             t2.join()
             engine.shutdown()
+
+    def test_compiles_and_verifies_share_one_bound(self):
+        """A batch compile waiting on the engine's queue fills the one slot
+        of the bound, so a verify submit is shed: both engines queue on one
+        ``JobQueue``."""
+        engine = CompileEngine(workers=1, max_pending=1)
+        verify = VerifyEngine(engine)
+        release, held = threading.Event(), threading.Event()
+        hold = Future()
+        hold.set_running_or_notify_cancel()
+        engine._queue.submit(hold, lambda: held.set() or release.wait(30))
+        batches = []
+        batch = threading.Thread(
+            target=lambda: batches.append(engine.submit_batch([_target()]))
+        )
+        try:
+            assert held.wait(10)
+            batch.start()
+            deadline = time.monotonic() + 10
+            while engine.admission_stats()["queue_depth"] < 1:
+                assert time.monotonic() < deadline, "the batch never queued"
+                time.sleep(0.01)
+            with pytest.raises(QueueFullError):
+                verify.submit(VerifyRequest(target=_target("canny-s")))
+            assert verify.stats()["rejected"] == 1
+        finally:
+            release.set()
+            if batch.is_alive():
+                batch.join(30)
+            engine.shutdown()
+        assert batches[0].results[0].ok
 
     def test_strict_failure_raises_simulation_error(self, engines):
         _, verify = engines
