@@ -15,7 +15,6 @@ import pytest
 from repro.algorithms import build_algorithm
 from repro.api import CompileTarget
 from repro.core.compiler import compile_pipeline
-from repro.core.scheduler import SchedulerOptions
 from repro.errors import ReproError
 from repro.memory.spec import asic_dual_port, asic_single_port
 
@@ -28,7 +27,6 @@ def _can_generate(generator: str, algorithm: str, spec) -> bool:
         image_width=W,
         image_height=H,
         memory_spec=spec,
-        options=SchedulerOptions(ports=spec.ports),
     )
     if generator != "ours":
         target = target.with_generator(generator)

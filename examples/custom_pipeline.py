@@ -80,9 +80,7 @@ def main() -> None:
         ("dual-port SRAM + LC", compile_pipeline(base.with_options(coalescing=True)).schedule),
         (
             "single-port SRAM",
-            compile_pipeline(
-                base.with_memory_spec(asic_single_port()).with_options(ports=1)
-            ).schedule,
+            compile_pipeline(base.with_memory_spec(asic_single_port())).schedule,
         ),
         ("FIFOs (SODA style)", compile_pipeline(base.with_generator("soda")).schedule),
     ]

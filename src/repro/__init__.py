@@ -6,8 +6,9 @@ Public API
   (DAG + resolution + memory spec + options + generator) consumed by every
   layer.
 * :func:`repro.dsl.parse_pipeline` / :class:`repro.dsl.PipelineBuilder` — describe pipelines.
-* :func:`repro.core.compile_pipeline` — compile a target into an optimized accelerator.
-* :func:`repro.baselines.generate_baseline` — Darkroom / SODA / FixyNN comparison designs.
+* :func:`repro.core.compile_pipeline` — compile a target into an optimized
+  accelerator, or, with ``target.with_generator("darkroom")`` (or
+  ``"soda"``/``"fixynn"``), into a comparison design.
 * :mod:`repro.sim` — cycle-level legality checks and functional simulation.
 * :mod:`repro.estimate` — ASIC area/power and FPGA BRAM models.
 * :mod:`repro.rtl` — Verilog generation.

@@ -8,8 +8,6 @@ every layer consumes and produces:
   baseline generator, chosen by ``target.generator``);
 * :class:`repro.service.CompileEngine` serves targets one at a time
   (``submit``) and in batches (``submit_batch``);
-* :func:`repro.baselines.generate_baseline` compiles baseline-flavoured
-  targets through the same cache;
 * :func:`repro.dse.sweep_memory_configurations` enumerates
   ``target.with_options(...)`` derivations.
 

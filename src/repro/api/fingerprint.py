@@ -28,9 +28,11 @@ Normalization rules
   cacheable regardless of what options the request happened to carry.
 * Three scheduler options were retired when the scheduler kept a single
   solve path: the ILP ``backend``, the ``disjunction_strategy`` and its
-  ``max_subproblems`` limit.  :data:`RETIRED_OPTIONS` keeps them at the only
-  values they can still take, and :func:`normalize_options` merges it in, so
-  every fingerprint (and every disk-cache key) is unchanged.
+  ``max_subproblems`` limit.  A fourth, the ``ports`` override, was retired
+  so the memory spec alone sets the port count.  :data:`RETIRED_OPTIONS`
+  keeps them at the only values they can still take, and
+  :func:`normalize_options` merges it in, so the fingerprint of every
+  target that did not set them is unchanged.
 * Everything is serialized to JSON with sorted keys before hashing, so dict
   ordering never leaks into the digest.
 """
@@ -52,13 +54,17 @@ FINGERPRINT_VERSION = 1
 
 #: Retired ``SchedulerOptions`` fields at their fixed values.  Fingerprints and
 #: wire payloads still carry them; a wire payload may only repeat them.
-RETIRED_OPTIONS = {"backend": "auto", "disjunction_strategy": "bigm", "max_subproblems": 4096}
+RETIRED_OPTIONS = {
+    "ports": None,
+    "backend": "auto",
+    "disjunction_strategy": "bigm",
+    "max_subproblems": 4096,
+}
 
 
 def normalize_options(options: SchedulerOptions) -> dict:
     """Reduce scheduler options to the fields that can change the schedule."""
     data = {
-        "ports": options.ports,
         "coalescing": options.coalescing,
         "pruning": options.pruning,
         **RETIRED_OPTIONS,

@@ -4,10 +4,10 @@ A :class:`CompileTarget` is one fully-specified design point — pipeline graph,
 image resolution, on-chip memory structure, scheduler options, and the design
 generator ("imagen" for the ILP optimizer, or a baseline name such as
 "darkroom"/"soda"/"fixynn").  Every layer of the library consumes and produces
-targets: :func:`repro.core.compile_pipeline` compiles one,
-:meth:`repro.service.CompileEngine.submit` serves one,
-:func:`repro.baselines.generate_baseline` compiles a baseline-flavoured one,
-and the DSE sweep enumerates :meth:`with_options` derivations of one.
+targets: :func:`repro.core.compile_pipeline` compiles one (a baseline one
+too, from :meth:`with_generator`), :meth:`repro.service.CompileEngine.submit`
+serves one, and the DSE sweep enumerates :meth:`with_options` derivations of
+one.
 
 Targets are immutable: every ``with_*`` method returns a new target, so a base
 target can be shared and derived freely (the per-stage DSE sweep derives all

@@ -16,7 +16,6 @@ from repro.baselines.base import (
     BASELINE_NAMES,
     BaselineGenerator,
     baseline_generator,
-    generate_baseline,
 )
 from repro.baselines.darkroom import DarkroomGenerator, linearize_dag
 from repro.baselines.soda import SodaGenerator
@@ -25,7 +24,6 @@ from repro.baselines.fixynn import FixynnGenerator
 __all__ = [
     "BaselineGenerator",
     "baseline_generator",
-    "generate_baseline",
     "BASELINE_NAMES",
     "DarkroomGenerator",
     "linearize_dag",

@@ -76,26 +76,3 @@ def baseline_generator(name: str) -> BaselineGenerator:
         raise BaselineError(f"Unknown baseline {name!r}; expected one of {BASELINE_NAMES}")
     return generators[name]()
 
-
-def generate_baseline(target: "CompileTarget", *, cache=None):
-    """Compile a baseline design point (Darkroom / SODA / FixyNN).
-
-    Takes a :class:`repro.api.CompileTarget` whose ``generator`` names a
-    baseline, routes it through :func:`repro.core.compile_pipeline` — and
-    therefore through the same content-addressed ``cache`` as every other
-    design — and returns a :class:`repro.core.compiler.CompiledAccelerator`::
-
-        target = CompileTarget(dag, image_width=480, image_height=320,
-                               generator="darkroom")
-        acc = generate_baseline(target)           # CompiledAccelerator
-        schedule = acc.schedule
-    """
-    from repro.api.target import require_target
-    from repro.core.compiler import compile_pipeline
-
-    if require_target(target).generator not in BASELINE_NAMES:
-        raise BaselineError(
-            f"generate_baseline needs a baseline target; got generator="
-            f"{target.generator!r} (expected one of {BASELINE_NAMES})"
-        )
-    return compile_pipeline(target, cache=cache)

@@ -2,10 +2,11 @@
 
 FixyNN [Whatmough et al. 2019] builds the Sec. 2 line-buffer design but only
 with single-port memory blocks, so no two stages may ever touch the same line
-in the same cycle.  We realise this by running the ImaGen scheduling ILP with
-the port count pinned to 1 and coalescing disabled (coalescing is impossible
-with one port); the resulting delays are one full stencil height larger than
-the dual-port design, which is where FixyNN's extra memory comes from.
+in the same cycle.  We realise this by running the ImaGen scheduling ILP on
+the memory spec adapted to one port, without coalescing (coalescing is
+impossible with one port); the resulting delays are one full stencil height
+larger than the dual-port design, which is where FixyNN's extra memory comes
+from.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import replace
 
 from repro.baselines.base import BaselineGenerator
 from repro.core.schedule import PipelineSchedule
-from repro.core.scheduler import SchedulerOptions, schedule_pipeline
+from repro.core.scheduler import schedule_pipeline
 from repro.ir.dag import PipelineDAG
 from repro.memory.spec import MemorySpec, asic_single_port
 
@@ -47,7 +48,6 @@ class FixynnGenerator(BaselineGenerator):
                 allow_coalescing=False,
                 style="sram",
             )
-        options = SchedulerOptions(ports=1, coalescing=False)
-        schedule = schedule_pipeline(dag, image_width, image_height, memory_spec, options)
+        schedule = schedule_pipeline(dag, image_width, image_height, memory_spec)
         schedule.generator = "fixynn"
         return schedule

@@ -1,23 +1,28 @@
 """Top-level compiler facade (paper Fig. 5).
 
-:func:`compile_pipeline` ties the framework together: it takes one
-:class:`repro.api.CompileTarget` — pipeline DAG, resolution, memory spec,
-scheduler options and generator name — and returns a
-:class:`CompiledAccelerator` with hooks to generate Verilog and area/power
-reports.  The target's ``generator`` selects the design style: ``"imagen"``
-runs the ILP optimizer (with the optional line-coalescing fallback), any
-baseline name (``"darkroom"``, ``"soda"``, ``"fixynn"``) runs that comparison
-generator through the same cache, so baseline designs are content-addressed
-and reusable exactly like optimized ones.
+:func:`compile_pipeline` (the public name of :func:`compile_target`) is the
+only place a :class:`repro.api.CompileTarget` — pipeline DAG, resolution,
+memory spec, scheduler options and generator name — becomes a schedule, and
+the only place a :class:`CompiledAccelerator` is built.  The target's
+``generator`` selects the producer: ``"imagen"`` solves the scheduling ILP,
+and a baseline name (``"darkroom"``, ``"soda"``, ``"fixynn"``) runs that
+comparison generator.  An ImaGen target with ``coalescing=True`` under the
+``"auto"`` policy solves the coalesced system and keeps it only when it
+allocates no more on-chip memory than the plain one.
+
+One rule ties compiles to a compile cache
+(:class:`repro.service.cache.CompileCache`): the entry under a target's
+fingerprint is the schedule :func:`compile_target` returns for it.  Every
+compile is therefore one fetch-or-produce: a warm compile, +LC included, is
+a single lookup, and the plain twin an +LC miss compares against is fetched
+or solved through the same helper under its own fingerprint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import replace as dc_replace
-from typing import Any
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.schedule import PipelineSchedule
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
@@ -37,9 +42,19 @@ class CompiledAccelerator:
     """A compiled accelerator: schedule plus lazily-generated artifacts."""
 
     schedule: PipelineSchedule
-    options: SchedulerOptions
-    metadata: dict[str, Any] = field(default_factory=dict)
-    target: CompileTarget | None = None
+    target: CompileTarget
+    #: Where the schedule came from: ``"memory"``/``"disk"`` (a cache tier)
+    #: or ``"solver"`` (a fresh generator run).
+    source: str = "solver"
+
+    @property
+    def options(self) -> SchedulerOptions:
+        return self.target.options
+
+    @property
+    def fingerprint(self) -> str:
+        """Content fingerprint of the target, the key of its cache entry."""
+        return self.target.fingerprint
 
     @property
     def dag(self) -> PipelineDAG:
@@ -48,12 +63,6 @@ class CompiledAccelerator:
     @property
     def compile_seconds(self) -> float:
         return float(self.schedule.solver_stats.get("compile_seconds", 0.0))
-
-    @property
-    def fingerprint(self) -> str:
-        """Content fingerprint of the request that produced this design."""
-        fingerprints = self.metadata.get("schedule_fingerprints", ())
-        return fingerprints[0] if fingerprints else ""
 
     # ----------------------------------------------------------------- RTL
     def generate_verilog(self) -> str:
@@ -85,116 +94,89 @@ class CompiledAccelerator:
         return self.schedule.describe()
 
 
-def _schedule_cached(
-    target: CompileTarget, cache: Any | None
-) -> tuple[PipelineSchedule, str, str]:
-    """Solve one ImaGen schedule target, consulting a compile cache when given.
+def _fetch_or_produce(
+    target: CompileTarget, cache: Any | None, produce: Callable[..., PipelineSchedule]
+) -> tuple[PipelineSchedule, str]:
+    """The schedule cached under ``target``'s fingerprint, else ``produce``'s.
 
-    Returns the schedule, its source — ``"memory"``/``"disk"`` for cache
-    tiers, ``"solver"`` for a fresh ILP solve (which is then recorded in the
-    cache) — and its content fingerprint.  A miss solves exactly as an
-    uncached compile does, so the schedule depends only on the target.
+    Returns the schedule and its source: ``"memory"``/``"disk"`` for a cache
+    tier, ``"solver"`` for a fresh run, whose schedule is then cached under
+    the target's fingerprint.  A miss produces exactly what an uncached
+    compile does, so the schedule depends only on the target.
     """
-    if cache is None:
-        schedule, source, fingerprint = None, "solver", target.fingerprint
-    else:
-        schedule, source, fingerprint = cache.fetch(target)
-    if schedule is None:
-        schedule = schedule_pipeline(
-            target.dag,
-            target.image_width,
-            target.image_height,
-            target.memory_spec,
-            target.options,
-        )
-        if cache is not None:
-            cache.put(fingerprint, schedule)
-    return schedule, source, fingerprint
+    if cache is not None:
+        schedule, source, _ = cache.fetch(target)
+        if schedule is not None:
+            return schedule, source
+    schedule = produce(target, cache)
+    if cache is not None:
+        cache.put(target.fingerprint, schedule)
+    return schedule, "solver"
 
 
-def _compile_imagen(target: CompileTarget, cache: Any | None) -> CompiledAccelerator:
-    """The ImaGen ILP path, including the auto-coalescing fallback."""
-    options = target.options
-    schedule, source, fingerprint = _schedule_cached(target, cache)
-    sources = [source]
-    fingerprints = [fingerprint]
-
-    if options.coalescing and options.coalescing_policy == "auto":
-        # Coalescing interacts with downstream buffer sizes through the extra
-        # writer-separation constraints; like any compiler optimization it is
-        # only kept when it actually reduces the allocated on-chip memory.
-        plain_target = target.with_options(coalescing=False)
-        with trace_span("coalescing_fallback"):
-            plain, plain_source, plain_fingerprint = _schedule_cached(plain_target, cache)
-        sources.append(plain_source)
-        fingerprints.append(plain_fingerprint)
-        if plain.total_allocated_bits < schedule.total_allocated_bits or (
-            plain.total_allocated_bits == schedule.total_allocated_bits
-            and plain.total_blocks < schedule.total_blocks
-        ):
-            # Relabel a copy: `plain` may live in the cache under the
-            # non-coalesced fingerprint and must stay pristine there.
-            schedule = dc_replace(
-                plain,
-                generator="imagen+lc",
-                solver_stats={**plain.solver_stats, "coalescing_fallback": True},
-            )
-
-    return CompiledAccelerator(
-        schedule=schedule,
-        options=options,
-        metadata={
-            "schedule_sources": tuple(sources),
-            "schedule_fingerprints": tuple(fingerprints),
-        },
-        target=target,
+def _solve(target: CompileTarget, cache: Any | None) -> PipelineSchedule:
+    """The ImaGen ILP solve of one target."""
+    return schedule_pipeline(
+        target.dag,
+        target.image_width,
+        target.image_height,
+        target.memory_spec,
+        target.options,
     )
 
 
-def _compile_baseline(target: CompileTarget, cache: Any | None) -> CompiledAccelerator:
-    """Run a baseline generator (Darkroom/SODA/FixyNN) through the cache."""
-    from repro.baselines.base import baseline_generator
-
-    generator = baseline_generator(target.generator)  # raises BaselineError early
-    if cache is None:
-        schedule = generator.generate(
-            target.dag, target.image_width, target.image_height, target.memory_spec
+def _solve_keeping_smaller(target: CompileTarget, cache: Any | None) -> PipelineSchedule:
+    """The auto-coalescing policy: the coalesced solve, or the plain twin's
+    schedule when that allocates less (fewer bits, then fewer blocks)."""
+    # Coalescing interacts with downstream buffer sizes through the extra
+    # writer-separation constraints; like any compiler optimization it is
+    # only kept when it actually reduces the allocated on-chip memory.
+    coalesced = _solve(target, cache)
+    with trace_span("coalescing_fallback"):
+        plain, _ = _fetch_or_produce(target.with_options(coalescing=False), cache, _solve)
+    if (plain.total_allocated_bits, plain.total_blocks) < (
+        coalesced.total_allocated_bits,
+        coalesced.total_blocks,
+    ):
+        # Relabel a copy: `plain` is cached under its own fingerprint and
+        # must stay pristine there.
+        return dc_replace(
+            plain,
+            generator="imagen+lc",
+            solver_stats={**plain.solver_stats, "coalescing_fallback": True},
         )
-        source, fingerprint = "solver", target.fingerprint
-    else:
-        schedule, source, fingerprint = cache.fetch(target)
-        if schedule is None:
-            schedule = generator.generate(
-                target.dag, target.image_width, target.image_height, target.memory_spec
-            )
-            cache.put(fingerprint, schedule)
-    return CompiledAccelerator(
-        schedule=schedule,
-        options=target.options,
-        metadata={
-            "schedule_sources": (source,),
-            "schedule_fingerprints": (fingerprint,),
-        },
-        target=target,
-    )
+    return coalesced
 
 
 def compile_target(target: CompileTarget, *, cache: Any | None = None) -> CompiledAccelerator:
     """Compile one :class:`CompileTarget` into an accelerator design.
 
     Dispatches on ``target.generator``: ``"imagen"`` solves the scheduling
-    ILP, a baseline name runs that generator.  Both paths consult the same
-    ``cache`` (a :class:`repro.service.cache.CompileCache`) by content
-    fingerprint, and both record, in the returned accelerator's metadata, the
-    ``schedule_sources`` consulted and the matching ``schedule_fingerprints``
-    so callers can correlate results with cache entries.
+    ILP, a baseline name runs that generator.  With a ``cache`` (a
+    :class:`repro.service.cache.CompileCache`) the schedule is fetched by the
+    target's fingerprint, or produced and stored there; the accelerator
+    records which (:attr:`CompiledAccelerator.source`).
     """
     from repro.api.target import require_target
 
     target = require_target(target)
-    if target.is_imagen:
-        return _compile_imagen(target, cache)
-    return _compile_baseline(target, cache)
+    options = target.options
+    if not target.is_imagen:
+        from repro.baselines.base import baseline_generator
+
+        generator = baseline_generator(target.generator)  # raises BaselineError early
+
+        def produce(target: CompileTarget, cache: Any | None) -> PipelineSchedule:
+            return generator.generate(
+                target.dag, target.image_width, target.image_height, target.memory_spec
+            )
+
+    elif options.coalescing and options.coalescing_policy == "auto":
+        produce = _solve_keeping_smaller
+    else:
+        produce = _solve
+    schedule, source = _fetch_or_produce(target, cache, produce)
+    return CompiledAccelerator(schedule=schedule, target=target, source=source)
 
 
 #: The library's public name for :func:`compile_target`::

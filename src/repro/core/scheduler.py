@@ -22,6 +22,10 @@ exactly whenever it can:
   branches goes to the big-M model, built as plain arrays and solved by
   HiGHS (:func:`repro.ilp.highs.solve_highs`).
 
+The port count of R3 is the memory spec's (``memory_spec.ports``):
+:class:`SchedulerOptions` has no override, so a schedule never assumes more
+ports than the memory it was compiled for.  :func:`schedule_pipeline` is
+the one entry point; it checks the graph and the image size on every call.
 Every solve starts from the target alone, so a target's schedule does not
 depend on what was solved before it.
 """
@@ -81,10 +85,11 @@ SOLVE_TIME_LIMIT_S = 60.0
 class SchedulerOptions:
     """Knobs of the scheduling ILP.
 
+    The port count is not among them: it is the memory spec's, the
+    programmer's description of the on-chip memory (Sec. 4).
+
     Attributes
     ----------
-    ports:
-        Override the port count of the memory spec (``None`` = use the spec).
     coalescing:
         Enable the line-coalescing optimization (Sec. 6).
     coalescing_policy:
@@ -98,7 +103,6 @@ class SchedulerOptions:
         Per-producer coalescing choices that override ``coalescing_policy``.
     """
 
-    ports: int | None = None
     coalescing: bool = False
     coalescing_policy: str = "auto"
     pruning: bool = True
@@ -109,7 +113,6 @@ class SchedulerOptions:
 class _Prologue:
     """Everything the solve needs, computed once per (target, options)."""
 
-    ports: int
     factors: dict[str, int]
     dependencies: list[DependencyConstraint]
     disjunctions: list[Disjunction]
@@ -118,22 +121,13 @@ class _Prologue:
     horizon: int
 
 
-def _validate_request(dag: PipelineDAG, image_width: int, image_height: int) -> None:
-    if image_width < 2 or image_height < 1:
-        raise SchedulingError(f"Unsupported image size {image_width}x{image_height}")
-    dag.validated()
-
-
 def _constraint_prologue(
     dag: PipelineDAG,
     image_width: int,
     memory_spec: MemorySpec,
     options: SchedulerOptions,
 ) -> _Prologue:
-    ports = options.ports if options.ports is not None else memory_spec.ports
-    if ports < 1:
-        raise SchedulingError("Memory ports must be >= 1")
-
+    ports = memory_spec.ports
     factors = _effective_factors(dag, image_width, memory_spec, options)
     order = partial_order(dag)
 
@@ -155,7 +149,6 @@ def _constraint_prologue(
             )
 
     return _Prologue(
-        ports=ports,
         factors=factors,
         dependencies=dependencies,
         disjunctions=disjunctions,
@@ -173,19 +166,10 @@ def schedule_pipeline(
     options: SchedulerOptions | None = None,
 ) -> PipelineSchedule:
     """Solve the scheduling ILP and return the resulting accelerator design."""
-    _validate_request(dag, image_width, image_height)
-    return _schedule(dag, image_width, image_height, memory_spec, options or SchedulerOptions())
-
-
-def _schedule(
-    dag: PipelineDAG,
-    image_width: int,
-    image_height: int,
-    memory_spec: MemorySpec,
-    options: SchedulerOptions,
-) -> PipelineSchedule:
-    """:func:`schedule_pipeline` for a request whose DAG and size are already
-    validated: the DSE sweep validates once for all of its variants."""
+    if image_width < 2 or image_height < 1:
+        raise SchedulingError(f"Unsupported image size {image_width}x{image_height}")
+    dag.validated()
+    options = options or SchedulerOptions()
     started = time.perf_counter()
     with trace_span("solve", coalescing=bool(options.coalescing)):
         prologue = _constraint_prologue(dag, image_width, memory_spec, options)
@@ -206,7 +190,7 @@ def _schedule(
         {
             "objective": objective,
             "compile_seconds": time.perf_counter() - started,
-            "ports": prologue.ports,
+            "ports": memory_spec.ports,
             "raw_contention_candidates": prologue.raw_candidates,
             "pruned_contention_candidates": prologue.pruned_candidates,
             "num_disjunctions": len(prologue.disjunctions),
@@ -217,7 +201,7 @@ def _schedule(
     )
 
     line_buffers = realize_line_buffers(
-        dag, image_width, memory_spec, start_cycles, prologue.factors, prologue.ports
+        dag, image_width, memory_spec, start_cycles, prologue.factors, memory_spec.ports
     )
     if dag.is_temporal():
         # Frame-buffer SRAM is start-cycle independent, so it never enters the

@@ -22,10 +22,11 @@ concurrently on the engine's thread pool, failures are captured per
 point instead of aborting the sweep, and the all-DP configuration is served
 from the cache entry the baseline compile warmed.
 
-A serial sweep (no engine) schedules each variant as
-:func:`repro.core.scheduler.schedule_pipeline` does, skipping only the graph
-checks the baseline compile already ran.  Either way every variant is
-solved from its own target, so both paths return the same designs.
+A serial sweep (no engine) compiles each other variant with
+:func:`repro.core.compiler.compile_target`, like any other target.  Either
+way every variant is solved from its own target, so both paths return the
+same designs.  Area and power are the ASIC flow's with per-design memory
+macros (``sizing="custom"``).
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ from dataclasses import dataclass, field
 
 from repro.api.target import CompileTarget, require_target
 from repro.core.compiler import CompiledAccelerator, compile_target
-from repro.core.scheduler import _schedule
 from repro.errors import ReproError
 from repro.estimate.report import AcceleratorReport, accelerator_report
-from repro.estimate.sram_model import SramTechModel
 
 
 @dataclass
@@ -114,9 +113,7 @@ def _design_label(configuration: dict[str, str]) -> str:
 def sweep_memory_configurations(
     base: CompileTarget,
     *,
-    tech: SramTechModel | None = None,
     max_designs: int = 1024,
-    sizing: str = "custom",
     engine=None,
 ) -> list[DesignPoint]:
     """Compile every DP/DPLC combination and return the evaluated design points.
@@ -164,7 +161,7 @@ def sweep_memory_configurations(
 
     points: list[DesignPoint] = []
     for configuration, accelerator, metadata in compiled:
-        report = accelerator_report(accelerator.schedule, tech, sizing=sizing)
+        report = accelerator_report(accelerator.schedule, sizing="custom")
         points.append(
             DesignPoint(
                 configuration=configuration,
@@ -185,28 +182,9 @@ def _compile_serially(
     compiled = []
     for configuration in configurations:
         if all(choice == "DP" for choice in configuration.values()):
-            # The baseline compile *is* the all-DP design; reuse it.
-            compiled.append((configuration, baseline, {}))
-            continue
-        target = _design_target(base, configuration)
-        # The baseline compile validated this DAG and resolution, so the
-        # variants skip schedule_pipeline's repeat of those graph checks.
-        schedule = _schedule(
-            target.dag,
-            target.image_width,
-            target.image_height,
-            target.memory_spec,
-            target.options,
-        )
-        accelerator = CompiledAccelerator(
-            schedule=schedule,
-            options=target.options,
-            metadata={
-                "schedule_sources": ("solver",),
-                "schedule_fingerprints": (target.fingerprint,),
-            },
-            target=target,
-        )
+            accelerator = baseline  # the baseline compile *is* the all-DP design
+        else:
+            accelerator = compile_target(_design_target(base, configuration))
         compiled.append((configuration, accelerator, {}))
     return compiled
 

@@ -4,11 +4,12 @@ Stability: public.
 
 The cache's unit of storage is a solved :class:`PipelineSchedule`, keyed by
 the content fingerprint of the :class:`repro.api.CompileTarget` that produced
-it (:func:`repro.api.fingerprint.compile_fingerprint`).  Caching at schedule
-granularity (rather than whole :class:`CompiledAccelerator` objects) means the
-two ILP solves of ``compile_pipeline``'s auto-coalescing fallback each get
-their own entry, so a later plain compile of the same pipeline reuses the
-fallback's non-coalesced solve.
+it (:func:`repro.api.fingerprint.compile_fingerprint`).  The entry under a
+fingerprint is the schedule ``compile_pipeline`` returns for that target:
+for an +LC target under the auto policy that is the schedule it keeps, the
+coalesced solve or its relabelled plain twin, never a raw coalesced solve
+the policy dropped.  The plain twin has its own entry, so a later plain
+compile of the same pipeline reuses it.
 
 Fingerprints are generator-aware, so baseline designs (Darkroom/SODA/FixyNN)
 are cached exactly like optimized ones — in both tiers.  ImaGen-generated
@@ -51,13 +52,12 @@ from repro.memory.spec import MemorySpec
 from repro.service.events import emit_event
 from repro.trace import span_attr, trace_span
 
-#: Bump when the serialized payload layout changes; stale disk entries are
-#: treated as misses rather than errors.  Version 2 added the optional
-#: ``line_buffers`` field that makes baseline schedules persistable; version 1
-#: (decisions-only) entries are still readable.
-SCHEDULE_FORMAT_VERSION = 2
-
-_READABLE_VERSIONS = (1, 2)
+#: Bump when the serialized payload layout or meaning changes; entries of any
+#: other version are misses, re-solved and rewritten.  Version 3 dropped the
+#: ``ports`` field (the memory spec's count is the only one) and stores an +LC
+#: auto target's kept schedule, where v1/v2 entries hold its raw coalesced
+#: solve, so they are not read.
+SCHEDULE_FORMAT_VERSION = 3
 
 #: Result source markers shared with the engine's per-request accounting.
 SOURCE_MEMORY = "memory"
@@ -99,7 +99,6 @@ def serialize_schedule(schedule: PipelineSchedule) -> dict:
         "generator": schedule.generator,
         "start_cycles": dict(schedule.start_cycles),
         "coalesce_factors": dict(schedule.coalesce_factors),
-        "ports": int(stats.get("ports", schedule.memory_spec.ports)),
         "solver_stats": stats,
     }
     if schedule.generator not in REALIZABLE_GENERATORS:
@@ -119,12 +118,12 @@ def deserialize_schedule(payload: dict, dag: PipelineDAG) -> PipelineSchedule:
     entries small and guarantees they match what the allocator would produce
     today.
     """
-    if payload.get("version") not in _READABLE_VERSIONS:
+    if payload.get("version") != SCHEDULE_FORMAT_VERSION:
         raise ValueError(f"Unsupported schedule payload version {payload.get('version')!r}")
     memory_spec = MemorySpec(**payload["memory_spec"])
     start_cycles = {name: int(cycle) for name, cycle in payload["start_cycles"].items()}
     factors = {name: int(f) for name, f in payload["coalesce_factors"].items()}
-    generator = payload.get("generator", "imagen")
+    generator = payload["generator"]
     if "line_buffers" in payload:
         line_buffers = {
             name: LineBufferConfig.from_payload(config)
@@ -137,7 +136,7 @@ def deserialize_schedule(payload: dict, dag: PipelineDAG) -> PipelineSchedule:
             memory_spec,
             start_cycles,
             factors,
-            int(payload["ports"]),
+            memory_spec.ports,
         )
     else:
         raise ValueError(
@@ -151,9 +150,9 @@ def deserialize_schedule(payload: dict, dag: PipelineDAG) -> PipelineSchedule:
         memory_spec=memory_spec,
         start_cycles=start_cycles,
         line_buffers=line_buffers,
-        generator=payload.get("generator", "imagen"),
+        generator=generator,
         coalesce_factors=factors,
-        solver_stats=dict(payload.get("solver_stats", {})),
+        solver_stats=dict(payload["solver_stats"]),
     )
 
 

@@ -7,10 +7,12 @@ the :class:`repro.api.CompileTarget`; every submission path wraps
 :func:`repro.core.compile_pipeline`:
 
 * every generator run goes through a shared :class:`CompileCache`, so
-  repeated targets (interactive clients, DSE sweeps, the auto-coalescing
-  fallback, baseline comparisons) are answered without re-running anything;
-  a miss solves exactly as an uncached compile does, so what the engine
-  serves for a target never depends on what its cache held before;
+  repeated targets (interactive clients, DSE sweeps, baseline comparisons)
+  are answered without re-running anything.  The entry under a target's
+  fingerprint is the schedule ``compile_pipeline`` returns for it, +LC
+  targets included, so a warm compile is one lookup; a miss solves exactly
+  as an uncached compile does, so what the engine serves for a target never
+  depends on what its cache held before;
 * identical in-flight targets are deduplicated — concurrent batches that
   contain the same design point trigger exactly one run (the in-flight
   table is a :class:`repro.service.admission.SingleFlight`);
@@ -36,9 +38,10 @@ free workers.  Beyond that a submission is shed with
 the shed items to error-carrying results with ``source="rejected"``
 instead).  Every submission path accepts a ``client=`` identity; queued
 work drains round-robin across identities, so one flooding client cannot
-starve the rest.  Cache-answerable submits, and submits from a worker,
-bypass the queue — admission control prices solver work, not dictionary
-lookups.
+starve the rest.  Submits whose fingerprint the memory tier holds (+LC
+targets too: their entry is the schedule the auto policy kept), and submits
+from a worker, bypass the queue — admission control prices solver work, not
+dictionary lookups.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from repro.service.jobs import (
     SOURCE_DEDUPLICATED,
     BatchResult,
     CompileResult,
-    derive_source,
     rejected_result,
 )
 from repro.service.metrics import EngineMetrics, RequestTrace
@@ -201,17 +203,17 @@ class CompileEngine:
         the same target join it.
 
         The job runs on the calling thread when the engine is unbounded,
-        when the memory tier answers it, or when the caller is one of the
-        engine's workers (a verify body, say).  Otherwise it queues under
-        the ``client=`` identity, and a saturated engine sheds it with
-        :class:`repro.service.admission.QueueFullError`.
+        when the memory tier holds its fingerprint, or when the caller is
+        one of the engine's workers (a verify body, say).  Otherwise it
+        queues under the ``client=`` identity, and a saturated engine sheds
+        it with :class:`repro.service.admission.QueueFullError`.
         """
         target = require_target(target)
         fingerprint = target.fingerprint
         if (
             self.max_pending is None
             or self._queue.on_worker()
-            or self._answerable_inline(target, fingerprint)
+            or fingerprint in self.cache
         ):
             _, future, owner = self._flight.claim(fingerprint)
             if owner:
@@ -271,25 +273,6 @@ class CompileEngine:
         )
 
     # ------------------------------------------------------------- internals
-    def _answerable_inline(self, target: CompileTarget, fingerprint: str) -> bool:
-        """Whether a submit can be served from the memory tier alone.
-
-        A bounded engine's submits use it to bypass the queue: when every
-        schedule the compile would consult is already in the memory LRU,
-        running it inline is a dictionary lookup, not solver work.
-        """
-        options = target.options
-        if (
-            target.is_imagen
-            and options.coalescing
-            and options.coalescing_policy == "auto"
-        ):
-            # The auto fallback consults two entries: the coalesced solve and
-            # the plain one it compares against.
-            plain = target.with_options(coalescing=False)
-            return fingerprint in self.cache and plain.fingerprint in self.cache
-        return fingerprint in self.cache
-
     def _enqueue(
         self,
         target: CompileTarget,
@@ -356,7 +339,7 @@ class CompileEngine:
             target=target,
             fingerprint=fingerprint,
             accelerator=accelerator,
-            source=derive_source(accelerator),
+            source=accelerator.source,
             seconds=time.perf_counter() - started,
             spans=trace.spans,
         )

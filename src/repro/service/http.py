@@ -478,9 +478,9 @@ class CompileServiceServer(ThreadingHTTPServer):
     :class:`RateLimiter`) throttles compile submissions per identity.  Both
     default to off, preserving the trusted-network behaviour.
 
-    ``verify_engine`` serves ``POST /v1/verify``; when omitted, one is
-    constructed over the shared engine (its queue bound, verdicts persisted
-    to the engine's disk-cache volume if any).
+    ``POST /v1/verify`` is served by a :class:`VerifyEngine` over the
+    shared engine (its queue bound, verdicts persisted to the engine's
+    disk-cache volume if any).
 
     ``access_log`` selects the per-request log style: ``"plain"`` (the
     stdlib's lines), ``"json"`` (one object per request) or ``"none"``
@@ -497,10 +497,9 @@ class CompileServiceServer(ThreadingHTTPServer):
         access_log: str = "none",
         authenticator: TokenAuthenticator | None = None,
         rate_limiter: RateLimiter | None = None,
-        verify_engine: VerifyEngine | None = None,
     ) -> None:
         self.engine = engine
-        self.verify_engine = verify_engine if verify_engine is not None else VerifyEngine(engine)
+        self.verify_engine = VerifyEngine(engine)
         if access_log not in ACCESS_LOG_MODES:
             raise ValueError(
                 f"access_log must be one of {ACCESS_LOG_MODES}, got {access_log!r}"
@@ -533,7 +532,6 @@ def start_server(
     access_log: str = "none",
     authenticator: TokenAuthenticator | None = None,
     rate_limiter: RateLimiter | None = None,
-    verify_engine: VerifyEngine | None = None,
 ) -> CompileServiceServer:
     """Boot a service in a background thread; returns the bound server.
 
@@ -550,7 +548,6 @@ def start_server(
         access_log=access_log,
         authenticator=authenticator,
         rate_limiter=rate_limiter,
-        verify_engine=verify_engine,
     )
     thread = threading.Thread(
         target=server.serve_forever, name="repro-http-serve", daemon=True

@@ -6,8 +6,7 @@ The engine's unit of work is a :class:`repro.api.CompileTarget`; a
 :class:`CompileResult` carries the target it answered plus either the compiled
 accelerator or a captured error, so that one infeasible design point never
 aborts a batch or a DSE sweep.  :class:`BatchResult` aggregates a batch
-submission with its cache statistics and wall-clock time, and
-:func:`derive_source` classifies where a compiled design came from.
+submission with its cache statistics and wall-clock time.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ class CompileStatus(enum.Enum):
 
 
 #: Where a result came from: ``"memory"``/``"disk"`` (cache tiers),
-#: ``"solver"`` (at least one fresh generator run), ``"deduplicated"``
+#: ``"solver"`` (a fresh generator run), ``"deduplicated"``
 #: (shared with an identical in-flight request), or ``"rejected"`` (shed by
 #: the engine's bounded admission queue — the job never ran).
 SOURCE_DEDUPLICATED = "deduplicated"
@@ -126,16 +125,3 @@ class BatchResult:
             raise ReproError(f"{len(failures)}/{len(self.results)} compile jobs failed: {summary}{more}")
         return self
 
-
-def derive_source(accelerator: CompiledAccelerator) -> str:
-    """Classify where a compiled design came from.
-
-    A compile may consult the cache more than once (the auto-coalescing
-    fallback runs two solves): the result counts as cached only when *every*
-    consulted source was a cache tier, and as ``"disk"`` only when the disk
-    tier was actually touched.
-    """
-    sources = accelerator.metadata.get("schedule_sources", ("solver",))
-    if all(source in ("memory", "disk") for source in sources):
-        return "disk" if "disk" in sources else "memory"
-    return "solver"

@@ -12,7 +12,7 @@ must agree with each other:
   path emits spans named after the stages of the paper's flow — ``cache``
   (tier lookup), ``solve`` (ILP scheduling, with the nested ``ilp`` backend
   span), ``allocate`` (line-buffer realization), ``coalescing_fallback``
-  (the second solve of the auto policy), ``rtl`` (Verilog generation) and
+  (an +LC miss's plain twin), ``rtl`` (Verilog generation) and
   ``disk_read``/``disk_write`` (disk-tier I/O).
 * **The metric registry** — :class:`MetricSpec` declares every key the
   service exposes on ``GET /v1/metrics`` and ``GET /v1/cache/stats``: its

@@ -38,6 +38,7 @@ the HTTP layer maps to a 400 response.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, fields
 
 from repro.api.fingerprint import RETIRED_OPTIONS, normalize_memory_spec
@@ -252,7 +253,9 @@ def options_from_wire(payload: dict) -> SchedulerOptions:
     payload = dict(payload)
     for name, fixed in RETIRED_OPTIONS.items():
         if name in payload and payload.pop(name) != fixed:
-            raise WireFormatError(f"options.{name} is retired; only {fixed!r} is accepted")
+            raise WireFormatError(
+                f"options.{name} is retired; only {json.dumps(fixed)} is accepted"
+            )
     known = {f.name for f in fields(SchedulerOptions)}
     unknown = set(payload) - known
     if unknown:

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import ALGORITHM_NAMES, build_algorithm
+from repro.algorithms import ALGORITHM_NAMES, TEMPORAL_ALGORITHM_NAMES, build_algorithm
 from repro.api import CompileTarget
-from repro.baselines import generate_baseline
 from repro.core.compiler import compile_pipeline
 from repro.dsl.parser import parse_pipeline
 from repro.estimate.report import accelerator_report
+from repro.memory.spec import asic_single_port
 from repro.rtl.lint import lint_verilog
-from repro.sim.cycle import simulate_schedule
+from repro.sim.cycle import check_schedule_legality, simulate_schedule
 from repro.sim.functional import run_functional
 
 W, H = 64, 48
@@ -61,11 +61,27 @@ class TestAllAlgorithmsAllGenerators:
         report = simulate_schedule(schedule)
         assert report.ok, report.violations
 
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES + TEMPORAL_ALGORITHM_NAMES)
+    def test_single_port_schedules_are_legal(self, algorithm):
+        """The memory spec alone sets the port count: on single-port SRAM
+        no block serves two accesses in one cycle (R3)."""
+        schedule = compile_pipeline(
+            CompileTarget(
+                build_algorithm(algorithm),
+                image_width=480,
+                image_height=320,
+                memory_spec=asic_single_port(),
+            )
+        ).schedule
+        assert schedule.solver_stats["ports"] == 1
+        report = check_schedule_legality(schedule)
+        assert report.ok, report.violations[:3]
+
     @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
     @pytest.mark.parametrize("baseline", ["fixynn", "darkroom"])
     def test_baseline_schedules_are_legal(self, algorithm, baseline):
         dag = build_algorithm(algorithm)
-        schedule = generate_baseline(
+        schedule = compile_pipeline(
             CompileTarget(dag, image_width=W, image_height=H, generator=baseline),
         ).schedule
         report = simulate_schedule(schedule)
@@ -88,8 +104,8 @@ class TestAllAlgorithmsAllGenerators:
         designs = {
             "ours": compile_pipeline(target),
             "ours+lc": compile_pipeline(target.with_options(coalescing=True)),
-            "fixynn": generate_baseline(target.with_generator("fixynn")),
-            "darkroom": generate_baseline(target.with_generator("darkroom")),
+            "fixynn": compile_pipeline(target.with_generator("fixynn")),
+            "darkroom": compile_pipeline(target.with_generator("darkroom")),
         }
         reports = {name: accelerator_report(acc.schedule) for name, acc in designs.items()}
         assert reports["ours"].sram_kbytes <= reports["darkroom"].sram_kbytes

@@ -79,9 +79,7 @@ class TestPoolDirectParity:
         ).with_options(coalescing=True)
         [theirs], [ours] = _direct_and_pool([target])
         assert ours.schedule.generator == theirs.schedule.generator
-        assert ours.metadata["schedule_fingerprints"] == (
-            theirs.metadata["schedule_fingerprints"]
-        )
+        assert ours.fingerprint == theirs.fingerprint == target.fingerprint
         assert accelerator_report(ours).row() == accelerator_report(theirs).row()
 
 
@@ -120,8 +118,6 @@ class TestCrossProcessBaselinePersistence:
         schedule, source, _ = cache.fetch(target)
         assert source == "disk"
         assert schedule.generator == "darkroom"
-        from repro.baselines import generate_baseline
-
-        fresh = generate_baseline(target).schedule
+        fresh = compile_pipeline(target).schedule
         assert accelerator_report(schedule).row() == accelerator_report(fresh).row()
         assert schedule.start_cycles == fresh.start_cycles

@@ -4,7 +4,6 @@ import pytest
 
 from repro.algorithms import ALGORITHM_NAMES, build_algorithm, build_synthetic_pipeline
 from repro.api import CompileTarget
-from repro.baselines import generate_baseline
 from repro.core.compiler import compile_pipeline
 from repro.core.constraints import data_dependency_constraints
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
@@ -46,7 +45,7 @@ class TestScheduleInvariants:
         """Sec. 8.1: the memory savings come with essentially no latency cost."""
         dag = build_algorithm(algorithm)
         ours = compile_pipeline(CompileTarget(dag, image_width=480, image_height=320)).schedule
-        darkroom = generate_baseline(
+        darkroom = compile_pipeline(
             CompileTarget(dag, image_width=480, image_height=320, generator="darkroom"),
         ).schedule
         ratio = ours.end_to_end_latency_cycles / darkroom.end_to_end_latency_cycles
@@ -62,7 +61,7 @@ class TestScheduleInvariants:
             ours_total += compile_pipeline(
                 CompileTarget(dag, image_width=W, image_height=H),
             ).schedule.total_allocated_bits
-            darkroom_total += generate_baseline(
+            darkroom_total += compile_pipeline(
                 CompileTarget(dag, image_width=W, image_height=H, generator="darkroom"),
             ).schedule.total_allocated_bits
         assert ours_total < darkroom_total

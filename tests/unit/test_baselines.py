@@ -3,11 +3,11 @@
 import pytest
 
 from repro.api import CompileTarget
-from repro.baselines import generate_baseline
 from repro.baselines.base import BASELINE_NAMES, BaselineGenerator
 from repro.baselines.darkroom import DarkroomGenerator, linearize_dag
 from repro.baselines.fixynn import FixynnGenerator
 from repro.baselines.soda import SodaGenerator
+from repro.core.compiler import CompiledAccelerator, compile_pipeline
 from repro.errors import BaselineError
 from repro.memory.spec import asic_dual_port, asic_single_port
 
@@ -26,7 +26,7 @@ class TestDispatch:
     def test_known_names(self):
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         for name in BASELINE_NAMES:
-            accelerator = generate_baseline(target.with_generator(name))
+            accelerator = compile_pipeline(target.with_generator(name))
             assert accelerator.schedule.generator == name
 
     def test_spec_adaptation_is_idempotent(self):
@@ -44,12 +44,7 @@ class TestDispatch:
     def test_unknown_name(self):
         target = CompileTarget(build_chain(3), image_width=W, image_height=H, generator="halide")
         with pytest.raises(BaselineError):
-            generate_baseline(target)
-
-    def test_imagen_target_rejected(self):
-        target = CompileTarget(build_chain(3), image_width=W, image_height=H)
-        with pytest.raises(BaselineError):
-            generate_baseline(target)
+            compile_pipeline(target)
 
     @pytest.mark.parametrize(
         "name,spec_name",
@@ -59,23 +54,18 @@ class TestDispatch:
         """A target without a spec resolves to dual-port SRAM, which each
         generator adapts to its own buffer form."""
         target = CompileTarget(build_chain(3), image_width=W, image_height=H, generator=name)
-        assert generate_baseline(target).schedule.memory_spec.name == spec_name
+        assert compile_pipeline(target).schedule.memory_spec.name == spec_name
 
-    def test_generate_baseline_is_compile_pipeline_on_baseline_targets(self):
-        from repro.core.compiler import CompiledAccelerator, compile_pipeline
-
+    def test_compile_pipeline_runs_the_named_generator(self):
         target = CompileTarget(
-            build_chain(3), image_width=W, image_height=H, generator="darkroom"
+            build_paper_example(), image_width=W, image_height=H, generator="darkroom"
         )
-        via_baseline = generate_baseline(target)
-        via_compile = compile_pipeline(target)
-        assert isinstance(via_baseline, CompiledAccelerator)
-        assert via_baseline.schedule.generator == "darkroom"
-        assert via_baseline.schedule.start_cycles == via_compile.schedule.start_cycles
-        assert (
-            via_baseline.schedule.total_allocated_bits
-            == via_compile.schedule.total_allocated_bits
-        )
+        compiled = compile_pipeline(target)
+        direct = DarkroomGenerator().generate(target.dag, W, H, target.memory_spec)
+        assert isinstance(compiled, CompiledAccelerator)
+        assert compiled.schedule.generator == "darkroom"
+        assert compiled.schedule.start_cycles == direct.start_cycles
+        assert compiled.schedule.total_allocated_bits == direct.total_allocated_bits
 
     def test_asap_schedule_helper(self):
         starts = BaselineGenerator.asap_schedule(build_chain(3), W)

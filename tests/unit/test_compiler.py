@@ -47,10 +47,10 @@ class TestCompile:
                 image_width=W,
                 image_height=H,
                 memory_spec=asic_single_port(),
-                options=SchedulerOptions(ports=1),
             ),
         )
         assert accelerator.schedule.memory_spec.ports == 1
+        assert accelerator.schedule.solver_stats["ports"] == 1
 
     def test_verify_runs_cycle_checks(self):
         accelerator = compile_pipeline(
@@ -85,22 +85,23 @@ class TestCompile:
         assert accelerator.dag is accelerator.schedule.dag
 
 
-class TestFingerprintMetadata:
-    def test_fingerprints_recorded_alongside_sources(self):
+class TestCacheEntryIsTheCompiledSchedule:
+    """The entry under a target's fingerprint is the schedule compile returns."""
+
+    def test_fingerprint_and_source_of_a_cached_compile(self):
         from repro.service import CompileCache
 
         cache = CompileCache()
         target = CompileTarget(build_paper_example(), image_width=W, image_height=H)
         accelerator = compile_pipeline(target, cache=cache)
-        sources = accelerator.metadata["schedule_sources"]
-        fingerprints = accelerator.metadata["schedule_fingerprints"]
-        assert len(fingerprints) == len(sources) == 1
-        assert fingerprints[0] == target.fingerprint
+        assert accelerator.source == "solver"
         assert accelerator.fingerprint == target.fingerprint
-        # The recorded fingerprint is the cache key of the stored entry.
-        assert fingerprints[0] in cache
+        # The fingerprint is the cache key of the stored entry.
+        schedule, source, _ = cache.fetch(target)
+        assert schedule is accelerator.schedule and source == "memory"
+        assert compile_pipeline(target, cache=cache).source == "memory"
 
-    def test_auto_coalescing_fallback_records_both_solves(self):
+    def test_auto_coalescing_miss_caches_the_kept_schedule_and_its_plain_twin(self):
         from repro.service import CompileCache
 
         cache = CompileCache()
@@ -108,19 +109,57 @@ class TestFingerprintMetadata:
             build_paper_example(), image_width=W, image_height=H
         ).with_options(coalescing=True)
         accelerator = compile_pipeline(target, cache=cache)
-        sources = accelerator.metadata["schedule_sources"]
-        fingerprints = accelerator.metadata["schedule_fingerprints"]
-        assert len(fingerprints) == len(sources) == 2
-        assert fingerprints[0] == target.fingerprint
-        assert fingerprints[1] == target.with_options(coalescing=False).fingerprint
-        assert all(fingerprint in cache for fingerprint in fingerprints)
+        assert (cache.stats.misses, cache.stats.stores) == (2, 2)
+        assert cache.fetch(target)[0] is accelerator.schedule
+        assert target.with_options(coalescing=False).fingerprint in cache
 
-    def test_fingerprints_recorded_even_without_cache(self):
+    def test_warm_auto_coalescing_compile_is_one_lookup(self):
+        """A warm +LC compile adds one hit, opens no ``coalescing_fallback``
+        span and returns the cached schedule object."""
+        from repro.service import CompileCache
+        from repro.trace import collect_spans
+
+        cache = CompileCache()
+        target = CompileTarget(
+            build_paper_example(), image_width=W, image_height=H
+        ).with_options(coalescing=True)
+        cold = compile_pipeline(target, cache=cache)
+        hits = cache.stats.hits
+        with collect_spans() as trace:
+            warm = compile_pipeline(
+                CompileTarget(build_paper_example(), image_width=W, image_height=H)
+                .with_options(coalescing=True),
+                cache=cache,
+            )
+        assert cache.stats.hits == hits + 1
+        assert warm.schedule is cold.schedule and warm.source == "memory"
+        assert [span.name for span in trace.spans] == ["cache"]
+
+    def test_plain_schedule_kept_by_the_auto_policy_is_cached_relabelled(self):
+        """denoise-m keeps its plain solve under +LC at 480x320; the +LC
+        entry is that schedule relabelled, the plain entry stays pristine."""
+        from repro.algorithms import build_algorithm
+        from repro.service import CompileCache
+
+        cache = CompileCache()
+        target = CompileTarget(
+            build_algorithm("denoise-m"), image_width=480, image_height=320
+        ).with_options(coalescing=True)
+        kept = compile_pipeline(target, cache=cache).schedule
+        plain = cache.fetch(target.with_options(coalescing=False))[0]
+        assert kept.solver_stats["coalescing_fallback"] is True
+        assert (kept.generator, plain.generator) == ("imagen+lc", "imagen")
+        assert "coalescing_fallback" not in plain.solver_stats
+        assert kept.start_cycles == plain.start_cycles
+        assert cache.fetch(target)[0] is kept
+
+    def test_uncached_compile_reads_fingerprint_and_options_from_its_target(self):
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         accelerator = compile_pipeline(target)
-        assert accelerator.metadata["schedule_fingerprints"] == (target.fingerprint,)
-        assert accelerator.metadata["schedule_sources"] == ("solver",)
         assert accelerator.target is target
+        assert accelerator.fingerprint == target.fingerprint
+        assert accelerator.options is target.options
+        assert accelerator.source == "solver"
 
 
 class TestOneRequestForm:
@@ -135,15 +174,13 @@ class TestOneRequestForm:
 
     @pytest.mark.parametrize(
         "entry_point",
-        ["compile_pipeline", "generate_baseline", "sweep_memory_configurations"],
+        ["compile_pipeline", "sweep_memory_configurations"],
     )
     def test_non_target_input_is_a_type_error(self, entry_point):
-        from repro.baselines import generate_baseline
         from repro.dse.sweep import sweep_memory_configurations
 
         call = {
             "compile_pipeline": compile_pipeline,
-            "generate_baseline": generate_baseline,
             "sweep_memory_configurations": sweep_memory_configurations,
         }[entry_point]
         with pytest.raises(TypeError, match="Expected a CompileTarget, got PipelineDAG"):

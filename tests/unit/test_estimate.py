@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api import CompileTarget
-from repro.baselines import generate_baseline
 from repro.core.compiler import compile_pipeline
 from repro.estimate.area import area_report
 from repro.estimate.fpga import fpga_report, multi_algorithm_fit
@@ -132,7 +131,7 @@ class TestReports:
         ours = accelerator_report(compile_pipeline(
             CompileTarget(dag, image_width=W, image_height=H),
         ).schedule)
-        fixynn = accelerator_report(generate_baseline(
+        fixynn = accelerator_report(compile_pipeline(
             CompileTarget(dag, image_width=W, image_height=H, generator="fixynn"),
         ).schedule)
         assert fixynn.sram_blocks > ours.sram_blocks

@@ -17,7 +17,7 @@ from repro.core.flow import branch_arcs, difference_system
 from repro.core.pruning import count_subproblems
 from repro.core.scheduler import SchedulerOptions, schedule_pipeline
 from repro.dsl.builder import PipelineBuilder, window_sum
-from repro.errors import SchedulingError
+from repro.errors import MemoryConfigError, SchedulingError
 from repro.memory.spec import asic_dual_port, asic_single_port
 from repro.trace import collect_spans, flatten_spans
 
@@ -48,9 +48,7 @@ class TestChainScheduling:
         assert "K2" not in schedule.line_buffers  # output stage has no buffer
 
     def test_single_port_chain_needs_extra_line(self):
-        schedule = schedule_pipeline(
-            build_chain(3), W, H, asic_single_port(), SchedulerOptions(ports=1)
-        )
+        schedule = schedule_pipeline(build_chain(3), W, H, asic_single_port())
         assert schedule.delay("K0", "K1") == 3 * W
         assert schedule.line_buffers["K0"].lines == 4
 
@@ -121,8 +119,14 @@ class TestOptionsAndErrors:
             schedule_pipeline(build_chain(3), 1, 1, asic_dual_port())
 
     def test_invalid_ports(self):
-        with pytest.raises(SchedulingError):
-            schedule_pipeline(build_chain(3), W, H, asic_dual_port(), SchedulerOptions(ports=0))
+        """The memory spec is the only port count, and it rejects zero."""
+        with pytest.raises(MemoryConfigError):
+            asic_dual_port().with_ports(0)
+
+    def test_port_count_comes_from_the_memory_spec(self):
+        for spec in (asic_single_port(), asic_dual_port(), asic_dual_port().with_ports(3)):
+            schedule = schedule_pipeline(build_paper_example(), W, H, spec)
+            assert schedule.solver_stats["ports"] == spec.ports
 
     def test_big_m_model_below_the_longest_path_is_infeasible(self, monkeypatch):
         """The 18-stage synthetic pipeline has 32 branches, so the big-M model
@@ -140,16 +144,16 @@ class TestOptionsAndErrors:
         assert schedule.solver_stats["backend"] == "flow"
         assert schedule.delay("K0", "K1") == 2 * W + 1
 
-    def test_options_keep_five_fields(self):
+    def test_options_keep_four_fields(self):
         from dataclasses import fields
 
         assert [f.name for f in fields(SchedulerOptions)] == [
-            "ports", "coalescing", "coalescing_policy", "pruning", "per_stage_coalescing",
+            "coalescing", "coalescing_policy", "pruning", "per_stage_coalescing",
         ]
 
     @pytest.mark.parametrize(
         "retired", [{"backend": "python"}, {"disjunction_strategy": "enumerate"},
-                    {"max_subproblems": 4096}],
+                    {"max_subproblems": 4096}, {"ports": 2}],
     )
     def test_retired_fields_are_type_errors(self, retired):
         with pytest.raises(TypeError):

@@ -4,9 +4,9 @@ import pytest
 
 from repro.api import CompileTarget
 from repro.core.compiler import compile_pipeline
-from repro.core.scheduler import SchedulerOptions
-from repro.memory.spec import asic_dual_port
+from repro.memory.spec import asic_dual_port, asic_single_port
 from repro.service.cache import (
+    SCHEDULE_FORMAT_VERSION,
     CompileCache,
     DiskCacheStore,
     deserialize_schedule,
@@ -50,7 +50,7 @@ class TestMemoryTier:
         cache = CompileCache()
         dag = build_chain(3)
         a = _compile(dag, cache)
-        b = _compile(dag, cache, options=SchedulerOptions(ports=1))
+        b = _compile(dag, cache, memory_spec=asic_single_port())
         assert cache.stats.misses == 2
         assert a.schedule is not b.schedule
 
@@ -108,6 +108,13 @@ class TestSerialization:
         payload = serialize_schedule(_compile(build_chain(3)).schedule)
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_v3_payload_carries_no_port_override(self):
+        """The memory spec's port count is the only one a payload needs."""
+        payload = serialize_schedule(_compile(build_chain(3)).schedule)
+        assert payload["version"] == SCHEDULE_FORMAT_VERSION == 3
+        assert "ports" not in payload
+        assert payload["memory_spec"]["ports"] == 2
+
     def test_version_mismatch_rejected(self):
         dag = build_chain(3)
         payload = serialize_schedule(_compile(dag).schedule)
@@ -159,6 +166,25 @@ class TestDiskTier:
         _compile(dag, cold)
         assert cold.stats.misses == 1
         assert cold.stats.hits == 0
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pre_v3_disk_entry_is_a_miss_rewritten_as_v3(self, tmp_path, version):
+        """A v1/v2 +LC entry may hold a raw coalesced solve the auto policy
+        dropped, so older entries re-solve instead of being read."""
+        import json
+
+        store = DiskCacheStore(tmp_path)
+        dag = build_chain(3)
+        _compile(dag, CompileCache(store=store))
+        (path,) = store.directory.rglob("*.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload.update(version=version, ports=payload["memory_spec"]["ports"])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        cold = CompileCache(store=store)
+        _compile(dag, cold)
+        assert (cold.stats.hits, cold.stats.misses, cold.stats.disk_stores) == (0, 1, 1)
+        rewritten = json.loads(path.read_text(encoding="utf-8"))
+        assert rewritten["version"] == 3 and "ports" not in rewritten
 
     def test_stale_schema_disk_entry_degrades_to_miss(self, tmp_path):
         """Same format version but drifted payload fields must not crash."""

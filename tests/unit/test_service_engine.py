@@ -219,7 +219,7 @@ class TestRepeatedCompilePipeline:
         assert cache.stats.hits == hits_before + 1
         assert cache.stats.misses == 1  # only the first call solved the ILP
         assert second.schedule is first.schedule
-        assert second.metadata["schedule_sources"] == ("memory",)
+        assert second.source == "memory"
 
 
 class TestSweepIntegration:
@@ -402,7 +402,7 @@ class TestBaselineRequests:
     """Baseline generators are served through the same engine and cache."""
 
     def test_repeated_baseline_served_from_cache(self, engine):
-        """Acceptance: a repeated generate_baseline design point is a cache hit."""
+        """Acceptance: a repeated baseline design point is a cache hit."""
         target = CompileTarget(
             build_paper_example(), image_width=W, image_height=H, generator="darkroom"
         )
@@ -434,6 +434,52 @@ class TestBaselineRequests:
         )
         assert not result.ok
         assert "BaselineError" in result.error
+
+
+class TestAutoCoalescingEntries:
+    """An +LC target's entry is the schedule the auto policy keeps."""
+
+    def test_kept_plain_solve_served_from_disk_by_a_fresh_engine(self, tmp_path):
+        """denoise-m keeps its plain solve under +LC at 480x320; a fresh
+        engine on the same volume answers with one disk lookup."""
+        from repro.estimate.report import accelerator_report
+
+        def lc_target():
+            return CompileTarget(
+                build_algorithm("denoise-m"), image_width=480, image_height=320
+            ).with_options(coalescing=True)
+
+        with CompileEngine(workers=1, cache_dir=tmp_path) as warm:
+            first = warm.submit(lc_target())
+        assert first.source == "solver"
+        assert first.accelerator.schedule.solver_stats["coalescing_fallback"] is True
+        with CompileEngine(workers=1, cache_dir=tmp_path) as fresh:
+            second = fresh.submit(lc_target())
+            stats = fresh.cache.stats
+        assert second.source == "disk"
+        assert (stats.hits, stats.disk_hits, stats.misses) == (1, 1, 0)
+        row = accelerator_report(second.accelerator).row()
+        assert row == accelerator_report(first.accelerator).row()
+        assert row["generator"] == "imagen+lc"
+        assert second.accelerator.schedule.solver_stats["coalescing_fallback"] is True
+
+    def test_warm_lc_submit_on_a_bounded_engine_skips_the_queue(self):
+        engine = CompileEngine(workers=1, max_pending=1)
+        try:
+            target = CompileTarget(
+                build_paper_example(), image_width=W, image_height=H
+            ).with_options(coalescing=True)
+            assert engine.submit(target).source == "solver"
+            admitted = engine.admission_stats()["admitted_total"]
+            warm = engine.submit(
+                CompileTarget(
+                    build_paper_example(), image_width=W, image_height=H
+                ).with_options(coalescing=True)
+            )
+            assert warm.source == "memory"
+            assert engine.admission_stats()["admitted_total"] == admitted
+        finally:
+            engine.shutdown()
 
 
 class TestWorkerSizing:

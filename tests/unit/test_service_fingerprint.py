@@ -87,7 +87,6 @@ class TestSensitivity:
         dag = build_paper_example()
         base = _fp(dag)
         assert _fp(dag, options=SchedulerOptions(coalescing=True)) != base
-        assert _fp(dag, options=SchedulerOptions(ports=1)) != base
         assert _fp(dag, options=SchedulerOptions(pruning=False)) != base
 
     def test_retired_strategy_is_gone_but_still_hashed_at_its_fixed_value(self):
@@ -97,7 +96,8 @@ class TestSensitivity:
             SchedulerOptions(disjunction_strategy="enumerate")
         normalized = normalize_options(SchedulerOptions())
         assert {key: normalized[key] for key in RETIRED_OPTIONS} == {
-            "backend": "auto", "disjunction_strategy": "bigm", "max_subproblems": 4096,
+            "ports": None, "backend": "auto", "disjunction_strategy": "bigm",
+            "max_subproblems": 4096,
         }
 
     def test_per_stage_choice_matters_when_coalescing(self):

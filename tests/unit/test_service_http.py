@@ -347,7 +347,12 @@ class TestOperationalEndpoints:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("backend", "python"), ("disjunction_strategy", "enumerate"), ("max_subproblems", 8)],
+        [
+            ("backend", "python"),
+            ("disjunction_strategy", "enumerate"),
+            ("max_subproblems", 8),
+            ("ports", 2),
+        ],
     )
     def test_retired_option_value_is_400(self, service, field, value):
         _, _, server = service

@@ -78,7 +78,6 @@ class TestTargetRoundTrip:
 
     def test_options_label_metadata_generator_survive(self):
         options = SchedulerOptions(
-            ports=1,
             coalescing=True,
             coalescing_policy="all",
             per_stage_coalescing={"K1": True, "K2": False},
@@ -206,17 +205,23 @@ class TestMalformedPayloads:
 
     def test_options_carry_retired_fields_at_fixed_values(self):
         options = self._wire()["options"]
+        assert options["ports"] is None
         assert options["backend"] == "auto"
         assert options["disjunction_strategy"] == "bigm"
         assert options["max_subproblems"] == 4096
 
     @pytest.mark.parametrize(
         "field, value",
-        [("backend", "auto"), ("disjunction_strategy", "bigm"), ("max_subproblems", 4096)],
+        [
+            ("ports", None),
+            ("backend", "auto"),
+            ("disjunction_strategy", "bigm"),
+            ("max_subproblems", 4096),
+        ],
     )
     def test_retired_field_at_fixed_value_decodes(self, field, value):
         wire = self._wire()
-        for other in ("backend", "disjunction_strategy", "max_subproblems"):
+        for other in ("ports", "backend", "disjunction_strategy", "max_subproblems"):
             del wire["options"][other]
         wire["options"][field] = value
         restored = target_from_wire(wire)
@@ -230,12 +235,20 @@ class TestMalformedPayloads:
             ("disjunction_strategy", "enumerate"),
             ("max_subproblems", 8),
             ("max_subproblems", "4096"),
+            ("ports", 1),
+            ("ports", 2),
         ],
     )
     def test_retired_field_at_other_value_rejected(self, field, value):
         wire = self._wire()
         wire["options"][field] = value
         with pytest.raises(WireFormatError, match=f"options.{field}"):
+            target_from_wire(wire)
+
+    def test_retired_value_is_named_in_json(self):
+        wire = self._wire()
+        wire["options"]["ports"] = 2
+        with pytest.raises(WireFormatError, match="options.ports is retired; only null "):
             target_from_wire(wire)
 
     def test_unknown_memory_spec_field_rejected(self):
