@@ -71,20 +71,19 @@ def main() -> None:
     limiter = RateLimiter(rate=2.0, burst=2.0)  # 2 rps sustained, bursts of 2
     engine = CompileEngine(workers=1, max_pending=1)
     server = start_server(engine, authenticator=authenticator, rate_limiter=limiter)
+    anonymous = ServiceClient(port=server.port)
+    alice = ServiceClient(port=server.port, token="alice-secret")
+    bob = ServiceClient(port=server.port, token="bob-secret")
+    # carol's untouched rate bucket keeps the queue-full demo below from
+    # tripping the *rate* limiter instead of the queue bound.
+    carol = ServiceClient(port=server.port, token="carol-secret")
     try:
-        anonymous = ServiceClient(port=server.port)
-        alice = ServiceClient(port=server.port, token="alice-secret")
-        bob = ServiceClient(port=server.port, token="bob-secret")
-        # carol's untouched rate bucket keeps the queue-full demo below from
-        # tripping the *rate* limiter instead of the queue bound.
-        carol = ServiceClient(port=server.port, token="carol-secret")
         target = targets(1)[0]
 
         print(f"service on http://127.0.0.1:{server.port}  {anonymous.health()}")
         expect_rejection(lambda: anonymous.compile(target), 401)
-        expect_rejection(
-            lambda: ServiceClient(port=server.port, token="wrong").compile(target), 401
-        )
+        with ServiceClient(port=server.port, token="wrong") as wrong:
+            expect_rejection(lambda: wrong.compile(target), 401)
         print("  401: anonymous and garbage tokens rejected (healthz stays open)")
 
         # bob pays the process's cold solve first (unsharp-m solves on the
@@ -151,6 +150,8 @@ def main() -> None:
             gate.set()
             engine_module.compile_pipeline = real
     finally:
+        for client in (anonymous, alice, bob, carol):
+            client.close()
         server.stop()
         engine.shutdown()
     print("admission control smoke ok")

@@ -28,6 +28,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="imagen-http-") as cache_dir:
         engine = CompileEngine(workers=2, cache_dir=cache_dir)
         server = start_server(engine)  # port=0: ephemeral
+        # The client keeps its connection alive between requests; close()
+        # releases it.
         client = ServiceClient(port=server.port)
         try:
             print(f"service on http://127.0.0.1:{server.port}  {client.health()}")
@@ -80,6 +82,7 @@ def main() -> None:
             print(f"  prometheus: {len(exposition.splitlines())} lines")
             print("http smoke ok")
         finally:
+            client.close()
             server.stop()
             engine.shutdown()
 

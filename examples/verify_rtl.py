@@ -89,6 +89,7 @@ def main() -> None:
             assert metrics["verify_rtl_simulations"] >= 4
             assert metrics["verify_perf_measurements"] >= 1
         finally:
+            client.close()
             server.stop()
             engine.shutdown()
     print("OK")

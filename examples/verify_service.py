@@ -91,6 +91,7 @@ def main() -> None:
             print(f"  metrics: {verify_counters}")
             print("OK: verification service round trip")
         finally:
+            client.close()
             server.stop()
             engine.shutdown()
 

@@ -25,9 +25,9 @@ unified :class:`repro.api.CompileTarget` request object:
 * :mod:`repro.service.engine` — the :class:`CompileEngine` front door
   (``submit``/``submit_batch``);
 * :mod:`repro.service.verify` — verification-as-a-service: the
-  :class:`VerifyEngine` answering golden-replay and cycle-legality checks
-  with cached, deduplicated, admission-controlled verdicts
-  (``POST /v1/verify``);
+  :class:`VerifyEngine` answering golden-replay, cycle-legality, RTL
+  simulation and performance checks with cached, deduplicated,
+  admission-controlled verdicts (``POST /v1/verify``);
 * :mod:`repro.service.events` — the structured JSON emitter for
   engine-internal events (queue sheds, disk-cache GC), keyed like the
   access log;

@@ -23,7 +23,8 @@ Endpoints
   batch.
 * ``POST /v1/verify`` — body: one wire-format verify request
   (:func:`repro.service.wire.verify_request_to_wire`): a target plus a check
-  kind (``golden``/``cycle``/``both``) and input spec.  Responds 200 with
+  kind (``golden``/``cycle``/``both``/``rtl``/``perf``, see
+  :data:`repro.service.verify.CHECK_KINDS`) and input spec.  Responds 200 with
   :func:`repro.service.wire.verify_result_to_wire` output; a verification
   that *errored* in simulation (bad input spec, strict-mode failure) is a
   422 with ``reason: "verify-failed"``, never a 500.  See
@@ -68,7 +69,8 @@ Run a server::
         --auth-token-file tokens.txt --rate-limit 10:20 --max-pending 64
 
 or embed one (tests, examples) with :func:`start_server`, and talk to it with
-the :class:`ServiceClient` helper (stdlib ``http.client``, no dependencies).
+the :class:`ServiceClient` helper (stdlib ``http.client``, no dependencies),
+which keeps its connections alive between requests.
 ``--cache-max-bytes``/``--cache-max-age-seconds`` bound a shared disk cache
 volume (LRU-by-mtime eviction on save).
 """
@@ -78,6 +80,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import socket
 import sys
 import threading
 import time
@@ -485,6 +488,12 @@ class CompileServiceServer(ThreadingHTTPServer):
     ``access_log`` selects the per-request log style: ``"plain"`` (the
     stdlib's lines), ``"json"`` (one object per request) or ``"none"``
     (the default).
+
+    Connections stay open between requests for as long as the client keeps
+    them; the server adds no idle timeout.  It records the sockets it
+    accepts, and :meth:`server_close` shuts down their read side, so a
+    handler thread waiting on an idle kept-alive connection ends instead of
+    outliving the server.
     """
 
     daemon_threads = True
@@ -508,12 +517,40 @@ class CompileServiceServer(ThreadingHTTPServer):
         self.authenticator = authenticator
         self.rate_limiter = rate_limiter
         self._serve_thread: threading.Thread | None = None
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, CompileServiceHandler)
 
     @property
     def port(self) -> int:
         """The bound port (useful with the ephemeral ``port=0``)."""
         return self.server_address[1]
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def close_request(self, request) -> None:
+        # Under the lock, so server_close never shuts down a closed socket.
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().close_request(request)
+
+    def server_close(self) -> None:
+        """Release the listening socket and end every open connection.
+
+        Shutting down an accepted socket's read side makes its handler's
+        next read return end-of-file: an idle connection's handler returns
+        at once, a busy one after sending its response.
+        """
+        super().server_close()
+        with self._connections_lock:
+            for request in self._connections:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the peer already reset it
 
     def stop(self) -> None:
         """Stop serving and release the socket (the engine stays usable)."""
@@ -560,12 +597,28 @@ def start_server(
 class ServiceClient:
     """Minimal stdlib client for the compile service.
 
-    One fresh ``http.client.HTTPConnection`` per request keeps the client
-    trivially thread-safe; responses are the parsed JSON bodies.  Non-2xx
-    responses — including the admission layer's 401 and 429 — raise
-    :class:`ServiceError` carrying ``status``, the parsed error ``body`` and
-    (on 429) ``retry_after``; transport failures raise it with
-    ``status=None``.  Compile *failures* are 200s with ``ok: false`` —
+    The client keeps its HTTP/1.1 connections alive, so a warm request pays
+    no TCP connect and no server thread start.  Idle connections wait on a
+    lock-guarded stack: a request takes the most recently used one, or opens
+    an ``http.client.HTTPConnection`` when none is idle, and puts it back
+    after a complete response unless the server closed it (every 4xx/5xx
+    carries ``Connection: close``).  So one client is safe to share between
+    threads and holds at most as many connections as it has requests in
+    flight.  The server adds no idle timeout; call :meth:`close` (or use
+    the client as a context manager) to close the idle connections.
+
+    A server that closed an idle connection (it stopped, or restarted on
+    the same port) shows on the next request over it as a reset, a broken
+    pipe or an empty reply.  The client then closes its other idle
+    connections and sends that request once more on a new connection.
+    Compiles and verdicts are content-addressed, so a resend never does the
+    work twice.  Any other transport failure, and any failure on a new
+    connection, raises :class:`ServiceError` with ``status=None`` at once.
+
+    Responses are the parsed JSON bodies.  Non-2xx responses — including
+    the admission layer's 401 and 429 — raise :class:`ServiceError`
+    carrying ``status``, the parsed error ``body`` and (on 429)
+    ``retry_after``.  Compile *failures* are 200s with ``ok: false`` —
     inspect the returned dict.  ``token`` is sent as ``Authorization:
     Bearer <token>`` on every request.
     """
@@ -582,6 +635,21 @@ class ServiceClient:
         self.port = port
         self.timeout = timeout
         self.token = token
+        self._idle: list[HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+
+    def __enter__(self) -> ServiceClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the idle connections; a later request opens a new one."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
     def compile(self, target: CompileTarget, *, trace: bool = False) -> dict:
         """Compile one target remotely; returns the wire-format result.
@@ -617,7 +685,9 @@ class ServiceClient:
         un-runnable check (bad input spec, ``strict=True`` on a failing
         design) raises :class:`ServiceError` with ``status=422`` and
         ``body["reason"] == "verify-failed"``.  ``trace=True`` adds the
-        ``verify``/``verify_golden``/``verify_cycle`` span tree.
+        ``verify`` span tree: ``verify_compile``, then one of
+        ``verify_golden``/``verify_cycle``/``verify_rtl``/``verify_perf``
+        per check run.
         """
         request = VerifyRequest(
             target=target,
@@ -647,24 +717,41 @@ class ServiceClient:
     def _request(
         self, method: str, path: str, payload: dict | None = None, *, raw: bool = False
     ):
-        connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
-        try:
-            body = None if payload is None else json.dumps(payload).encode("utf-8")
-            headers = {"Content-Type": "application/json"} if body is not None else {}
-            if self.token is not None:
-                headers["Authorization"] = f"Bearer {self.token}"
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        headers = {"Content-Type": "application/json"} if body is not None else {}
+        if self.token is not None:
+            headers["Authorization"] = f"Bearer {self.token}"
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        while True:
+            if connection is None:
+                connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
             try:
                 connection.request(method, path, body=body, headers=headers)
                 response = connection.getresponse()
                 body_bytes = response.read()
+                break
             except (OSError, HTTPException) as exc:
+                connection.close()
+                # RemoteDisconnected is a ConnectionResetError.
+                if reused and isinstance(exc, (BrokenPipeError, ConnectionResetError)):
+                    # The server closed this idle connection, so it has
+                    # closed the other idle ones too.
+                    self.close()
+                    connection, reused = None, False
+                    continue
                 # Surface transport failures as the same typed error clients
                 # already catch, instead of whatever http.client raises.
                 raise ServiceError(
                     f"{method} {path} failed: {type(exc).__name__}: {exc}"
                 ) from exc
-        finally:
-            connection.close()
+            except BaseException:  # interrupted mid-request: unfit for reuse
+                connection.close()
+                raise
+        if connection.sock is not None:  # http.client closes it on Connection: close
+            with self._idle_lock:
+                self._idle.append(connection)
         if raw and response.status < 400:
             return body_bytes.decode("utf-8", "replace")
         try:

@@ -152,3 +152,17 @@ def broken_worker_start(monkeypatch) -> dict:
 
     monkeypatch.setattr(threading.Thread, "start", start)
     return broken
+
+
+def record_connections(server) -> list:
+    """Wrap a running server's ``process_request``; the returned list gets
+    the client address of every connection the server accepts from now on."""
+    accepted: list = []
+    process_request = server.process_request
+
+    def recording(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    server.process_request = recording
+    return accepted

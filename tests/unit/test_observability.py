@@ -58,11 +58,11 @@ def live_service():
     """One compiled-and-scraped service shared by the surface tests."""
     engine = CompileEngine(workers=1, tracing=True)
     server = start_server(engine)
-    client = ServiceClient(port=server.port)
-    target = CompileTarget(build_algorithm("unsharp-m"), image_width=W, image_height=H)
-    client.compile(target)
-    client.compile(target)  # repeat: exercises the cache tier and its span
-    yield client
+    with ServiceClient(port=server.port) as client:
+        target = CompileTarget(build_algorithm("unsharp-m"), image_width=W, image_height=H)
+        client.compile(target)
+        client.compile(target)  # repeat: exercises the cache tier and its span
+        yield client
     server.stop()
     engine.shutdown()
 

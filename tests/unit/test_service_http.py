@@ -2,12 +2,14 @@
 
 import json
 import http.client
+import sys
 import threading
 import time
 
 import pytest
 
 import repro.service.engine as engine_module
+import repro.service.http as http_module
 from repro.algorithms import build_algorithm
 from repro.api import CompileTarget
 from repro.estimate.report import accelerator_report
@@ -22,7 +24,7 @@ from repro.service import (
 )
 from repro.service.admission import TokenRecord
 
-from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain
+from tests.conftest import TEST_HEIGHT, TEST_WIDTH, build_chain, record_connections
 
 W, H = TEST_WIDTH, TEST_HEIGHT
 
@@ -32,9 +34,40 @@ def service(tmp_path):
     """A live server on an ephemeral port + its engine + a client."""
     engine = CompileEngine(workers=2, cache_dir=tmp_path / "cache")
     server = start_server(engine)
-    yield ServiceClient(port=server.port), engine, server
+    with ServiceClient(port=server.port) as client:
+        yield client, engine, server
     server.stop()
     engine.shutdown()
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every ``HTTPConnection`` a ``ServiceClient`` opens, in order."""
+    connections = []
+
+    class RecordedConnection(http.client.HTTPConnection):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            connections.append(self)
+
+    monkeypatch.setattr(http_module, "HTTPConnection", RecordedConnection)
+    return connections
+
+
+def _handler_threads() -> set[threading.Thread]:
+    return {
+        thread for thread in threading.enumerate()
+        if "process_request_thread" in thread.name
+    }
+
+
+def _stop_and_join(server, handlers: set[threading.Thread]) -> None:
+    """Stop the server; each of its connection handlers must end within 2 s."""
+    server.stop()
+    deadline = time.monotonic() + 2
+    for thread in handlers:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    assert not [thread for thread in handlers if thread.is_alive()]
 
 
 def _raw_request(port, method, path, body=None, headers=None):
@@ -81,8 +114,8 @@ class TestCompileEndpoint:
         second_engine = CompileEngine(workers=1, cache_dir=tmp_path / "cache")
         second_server = start_server(second_engine)
         try:
-            repeat = ServiceClient(port=second_server.port).compile(target)
-            assert repeat["source"] == "disk"
+            with ServiceClient(port=second_server.port) as second_client:
+                assert second_client.compile(target)["source"] == "disk"
         finally:
             second_server.stop()
             second_engine.shutdown()
@@ -189,7 +222,7 @@ class TestOperationalEndpoints:
             assert status == 404
             assert path in body["error"]
         with pytest.raises(ServiceError, match="404"):
-            ServiceClient(port=server.port)._request("GET", "/v1/nope")
+            client._request("GET", "/v1/nope")
 
     def test_invalid_json_body_is_400(self, service):
         client, _, server = service
@@ -218,25 +251,14 @@ class TestOperationalEndpoints:
     def test_kept_alive_warm_requests_do_not_wait_for_delayed_acks(self, service):
         """With Nagle on, the body segment that follows the headers waits
         on a kept-alive connection for the client's delayed ACK, about
-        40 ms per response."""
-        client, _, server = service
+        40 ms per response.  The bundled client keeps its connection."""
+        client, _, _ = service
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         client.compile(target)  # the cold solve; every timed request is warm
-        body = json.dumps(target_to_wire(target))
-        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
-        try:
-            started = time.perf_counter()
-            for _ in range(20):
-                connection.request(
-                    "POST", "/v1/compile", body=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                response = connection.getresponse()
-                assert response.status == 200
-                assert json.loads(response.read())["source"] == "memory"
-            elapsed = time.perf_counter() - started
-        finally:
-            connection.close()
+        started = time.perf_counter()
+        for _ in range(20):
+            assert client.compile(target)["source"] == "memory"
+        elapsed = time.perf_counter() - started
         assert elapsed < 20 * 0.020, f"20 kept-alive warm requests took {elapsed * 1000:.0f} ms"
 
     def test_error_responses_close_the_connection(self, service):
@@ -378,7 +400,8 @@ class TestAccessLog:
         engine = CompileEngine(workers=1)
         server = start_server(engine, **server_kwargs)
         try:
-            assert ServiceClient(port=server.port).health() == {"status": "ok"}
+            with ServiceClient(port=server.port) as client:
+                assert client.health() == {"status": "ok"}
         finally:
             server.stop()
             engine.shutdown()
@@ -460,16 +483,16 @@ class TestAuthOverHTTP:
     def test_valid_token_compiles(self, secured_service):
         server, engine, _ = secured_service
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
-        result = _client(server, "alice-secret").compile(target)
-        assert result["ok"] is True
+        with _client(server, "alice-secret") as alice:
+            assert alice.compile(target)["ok"] is True
         assert engine.metrics.summary()["requests"] == 1
 
     def test_missing_garbage_and_expired_tokens_are_401(self, secured_service):
         server, _, _ = secured_service
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
         for token in (None, "garbage", "carol-secret"):
-            with pytest.raises(ServiceError) as info:
-                _client(server, token).compile(target)
+            with _client(server, token) as client, pytest.raises(ServiceError) as info:
+                client.compile(target)
             assert info.value.status == 401
             assert "token" in info.value.body["error"]
 
@@ -486,11 +509,13 @@ class TestAuthOverHTTP:
 
     def test_healthz_stays_unauthenticated(self, secured_service):
         server, _, _ = secured_service
-        assert ServiceClient(port=server.port).health() == {"status": "ok"}
+        with _client(server, None) as anonymous:
+            assert anonymous.health() == {"status": "ok"}
 
     def test_metrics_require_auth_and_report_token_mode(self, secured_service):
         server, _, _ = secured_service
-        metrics = _client(server, "bob-secret").metrics()
+        with _client(server, "bob-secret") as bob:
+            metrics = bob.metrics()
         assert metrics["auth"] == "token"
         assert metrics["rate_limit"]["burst"] == 2.0
 
@@ -498,40 +523,44 @@ class TestAuthOverHTTP:
 class TestRateLimitOverHTTP:
     def test_burst_then_429_then_refill(self, secured_service):
         server, _, clock = secured_service
+        accepted = record_connections(server)
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
-        client = _client(server, "alice-secret")
-        client.compile(target)
-        client.compile(target)  # burst of 2 exhausted
-        with pytest.raises(ServiceError) as info:
+        with _client(server, "alice-secret") as client:
             client.compile(target)
-        error = info.value
-        assert error.status == 429
-        assert error.body["reason"] == "rate-limited"
-        assert error.retry_after is not None and error.retry_after >= 1
-        clock.advance(1.0)  # 2 rps -> 2 tokens back
-        assert client.compile(target)["ok"] is True
+            client.compile(target)  # burst of 2 exhausted
+            with pytest.raises(ServiceError) as info:
+                client.compile(target)
+            error = info.value
+            assert error.status == 429
+            assert error.body["reason"] == "rate-limited"
+            assert error.retry_after is not None and error.retry_after >= 1
+            clock.advance(1.0)  # 2 rps -> 2 tokens back
+            assert client.compile(target)["ok"] is True
+            assert client.compile(target)["ok"] is True
+        # The 429 closed the first connection; one new one serves the rest.
+        assert len(accepted) == 2
 
     def test_429_is_never_charged_to_other_identity(self, secured_service):
         server, _, _ = secured_service
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
-        alice = _client(server, "alice-secret")
-        alice.compile(target)
-        alice.compile(target)
-        with pytest.raises(ServiceError):
+        with _client(server, "alice-secret") as alice, _client(server, "bob-secret") as bob:
             alice.compile(target)
-        # bob's bucket is untouched by alice's throttling.
-        assert _client(server, "bob-secret").compile(target)["ok"] is True
+            alice.compile(target)
+            with pytest.raises(ServiceError):
+                alice.compile(target)
+            # bob's bucket is untouched by alice's throttling.
+            assert bob.compile(target)["ok"] is True
 
     def test_batch_charges_one_token_per_target(self, secured_service):
         server, _, _ = secured_service
         target = CompileTarget(build_chain(3), image_width=W, image_height=H)
-        client = _client(server, "alice-secret")
-        # burst 2, batch of 3: admitted on the full bucket (overdraft) ...
-        first = client.compile_batch([target, target, target])
-        assert [r["ok"] for r in first["results"]] == [True, True, True]
-        # ... and the overdraft throttles what follows.
-        with pytest.raises(ServiceError) as info:
-            client.compile(target)
+        with _client(server, "alice-secret") as client:
+            # burst 2, batch of 3: admitted on the full bucket (overdraft) ...
+            first = client.compile_batch([target, target, target])
+            assert [r["ok"] for r in first["results"]] == [True, True, True]
+            # ... and the overdraft throttles what follows.
+            with pytest.raises(ServiceError) as info:
+                client.compile(target)
         assert info.value.status == 429
         assert info.value.body["reason"] == "rate-limited"
 
@@ -569,7 +598,8 @@ class TestQueueFullOverHTTP:
 
         def post(token, target):
             try:
-                outcomes.append(ServiceClient(port=server.port, token=token, timeout=60).compile(target))
+                with ServiceClient(port=server.port, token=token, timeout=60) as client:
+                    outcomes.append(client.compile(target))
             except ServiceError as exc:
                 outcomes.append(exc)
 
@@ -579,6 +609,7 @@ class TestQueueFullOverHTTP:
         ]
         for thread in threads:
             thread.start()
+        bob = _client(server, "bob-secret")
         try:
             # One running and two waiting: queue_depth alone also counts a
             # job the idle worker is about to take.
@@ -590,40 +621,162 @@ class TestQueueFullOverHTTP:
                 time.sleep(0.01)
             assert engine.admission_stats()["queue_depth"] == 2
             with pytest.raises(ServiceError) as info:
-                _client(server, "bob-secret").compile(targets[3])
+                bob.compile(targets[3])
             error = info.value
             assert error.status == 429
             assert error.body["reason"] == "queue-full"
             assert error.retry_after is not None and error.retry_after >= 1
-            metrics = _client(server, "bob-secret").metrics()
+            metrics = bob.metrics()
             assert metrics["rejected_total"] == 1
             assert metrics["queue_depth"] == 2
             gate.set()
             for thread in threads:
                 thread.join(timeout=60)
             assert all(isinstance(o, dict) and o["ok"] for o in outcomes)
-            assert _client(server, "bob-secret").metrics()["queue_depth"] == 0
+            assert bob.metrics()["queue_depth"] == 0
         finally:
             gate.set()
+            bob.close()
             server.stop()
             engine.shutdown()
 
 
 class TestServiceClientTypedErrors:
     def test_non_2xx_carries_status_and_body(self, service):
-        client, _, server = service
+        client, _, _ = service
         with pytest.raises(ServiceError) as info:
-            ServiceClient(port=server.port)._request("GET", "/v1/nope")
+            client._request("GET", "/v1/nope")
         error = info.value
         assert error.status == 404
         assert "Unknown path" in error.body["error"]
         assert error.retry_after is None
 
-    def test_transport_failures_are_typed_too(self, service):
-        client, _, server = service
+    def test_transport_failures_are_typed_too(self, service, opened):
+        _, _, server = service
         port = server.port
         server.stop()  # connection refused from here on
-        with pytest.raises(ServiceError) as info:
-            ServiceClient(port=port, timeout=2).health()
+        with ServiceClient(port=port, timeout=2) as client, pytest.raises(ServiceError) as info:
+            client.health()
         assert info.value.status is None
         assert info.value.body == {}
+        assert len(opened) == 1  # a refused new connection is not retried
+
+
+class TestKeepAliveClient:
+    """A client reuses its connections, and reconnects once when the
+    server has closed an idle one."""
+
+    @pytest.mark.parametrize("threads, requests", [(1, 20), (2, 20), (8, 25)])
+    def test_threads_open_at_most_one_connection_each(self, service, opened, threads, requests):
+        """One thread's requests share one connection.  Threads share the
+        idle stack; with 8 threads on fewer cores and a short switch
+        interval, a lost or doubled pop shows as a crossed response, a
+        failed request or a socket left open by close()."""
+        client, _, server = service
+        accepted = record_connections(server)
+        targets = [
+            CompileTarget(build_chain(3), image_width=W + 2 * i, image_height=H)
+            for i in range(threads)
+        ]
+        failures = []
+
+        def send(target) -> None:
+            try:
+                for _ in range(requests):
+                    assert client.compile(target)["fingerprint"] == target.fingerprint
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                failures.append(exc)
+
+        workers = [threading.Thread(target=send, args=(target,)) for target in targets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [worker for worker in workers if worker.is_alive()]
+        assert failures == []
+        assert 1 <= len(accepted) <= threads
+        assert len(opened) == len(accepted)
+        client.close()
+        assert all(connection.sock is None for connection in opened)
+
+    def test_restarted_server_is_reached_after_one_reconnect(self, opened):
+        engine = CompileEngine(workers=1)
+        server = start_server(engine)
+        port = server.port
+        before = _handler_threads()
+        try:
+            with ServiceClient(port=port) as client:
+                assert client.health() == {"status": "ok"}  # one idle connection
+                _stop_and_join(server, _handler_threads() - before)
+                server = start_server(engine, port=port)  # allow_reuse_address
+                accepted = record_connections(server)
+                for _ in range(3):
+                    assert client.health() == {"status": "ok"}
+            assert len(accepted) == 1
+            assert len(opened) == 2
+        finally:
+            server.stop()
+            engine.shutdown()
+
+    def test_stopped_server_fails_after_one_reconnect(self, service, opened):
+        """The idle connection's failure is retried once; the refused
+        reconnect is the typed error."""
+        client, _, server = service
+        before = _handler_threads()
+        assert client.health() == {"status": "ok"}
+        _stop_and_join(server, _handler_threads() - before)
+        with pytest.raises(ServiceError, match="ConnectionRefusedError") as info:
+            client.health()
+        assert info.value.status is None
+        assert len(opened) == 2
+
+    def test_404_is_followed_by_a_success_on_the_same_client(self, service):
+        client, _, server = service
+        accepted = record_connections(server)
+        assert client.health() == {"status": "ok"}
+        with pytest.raises(ServiceError) as info:
+            client._request("GET", "/v1/nope")
+        assert info.value.status == 404
+        for _ in range(3):
+            assert client.health() == {"status": "ok"}
+        # The 404 closed the first connection; one new one serves the rest.
+        assert len(accepted) == 2
+
+    def test_close_and_with_leave_no_open_socket(self, service, opened):
+        client, _, server = service
+        with ServiceClient(port=server.port) as scoped:
+            assert scoped.health() == {"status": "ok"}
+        assert opened[0].sock is None
+        assert client.health() == {"status": "ok"}
+        client.close()
+        assert opened[1].sock is None
+        assert client.health() == {"status": "ok"}  # a closed client reconnects
+        client.close()
+        assert len(opened) == 3
+        assert all(connection.sock is None for connection in opened)
+
+    def test_stop_ends_the_handlers_of_idle_connections(self):
+        engine = CompileEngine(workers=1)
+        before = _handler_threads()
+        server = start_server(engine)
+        raw = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        client = ServiceClient(port=server.port)
+        try:
+            raw.request("GET", "/healthz")
+            response = raw.getresponse()
+            assert response.status == 200
+            response.read()  # drained: the connection stays open and idle
+            assert client.health() == {"status": "ok"}
+            handlers = _handler_threads() - before
+            assert len(handlers) == 2
+            _stop_and_join(server, handlers)
+        finally:
+            raw.close()
+            client.close()
+            server.stop()
+            engine.shutdown()

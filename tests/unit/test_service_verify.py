@@ -721,7 +721,8 @@ class TestVerifyHTTP:
     def service(self, tmp_path):
         engine = CompileEngine(workers=2, cache_dir=tmp_path / "cache")
         server = start_server(engine)
-        yield ServiceClient(port=server.port), engine, server
+        with ServiceClient(port=server.port) as client:
+            yield client, engine, server
         server.stop()
         engine.shutdown()
 

@@ -125,8 +125,8 @@ class TestTemporalVerifyService:
         engine = CompileEngine(workers=2, cache_dir=tmp_path / "c")
         server = start_server(engine)
         try:
-            client = ServiceClient(port=server.port)
-            verdict = client.verify(temporal_target(), check="both", frames=3)
+            with ServiceClient(port=server.port) as client:
+                verdict = client.verify(temporal_target(), check="both", frames=3)
         finally:
             server.stop()
             engine.shutdown()

@@ -113,13 +113,13 @@ def _scrape_local_server() -> str:
     engine = CompileEngine(workers=1, tracing=True)
     server = start_server(engine)
     try:
-        client = ServiceClient(port=server.port)
-        target = CompileTarget(
-            build_algorithm("unsharp-m"), image_width=64, image_height=48
-        )
-        client.compile(target)
-        client.compile(target)  # the repeat exercises the cache span
-        return client.metrics_prometheus()
+        with ServiceClient(port=server.port) as client:
+            target = CompileTarget(
+                build_algorithm("unsharp-m"), image_width=64, image_height=48
+            )
+            client.compile(target)
+            client.compile(target)  # the repeat exercises the cache span
+            return client.metrics_prometheus()
     finally:
         server.stop()
         engine.shutdown()
